@@ -13,7 +13,6 @@ import sys
 from dataclasses import replace
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from . import countsim, discern, ghost, polcalc, qstate, svgplot, tomo
 from .configio import ConfigError, ExperimentConfig, load_config, settings_fragment
@@ -65,9 +64,8 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
             )
             n = corrected.shape[0]
             if n >= 2:
-                tq = float(scipy_stats.t.ppf(0.975, n - 1))
                 bands_by_family[curve.family] = (
-                    corrected.std(axis=0, ddof=1) / np.sqrt(n) * tq
+                    corrected.std(axis=0, ddof=1) / np.sqrt(n) * discern.t975(n)
                 )
         curves = measured
     curves = ghost.normalize_dataset(curves)

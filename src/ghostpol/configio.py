@@ -14,7 +14,7 @@ import numpy as np
 import yaml
 
 from .countsim import CountModel
-from .ghost import default_theta_grid
+from .ghost import default_theta_grid, sample_element
 from .optproj import ProjectorParam
 from .polcalc import PolElement
 from .qstate import TwoQubitDensity, bell_psi_plus, load_density_csv, werner
@@ -257,8 +257,6 @@ def _parse_optimize(node, path: str) -> OptimizeSpec:
     if "samples" not in node or "projectors" not in node:
         raise ConfigError(f"'{path}' needs samples and projectors")
     samples = []
-    from .ghost import sample_element
-
     for i, item in enumerate(_require_list(node["samples"], f"{path}.samples")):
         item = _require_mapping(item, f"{path}.samples[{i}]")
         _check_keys(item, {"family", "theta_deg", "element"},

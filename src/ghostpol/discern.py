@@ -5,14 +5,20 @@ its uncertainty is summarized by an axis-aligned 95% confidence
 ellipsoid, and two samples count as distinguishable only when their
 ellipsoids are strictly separated along the line joining the centers
 (a conservative, sufficient criterion).
+
+The criterion is one symmetric, broadcasting predicate, ``separable``:
+a region holds one ellipsoid, ``(d,)`` center and semi-axes, or a
+stack of them, ``(m, d)``.  The greedy sweep tests each candidate, and
+the cross-family exclusions each kept sample, against a stack at once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 SEMI_AXIS_FLOOR = 1e-12
 ANGLE_PERIOD_DEG = 180.0
@@ -28,12 +34,14 @@ class SampleStats:
 
 @dataclass(frozen=True)
 class EllipsoidRegion:
+    """Axis-aligned ellipsoid, or an (m, d) stack of them; see module."""
+
     center: np.ndarray
     semi_axes: np.ndarray
 
     def __post_init__(self) -> None:
         center = np.asarray(self.center, dtype=float)
-        scale = max(1.0, float(np.max(np.abs(center))) if center.size else 1.0)
+        scale = np.max(np.abs(center), axis=-1, keepdims=True, initial=1.0)
         semi = np.maximum(np.asarray(self.semi_axes, dtype=float),
                           SEMI_AXIS_FLOOR * scale)
         if semi.shape != center.shape:
@@ -78,56 +86,66 @@ def summarize(points: np.ndarray) -> SampleStats:
     n = pts.shape[0]
     mean = pts.mean(axis=0)
     std = pts.std(axis=0, ddof=1)
-    tq = float(stats.t.ppf(0.975, n - 1))
-    ci95 = tq * std / np.sqrt(n)
+    ci95 = t975(n) * std / np.sqrt(n)
     return SampleStats(mean=mean, std=std, ci95=ci95, n_runs=n)
+
+
+@functools.lru_cache(maxsize=None)
+def t975(n_runs: int) -> float:
+    """Two-sided 95% Student t quantile for the mean of ``n_runs`` runs."""
+    return float(special.stdtrit(n_runs - 1, 0.975))
 
 
 def region_from_stats(s: SampleStats) -> EllipsoidRegion:
     return EllipsoidRegion(center=s.mean, semi_axes=s.ci95)
 
 
-def support_halfwidth(region: EllipsoidRegion, direction: np.ndarray) -> float:
-    """Support function of an axis-aligned ellipsoid along a unit vector."""
-    return float(np.sqrt(np.sum((region.semi_axes * direction) ** 2)))
+def _center_line(a: EllipsoidRegion, b: EllipsoidRegion):
+    """Center distance and both support half-widths along the center line.
 
-
-def separable(a: EllipsoidRegion, b: EllipsoidRegion) -> bool:
-    """Strict separation of two ellipsoids along their center line."""
+    Zero-distance rows use the first axis.  ``vecdot`` rounds exactly
+    as ``np.linalg.norm`` does for a single difference vector.
+    """
     delta = b.center - a.center
-    dist = float(np.linalg.norm(delta))
-    if dist <= 0.0:
-        return False
-    u = delta / dist
-    return support_halfwidth(a, u) + support_halfwidth(b, u) < dist
+    dist = np.sqrt(np.vecdot(delta, delta))
+    u = np.zeros_like(delta)
+    u[..., 0] = 1.0
+    np.divide(delta, dist[..., None], out=u, where=dist[..., None] > 0.0)
+    return (dist, np.sqrt(np.sum((a.semi_axes * u) ** 2, axis=-1)),
+            np.sqrt(np.sum((b.semi_axes * u) ** 2, axis=-1)))
 
 
-def separation_margin(a: EllipsoidRegion, b: EllipsoidRegion) -> float:
+def separable(a: EllipsoidRegion, b: EllipsoidRegion) -> bool | np.ndarray:
+    """Strict center-line separation: one bool per pair or stacked row."""
+    dist, half_a, half_b = _center_line(a, b)
+    result = (dist > 0.0) & (half_a + half_b < dist)
+    return bool(result) if result.ndim == 0 else result
+
+
+def separation_margin(a: EllipsoidRegion, b: EllipsoidRegion) -> float | np.ndarray:
     """Signed slack of the center-line criterion (positive = separated)."""
-    delta = b.center - a.center
-    dist = float(np.linalg.norm(delta))
-    if dist <= 0.0:
-        u = np.zeros(a.center.shape)
-        u[0] = 1.0
-    else:
-        u = delta / dist
-    return dist - support_halfwidth(a, u) - support_halfwidth(b, u)
+    dist, half_a, half_b = _center_line(a, b)
+    return dist - half_a - half_b
+
+
+def _stack(regions: list[EllipsoidRegion]) -> EllipsoidRegion:
+    return EllipsoidRegion(np.array([r.center for r in regions]),
+                           np.array([r.semi_axes for r in regions]))
 
 
 def max_distinguishable_subset(regions: list[EllipsoidRegion]) -> list[int]:
     """Greedy subset of mutually separable samples.
 
     Sweeps the orientation-ordered regions starting at index 0 and
-    keeps a sample iff it is separable from every sample kept so far;
-    the wrap-around pair (last kept vs first kept) is re-checked and
-    the last sample dropped on conflict.
+    keeps a sample iff it is separable from every sample kept so far.
+    Every kept pair was tested on admission: no wrap-around re-check.
     """
+    stack = _stack(regions)
     kept: list[int] = []
     for i, region in enumerate(regions):
-        if all(separable(region, regions[k]) for k in kept):
+        kept_stack = EllipsoidRegion(stack.center[kept], stack.semi_axes[kept])
+        if np.all(separable(region, kept_stack)):
             kept.append(i)
-    if len(kept) >= 2 and not separable(regions[kept[-1]], regions[kept[0]]):
-        kept.pop()
     return kept
 
 
@@ -136,39 +154,29 @@ def cross_family_exclusions(
 ) -> list[tuple[str, float, str, float]]:
     """Drop kept samples that collide with the other family.
 
-    For every non-separable cross-family pair the sample on the
-    smaller-margin side (here: the larger uncertainty region, measured
-    by its largest semi-axis) is excluded; ties drop from the second
-    family.  Returns (family, theta, other_family, other_theta) rows.
+    Conflicts of still-kept pairs go in row-major order over kept_a x
+    kept_b; each drops the sample with the larger maximum semi-axis,
+    ties from the second.  Returns (family, theta, other, other_theta).
     """
+    rows, cols = list(outcome_a.kept), list(outcome_b.kept)
+    if not rows or not cols:
+        return []
+    stack_b = _stack([outcome_b.regions[j] for j in cols])
+    conflict = np.array([~separable(outcome_a.regions[i], stack_b) for i in rows])
+    width_b = np.max(stack_b.semi_axes, axis=-1)
     exclusions: list[tuple[str, float, str, float]] = []
-    changed = True
-    while changed:
-        changed = False
-        for i in list(outcome_a.kept):
-            for j in list(outcome_b.kept):
-                ra = outcome_a.regions[i]
-                rb = outcome_b.regions[j]
-                if separable(ra, rb):
-                    continue
-                if float(np.max(ra.semi_axes)) > float(np.max(rb.semi_axes)):
-                    outcome_a.kept.remove(i)
-                    outcome_a.cross_excluded.append(i)
-                    exclusions.append(
-                        (outcome_a.family, float(outcome_a.thetas[i]),
-                         outcome_b.family, float(outcome_b.thetas[j]))
-                    )
-                else:
-                    outcome_b.kept.remove(j)
-                    outcome_b.cross_excluded.append(j)
-                    exclusions.append(
-                        (outcome_b.family, float(outcome_b.thetas[j]),
-                         outcome_a.family, float(outcome_a.thetas[i]))
-                    )
-                changed = True
+    for r, i in enumerate(rows):
+        for c in np.flatnonzero(conflict[r]):
+            pair = [(outcome_a, i), (outcome_b, cols[c])]
+            a_loses = np.max(outcome_a.regions[i].semi_axes) > width_b[c]
+            (loser, t), (other, o) = pair if a_loses else pair[::-1]
+            loser.kept.remove(t)
+            loser.cross_excluded.append(t)
+            exclusions.append((loser.family, float(loser.thetas[t]),
+                               other.family, float(other.thetas[o])))
+            if a_loses:
                 break
-            if changed:
-                break
+            conflict[:, c] = False
     return exclusions
 
 
@@ -183,9 +191,7 @@ def step_stats(kept_thetas: np.ndarray,
         raise ValueError("no kept orientations")
     if thetas.size == 1:
         return StepStats(period, period, period)
-    gaps = np.diff(thetas)
-    wrap = period - thetas[-1] + thetas[0]
-    gaps = np.append(gaps, wrap)
+    gaps = np.append(np.diff(thetas), period - thetas[-1] + thetas[0])
     return StepStats(
         median_deg=float(np.median(gaps)),
         max_deg=float(np.max(gaps)),
@@ -204,15 +210,9 @@ def analyze_family(
     pts = np.asarray(run_points, dtype=float)
     stats_list = [summarize(pts[:, t, :]) for t in range(pts.shape[1])]
     regions = [region_from_stats(s) for s in stats_list]
-    kept = max_distinguishable_subset(regions)
-    outcome = FamilyOutcome(
-        family=family,
-        thetas=np.asarray(thetas, dtype=float),
-        stats=stats_list,
-        regions=regions,
-        kept=kept,
-    )
-    return outcome
+    return FamilyOutcome(family=family, thetas=np.asarray(thetas, dtype=float),
+                         stats=stats_list, regions=regions,
+                         kept=max_distinguishable_subset(regions))
 
 
 def analyze_families(

@@ -7,7 +7,7 @@ quantities derive from Kraus conjugation of the joint two-photon state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

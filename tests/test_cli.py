@@ -1,7 +1,10 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
+import ghostpol
 from ghostpol import tomo
 from ghostpol.cli import build_parser, main
 from ghostpol.qstate import bell_psi_plus
@@ -212,3 +215,12 @@ def test_outputs_are_byte_reproducible(tmp_path):
     assert run(["discriminate", "--config", cfg, "--out", str(out_b)]) == 0
     for name in ("runs_LP.csv", "report.csv", "summary.txt", "regions.svg"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(ghostpol.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import ghostpol.cli; "
+            "print('scipy.stats' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert proc.stdout.strip() == "False"

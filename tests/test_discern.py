@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from ghostpol.discern import (
     DistinguishabilityReport,
     EllipsoidRegion,
+    FamilyOutcome,
     analyze_families,
     analyze_family,
     cross_family_exclusions,
@@ -67,9 +70,14 @@ def test_separability_one_dimensional_oracle():
     a = EllipsoidRegion(np.array([0.0]), np.array([1.0]))
     b = EllipsoidRegion(np.array([3.0]), np.array([1.0]))
     c = EllipsoidRegion(np.array([1.9]), np.array([1.0]))
+    touching = EllipsoidRegion(np.array([2.0]), np.array([1.0]))
     assert separable(a, b)
     assert not separable(a, c)
     assert not separable(a, a)
+    assert not separable(a, touching)
+    stack = EllipsoidRegion(np.array([[3.0], [1.9], [0.0], [2.0]]),
+                            np.ones((4, 1)))
+    assert separable(a, stack).tolist() == [True, False, False, False]
 
 
 def test_separation_margin_two_dimensional_oracle():
@@ -193,3 +201,143 @@ def test_report_csv_and_summary(tmp_path):
     text = summary_text(report)
     assert "family LP: kept 2 of 2 orientations" in text
     assert "cross-family exclusions: none" in text
+
+
+# Reference: the scalar pair-at-a-time code that the broadcasting
+# kernel replaced.  The oracle tests below require identical decisions,
+# margins, kept lists and exclusion rows from the batched code.
+
+def ref_support(region, u):
+    return float(np.sqrt(np.sum((region.semi_axes * u) ** 2)))
+
+
+def ref_separable(a, b):
+    delta = b.center - a.center
+    dist = float(np.linalg.norm(delta))
+    if dist <= 0.0:
+        return False
+    u = delta / dist
+    return ref_support(a, u) + ref_support(b, u) < dist
+
+
+def ref_margin(a, b):
+    delta = b.center - a.center
+    dist = float(np.linalg.norm(delta))
+    if dist <= 0.0:
+        u = np.zeros(a.center.shape)
+        u[0] = 1.0
+    else:
+        u = delta / dist
+    return dist - ref_support(a, u) - ref_support(b, u)
+
+
+def ref_greedy(regions):
+    kept = []
+    for i, region in enumerate(regions):
+        if all(ref_separable(region, regions[k]) for k in kept):
+            kept.append(i)
+    if len(kept) >= 2 and not ref_separable(regions[kept[-1]], regions[kept[0]]):
+        kept.pop()
+    return kept
+
+
+def ref_exclusions(outcome_a, outcome_b):
+    exclusions = []
+    changed = True
+    while changed:
+        changed = False
+        for i in list(outcome_a.kept):
+            for j in list(outcome_b.kept):
+                ra = outcome_a.regions[i]
+                rb = outcome_b.regions[j]
+                if ref_separable(ra, rb):
+                    continue
+                if float(np.max(ra.semi_axes)) > float(np.max(rb.semi_axes)):
+                    outcome_a.kept.remove(i)
+                    outcome_a.cross_excluded.append(i)
+                    exclusions.append(
+                        (outcome_a.family, float(outcome_a.thetas[i]),
+                         outcome_b.family, float(outcome_b.thetas[j]))
+                    )
+                else:
+                    outcome_b.kept.remove(j)
+                    outcome_b.cross_excluded.append(j)
+                    exclusions.append(
+                        (outcome_b.family, float(outcome_b.thetas[j]),
+                         outcome_a.family, float(outcome_a.thetas[i]))
+                    )
+                changed = True
+                break
+            if changed:
+                break
+    return exclusions
+
+
+def random_regions(rng, n, d, spread=1.0):
+    """Regions with repeated centers and semi-axes drawn from few values.
+
+    The few semi-axis values (0.0 is floored) make exact ties in the
+    largest semi-axis common; every fifth center repeats another.
+    """
+    centers = rng.uniform(0.0, spread, (n, d))
+    centers[rng.integers(0, n, n // 5)] = centers[rng.integers(0, n, n // 5)]
+    semis = rng.choice([0.0, 0.01, 0.02, 0.04, 0.07], size=(n, d))
+    return [EllipsoidRegion(c, s) for c, s in zip(centers, semis)]
+
+
+def random_outcome(rng, family, n, d, spread):
+    regions = random_regions(rng, n, d, spread)
+    return FamilyOutcome(
+        family=family,
+        thetas=np.sort(rng.uniform(0.0, 180.0, n)),
+        stats=[],
+        regions=regions,
+        kept=ref_greedy(regions),
+    )
+
+
+def test_separable_broadcasts_like_scalar_reference():
+    rng = np.random.default_rng(11)
+    for d in (1, 2, 3):
+        regions = random_regions(rng, 40, d, spread=0.3)
+        stack = EllipsoidRegion(np.array([r.center for r in regions]),
+                                np.array([r.semi_axes for r in regions]))
+        for a in regions:
+            got = separable(a, stack)
+            margins = separation_margin(a, stack)
+            assert got.dtype == bool and got.shape == (40,)
+            assert got.tolist() == [ref_separable(a, b) for b in regions]
+            assert margins.tolist() == [ref_margin(a, b) for b in regions]
+            assert separable(a, regions[0]) is ref_separable(a, regions[0])
+
+
+def test_greedy_subset_matches_scalar_reference():
+    rng = np.random.default_rng(12)
+    for trial in range(60):
+        d = 1 + trial % 3
+        regions = random_regions(rng, 60, d, spread=rng.uniform(0.05, 1.0))
+        assert max_distinguishable_subset(regions) == ref_greedy(regions)
+    assert max_distinguishable_subset([]) == []
+
+
+def test_cross_family_exclusions_match_scalar_reference():
+    rng = np.random.default_rng(13)
+    seen_a_drop = seen_b_drop = 0
+    for trial in range(30):
+        d = 1 + trial % 3
+        spread = rng.uniform(0.1, 0.6)
+        families = [random_outcome(rng, name, 30, d, spread)
+                    for name in ("LP", "QWP", "custom")]
+        expected = copy.deepcopy(families)
+        ref_rows = []
+        for i in range(3):
+            for j in range(i + 1, 3):
+                ref_rows += ref_exclusions(expected[i], expected[j])
+        report = analyze_families(families)
+        assert report.exclusions == ref_rows
+        for got, want in zip(families, expected):
+            assert got.kept == want.kept
+            assert got.cross_excluded == want.cross_excluded
+        seen_a_drop += sum(row[0] == "LP" for row in ref_rows)
+        seen_b_drop += sum(row[0] == "QWP" for row in ref_rows)
+    assert seen_a_drop > 0 and seen_b_drop > 0
