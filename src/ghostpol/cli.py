@@ -234,6 +234,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError("'--seed' must be >= 0")
             cfg.seed = args.seed
         return handlers[args.command](cfg, args.out)
     except ConfigError as exc:

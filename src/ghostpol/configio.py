@@ -239,6 +239,8 @@ def _parse_projector_param(node, path: str) -> ProjectorParam:
         extinction = float(extinction)
     else:
         raise ConfigError(f"'{path}.extinction' must be a number")
+    if not extinction >= 1.0:
+        raise ConfigError(f"'{path}.extinction' must be >= 1")
     return ProjectorParam(
         qwp_deg=qwp,
         lp_deg=_number(node["lp_deg"], f"{path}.lp_deg"),
@@ -277,11 +279,15 @@ def _parse_optimize(node, path: str) -> OptimizeSpec:
             samples.append(sample_element(family, theta, template))
         except ValueError as exc:
             raise ConfigError(f"'{path}.samples[{i}]': {exc}") from exc
+    if len(samples) < 2:
+        raise ConfigError(f"'{path}.samples' needs at least two samples")
     projectors = [
         _parse_projector_param(p, f"{path}.projectors[{i}]")
         for i, p in enumerate(_require_list(node["projectors"],
                                             f"{path}.projectors"))
     ]
+    if not projectors:
+        raise ConfigError(f"'{path}.projectors' must not be empty")
     spec = OptimizeSpec(samples=samples, projectors=projectors)
     if "probe" in node:
         spec.probe = _parse_projector_param(node["probe"], f"{path}.probe")
@@ -290,10 +296,12 @@ def _parse_optimize(node, path: str) -> OptimizeSpec:
         if mode not in ("joint", "sequential"):
             raise ConfigError(f"'{path}.mode' must be joint or sequential")
         spec.mode = mode
-    if "restarts" in node:
-        spec.restarts = _integer(node["restarts"], f"{path}.restarts")
-    if "max_evals" in node:
-        spec.max_evals = _integer(node["max_evals"], f"{path}.max_evals")
+    for key in ("restarts", "max_evals"):
+        if key in node:
+            value = _integer(node[key], f"{path}.{key}")
+            if value < 1:
+                raise ConfigError(f"'{path}.{key}' must be >= 1")
+            setattr(spec, key, value)
     for flag in ("vary_probe", "vary_projectors", "vary_extinction"):
         if flag in node:
             setattr(spec, flag, _boolean(node[flag], f"{path}.{flag}"))
@@ -316,6 +324,8 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
     cfg = ExperimentConfig()
     if "seed" in data:
         cfg.seed = _integer(data["seed"], "seed")
+        if cfg.seed < 0:
+            raise ConfigError("'seed' must be >= 0")
     if "runs" in data:
         cfg.runs = _integer(data["runs"], "runs")
         if cfg.runs < 1:

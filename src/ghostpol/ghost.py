@@ -1,13 +1,20 @@
 """Coincidence response engine for heralded polarimetry.
 
 The signal photon interacts with the probed object (and any probe-side
-projector); the idler photon is analyzed remotely.  All response
-quantities derive from Kraus conjugation of the joint two-photon state.
+projector); the idler photon is analyzed remotely.  Every response
+quantity is a contraction of the joint two-photon state with 2x2
+effects: the signal arm's Kraus set {K_k} enters only through its
+effect E = sum_k K_k^dagger K_k and an idler projector J through
+F = J^dagger J, so a coincidence probability is p = tr[rho (E (x) F)],
+the herald is tr[rho (E (x) I)] and the unnormalized idler state is
+Tr_s[(E (x) I) rho].  Probe-arm chains and idler projectors may come
+as (n, 2, 2) stacks; passivity and the Kraus-sum bound are then
+checked once per stack, and one contraction gives every probability.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,24 +30,38 @@ class UnheraldableError(ZeroDivisionError):
     """Conditioning on a herald that never fires."""
 
 
+def _dagger(ops: np.ndarray) -> np.ndarray:
+    return ops.conj().swapaxes(-1, -2)
+
+
 @dataclass(frozen=True)
 class ProbeTransform:
-    """Signal-side transformation as a set of Kraus operators."""
+    """Signal-side transformation as a set of Kraus operators.
+
+    Each Kraus operator is a 2x2 matrix, or an (n, 2, 2) stack that
+    describes n probe-arm transforms at once (one per sweep
+    orientation).  ``effect`` is E = sum_k K_k^dagger K_k, with the
+    shape of one operator; it is computed and checked against the
+    trace-nonincreasing bound once, on construction.
+    """
 
     kraus: tuple[np.ndarray, ...]
+    effect: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
         if len(ops) == 0:
             raise ValueError("ProbeTransform needs at least one Kraus operator")
-        for k in ops:
-            if k.shape != (2, 2):
-                raise ValueError("Kraus operators must be 2x2")
-        total = sum(k.conj().T @ k for k in ops)
-        eigmax = np.linalg.eigvalsh(total)[-1]
+        shape = ops[0].shape
+        if shape[-2:] != (2, 2) or len(shape) > 3 or \
+                any(k.shape != shape for k in ops):
+            raise ValueError("Kraus operators must be 2x2 (or equal stacks)")
+        effect = sum(_dagger(k) @ k for k in ops)
+        eigmax = np.max(np.linalg.eigvalsh(effect)[..., -1], initial=0.0)
         if eigmax > 1.0 + KRAUS_SUM_TOL:
             raise ValueError("Kraus operators exceed trace-nonincreasing bound")
         object.__setattr__(self, "kraus", ops)
+        object.__setattr__(self, "effect", effect)
 
     @classmethod
     def from_jones(cls, jones: np.ndarray) -> "ProbeTransform":
@@ -58,19 +79,18 @@ class ProbeTransform:
 
 def heralded_idler(
     rho: TwoQubitDensity, probe: ProbeTransform
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float | np.ndarray]:
     """Unnormalized idler state after the signal passes the probe arm.
 
-    Returns the 2x2 conditional (unnormalized) idler matrix and the
-    herald probability, which equals its trace.
+    Returns the 2x2 conditional (unnormalized) idler matrix
+    Tr_s[(E (x) I) rho] and the herald probability, which equals its
+    trace.  For a stacked probe both come stacked: (n, 2, 2) and (n,).
     """
-    out = np.zeros((2, 2), dtype=complex)
-    for k in probe.kraus:
-        big = np.kron(k, np.eye(2, dtype=complex))
-        joint = big @ rho.matrix @ big.conj().T
-        out += np.trace(joint.reshape(2, 2, 2, 2), axis1=0, axis2=2)
-    out = 0.5 * (out + out.conj().T)
-    return out, float(np.real(np.trace(out)))
+    out = np.einsum("...ac,cbad->...bd", probe.effect,
+                    rho.matrix.reshape(2, 2, 2, 2))
+    out = 0.5 * (out + _dagger(out))
+    herald = np.real(np.trace(out, axis1=-2, axis2=-1))
+    return out, float(herald) if herald.ndim == 0 else herald
 
 
 def coincidence_probability(
@@ -78,28 +98,31 @@ def coincidence_probability(
     probe: ProbeTransform,
     idler_jones: np.ndarray,
     conditional: bool = False,
-) -> float:
-    """Coincidence probability for one idler projector.
+) -> float | np.ndarray:
+    """Coincidence probability p = tr[rho (E (x) J^dagger J)].
 
-    The joint (unconditioned) probability is
-    sum_k tr[(K_k (x) J) rho (K_k (x) J)^dagger].  With
-    ``conditional=True`` it is divided by the herald probability;
-    conditioning on a herald of probability ~0 raises
-    :class:`UnheraldableError`.
+    This equals the Kraus form sum_k tr[(K_k (x) J) rho (K_k (x) J)^dagger].
+    One probe and one 2x2 projector give a float.  A stacked probe (n
+    transforms) and/or an (m, 2, 2) projector stack give an array of
+    shape (n, m), (n,) or (m,), from one batched passivity check of the
+    projectors and one contraction.  With ``conditional=True`` each
+    probability is divided by its herald probability; conditioning on
+    a herald of probability ~0 raises :class:`UnheraldableError`.
     """
     j = np.asarray(idler_jones, dtype=complex)
     polcalc.check_passive(j)
-    p = 0.0
-    for k in probe.kraus:
-        big = np.kron(k, j)
-        p += float(np.real(np.trace(big @ rho.matrix @ big.conj().T)))
-    p = max(p, 0.0)
-    if not conditional:
-        return p
-    _, herald = heralded_idler(rho, probe)
-    if herald <= HERALD_EPS:
-        raise UnheraldableError("herald probability is zero")
-    return p / herald
+    e = probe.effect
+    p = np.einsum("abcd,ica,jdb->ij", rho.matrix.reshape(2, 2, 2, 2),
+                  e.reshape(-1, 2, 2), (_dagger(j) @ j).reshape(-1, 2, 2))
+    p = np.maximum(p.real, 0.0)
+    if conditional:
+        _, herald = heralded_idler(rho, probe)
+        herald = np.reshape(herald, (-1, 1))
+        if np.any(herald <= HERALD_EPS):
+            raise UnheraldableError("herald probability is zero")
+        p = p / herald
+    p = p.reshape(e.shape[:-2] + j.shape[:-2])
+    return float(p) if p.ndim == 0 else p
 
 
 @dataclass
@@ -172,19 +195,13 @@ def sweep_family(
     if thetas is None:
         thetas = default_theta_grid()
     thetas = np.asarray(thetas, dtype=float)
-    probe_jones = (
-        np.eye(2, dtype=complex)
-        if not probe_elements
-        else polcalc.compose(probe_elements)
+    chain = polcalc.element_jones(sample_element(family, 0.0, template), thetas)
+    if probe_elements:
+        chain = polcalc.compose(probe_elements) @ chain
+    raw = coincidence_probability(
+        rho, ProbeTransform.from_jones(chain), np.stack(projectors),
+        conditional=conditional,
     )
-    idler = [np.asarray(j, dtype=complex) for j in projectors]
-    raw = np.empty((thetas.size, len(idler)))
-    for t, theta in enumerate(thetas):
-        sample = polcalc.element_jones(sample_element(family, theta, template))
-        probe = ProbeTransform.from_jones(probe_jones @ sample)
-        for j, proj in enumerate(idler):
-            raw[t, j] = coincidence_probability(rho, probe, proj,
-                                                conditional=conditional)
     return ResponseCurve(family=family, thetas=thetas, raw=raw)
 
 

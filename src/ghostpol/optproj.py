@@ -50,7 +50,7 @@ class ProjectorParam:
         return [qwp, lp] if self.qwp_first else [lp, qwp]
 
     def jones(self) -> np.ndarray:
-        return polcalc.compose(self.elements())
+        return projector_jones((self,))[0]
 
     def mueller(self) -> np.ndarray:
         return polcalc.jones_to_mueller(self.jones())
@@ -91,47 +91,77 @@ class OptimizationResult:
     trace: list[dict] = field(default_factory=list)
 
 
+def projector_jones(params: tuple[ProjectorParam, ...]) -> np.ndarray:
+    """(m, 2, 2) Jones stack of projector settings.
+
+    Settings whose elements agree up to their angles share one oriented
+    element stack per element position and one stacked chain product.
+    """
+    out = np.empty((len(params), 2, 2), dtype=complex)
+    groups: dict[tuple, list[int]] = {}
+    for i, p in enumerate(params):
+        key = (p.qwp_deg is None, p.extinction, p.qwp_first)
+        groups.setdefault(key, []).append(i)
+    for rows in groups.values():
+        out[rows] = polcalc.compose([
+            polcalc.element_jones(el, [
+                params[i].qwp_deg if el.kind == "retarder" else params[i].lp_deg
+                for i in rows
+            ])
+            for el in params[rows[0]].elements()
+        ])
+    return out
+
+
+def sample_jones(samples: tuple[PolElement, ...]) -> np.ndarray:
+    """(n, 2, 2) Jones stack of the sample elements."""
+    return np.stack([polcalc.element_jones(s) for s in samples])
+
+
 def response_points(
     rho: TwoQubitDensity,
-    samples: tuple[PolElement, ...],
+    samples: tuple[PolElement, ...] | np.ndarray,
     probe: ProjectorParam | None,
     projectors: tuple[ProjectorParam, ...],
 ) -> np.ndarray:
-    """Raw response coordinates, one row per sample."""
-    probe_jones = (
-        np.eye(2, dtype=complex) if probe is None else probe.jones()
-    )
-    idler = [p.jones() for p in projectors]
-    pts = np.empty((len(samples), len(idler)))
-    for i, sample in enumerate(samples):
-        transform = ProbeTransform.from_jones(
-            probe_jones @ polcalc.element_jones(sample)
-        )
-        for j, proj in enumerate(idler):
-            pts[i, j] = coincidence_probability(rho, transform, proj)
-    return pts
+    """Raw response coordinates, one row per sample.
+
+    ``samples`` may also be their :func:`sample_jones` stack, which a
+    caller scoring many settings for one sample set builds once.  The
+    probe and the projectors are built as one stack.
+    """
+    if not isinstance(samples, np.ndarray):
+        samples = sample_jones(samples)
+    if probe is None:
+        idler = projector_jones(projectors)
+    else:
+        jones = projector_jones((probe, *projectors))
+        samples, idler = jones[0] @ samples, jones[1:]
+    return coincidence_probability(rho, ProbeTransform.from_jones(samples), idler)
 
 
 def objective_min_separation(
     rho: TwoQubitDensity,
-    samples: tuple[PolElement, ...],
+    samples: tuple[PolElement, ...] | np.ndarray,
     probe: ProjectorParam | None,
     projectors: tuple[ProjectorParam, ...],
 ) -> float:
     """Smallest pairwise distance between normalized response points.
 
     An all-zero response set (a fully blocking probe) scores 0.
+    ``samples`` may be their Jones stack, as in :func:`response_points`.
     """
     pts = response_points(rho, samples, probe, projectors)
     peak = float(np.max(pts))
     if peak <= 0.0:
         return 0.0
     pts = pts / peak
-    best = math.inf
-    for i in range(pts.shape[0]):
-        for j in range(i + 1, pts.shape[0]):
-            best = min(best, float(np.linalg.norm(pts[i] - pts[j])))
-    return best
+    d = pts[:, None] - pts
+    # vecdot rounds like np.linalg.norm of each difference vector;
+    # norm(axis=-1) can differ in the last bit.
+    sq = np.vecdot(d, d)
+    np.fill_diagonal(sq, np.inf)
+    return float(np.sqrt(np.min(sq)))
 
 
 def _pack(config: OptimizationConfig,
@@ -211,6 +241,7 @@ def optimize(config: OptimizationConfig) -> OptimizationResult:
     else:
         stages = [("joint", config.vary_probe, config.vary_projectors)]
 
+    samples = sample_jones(config.samples)
     probe = config.probe
     projectors = config.projectors
     budget = max(1, config.max_evals // len(stages))
@@ -227,7 +258,7 @@ def optimize(config: OptimizationConfig) -> OptimizationResult:
 
         def score(x: np.ndarray) -> float:
             p, pr = _apply(config, coords, x, base)
-            return -objective_min_separation(rho, config.samples, p, pr)
+            return -objective_min_separation(rho, samples, p, pr)
 
         x0 = np.array([
             getattr(base[0], fieldname) if target == "probe"

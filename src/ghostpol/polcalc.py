@@ -80,49 +80,70 @@ def rotation_jones(theta_deg: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def element_jones(element: PolElement) -> np.ndarray:
-    """Jones matrix of ``element`` at its orientation.
+def element_jones(element: PolElement,
+                  theta_deg: np.ndarray | None = None) -> np.ndarray:
+    """Jones matrix of ``element`` at its orientation, or one per angle.
 
     At theta = 0 the element axis is vertical: an ideal polarizer is
     diag(0, 1), a partial polarizer with extinction k is
     diag(1/sqrt(k), 1) and a retarder with retardance d is
     diag(exp(i d), 1), i.e. the fast (vertical) axis carries zero
-    extra phase.  Oriented elements are R(theta) J0 R(-theta).
+    extra phase.  Oriented elements are R(theta) J0 R(theta)^T; with
+    J0 = diag(a, 1) and (c, s) = (cos, sin) theta that is
+    [[c^2 a + s^2, c s (a - 1)], [c s (a - 1), s^2 a + c^2]].
+
+    With ``theta_deg`` (an array of angles in degrees, reduced modulo
+    180 like an element's own orientation) the element is taken at
+    each of those angles instead, and the result is a stack of shape
+    ``theta_deg.shape + (2, 2)``.
     """
     if element.kind == "ideal_polarizer":
-        j0 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
+        a = 0.0
     elif element.kind == "partial_polarizer":
-        j0 = np.array(
-            [[1.0 / np.sqrt(element.extinction), 0.0], [0.0, 1.0]],
-            dtype=complex,
-        )
+        a = 1.0 / np.sqrt(element.extinction)
     else:
-        j0 = np.array(
-            [[np.exp(1.0j * element.retardance_rad), 0.0], [0.0, 1.0]],
-            dtype=complex,
-        )
-    r = rotation_jones(element.theta_deg)
-    return r @ j0 @ r.conj().T
+        a = np.exp(1.0j * element.retardance_rad)
+    if theta_deg is None:
+        theta_deg = element.theta_deg
+    else:
+        theta_deg = np.asarray(theta_deg, dtype=float) % 180.0
+    t = np.deg2rad(theta_deg)
+    c, s = np.cos(t), np.sin(t)
+    cc, ss, cs = c * c, s * s, c * s
+    out = np.empty(np.shape(t) + (2, 2), dtype=complex)
+    out[..., 0, 0] = cc * a + ss
+    out[..., 0, 1] = out[..., 1, 0] = cs * (a - 1.0)
+    out[..., 1, 1] = ss * a + cc
+    return out
 
 
-def compose(elements: list[PolElement] | tuple[PolElement, ...]) -> np.ndarray:
+def compose(elements: list | tuple) -> np.ndarray:
     """Jones matrix of a chain of elements.
 
     ``elements`` is given in the traversal order of the photon; the
     returned matrix is the product in reverse order (last element
     leftmost), so it applies to a Jones vector by left multiplication.
+    An item is a :class:`PolElement` or a Jones matrix; a stack of
+    shape (n, 2, 2) broadcasts, so the chain becomes n chains.
     """
     if len(elements) == 0:
         raise ValueError("compose() needs at least one element")
     total = np.eye(2, dtype=complex)
     for el in elements:
-        total = element_jones(el) @ total
+        if isinstance(el, PolElement):
+            el = element_jones(el)
+        total = np.asarray(el, dtype=complex) @ total
     return total
 
 
 def check_passive(jones: np.ndarray, tol: float = PASSIVITY_TOL) -> None:
-    """Raise if ``jones`` amplifies light (singular value > 1 + tol)."""
-    smax = np.linalg.svd(np.asarray(jones, dtype=complex), compute_uv=False)[0]
+    """Raise if ``jones`` (one matrix or a stack) amplifies light.
+
+    A matrix amplifies when its largest singular value exceeds 1 + tol;
+    a stack is checked in one batched SVD.
+    """
+    sv = np.linalg.svd(np.asarray(jones, dtype=complex), compute_uv=False)
+    smax = np.max(sv[..., 0], initial=0.0)
     if smax > 1.0 + tol:
         raise ValueError(f"non-passive Jones matrix, max singular value {smax}")
 

@@ -35,10 +35,12 @@ def _validated(matrix: np.ndarray) -> np.ndarray:
             f"density matrix has negative eigenvalue {eigvals[0]}"
         )
     if eigvals[0] < 0.0:
-        # Tiny negative dust from round-off: clip and renormalize.
+        # Tiny negative dust from round-off: clip and renormalize.  The
+        # warning names the caller of TwoQubitDensity(...), past this
+        # function, __post_init__ and the dataclass __init__.
         warnings.warn(
             "clipping negative eigenvalues of a density matrix",
-            stacklevel=3,
+            stacklevel=4,
         )
         eigvals = np.clip(eigvals, 0.0, None)
         rho = eigvecs @ np.diag(eigvals) @ eigvecs.conj().T

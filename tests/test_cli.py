@@ -88,6 +88,35 @@ def test_unknown_key_is_a_config_error(tmp_path, capsys):
     assert "seeed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, key", [
+    (OPTIMIZE_CONFIG.replace("restarts: 4", "restarts: 0"), "optimize.restarts"),
+    (OPTIMIZE_CONFIG.replace("max_evals: 300", "max_evals: 0"),
+     "optimize.max_evals"),
+    (OPTIMIZE_CONFIG.replace("lp_deg: 20.0}", "lp_deg: 20.0, extinction: 0.5}"),
+     "optimize.projectors[0].extinction"),
+    (OPTIMIZE_CONFIG + "  probe: {qwp_deg: 1.0, lp_deg: 2.0, extinction: 0.5}\n",
+     "optimize.probe.extinction"),
+    (OPTIMIZE_CONFIG.replace("seed: 2", "seed: -1"), "'seed'"),
+    (OPTIMIZE_CONFIG.replace("    - {family: LP, theta_deg: 45.0}\n", ""),
+     "optimize.samples"),
+    (OPTIMIZE_CONFIG.replace("    - {qwp_deg: null, lp_deg: 20.0}\n", "    []\n"),
+     "optimize.projectors"),
+], ids=["restarts", "max_evals", "projector_extinction", "probe_extinction",
+        "seed", "one_sample", "no_projectors"])
+def test_bad_optimize_settings_are_config_errors(tmp_path, capsys, text, key):
+    cfg = write_config(tmp_path, text)
+    assert run(["optimize", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err
+
+
+def test_negative_seed_override_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, OPTIMIZE_CONFIG)
+    assert run(["optimize", "--config", cfg, "--out", str(tmp_path),
+                "--seed", "-1"]) == 2
+    assert "'--seed' must be >= 0" in capsys.readouterr().err
+
+
 def test_runtime_failure_exits_one(tmp_path, capsys):
     cfg = write_config(
         tmp_path, "tomography: {records_csv: missing.csv}\n"

@@ -55,6 +55,120 @@ def joint_probability_oracle(rho, k, j):
     return total
 
 
+def kron_loop_probability(rho, probe, idler_jones, conditional=False):
+    """The engine before the effect contraction, kept as the reference:
+    one 4x4 Kraus conjugation per Kraus operator, herald from the
+    explicit partial trace."""
+    j = np.asarray(idler_jones, dtype=complex)
+    p = 0.0
+    for k in probe.kraus:
+        big = np.kron(k, j)
+        p += float(np.real(np.trace(big @ rho.matrix @ big.conj().T)))
+    p = max(p, 0.0)
+    if not conditional:
+        return p
+    _, herald = kron_loop_heralded_idler(rho, probe)
+    return p / herald
+
+
+def kron_loop_heralded_idler(rho, probe):
+    out = np.zeros((2, 2), dtype=complex)
+    for k in probe.kraus:
+        big = np.kron(k, np.eye(2, dtype=complex))
+        joint = big @ rho.matrix @ big.conj().T
+        out += np.trace(joint.reshape(2, 2, 2, 2), axis1=0, axis2=2)
+    out = 0.5 * (out + out.conj().T)
+    return out, float(np.real(np.trace(out)))
+
+
+def random_element():
+    kind = RNG.choice(["ideal_polarizer", "partial_polarizer", "retarder"])
+    theta = float(RNG.uniform(0.0, 180.0))
+    if kind == "partial_polarizer":
+        return PolElement(kind, theta, extinction=float(RNG.uniform(1.0, 20.0)))
+    if kind == "retarder":
+        return PolElement(kind, theta,
+                          retardance_rad=float(RNG.uniform(0.0, 2.0 * np.pi)))
+    return lp(theta)
+
+
+def random_chain():
+    return compose([random_element() for _ in range(int(RNG.integers(1, 4)))])
+
+
+def random_state():
+    return werner(float(RNG.uniform())) if RNG.uniform() < 0.5 else random_density()
+
+
+def random_channel():
+    """Multi-Kraus probe: a convex mix of two element chains' Mueller
+    matrices, which from_mueller splits into several Kraus operators."""
+    w = float(RNG.uniform(0.1, 0.9))
+    m = w * jones_to_mueller(random_chain()) + \
+        (1.0 - w) * jones_to_mueller(random_chain())
+    return ProbeTransform.from_mueller(m)
+
+
+def test_engine_matches_kron_loop_reference():
+    for case in range(300):
+        rho = random_state()
+        probe = random_channel() if case % 3 == 0 else \
+            ProbeTransform.from_jones(random_chain())
+        j = random_chain() if case % 2 else random_passive_jones()
+        for conditional in (False, True):
+            new = coincidence_probability(rho, probe, j, conditional=conditional)
+            assert isinstance(new, float)
+            old = kron_loop_probability(rho, probe, j, conditional=conditional)
+            assert abs(new - old) <= 1e-15
+        reduced, herald = heralded_idler(rho, probe)
+        ref_reduced, ref_herald = kron_loop_heralded_idler(rho, probe)
+        assert np.max(np.abs(reduced - ref_reduced)) <= 1e-15
+        assert abs(herald - ref_herald) <= 1e-15
+    assert len(random_channel().kraus) > 1
+
+
+def test_stacked_engine_matches_kron_loop_reference():
+    chains = np.stack([random_chain() for _ in range(7)])
+    idlers = np.stack([random_chain() for _ in range(3)])
+    stacked = ProbeTransform.from_jones(chains)
+    assert stacked.effect.shape == (7, 2, 2)
+    for rho in (werner(0.92), random_density()):
+        for conditional in (False, True):
+            grid = coincidence_probability(rho, stacked, idlers,
+                                           conditional=conditional)
+            row = coincidence_probability(rho, stacked, idlers[1],
+                                          conditional=conditional)
+            col = coincidence_probability(
+                rho, ProbeTransform.from_jones(chains[4]), idlers,
+                conditional=conditional)
+            assert grid.shape == (7, 3) and row.shape == (7,)
+            assert col.shape == (3,)
+            npt.assert_array_equal(row, grid[:, 1])
+            npt.assert_array_equal(col, grid[4])
+            for n in range(7):
+                for m in range(3):
+                    ref = kron_loop_probability(
+                        rho, ProbeTransform((chains[n],)), idlers[m],
+                        conditional=conditional)
+                    assert abs(grid[n, m] - ref) <= 1e-15
+        reduced, herald = heralded_idler(rho, stacked)
+        assert reduced.shape == (7, 2, 2) and herald.shape == (7,)
+        for n in range(7):
+            ref = kron_loop_heralded_idler(rho, ProbeTransform((chains[n],)))
+            assert np.max(np.abs(reduced[n] - ref[0])) <= 1e-15
+    # Validation covers every member of a stack.
+    bad = chains.copy()
+    bad[3] = 1.5 * np.eye(2)
+    with pytest.raises(ValueError):
+        ProbeTransform.from_jones(bad)
+    with pytest.raises(ValueError):
+        ProbeTransform((bad,))
+    with pytest.raises(ValueError):
+        coincidence_probability(werner(0.5), stacked, 1.5 * idlers)
+    with pytest.raises(ValueError):
+        ProbeTransform((np.eye(2), np.zeros((3, 2, 2))))
+
+
 def test_probe_transform_validation():
     with pytest.raises(ValueError):
         ProbeTransform(())
@@ -105,11 +219,16 @@ def test_conditional_probability_normalizes_by_herald():
 
 
 def test_conditioning_on_dead_herald_raises():
-    # A fully blocking probe arm never heralds.
+    # A fully blocking probe arm never heralds, also inside a stack.
     blocking = ProbeTransform((np.zeros((2, 2)),))
     with pytest.raises(UnheraldableError):
         coincidence_probability(
             bell_psi_plus(), blocking, element_jones(lp(0.0)), conditional=True
+        )
+    stacked = ProbeTransform((np.stack([np.eye(2), np.zeros((2, 2))]),))
+    with pytest.raises(UnheraldableError):
+        coincidence_probability(
+            bell_psi_plus(), stacked, element_jones(lp(0.0)), conditional=True
         )
 
 

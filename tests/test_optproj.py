@@ -4,16 +4,24 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import os
+
+from ghostpol.configio import load_config
 from ghostpol.optproj import (
     OptimizationConfig,
     ProjectorParam,
     nearest_feasible,
     objective_min_separation,
     optimize,
+    projector_jones,
     response_points,
+    sample_jones,
 )
-from ghostpol.polcalc import PolElement, element_jones
-from ghostpol.qstate import TwoQubitDensity, bell_psi_plus
+from ghostpol.polcalc import PolElement, compose, element_jones, rotation_jones
+from ghostpol.qstate import TwoQubitDensity, bell_psi_plus, werner
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs")
+RNG = np.random.default_rng(8)
 
 LP_SAMPLES = (
     PolElement("ideal_polarizer", 0.0),
@@ -66,6 +74,97 @@ def test_response_points_match_malus_law():
     assert pts.shape == (2, 1)
     assert abs(pts[0, 0] - 0.5 * math.sin(math.radians(90.0)) ** 2) < 1e-12
     assert abs(pts[1, 0] - 0.5 * math.sin(math.radians(135.0)) ** 2) < 1e-12
+
+
+def reference_jones(elements):
+    """Chain Jones matrix as built before the stacks: R J0 R^dagger per
+    element by matrix products, multiplied up one element at a time."""
+    total = np.eye(2, dtype=complex)
+    for el in elements:
+        if el.kind == "ideal_polarizer":
+            j0 = np.diag([0.0, 1.0]).astype(complex)
+        elif el.kind == "partial_polarizer":
+            j0 = np.diag([1.0 / np.sqrt(el.extinction), 1.0]).astype(complex)
+        else:
+            j0 = np.diag([np.exp(1.0j * el.retardance_rad), 1.0])
+        r = rotation_jones(el.theta_deg)
+        total = r @ j0 @ r.conj().T @ total
+    return total
+
+
+def reference_response_points(rho, samples, probe, projectors):
+    """The kron-loop response_points the batched engine replaced."""
+    probe_jones = np.eye(2) if probe is None else reference_jones(probe.elements())
+    pts = np.empty((len(samples), len(projectors)))
+    for i, sample in enumerate(samples):
+        k = probe_jones @ reference_jones([sample])
+        for j, proj in enumerate(projectors):
+            big = np.kron(k, reference_jones(proj.elements()))
+            pts[i, j] = max(0.0, float(np.real(
+                np.trace(big @ rho.matrix @ big.conj().T))))
+    return pts
+
+
+def reference_min_separation(pts):
+    pts = pts / float(np.max(pts))
+    return min(float(np.linalg.norm(pts[i] - pts[j]))
+               for i in range(len(pts)) for j in range(i + 1, len(pts)))
+
+
+def random_param():
+    return ProjectorParam(
+        qwp_deg=None if RNG.uniform() < 0.3 else float(RNG.uniform(0.0, 180.0)),
+        lp_deg=float(RNG.uniform(0.0, 180.0)),
+        extinction=math.inf if RNG.uniform() < 0.5 else float(RNG.uniform(1.0, 9.0)),
+        qwp_first=bool(RNG.uniform() < 0.7),
+    )
+
+
+def test_projector_stack_equals_per_setting_chains():
+    for _ in range(20):
+        params = tuple(random_param() for _ in range(int(RNG.integers(1, 6))))
+        stack = projector_jones(params)
+        for p, jones in zip(params, stack):
+            assert np.array_equal(jones, compose(p.elements()))
+            npt.assert_allclose(jones, reference_jones(p.elements()),
+                                rtol=0, atol=1e-15)
+
+
+def test_response_points_match_kron_loop_reference():
+    for case in range(40):
+        rho = werner(float(RNG.uniform())) if case % 2 else bell_psi_plus()
+        samples = tuple(
+            PolElement("ideal_polarizer", float(t)) if case % 3 else
+            PolElement("retarder", float(t), retardance_rad=float(RNG.uniform(0, 6)))
+            for t in RNG.uniform(0.0, 180.0, size=int(RNG.integers(2, 6)))
+        )
+        probe = None if case % 4 == 0 else random_param()
+        projectors = tuple(random_param() for _ in range(int(RNG.integers(1, 4))))
+        pts = response_points(rho, samples, probe, projectors)
+        ref = reference_response_points(rho, samples, probe, projectors)
+        assert np.max(np.abs(pts - ref)) <= 1e-15
+        assert np.array_equal(
+            pts, response_points(rho, sample_jones(samples), probe, projectors))
+        if np.max(pts) > 0.0:
+            # Same points in, bit-identical minimum out.
+            assert objective_min_separation(rho, samples, probe, projectors) \
+                == reference_min_separation(pts)
+
+
+def test_shipped_first_restart_regression():
+    # The first restart of configs/optimize.yaml (its max_evals / restarts
+    # budget): 1500 simplex evaluations plus the start point, reaching
+    # the objective that restart 0 reports in the trace.csv of the
+    # shipped optimize run.
+    cfg = load_config(os.path.join(CONFIGS, "optimize.yaml"))
+    spec = cfg.optimize
+    result = optimize(OptimizationConfig(
+        samples=tuple(spec.samples), projectors=tuple(spec.projectors),
+        probe=spec.probe, state=cfg.state, mode=spec.mode,
+        restarts=1, max_evals=1500, seed=cfg.seed,
+    ))
+    assert result.n_evals == 1501
+    assert f"{result.objective:.6g}" == "0.871092"
 
 
 def test_objective_hand_value():

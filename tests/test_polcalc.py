@@ -108,6 +108,53 @@ def test_element_periodicity():
         assert 0.0 <= shifted.theta_deg < 180.0
 
 
+def matmul_element_jones(el):
+    """Element Jones matrix as built before the closed form: R J0 R^dagger
+    by two complex matrix products."""
+    if el.kind == "ideal_polarizer":
+        j0 = np.diag([0.0, 1.0]).astype(complex)
+    elif el.kind == "partial_polarizer":
+        j0 = np.diag([1.0 / np.sqrt(el.extinction), 1.0]).astype(complex)
+    else:
+        j0 = np.diag([np.exp(1.0j * el.retardance_rad), 1.0])
+    r = rotation_jones(el.theta_deg)
+    return r @ j0 @ r.conj().T
+
+
+def test_closed_form_matches_matrix_products():
+    for _ in range(200):
+        el = random_element()
+        npt.assert_allclose(element_jones(el), matmul_element_jones(el),
+                            rtol=0, atol=1e-15)
+
+
+def test_element_stack_equals_elementwise_calls():
+    # Angles outside [0, 180) reduce like an element's own orientation.
+    thetas = np.concatenate([RNG.uniform(-400.0, 400.0, size=40),
+                             [0.0, 45.0, 90.0, 180.0, -90.0]])
+    for _ in range(6):
+        el = random_element()
+        stack = element_jones(el, thetas)
+        assert stack.shape == (thetas.size, 2, 2)
+        for t, theta in enumerate(thetas):
+            single = element_jones(PolElement(
+                el.kind, float(theta), extinction=el.extinction,
+                retardance_rad=el.retardance_rad))
+            assert np.array_equal(stack[t], single)
+    assert element_jones(qwp(0.0), np.zeros((3, 4))).shape == (3, 4, 2, 2)
+
+
+def test_compose_broadcasts_stacks():
+    a = [random_element() for _ in range(3)]
+    thetas = RNG.uniform(0.0, 180.0, size=5)
+    stack = compose([element_jones(a[0], thetas), a[1], element_jones(a[2])])
+    assert stack.shape == (5, 2, 2)
+    for t, theta in enumerate(thetas):
+        first = PolElement(a[0].kind, float(theta), extinction=a[0].extinction,
+                           retardance_rad=a[0].retardance_rad)
+        assert np.array_equal(stack[t], compose([first, a[1], a[2]]))
+
+
 def test_element_rejects_bad_parameters():
     with pytest.raises(ValueError):
         PolElement("partial_polarizer", 0.0, extinction=0.5)
@@ -135,6 +182,13 @@ def test_passivity_of_generated_elements():
         check_passive(element_jones(random_element()))
     with pytest.raises(ValueError):
         check_passive(np.diag([1.2, 0.0]))
+    # One amplifying member fails a whole stack; an empty stack passes.
+    stack = np.stack([element_jones(random_element()) for _ in range(4)])
+    check_passive(stack)
+    stack[2] = np.diag([1.0 + 1e-6, 0.5])
+    with pytest.raises(ValueError):
+        check_passive(stack)
+    check_passive(np.zeros((0, 2, 2)))
 
 
 def test_mueller_of_vertical_polarizer_total_transmission():

@@ -64,8 +64,10 @@ def test_validation_clips_eigenvalue_dust():
     vec = psi_plus_vector()
     rho = np.outer(vec, vec.conj())
     rho -= 2e-10 * np.diag([1.0, -1.0, -1.0, 1.0])
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as record:
         state = TwoQubitDensity(rho)
+    # The warning points at the line that built the state.
+    assert record[0].filename == __file__
     assert np.linalg.eigvalsh(state.matrix)[0] >= -1e-16
     assert abs(np.trace(state.matrix).real - 1.0) < 1e-12
 
