@@ -16,12 +16,17 @@ import numpy as np
 
 from . import countsim, discern, ghost, polcalc, qstate, svgplot, tomo
 from .configio import ConfigError, ExperimentConfig, load_config, settings_fragment
-from .optproj import OptimizationConfig, optimize
+from .optproj import optimize
 
 
 def _out_path(out_dir: str, name: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     return os.path.join(out_dir, name)
+
+
+def _write(out_dir: str, name: str, text: str) -> None:
+    with open(_out_path(out_dir, name), "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _sweep_curves(cfg: ExperimentConfig) -> list[ghost.ResponseCurve]:
@@ -46,28 +51,34 @@ def _sweep_curves(cfg: ExperimentConfig) -> list[ghost.ResponseCurve]:
     return curves
 
 
+def _measure(cfg: ExperimentConfig, curves: list[ghost.ResponseCurve],
+             ) -> list[tuple[countsim.RunSet, np.ndarray]]:
+    """Simulated runs and their corrected counts, one pair per family."""
+    measured = []
+    for tag, curve in enumerate(curves):
+        runs = countsim.simulate_runs(
+            curve, cfg.counting, cfg.runs, cfg.seed, family_tag=tag
+        )
+        measured.append((runs, countsim.correct_counts(runs, cfg.counting)))
+    return measured
+
+
 def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
     curves = _sweep_curves(cfg)
     bands_by_family: dict[str, np.ndarray] = {}
     if cfg.counting is not None:
         # Noisy mode: the curve becomes the mean corrected counts over
         # repeated runs and the CI band accompanies the plot.
-        measured = []
-        for tag, curve in enumerate(curves):
-            runs = countsim.simulate_runs(
-                curve, cfg.counting, cfg.runs, cfg.seed, family_tag=tag
-            )
-            corrected = countsim.correct_counts(runs, cfg.counting)
-            mean = corrected.mean(axis=0)
-            measured.append(
-                ghost.ResponseCurve(curve.family, curve.thetas, mean)
-            )
+        means = []
+        for curve, (_, corrected) in zip(curves, _measure(cfg, curves)):
+            means.append(ghost.ResponseCurve(curve.family, curve.thetas,
+                                             corrected.mean(axis=0)))
             n = corrected.shape[0]
             if n >= 2:
                 bands_by_family[curve.family] = (
                     corrected.std(axis=0, ddof=1) / np.sqrt(n) * discern.t975(n)
                 )
-        curves = measured
+        curves = means
     curves = ghost.normalize_dataset(curves)
     scale = max(float(np.max(c.raw)) for c in curves)
     for curve in curves:
@@ -80,9 +91,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
             f"{curve.family} response",
             bands=None if band is None else band / scale,
         )
-        with open(_out_path(out_dir, f"sweep_{curve.family}.svg"),
-                  "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        _write(out_dir, f"sweep_{curve.family}.svg", svg)
     return 0
 
 
@@ -93,11 +102,7 @@ def cmd_discriminate(cfg: ExperimentConfig, out_dir: str) -> int:
         raise ConfigError("discriminate needs runs >= 2")
     curves = _sweep_curves(cfg)
     corrected = []
-    for tag, curve in enumerate(curves):
-        runs = countsim.simulate_runs(
-            curve, cfg.counting, cfg.runs, cfg.seed, family_tag=tag
-        )
-        corr = countsim.correct_counts(runs, cfg.counting)
+    for curve, (runs, corr) in zip(curves, _measure(cfg, curves)):
         countsim.runset_to_csv(
             runs, corr, _out_path(out_dir, f"runs_{curve.family}.csv")
         )
@@ -112,8 +117,7 @@ def cmd_discriminate(cfg: ExperimentConfig, out_dir: str) -> int:
         )
     report = discern.analyze_families(outcomes)
     discern.report_to_csv(report, _out_path(out_dir, "report.csv"))
-    with open(_out_path(out_dir, "summary.txt"), "w", encoding="utf-8") as fh:
-        fh.write(discern.summary_text(report))
+    _write(out_dir, "summary.txt", discern.summary_text(report))
     n_axes = corrected[0].shape[2]
     pairs = [(i, j) for i in range(n_axes) for j in range(i + 1, n_axes)]
     fams = [
@@ -129,8 +133,7 @@ def cmd_discriminate(cfg: ExperimentConfig, out_dir: str) -> int:
         fams, pairs, [f"P{k + 1}" for k in range(n_axes)],
         "response regions",
     )
-    with open(_out_path(out_dir, "regions.svg"), "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    _write(out_dir, "regions.svg", svg)
     print(discern.summary_text(report), end="")
     return 0
 
@@ -161,41 +164,24 @@ def cmd_tomo(cfg: ExperimentConfig, out_dir: str) -> int:
         f"iterations: {result.iterations}",
         f"converged: {result.converged}",
     ]
-    with open(_out_path(out_dir, "metrics.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(out_dir, "metrics.txt", "\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0
 
 
 def cmd_optimize(cfg: ExperimentConfig, out_dir: str) -> int:
-    spec = cfg.optimize
-    if spec is None:
+    if cfg.optimize is None:
         raise ConfigError("an optimize section is required")
-    opt_config = OptimizationConfig(
-        samples=tuple(spec.samples),
-        projectors=tuple(spec.projectors),
-        probe=spec.probe,
-        state=cfg.state,
-        mode=spec.mode,
-        vary_probe=spec.vary_probe,
-        vary_projectors=spec.vary_projectors,
-        vary_extinction=spec.vary_extinction,
-        restarts=spec.restarts,
-        max_evals=spec.max_evals,
-        seed=cfg.seed,
-    )
-    result = optimize(opt_config)
-    with open(_out_path(out_dir, "best_params.yaml"), "w",
-              encoding="utf-8") as fh:
-        fh.write(settings_fragment(result.probe, result.projectors))
+    result = optimize(replace(cfg.optimize, state=cfg.state, seed=cfg.seed))
+    _write(out_dir, "best_params.yaml",
+           settings_fragment(result.probe, result.projectors))
     lines = ["stage,restart,start_objective,final_objective,n_evals"]
     for row in result.trace:
         lines.append(
             f"{row['stage']},{row['restart']},{row['start_objective']:.9g},"
             f"{row['final_objective']:.9g},{row['n_evals']}"
         )
-    with open(_out_path(out_dir, "trace.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(out_dir, "trace.csv", "\n".join(lines) + "\n")
     print(
         f"best objective {result.objective:.6g} after {result.n_evals} "
         f"evaluations (converged: {result.converged})"

@@ -15,7 +15,7 @@ import yaml
 
 from .countsim import CountModel
 from .ghost import default_theta_grid, sample_element
-from .optproj import ProjectorParam
+from .optproj import OptimizationConfig, ProjectorParam
 from .polcalc import PolElement
 from .qstate import TwoQubitDensity, bell_psi_plus, load_density_csv, werner
 
@@ -38,19 +38,6 @@ class TomographySpec:
 
 
 @dataclass
-class OptimizeSpec:
-    samples: list[PolElement]
-    projectors: list[ProjectorParam]
-    probe: ProjectorParam | None = None
-    mode: str = "joint"
-    restarts: int = 16
-    max_evals: int = 4000
-    vary_probe: bool = True
-    vary_projectors: bool = True
-    vary_extinction: bool = False
-
-
-@dataclass
 class ExperimentConfig:
     seed: int = 0
     runs: int = 8
@@ -61,7 +48,7 @@ class ExperimentConfig:
     samples: list[SampleSpec] = field(default_factory=list)
     counting: CountModel | None = None
     tomography: TomographySpec | None = None
-    optimize: OptimizeSpec | None = None
+    optimize: OptimizationConfig | None = None
 
 
 def _require_mapping(node, path: str) -> dict:
@@ -83,9 +70,11 @@ def _check_keys(mapping: dict, allowed: set[str], path: str) -> None:
                               else f"unknown key '{key}'")
 
 
-def _number(node, path: str) -> float:
+def _number(node, path: str, finite: bool = False) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ConfigError(f"'{path}' must be a number")
+    if finite and not math.isfinite(node):
+        raise ConfigError(f"'{path}' must be finite")
     return float(node)
 
 
@@ -152,7 +141,11 @@ def _parse_state(node, path: str, base_dir: str) -> TwoQubitDensity:
     if kind == "werner":
         if "p" not in node:
             raise ConfigError(f"'{path}' with kind werner needs p")
-        return werner(_number(node["p"], f"{path}.p"))
+        p = _number(node["p"], f"{path}.p")
+        try:
+            return werner(p)
+        except ValueError as exc:
+            raise ConfigError(f"'{path}.p': {exc}") from exc
     if kind == "matrix_csv":
         if "matrix_csv" not in node:
             raise ConfigError(f"'{path}' with kind matrix_csv needs matrix_csv")
@@ -165,16 +158,23 @@ def _parse_thetas(node, path: str) -> np.ndarray:
     if node is None:
         return default_theta_grid()
     if isinstance(node, list):
-        arr = np.array([_number(v, f"{path}[{i}]") for i, v in enumerate(node)])
-        return arr
-    node = _require_mapping(node, path)
-    _check_keys(node, {"start", "stop", "step"}, path)
-    start = _number(node.get("start", 0.0), f"{path}.start")
-    stop = _number(node.get("stop", 180.0), f"{path}.stop")
-    step = _number(node.get("step", 1.0), f"{path}.step")
-    if step <= 0.0:
-        raise ConfigError(f"'{path}.step' must be > 0")
-    return np.arange(start, stop, step)
+        grid = np.array([_number(v, f"{path}[{i}]", finite=True)
+                         for i, v in enumerate(node)])
+    else:
+        node = _require_mapping(node, path)
+        _check_keys(node, {"start", "stop", "step"}, path)
+        start = _number(node.get("start", 0.0), f"{path}.start", finite=True)
+        stop = _number(node.get("stop", 180.0), f"{path}.stop", finite=True)
+        step = _number(node.get("step", 1.0), f"{path}.step", finite=True)
+        if step <= 0.0:
+            raise ConfigError(f"'{path}.step' must be > 0")
+        grid = np.arange(start, stop, step)
+    if grid.size == 0 or np.any(np.diff(grid) <= 0.0) or grid[0] < 0.0 \
+            or grid[-1] >= 180.0:
+        raise ConfigError(
+            f"'{path}' must be a non-empty, strictly increasing grid in [0, 180)"
+        )
+    return grid
 
 
 def _parse_sample(node, path: str) -> SampleSpec:
@@ -233,12 +233,7 @@ def _parse_projector_param(node, path: str) -> ProjectorParam:
     qwp = node.get("qwp_deg")
     if qwp is not None:
         qwp = _number(qwp, f"{path}.qwp_deg")
-    extinction = node.get("extinction", math.inf)
-    if extinction is not None and not isinstance(extinction, bool) and \
-            isinstance(extinction, (int, float)):
-        extinction = float(extinction)
-    else:
-        raise ConfigError(f"'{path}.extinction' must be a number")
+    extinction = _number(node.get("extinction", math.inf), f"{path}.extinction")
     if not extinction >= 1.0:
         raise ConfigError(f"'{path}.extinction' must be >= 1")
     return ProjectorParam(
@@ -249,7 +244,7 @@ def _parse_projector_param(node, path: str) -> ProjectorParam:
     )
 
 
-def _parse_optimize(node, path: str) -> OptimizeSpec:
+def _parse_optimize(node, path: str) -> OptimizationConfig:
     node = _require_mapping(node, path)
     allowed = {
         "samples", "projectors", "probe", "mode", "restarts", "max_evals",
@@ -260,25 +255,22 @@ def _parse_optimize(node, path: str) -> OptimizeSpec:
         raise ConfigError(f"'{path}' needs samples and projectors")
     samples = []
     for i, item in enumerate(_require_list(node["samples"], f"{path}.samples")):
-        item = _require_mapping(item, f"{path}.samples[{i}]")
-        _check_keys(item, {"family", "theta_deg", "element"},
-                    f"{path}.samples[{i}]")
+        where = f"{path}.samples[{i}]"
+        item = _require_mapping(item, where)
+        _check_keys(item, {"family", "theta_deg", "element"}, where)
         family = item.get("family")
         if family not in ("LP", "QWP", "custom"):
-            raise ConfigError(
-                f"'{path}.samples[{i}].family' must be LP, QWP or custom"
-            )
+            raise ConfigError(f"'{where}.family' must be LP, QWP or custom")
         template = None
         if "element" in item:
-            template = parse_element(item["element"],
-                                     f"{path}.samples[{i}].element")
+            template = parse_element(item["element"], f"{where}.element")
         if "theta_deg" not in item:
-            raise ConfigError(f"'{path}.samples[{i}]' needs theta_deg")
-        theta = _number(item["theta_deg"], f"{path}.samples[{i}].theta_deg")
+            raise ConfigError(f"'{where}' needs theta_deg")
+        theta = _number(item["theta_deg"], f"{where}.theta_deg")
         try:
             samples.append(sample_element(family, theta, template))
         except ValueError as exc:
-            raise ConfigError(f"'{path}.samples[{i}]': {exc}") from exc
+            raise ConfigError(f"'{where}': {exc}") from exc
     if len(samples) < 2:
         raise ConfigError(f"'{path}.samples' needs at least two samples")
     projectors = [
@@ -288,24 +280,23 @@ def _parse_optimize(node, path: str) -> OptimizeSpec:
     ]
     if not projectors:
         raise ConfigError(f"'{path}.projectors' must not be empty")
-    spec = OptimizeSpec(samples=samples, projectors=projectors)
+    options: dict = {}
     if "probe" in node:
-        spec.probe = _parse_projector_param(node["probe"], f"{path}.probe")
+        options["probe"] = _parse_projector_param(node["probe"], f"{path}.probe")
     if "mode" in node:
-        mode = node["mode"]
-        if mode not in ("joint", "sequential"):
+        if node["mode"] not in ("joint", "sequential"):
             raise ConfigError(f"'{path}.mode' must be joint or sequential")
-        spec.mode = mode
+        options["mode"] = node["mode"]
     for key in ("restarts", "max_evals"):
         if key in node:
-            value = _integer(node[key], f"{path}.{key}")
-            if value < 1:
+            options[key] = _integer(node[key], f"{path}.{key}")
+            if options[key] < 1:
                 raise ConfigError(f"'{path}.{key}' must be >= 1")
-            setattr(spec, key, value)
     for flag in ("vary_probe", "vary_projectors", "vary_extinction"):
         if flag in node:
-            setattr(spec, flag, _boolean(node[flag], f"{path}.{flag}"))
-    return spec
+            options[flag] = _boolean(node[flag], f"{path}.{flag}")
+    return OptimizationConfig(samples=tuple(samples),
+                              projectors=tuple(projectors), **options)
 
 
 def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:

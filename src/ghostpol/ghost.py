@@ -8,8 +8,9 @@ effect E = sum_k K_k^dagger K_k and an idler projector J through
 F = J^dagger J, so a coincidence probability is p = tr[rho (E (x) F)],
 the herald is tr[rho (E (x) I)] and the unnormalized idler state is
 Tr_s[(E (x) I) rho].  Probe-arm chains and idler projectors may come
-as (n, 2, 2) stacks; passivity and the Kraus-sum bound are then
-checked once per stack, and one contraction gives every probability.
+as (n, 2, 2) stacks; the Kraus-sum bound (probe arm) and passivity
+(projectors) are then checked once per stack, and one contraction
+gives every probability.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ class ProbeTransform:
 
     @classmethod
     def from_jones(cls, jones: np.ndarray) -> "ProbeTransform":
-        polcalc.check_passive(jones)
+        # No separate passivity check: the Kraus-sum bound on J^dagger J
+        # is the squared largest singular value, so it rejects as much.
         return cls((np.asarray(jones, dtype=complex),))
 
     @classmethod

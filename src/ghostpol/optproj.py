@@ -58,6 +58,12 @@ class ProjectorParam:
 
 @dataclass
 class OptimizationConfig:
+    """Settings and search options of one :func:`optimize` run.
+
+    ``configio`` parses a config's ``optimize`` section into this; the
+    command line then fills ``state`` and ``seed`` from the whole config.
+    """
+
     samples: tuple[PolElement, ...]
     projectors: tuple[ProjectorParam, ...]
     probe: ProjectorParam | None = None
@@ -164,45 +170,37 @@ def objective_min_separation(
     return float(np.sqrt(np.min(sq)))
 
 
-def _pack(config: OptimizationConfig,
-          vary_probe: bool, vary_projectors: bool) -> list[tuple[str, int, str]]:
-    """Coordinate labels (target, index, field) of the varied params."""
-    coords: list[tuple[str, int, str]] = []
-    if vary_probe and config.probe is not None:
-        if config.probe.qwp_deg is not None:
-            coords.append(("probe", 0, "qwp_deg"))
-        coords.append(("probe", 0, "lp_deg"))
-        if config.vary_extinction and math.isfinite(config.probe.extinction):
-            coords.append(("probe", 0, "extinction"))
-    if vary_projectors:
-        for k, proj in enumerate(config.projectors):
-            if proj.qwp_deg is not None:
-                coords.append(("proj", k, "qwp_deg"))
-            coords.append(("proj", k, "lp_deg"))
-            if config.vary_extinction and math.isfinite(proj.extinction):
-                coords.append(("proj", k, "extinction"))
+def _pack(settings: tuple[ProjectorParam | None, ...], varied: list[int],
+          vary_extinction: bool) -> list[tuple[int, str]]:
+    """Coordinates (settings index, field) of the varied settings."""
+    coords: list[tuple[int, str]] = []
+    for k in varied:
+        if settings[k].qwp_deg is not None:
+            coords.append((k, "qwp_deg"))
+        coords.append((k, "lp_deg"))
+        if vary_extinction and math.isfinite(settings[k].extinction):
+            coords.append((k, "extinction"))
     return coords
 
 
-def _apply(config: OptimizationConfig, coords: list[tuple[str, int, str]],
-           x: np.ndarray,
-           base: tuple[ProjectorParam | None, tuple[ProjectorParam, ...]],
-           ) -> tuple[ProjectorParam | None, tuple[ProjectorParam, ...]]:
-    probe, projectors = base
-    projs = list(projectors)
-    for value, (target, idx, fieldname) in zip(x, coords):
-        if fieldname in ("qwp_deg", "lp_deg"):
-            value = float(value) % 180.0
-        else:
-            value = max(1.0, float(value))
-        if target == "probe":
-            probe = replace(probe, **{fieldname: value})
-        else:
-            projs[idx] = replace(projs[idx], **{fieldname: value})
-    return probe, tuple(projs)
+def _apply(coords: list[tuple[int, str]], x: np.ndarray,
+           settings: tuple[ProjectorParam | None, ...],
+           ) -> tuple[ProjectorParam | None, ...]:
+    """Settings with the coordinates set to ``x``: angles taken modulo
+    180, extinction floored at 1."""
+    changes: dict[int, dict[str, float]] = {}
+    for value, (k, fieldname) in zip(x, coords):
+        value = float(value)
+        changes.setdefault(k, {})[fieldname] = (
+            max(1.0, value) if fieldname == "extinction" else value % 180.0
+        )
+    out = list(settings)
+    for k, fields in changes.items():
+        out[k] = replace(out[k], **fields)
+    return tuple(out)
 
 
-def _start_points(coords: list[tuple[str, int, str]], n_starts: int,
+def _start_points(coords: list[tuple[int, str]], n_starts: int,
                   x0: np.ndarray, seed: int) -> np.ndarray:
     """Deterministic spread of starts: x0 first, then a stratified
     scramble of the search box (angle torus, extinction in [1, 10])."""
@@ -214,7 +212,7 @@ def _start_points(coords: list[tuple[str, int, str]], n_starts: int,
     extra = n_starts - 1
     if extra > 0:
         grid = np.empty((extra, n_dim))
-        for d, (_, _, fieldname) in enumerate(coords):
+        for d, (_, fieldname) in enumerate(coords):
             lo, hi = (1.0, 10.0) if fieldname == "extinction" else (0.0, 180.0)
             bins = (np.arange(extra) + rng.uniform(0.0, 1.0, size=extra))
             grid[:, d] = lo + rng.permutation(bins) / extra * (hi - lo)
@@ -225,46 +223,38 @@ def _start_points(coords: list[tuple[str, int, str]], n_starts: int,
 def optimize(config: OptimizationConfig) -> OptimizationResult:
     """Multi-start maximization of the minimum pairwise separation.
 
-    The returned settings never score below the best evaluated start
-    point; ``converged`` reports whether any simplex run terminated
-    within its evaluation budget.
+    The settings are searched as one tuple ``(probe, *projectors)``;
+    index 0 is the probe and may be None.  The returned settings never
+    score below the best evaluated start point; ``converged`` reports
+    whether any simplex run terminated within its evaluation budget.
     """
     rho = config.state if config.state is not None else bell_psi_plus()
+    settings = (config.probe, *config.projectors)
+    probe_idx = [0] if config.vary_probe and config.probe is not None else []
+    proj_idx = list(range(1, len(settings))) if config.vary_projectors else []
     if config.mode == "sequential":
-        stages = []
-        if config.vary_probe and config.probe is not None:
-            stages.append(("probe", True, False))
-        if config.vary_projectors:
-            stages.append(("projectors", False, True))
-        if not stages:
-            raise ValueError("nothing to vary")
+        stages = [("probe", probe_idx), ("projectors", proj_idx)]
     else:
-        stages = [("joint", config.vary_probe, config.vary_projectors)]
+        stages = [("joint", probe_idx + proj_idx)]
+    stages = [(name, varied) for name, varied in stages if varied]
+    if not stages:
+        raise ValueError("nothing to vary")
 
     samples = sample_jones(config.samples)
-    probe = config.probe
-    projectors = config.projectors
     budget = max(1, config.max_evals // len(stages))
     total_evals = 0
     any_converged = False
     trace: list[dict] = []
-    best_overall = -math.inf
 
-    for stage_name, vary_probe, vary_projectors in stages:
-        coords = _pack(config, vary_probe, vary_projectors)
-        if not coords:
-            continue
-        base = (probe, projectors)
+    for stage_name, varied in stages:
+        coords = _pack(settings, varied, config.vary_extinction)
+        base = settings
 
         def score(x: np.ndarray) -> float:
-            p, pr = _apply(config, coords, x, base)
-            return -objective_min_separation(rho, samples, p, pr)
+            trial = _apply(coords, x, base)
+            return -objective_min_separation(rho, samples, trial[0], trial[1:])
 
-        x0 = np.array([
-            getattr(base[0], fieldname) if target == "probe"
-            else getattr(base[1][idx], fieldname)
-            for target, idx, fieldname in coords
-        ])
+        x0 = np.array([getattr(base[k], fieldname) for k, fieldname in coords])
         starts = _start_points(coords, config.restarts, x0, config.seed)
         per_start = max(1, budget // config.restarts)
         best_x = None
@@ -292,15 +282,12 @@ def optimize(config: OptimizationConfig) -> OptimizationResult:
                 "final_objective": final_val,
                 "n_evals": int(res.nfev),
             })
-        probe, projectors = _apply(config, coords, best_x, base)
-        best_overall = best_val
+        settings = _apply(coords, best_x, base)
 
-    if best_overall == -math.inf:
-        raise ValueError("nothing to vary")
     return OptimizationResult(
-        probe=probe,
-        projectors=projectors,
-        objective=best_overall,
+        probe=settings[0],
+        projectors=settings[1:],
+        objective=best_val,
         n_evals=total_evals,
         converged=any_converged,
         trace=trace,

@@ -38,12 +38,13 @@ CANONICAL_PAIRS = (
     ("V", "D"), ("V", "L"), ("H", "L"), ("R", "L"),
 )
 
-# Index layout of the 16 real parameters in the lower-triangular T.
-_PARAM_SLOTS = (
-    (0, 0, 0, None), (1, 1, 1, None), (2, 2, 2, None), (3, 3, 3, None),
-    (4, 1, 0, 5), (6, 2, 1, 7), (8, 3, 2, 9),
-    (10, 2, 0, 11), (12, 3, 1, 13), (14, 3, 0, 15),
-)
+# Index layout of the 16 real parameters in the lower-triangular T:
+# entry (_ROWS[s], _COLS[s]) has real part params[_RE[s]] and, off the
+# diagonal (s >= 4), imaginary part params[_IM[s - 4]].
+_ROWS = np.array([0, 1, 2, 3, 1, 2, 3, 2, 3, 3])
+_COLS = np.array([0, 1, 2, 3, 0, 1, 2, 0, 1, 0])
+_RE = np.array([0, 1, 2, 3, 4, 6, 8, 10, 12, 14])
+_IM = _RE[4:] + 1
 
 
 @dataclass(frozen=True)
@@ -102,19 +103,15 @@ def simulate_tomography(
 
 def _t_matrix(params: np.ndarray) -> np.ndarray:
     t = np.zeros((4, 4), dtype=complex)
-    for re_idx, row, col, im_idx in _PARAM_SLOTS:
-        t[row, col] = params[re_idx] + (
-            1.0j * params[im_idx] if im_idx is not None else 0.0
-        )
+    t.real[_ROWS, _COLS] = params[_RE]
+    t.imag[_ROWS[4:], _COLS[4:]] = params[_IM]
     return t
 
 
 def _params_from_t(t: np.ndarray) -> np.ndarray:
-    params = np.zeros(16)
-    for re_idx, row, col, im_idx in _PARAM_SLOTS:
-        params[re_idx] = t[row, col].real
-        if im_idx is not None:
-            params[im_idx] = t[row, col].imag
+    params = np.empty(16)
+    params[_RE] = t[_ROWS, _COLS].real
+    params[_IM] = t[_ROWS[4:], _COLS[4:]].imag
     return params
 
 
@@ -178,12 +175,7 @@ def _neg_log_likelihood_and_grad(
     q = (g * coeff) @ pair_mat.conj()
     cp = float(coeff @ probs)
     grad_mat = (2.0 * flux / tau) * (q - cp * t)
-    grad = np.zeros(16)
-    for re_idx, row, col, im_idx in _PARAM_SLOTS:
-        grad[re_idx] = grad_mat[row, col].real
-        if im_idx is not None:
-            grad[im_idx] = grad_mat[row, col].imag
-    return nll, grad
+    return nll, _params_from_t(grad_mat)
 
 
 def reconstruct_mle(records: list[TomographyRecord]) -> ReconstructionResult:

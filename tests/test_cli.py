@@ -110,6 +110,30 @@ def test_bad_optimize_settings_are_config_errors(tmp_path, capsys, text, key):
     assert err.startswith("config error") and key in err
 
 
+SWEEP_GRID = "thetas: {start: 0, stop: 180, step: 20}"
+
+
+@pytest.mark.parametrize("text, key", [
+    (SWEEP_CONFIG.replace(SWEEP_GRID, "thetas: [0, 190]"), "samples[0].thetas"),
+    (SWEEP_CONFIG.replace(SWEEP_GRID, "thetas: {start: -10, stop: 180, step: 2}"),
+     "samples[0].thetas"),
+    (SWEEP_CONFIG.replace(SWEEP_GRID, "thetas: [10, 5]"), "samples[0].thetas"),
+    (SWEEP_CONFIG.replace(SWEEP_GRID, "thetas: {start: 10, stop: 10}"),
+     "samples[0].thetas"),
+    (SWEEP_CONFIG.replace(SWEEP_GRID, "thetas: {step: .nan}"),
+     "samples[0].thetas.step"),
+    (SWEEP_CONFIG.replace(SWEEP_GRID, "thetas: {stop: .inf}"),
+     "samples[0].thetas.stop"),
+    (SWEEP_CONFIG + "state: {kind: werner, p: 1.5}\n", "state.p"),
+], ids=["out_of_range", "negative_start", "decreasing", "empty", "nan_step",
+        "infinite_stop", "werner_p"])
+def test_bad_sweep_settings_are_config_errors(tmp_path, capsys, text, key):
+    cfg = write_config(tmp_path, text)
+    assert run(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err
+
+
 def test_negative_seed_override_is_a_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, OPTIMIZE_CONFIG)
     assert run(["optimize", "--config", cfg, "--out", str(tmp_path),

@@ -12,7 +12,7 @@ from ghostpol.configio import (
     parse_element,
     settings_fragment,
 )
-from ghostpol.optproj import ProjectorParam
+from ghostpol.optproj import OptimizationConfig, ProjectorParam
 from ghostpol.qstate import bell_psi_plus, save_density_csv, werner
 
 FULL_CONFIG = """
@@ -85,6 +85,7 @@ def test_full_config_parses():
     assert cfg.counting.pair_rate == 5000.0
     assert cfg.tomography.integration_time == 10.0
     opt = cfg.optimize
+    assert isinstance(opt, OptimizationConfig)
     assert opt.mode == "sequential" and opt.restarts == 4
     assert opt.projectors[1].qwp_deg is None
     assert opt.probe.lp_deg == 90.0

@@ -14,7 +14,9 @@ from ghostpol.ghost import (
     sample_element,
     sweep_family,
 )
-from ghostpol.polcalc import PolElement, compose, element_jones, jones_to_mueller
+from ghostpol.polcalc import (
+    PolElement, check_passive, compose, element_jones, jones_to_mueller,
+)
 from ghostpol.qstate import TwoQubitDensity, bell_psi_plus, werner
 
 RNG = np.random.default_rng(31337)
@@ -178,6 +180,26 @@ def test_probe_transform_validation():
         ProbeTransform((np.diag([1.5, 0.0]),))
     # Two balanced branches of a depolarizing-style map stay admissible.
     ProbeTransform((np.diag([0.7, 0.0]), np.diag([0.0, 0.7])))
+
+
+def test_kraus_bound_rejects_every_non_passive_jones():
+    # from_jones relies on the Kraus-sum bound alone: lambda_max(J^dagger J)
+    # is the squared largest singular value, so every matrix that
+    # check_passive rejects must fail it too.  The samples sit on the
+    # edge, with largest singular value within 3e-9 of 1.
+    rng = np.random.default_rng(7)
+    jones = rng.normal(size=(20000, 2, 2)) + 1.0j * rng.normal(size=(20000, 2, 2))
+    smax = np.linalg.svd(jones, compute_uv=False)[:, 0]
+    jones *= ((1.0 + rng.uniform(-3e-9, 3e-9, size=20000)) / smax)[:, None, None]
+    rejected = 0
+    for j in jones:
+        try:
+            check_passive(j)
+        except ValueError:
+            rejected += 1
+            with pytest.raises(ValueError):
+                ProbeTransform.from_jones(j)
+    assert rejected > 1000
 
 
 def test_heralded_idler_anticorrelation():

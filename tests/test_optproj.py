@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -6,10 +7,11 @@ import pytest
 
 import os
 
-from ghostpol.configio import load_config
+from ghostpol.configio import load_config, parse_config_text
 from ghostpol.optproj import (
     OptimizationConfig,
     ProjectorParam,
+    _apply,
     nearest_feasible,
     objective_min_separation,
     optimize,
@@ -157,14 +159,72 @@ def test_shipped_first_restart_regression():
     # the objective that restart 0 reports in the trace.csv of the
     # shipped optimize run.
     cfg = load_config(os.path.join(CONFIGS, "optimize.yaml"))
-    spec = cfg.optimize
-    result = optimize(OptimizationConfig(
-        samples=tuple(spec.samples), projectors=tuple(spec.projectors),
-        probe=spec.probe, state=cfg.state, mode=spec.mode,
-        restarts=1, max_evals=1500, seed=cfg.seed,
-    ))
+    result = optimize(replace(cfg.optimize, state=cfg.state, seed=cfg.seed,
+                              restarts=1, max_evals=1500))
     assert result.n_evals == 1501
     assert f"{result.objective:.6g}" == "0.871092"
+
+
+# A sequential run varying partial-polarizer extinctions, with a
+# projector whose polarizer comes first, and a joint run without a
+# probe: the two settings layouts the shipped config does not reach.
+SEQUENTIAL_PARTIAL = """
+seed: 5
+optimize:
+  samples:
+    - {family: LP, theta_deg: 0.0}
+    - {family: QWP, theta_deg: 30.0}
+    - {family: LP, theta_deg: 60.0}
+  projectors:
+    - {qwp_deg: 20.0, lp_deg: 100.0, extinction: 4.0, qwp_first: false}
+    - {lp_deg: 40.0}
+  probe: {qwp_deg: 62.0, lp_deg: 90.0, extinction: 6.0}
+  mode: sequential
+  vary_extinction: true
+  restarts: 3
+  max_evals: 600
+"""
+
+PROBELESS_JOINT = """
+seed: 4
+optimize:
+  samples:
+    - {family: LP, theta_deg: 0.0}
+    - {family: LP, theta_deg: 45.0}
+    - {family: QWP, theta_deg: 90.0}
+    - {family: LP, theta_deg: 135.0}
+  projectors:
+    - {qwp_deg: 170.0, lp_deg: 7.5}
+    - {lp_deg: 110.0, extinction: 20.0}
+  restarts: 3
+  max_evals: 600
+"""
+
+
+@pytest.mark.parametrize("text, n_evals, objective", [
+    (SEQUENTIAL_PARTIAL, 606, "0.990408135"),
+    (PROBELESS_JOINT, 603, "0.656814959"),
+], ids=["sequential_partial", "probeless_joint"])
+def test_small_run_regression(text, n_evals, objective):
+    cfg = parse_config_text(text)
+    result = optimize(replace(cfg.optimize, state=cfg.state, seed=cfg.seed))
+    assert result.n_evals == n_evals
+    assert f"{result.objective:.9g}" == objective
+    assert [(p.qwp_deg is None, p.qwp_first, math.isinf(p.extinction))
+            for p in result.projectors] == \
+        [(p.qwp_deg is None, p.qwp_first, math.isinf(p.extinction))
+         for p in cfg.optimize.projectors]
+    assert (result.probe is None) == (cfg.optimize.probe is None)
+
+
+def test_apply_wraps_angles_and_floors_extinction():
+    settings = (None, ProjectorParam(qwp_deg=5.0, lp_deg=20.0, extinction=3.0),
+                bare_lp(40.0))
+    coords = [(1, "qwp_deg"), (1, "lp_deg"), (1, "extinction"), (2, "lp_deg")]
+    out = _apply(coords, np.array([-10.0, 190.0, 0.5, 40.0]), settings)
+    assert out == (None, ProjectorParam(qwp_deg=170.0, lp_deg=10.0,
+                                        extinction=1.0), bare_lp(40.0))
+    assert settings[1].lp_deg == 20.0
 
 
 def test_objective_hand_value():

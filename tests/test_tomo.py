@@ -8,6 +8,8 @@ from ghostpol.tomo import (
     ANALYSIS_STATES,
     CANONICAL_PAIRS,
     TomographyRecord,
+    _params_from_t,
+    _t_matrix,
     canonical_projections,
     expected_records,
     pair_vector,
@@ -112,6 +114,26 @@ def test_mle_respects_slot_order():
     rho[1, 1] = 1.0
     result = reconstruct_mle(expected_records(TwoQubitDensity(rho), 1e6))
     assert result.rho.matrix[1, 1].real > 0.999
+
+
+# The (re index, row, col, im index) slot table that the index arrays
+# replaced.
+PARAM_SLOTS = (
+    (0, 0, 0, None), (1, 1, 1, None), (2, 2, 2, None), (3, 3, 3, None),
+    (4, 1, 0, 5), (6, 2, 1, 7), (8, 3, 2, 9),
+    (10, 2, 0, 11), (12, 3, 1, 13), (14, 3, 0, 15),
+)
+
+
+def test_cholesky_layout_matches_slot_table():
+    params = np.random.default_rng(5).normal(size=16)
+    ref = np.zeros((4, 4), dtype=complex)
+    for re_idx, row, col, im_idx in PARAM_SLOTS:
+        ref[row, col] = params[re_idx] + (
+            1.0j * params[im_idx] if im_idx is not None else 0.0
+        )
+    assert np.array_equal(_t_matrix(params), ref)
+    assert np.array_equal(_params_from_t(ref), params)
 
 
 def test_mle_from_noisy_counts_lands_near_truth():
