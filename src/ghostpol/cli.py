@@ -143,13 +143,11 @@ def cmd_tomo(cfg: ExperimentConfig, out_dir: str) -> int:
     if spec is not None and spec.records_csv is not None:
         records = tomo.records_from_csv(spec.records_csv)
     else:
-        if cfg.counting is None:
+        model = cfg.counting if spec is None else spec.model
+        if model is None:
             raise ConfigError(
                 "tomo needs a counting section or tomography.records_csv"
             )
-        model = cfg.counting
-        if spec is not None and spec.integration_time is not None:
-            model = replace(model, integration_time=spec.integration_time)
         records = tomo.simulate_tomography(cfg.state, model, cfg.seed)
         tomo.records_to_csv(records, _out_path(out_dir, "records.csv"))
     result = tomo.reconstruct_mle(records)

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import yaml
 
-from .countsim import CountModel
+from .countsim import MAX_MEAN, CountModel
 from .ghost import default_theta_grid, sample_element
 from .optproj import OptimizationConfig, ProjectorParam
 from .polcalc import PolElement
@@ -22,6 +22,15 @@ from .qstate import TwoQubitDensity, bell_psi_plus, load_density_csv, werner
 
 class ConfigError(ValueError):
     pass
+
+
+# Size caps, checked before anything of that size is allocated: the
+# points of one sample family's theta grid (a 0.01 degree grid over
+# [0, 180)), and the count cells runs x orientations x projectors
+# summed over all families (58 times the 0.25 degree, 8-run,
+# three-projector benchmark).
+MAX_THETAS = 18_000
+MAX_CELLS = 2_000_000
 
 
 @dataclass
@@ -35,6 +44,9 @@ class SampleSpec:
 class TomographySpec:
     integration_time: float | None = None
     records_csv: str | None = None
+    # The counting model with integration_time applied; set and checked
+    # by parse_config_text when a counting section is present.
+    model: CountModel | None = None
 
 
 @dataclass
@@ -73,9 +85,13 @@ def _check_keys(mapping: dict, allowed: set[str], path: str) -> None:
 def _number(node, path: str, finite: bool = False) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ConfigError(f"'{path}' must be a number")
-    if finite and not math.isfinite(node):
+    try:
+        value = float(node)
+    except OverflowError:
+        raise ConfigError(f"'{path}' is out of range") from None
+    if finite and not math.isfinite(value):
         raise ConfigError(f"'{path}' must be finite")
-    return float(node)
+    return value
 
 
 def _integer(node, path: str) -> int:
@@ -100,11 +116,11 @@ def parse_element(node, path: str) -> PolElement:
         kwargs["extinction"] = _number(node["extinction"], f"{path}.extinction")
     if "retardance_rad" in node:
         kwargs["retardance_rad"] = _number(
-            node["retardance_rad"], f"{path}.retardance_rad"
+            node["retardance_rad"], f"{path}.retardance_rad", finite=True
         )
+    angle = _number(node["angle_deg"], f"{path}.angle_deg", finite=True)
     try:
-        return PolElement(node["kind"], _number(node["angle_deg"],
-                                                f"{path}.angle_deg"), **kwargs)
+        return PolElement(node["kind"], angle, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"'{path}': {exc}") from exc
 
@@ -150,7 +166,10 @@ def _parse_state(node, path: str, base_dir: str) -> TwoQubitDensity:
         if "matrix_csv" not in node:
             raise ConfigError(f"'{path}' with kind matrix_csv needs matrix_csv")
         rel = str(node["matrix_csv"])
-        return load_density_csv(os.path.join(base_dir, rel))
+        try:
+            return load_density_csv(os.path.join(base_dir, rel))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"'{path}.matrix_csv': {exc}") from exc
     raise ConfigError(f"'{path}.kind' must be bell_psi_plus, werner or matrix_csv")
 
 
@@ -158,6 +177,8 @@ def _parse_thetas(node, path: str) -> np.ndarray:
     if node is None:
         return default_theta_grid()
     if isinstance(node, list):
+        if len(node) > MAX_THETAS:
+            raise ConfigError(f"'{path}' has more than {MAX_THETAS} angles")
         grid = np.array([_number(v, f"{path}[{i}]", finite=True)
                          for i, v in enumerate(node)])
     else:
@@ -168,7 +189,12 @@ def _parse_thetas(node, path: str) -> np.ndarray:
         step = _number(node.get("step", 1.0), f"{path}.step", finite=True)
         if step <= 0.0:
             raise ConfigError(f"'{path}.step' must be > 0")
-        grid = np.arange(start, stop, step)
+        # np.arange makes ceil((stop - start) / step) points, and refuses a
+        # stop far below start instead of making none.
+        n_points = (stop - start) / step
+        if n_points > MAX_THETAS:
+            raise ConfigError(f"'{path}' has more than {MAX_THETAS} angles")
+        grid = np.arange(start, stop, step) if n_points > 0.0 else np.empty(0)
     if grid.size == 0 or np.any(np.diff(grid) <= 0.0) or grid[0] < 0.0 \
             or grid[-1] >= 180.0:
         raise ConfigError(
@@ -206,11 +232,33 @@ def _parse_counting(node, path: str) -> CountModel:
     _check_keys(node, allowed, path)
     if "pair_rate" not in node or "integration_time" not in node:
         raise ConfigError(f"'{path}' needs pair_rate and integration_time")
-    kwargs = {k: _number(v, f"{path}.{k}") for k, v in node.items()}
+    kwargs = {k: _number(v, f"{path}.{k}", finite=True) for k, v in node.items()}
     try:
-        return CountModel(**kwargs)
+        model = CountModel(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"'{path}': {exc}") from exc
+    _check_means(model)
+    return model
+
+
+def _check_means(model: CountModel, key: str | None = None) -> None:
+    """Reject a model whose Poisson means could exceed ``MAX_MEAN``.
+
+    Each term of the largest cell mean, signal_mean(1) * (1 + drift) +
+    accidental_mean(), and the singles mean are checked on their own and
+    reported under ``key``, or else under the counting key that sets them.
+    """
+    terms = (
+        ("pair_rate", model.signal_mean(1.0, 1.0 + model.drift_amplitude)),
+        ("coincidence_window", model.accidental_mean()),
+        ("singles_background", model.singles_background * model.integration_time),
+    )
+    for name, mean in terms:
+        if not mean <= MAX_MEAN:
+            raise ConfigError(
+                f"'{key or f'counting.{name}'}': mean count {mean:.3g} per "
+                f"integration exceeds {MAX_MEAN:.0e}"
+            )
 
 
 def _parse_tomography(node, path: str, base_dir: str) -> TomographySpec:
@@ -219,7 +267,9 @@ def _parse_tomography(node, path: str, base_dir: str) -> TomographySpec:
     spec = TomographySpec()
     if "integration_time" in node:
         spec.integration_time = _number(node["integration_time"],
-                                        f"{path}.integration_time")
+                                        f"{path}.integration_time", finite=True)
+        if spec.integration_time <= 0.0:
+            raise ConfigError(f"'{path}.integration_time' must be > 0")
     if "records_csv" in node:
         spec.records_csv = os.path.join(base_dir, str(node["records_csv"]))
     return spec
@@ -232,13 +282,13 @@ def _parse_projector_param(node, path: str) -> ProjectorParam:
         raise ConfigError(f"'{path}' needs lp_deg")
     qwp = node.get("qwp_deg")
     if qwp is not None:
-        qwp = _number(qwp, f"{path}.qwp_deg")
+        qwp = _number(qwp, f"{path}.qwp_deg", finite=True)
     extinction = _number(node.get("extinction", math.inf), f"{path}.extinction")
     if not extinction >= 1.0:
         raise ConfigError(f"'{path}.extinction' must be >= 1")
     return ProjectorParam(
         qwp_deg=qwp,
-        lp_deg=_number(node["lp_deg"], f"{path}.lp_deg"),
+        lp_deg=_number(node["lp_deg"], f"{path}.lp_deg", finite=True),
         extinction=extinction,
         qwp_first=_boolean(node.get("qwp_first", True), f"{path}.qwp_first"),
     )
@@ -266,7 +316,7 @@ def _parse_optimize(node, path: str) -> OptimizationConfig:
             template = parse_element(item["element"], f"{where}.element")
         if "theta_deg" not in item:
             raise ConfigError(f"'{where}' needs theta_deg")
-        theta = _number(item["theta_deg"], f"{where}.theta_deg")
+        theta = _number(item["theta_deg"], f"{where}.theta_deg", finite=True)
         try:
             samples.append(sample_element(family, theta, template))
         except ValueError as exc:
@@ -302,7 +352,7 @@ def _parse_optimize(node, path: str) -> OptimizationConfig:
 def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
     try:
         data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise ConfigError(f"malformed YAML: {exc}") from exc
     if data is None:
         data = {}
@@ -345,6 +395,21 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
                                            base_dir)
     if "optimize" in data:
         cfg.optimize = _parse_optimize(data["optimize"], "optimize")
+    if cfg.counting is not None:
+        n_cells = (cfg.runs * sum(s.thetas.size for s in cfg.samples)
+                   * len(cfg.projectors))
+        if n_cells > MAX_CELLS:
+            raise ConfigError(
+                f"'runs': {n_cells} count cells (runs x orientations x "
+                f"projectors) exceed {MAX_CELLS}"
+            )
+        if cfg.tomography is not None:
+            spec = cfg.tomography
+            spec.model = cfg.counting
+            if spec.integration_time is not None:
+                spec.model = replace(cfg.counting,
+                                     integration_time=spec.integration_time)
+                _check_means(spec.model, "tomography.integration_time")
     return cfg
 
 

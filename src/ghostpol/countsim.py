@@ -1,8 +1,14 @@
 """Monte Carlo coincidence counting with drift and accidentals.
 
-Randomness is drawn from per-cell PCG64 streams spawned from one
-master seed, so a simulated dataset does not depend on evaluation
-order or on which subsets are simulated together.
+Randomness is drawn from PCG64 streams spawned from one master seed
+and keyed by index, never by evaluation order.  A repeated-run
+simulation uses one stream per (family, run): its drift, its whole
+(theta, projector) block of counts and its singles, in that fixed
+order.  A run therefore does not depend on how many runs are
+simulated or on which families are simulated with it, but it does
+depend on the whole theta grid and projector set of its family.
+Single counts (``simulate_counts``, used by tomography) draw one
+stream per cell.
 """
 
 from __future__ import annotations
@@ -13,10 +19,15 @@ import numpy as np
 
 from .ghost import ResponseCurve
 
-# Tags keeping per-purpose seed streams disjoint.
-_TAG_DRIFT = 0
+# Tags keeping per-purpose seed streams disjoint: the first spawn-key
+# entry of a single-count stream and of a repeated-run stream.
 _TAG_CELL = 1
-_TAG_SINGLES = 2
+_TAG_RUN = 3
+
+# Largest Poisson mean a config may ask for, per term of a cell mean and
+# for the singles.  numpy's sampler refuses means above about 9.2e18,
+# and counts stay exact integers in float64 arrays below 2**53 ~ 9.0e15.
+MAX_MEAN = 1e15
 
 
 @dataclass(frozen=True)
@@ -58,7 +69,9 @@ class CountModel:
             * self.integration_time
         )
 
-    def signal_mean(self, p_joint: float, drift_factor: float = 1.0) -> float:
+    def signal_mean(self, p_joint: float | np.ndarray,
+                    drift_factor: float = 1.0) -> float | np.ndarray:
+        """Mean signal coincidences for one joint probability or an array."""
         return (
             self.pair_rate
             * self.integration_time
@@ -125,30 +138,27 @@ def simulate_runs(
 ) -> RunSet:
     """Simulate repeated runs over a whole response curve.
 
-    Each run carries one multiplicative drift factor, uniform in
-    [1 - a, 1 + a]; every (run, theta, projector) cell uses its own
-    seed stream keyed by index, not by evaluation order.
+    Run ``r`` draws from the stream ``(_TAG_RUN, family_tag, r)`` in a
+    fixed order: one uniform in [-1, 1) for its multiplicative drift
+    factor 1 + a * u (drawn even when a = 0), then the whole
+    (theta, projector) block of Poisson counts in C order, then the two
+    singles counts.
     """
     if n_runs < 1:
         raise ValueError("need at least one run")
-    n_theta, n_proj = curve.raw.shape
-    counts = np.empty((n_runs, n_theta, n_proj), dtype=float)
-    singles = np.empty((n_runs, 2), dtype=float)
+    p = curve.raw
+    if not np.all((p >= -1e-12) & (p <= 1.0 + 1e-12)):
+        raise ValueError("joint probability must lie in [0, 1]")
+    p = np.clip(p, 0.0, 1.0)
+    accidental = model.accidental_mean()
     singles_mean = model.singles_background * model.integration_time
+    counts = np.empty((n_runs, *p.shape), dtype=float)
+    singles = np.empty((n_runs, 2), dtype=float)
     for r in range(n_runs):
-        drift_rng = _generator(seed, (_TAG_DRIFT, family_tag, r))
-        drift = 1.0 + model.drift_amplitude * drift_rng.uniform(-1.0, 1.0)
-        for t in range(n_theta):
-            for j in range(n_proj):
-                counts[r, t, j] = simulate_counts(
-                    curve.raw[t, j],
-                    model,
-                    seed,
-                    spawn_key=(family_tag, r, t, j),
-                    drift_factor=drift,
-                )
-        srng = _generator(seed, (_TAG_SINGLES, family_tag, r))
-        singles[r] = srng.poisson(singles_mean, size=2)
+        rng = _generator(seed, (_TAG_RUN, family_tag, r))
+        drift = 1.0 + model.drift_amplitude * rng.uniform(-1.0, 1.0)
+        counts[r] = rng.poisson(model.signal_mean(p, drift) + accidental)
+        singles[r] = rng.poisson(singles_mean, size=2)
     return RunSet(
         family=curve.family,
         thetas=curve.thetas.copy(),
@@ -180,14 +190,16 @@ def correct_counts(runs: RunSet, model: CountModel) -> np.ndarray:
 
 def runset_to_csv(runs: RunSet, corrected: np.ndarray, path: str) -> None:
     """Write raw and corrected counts, one row per cell and run."""
-    lines = ["run,theta_deg,projector_index,raw,corrected"]
     n_runs, n_theta, n_proj = runs.counts.shape
-    for r in range(n_runs):
-        for t in range(n_theta):
-            for j in range(n_proj):
-                lines.append(
-                    f"{r},{runs.thetas[t]:.6g},{j},"
-                    f"{runs.counts[r, t, j]:.9g},{corrected[r, t, j]:.9g}"
-                )
+    thetas = [f"{t:.6g}" for t in runs.thetas.tolist() for _ in range(n_proj)]
+    projectors = list(range(n_proj)) * n_theta
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("run,theta_deg,projector_index,raw,corrected\n")
+        # One run at a time keeps the formatted text to one grid's rows.
+        for r in range(n_runs):
+            fh.write("".join([
+                "%d,%s,%d,%.9g,%.9g\n" % row
+                for row in zip([r] * len(projectors), thetas, projectors,
+                               runs.counts[r].ravel().tolist(),
+                               corrected[r].ravel().tolist())
+            ]))

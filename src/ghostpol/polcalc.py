@@ -63,7 +63,7 @@ class PolElement:
         if self.kind not in ELEMENT_KINDS:
             raise ValueError(f"unknown element kind {self.kind!r}")
         if self.kind == "partial_polarizer":
-            if self.extinction is None or self.extinction < 1.0:
+            if self.extinction is None or not self.extinction >= 1.0:
                 raise ValueError("partial_polarizer needs extinction >= 1")
         if self.kind == "retarder" and self.retardance_rad is None:
             raise ValueError("retarder needs retardance_rad")

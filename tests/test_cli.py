@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import ghostpol
@@ -101,8 +102,15 @@ def test_unknown_key_is_a_config_error(tmp_path, capsys):
      "optimize.samples"),
     (OPTIMIZE_CONFIG.replace("    - {qwp_deg: null, lp_deg: 20.0}\n", "    []\n"),
      "optimize.projectors"),
+    (OPTIMIZE_CONFIG.replace("lp_deg: 20.0}", "lp_deg: .nan}"),
+     "optimize.projectors[0].lp_deg"),
+    (OPTIMIZE_CONFIG.replace("qwp_deg: null", "qwp_deg: .inf"),
+     "optimize.projectors[0].qwp_deg"),
+    (OPTIMIZE_CONFIG.replace("theta_deg: 45.0", "theta_deg: .nan"),
+     "optimize.samples[1].theta_deg"),
 ], ids=["restarts", "max_evals", "projector_extinction", "probe_extinction",
-        "seed", "one_sample", "no_projectors"])
+        "seed", "one_sample", "no_projectors", "nan_lp", "infinite_qwp",
+        "nan_sample_theta"])
 def test_bad_optimize_settings_are_config_errors(tmp_path, capsys, text, key):
     cfg = write_config(tmp_path, text)
     assert run(["optimize", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -125,9 +133,55 @@ SWEEP_GRID = "thetas: {start: 0, stop: 180, step: 20}"
     (SWEEP_CONFIG.replace(SWEEP_GRID, "thetas: {stop: .inf}"),
      "samples[0].thetas.stop"),
     (SWEEP_CONFIG + "state: {kind: werner, p: 1.5}\n", "state.p"),
+    (SWEEP_CONFIG.replace("angle_deg: 62.0", "angle_deg: .nan"),
+     "probe.elements[0].angle_deg"),
+    (SWEEP_CONFIG.replace("angle_deg: 7.5", "angle_deg: -.inf"),
+     "projectors[0].elements[0].angle_deg"),
+    (SWEEP_CONFIG.replace("retardance_rad: 1.5707963267948966",
+                          "retardance_rad: .nan"),
+     "probe.elements[0].retardance_rad"),
+    (SWEEP_CONFIG.replace("{kind: ideal_polarizer, angle_deg: 110.0}",
+                          "{kind: partial_polarizer, angle_deg: 110.0, "
+                          "extinction: .nan}"),
+     "projectors[1].elements[0]"),
+    (SWEEP_CONFIG + "state: {kind: matrix_csv, matrix_csv: absent.csv}\n",
+     "state.matrix_csv"),
+    (SWEEP_CONFIG.replace("step: 20", "step: 1.0e-9"), "samples[0].thetas"),
+    (SWEEP_CONFIG + COUNTING_BLOCK + "runs: 1000000000\n", "'runs'"),
+    (SWEEP_CONFIG + COUNTING_BLOCK.replace("200000", ".nan"),
+     "counting.pair_rate"),
+    (SWEEP_CONFIG + COUNTING_BLOCK.replace("3.0e-9", ".nan"),
+     "counting.coincidence_window"),
+    (SWEEP_CONFIG + COUNTING_BLOCK.replace("200000", ".inf"),
+     "counting.pair_rate"),
+    (SWEEP_CONFIG + COUNTING_BLOCK.replace("1.0\n", ".nan\n"),
+     "counting.integration_time"),
+    (SWEEP_CONFIG + COUNTING_BLOCK.replace("200000", "1.0e+300"),
+     "counting.pair_rate"),
+    (SWEEP_CONFIG + COUNTING_BLOCK.replace("3.0e-9", "0")
+     .replace("20000\n", "1.0e+16\n"),
+     "counting.singles_background"),
+    (SWEEP_CONFIG + COUNTING_BLOCK + "tomography: {integration_time: 1.0e+12}\n",
+     "tomography.integration_time"),
 ], ids=["out_of_range", "negative_start", "decreasing", "empty", "nan_step",
-        "infinite_stop", "werner_p"])
-def test_bad_sweep_settings_are_config_errors(tmp_path, capsys, text, key):
+        "infinite_stop", "werner_p", "nan_probe_angle", "infinite_projector_angle",
+        "nan_retardance", "nan_extinction", "missing_matrix_csv", "tiny_step",
+        "huge_runs", "nan_pair_rate", "nan_window", "infinite_pair_rate",
+        "nan_integration_time", "huge_pair_rate", "huge_singles",
+        "huge_tomo_integration"])
+def test_bad_sweep_settings_are_config_errors(tmp_path, capsys, monkeypatch,
+                                              text, key):
+    # A grid cap that failed would reach np.arange: refuse such a grid
+    # instead of allocating it.  The runs case has no counting section, so
+    # a failed cell cap allocates nothing there either.
+    arange = np.arange
+
+    def bounded_arange(*args, **kwargs):
+        if len(args) == 3 and (args[1] - args[0]) / args[2] > 10**6:
+            raise AssertionError("unbounded theta grid")
+        return arange(*args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", bounded_arange)
     cfg = write_config(tmp_path, text)
     assert run(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from ghostpol import configio
 from ghostpol.configio import (
     ConfigError,
     element_to_dict,
@@ -84,6 +86,7 @@ def test_full_config_parses():
     assert cfg.samples[2].template.retardance_rad == 0.5
     assert cfg.counting.pair_rate == 5000.0
     assert cfg.tomography.integration_time == 10.0
+    assert cfg.tomography.model == replace(cfg.counting, integration_time=10.0)
     opt = cfg.optimize
     assert isinstance(opt, OptimizationConfig)
     assert opt.mode == "sequential" and opt.restarts == 4
@@ -226,3 +229,36 @@ def test_settings_fragment_roundtrip():
     assert len(cfg.projectors) == 2
     assert cfg.projectors[1][0].kind == "partial_polarizer"
     assert cfg.projectors[1][0].extinction == 3.7
+
+
+def test_size_caps_reject_before_allocating(monkeypatch):
+    monkeypatch.setattr(configio, "MAX_THETAS", 3)
+    parse_config_text("samples: [{family: LP, thetas: [0, 1, 2]}]")
+    with pytest.raises(ConfigError, match=r"'samples\[0\]\.thetas' has more"):
+        parse_config_text("samples: [{family: LP, thetas: [0, 1, 2, 3]}]")
+    parse_config_text("samples: [{family: LP, thetas: {stop: 3}}]")
+    with pytest.raises(ConfigError, match=r"'samples\[0\]\.thetas' has more"):
+        parse_config_text("samples: [{family: LP, thetas: {stop: 3.5}}]")
+    monkeypatch.setattr(configio, "MAX_CELLS", 12)
+    four_cells_per_run = ("projectors: [{elements: [{kind: ideal_polarizer, angle_deg: 0}]}]"
+                 "\nsamples: [{family: LP, thetas: [0, 90]}, "
+                 "{family: QWP, thetas: [0, 90]}]\n")
+    # Without counting no cells are simulated, so runs is not capped.
+    assert parse_config_text(four_cells_per_run + "runs: 4").runs == 4
+    counting = "counting: {pair_rate: 1000, integration_time: 1}\n"
+    assert parse_config_text(four_cells_per_run + counting + "runs: 3").runs == 3
+    with pytest.raises(ConfigError, match="'runs': 16 count cells"):
+        parse_config_text(four_cells_per_run + counting + "runs: 4")
+
+
+def test_counting_means_are_bounded():
+    base = "counting: {pair_rate: 1.0e+14, integration_time: 5, drift_amplitude: 0.5}"
+    with pytest.raises(ConfigError, match=r"'counting\.pair_rate': mean count 7\.5e\+15"):
+        parse_config_text(base.replace("1.0e+14", "1.0e+15"))
+    assert parse_config_text(base).counting.pair_rate == 1e14
+    with pytest.raises(ConfigError, match=r"'counting\.pair_rate' is out of range"):
+        parse_config_text(base.replace("1.0e+14", "1" + "0" * 400))
+    # pair_rate * integration_time overflows to inf, and inf * 0 is NaN.
+    with pytest.raises(ConfigError, match=r"'counting\.pair_rate': mean count nan"):
+        parse_config_text("counting: {pair_rate: 1.0e+300, integration_time: "
+                          "1.0e+300, eff_signal: 0}")

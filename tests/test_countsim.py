@@ -3,8 +3,11 @@ import numpy.testing as npt
 import pytest
 
 from ghostpol.countsim import (
+    _TAG_CELL,
+    _TAG_RUN,
     CountModel,
     RunSet,
+    _generator,
     correct_counts,
     runset_to_csv,
     simulate_counts,
@@ -24,6 +27,44 @@ CORRECTION_ORACLE = np.array([[[16.5, 1.5]], [[18.0, 0.0]]])
 def flat_curve(p=0.25, n_theta=4, n_proj=1):
     thetas = np.arange(n_theta, dtype=float)
     return ResponseCurve("LP", thetas, np.full((n_theta, n_proj), p))
+
+
+def reference_runs(curve, model, n_runs, seed, family_tag=0):
+    """Each run rebuilt from its own stream, one scalar draw at a time.
+
+    Draw order: the drift uniform, the (theta, projector) counts in C
+    order, then the two singles.
+    """
+    n_theta, n_proj = curve.raw.shape
+    counts = np.empty((n_runs, n_theta, n_proj))
+    singles = np.empty((n_runs, 2))
+    for r in range(n_runs):
+        rng = _generator(seed, (_TAG_RUN, family_tag, r))
+        drift = 1.0 + model.drift_amplitude * rng.uniform(-1.0, 1.0)
+        for t in range(n_theta):
+            for j in range(n_proj):
+                p = min(max(curve.raw[t, j], 0.0), 1.0)
+                mean = model.signal_mean(p, drift) + model.accidental_mean()
+                counts[r, t, j] = rng.poisson(mean)
+        for k in range(2):
+            singles[r, k] = rng.poisson(
+                model.singles_background * model.integration_time
+            )
+    return counts, singles
+
+
+def reference_csv(runs, corrected):
+    """The per-cell f-string writer the vectorised one replaced."""
+    lines = ["run,theta_deg,projector_index,raw,corrected"]
+    n_runs, n_theta, n_proj = runs.counts.shape
+    for r in range(n_runs):
+        for t in range(n_theta):
+            for j in range(n_proj):
+                lines.append(
+                    f"{r},{runs.thetas[t]:.6g},{j},"
+                    f"{runs.counts[r, t, j]:.9g},{corrected[r, t, j]:.9g}"
+                )
+    return "\n".join(lines) + "\n"
 
 
 def test_model_validation():
@@ -108,6 +149,49 @@ def test_runs_are_reproducible_and_schedule_independent():
     npt.assert_array_equal(c.counts[:3], a.counts)
     d = simulate_runs(curve, model, n_runs=3, seed=21, family_tag=1)
     assert np.any(d.counts != a.counts)
+
+
+@pytest.mark.parametrize("drift", [0.0, 0.1])
+def test_runs_match_per_run_stream_reference(drift):
+    # Means from below 1 to ~1e5 cover both of numpy's Poisson samplers;
+    # the edge values exercise the clip to [0, 1].
+    raw = np.array([[0.0, 1.0, -1e-13], [1.0 + 1e-13, 0.5, 2e-5],
+                    [0.3, 1e-4, 0.75], [0.05, 0.9, 1e-3]])
+    curve = ResponseCurve("QWP", np.array([0.0, 10.0, 20.0, 30.0]), raw)
+    model = CountModel(pair_rate=1e5, integration_time=1.0, eff_signal=0.9,
+                       eff_idler=0.7, coincidence_window=3e-9,
+                       singles_background=2e4, drift_amplitude=drift)
+    for tag in (0, 2):
+        runs = simulate_runs(curve, model, n_runs=4, seed=17, family_tag=tag)
+        counts, singles = reference_runs(curve, model, 4, 17, family_tag=tag)
+        npt.assert_array_equal(runs.counts, counts)
+        npt.assert_array_equal(runs.singles, singles)
+
+
+def test_run_does_not_depend_on_run_count():
+    model = CountModel(pair_rate=3000.0, integration_time=1.0,
+                       singles_background=500.0, drift_amplitude=0.05)
+    curve = flat_curve(p=0.4, n_theta=5, n_proj=2)
+    full = simulate_runs(curve, model, n_runs=6, seed=4, family_tag=1)
+    for n in (1, 2, 5):
+        part = simulate_runs(curve, model, n_runs=n, seed=4, family_tag=1)
+        npt.assert_array_equal(part.counts, full.counts[:n])
+        npt.assert_array_equal(part.singles, full.singles[:n])
+
+
+def test_run_and_cell_streams_are_disjoint():
+    # Tomography cells use (_TAG_CELL, 3, idx), the same key length as a
+    # run's (_TAG_RUN, family_tag, r).
+    assert _TAG_RUN != _TAG_CELL
+
+
+@pytest.mark.parametrize("p", [1.5, -0.2, np.nan])
+def test_simulate_runs_rejects_bad_probability(p):
+    model = CountModel(pair_rate=1e4, integration_time=1.0)
+    raw = np.full((3, 2), 0.5)
+    raw[1, 1] = p
+    with pytest.raises(ValueError, match="joint probability"):
+        simulate_runs(ResponseCurve("LP", np.arange(3.0), raw), model, 2, seed=0)
 
 
 def test_drift_scales_whole_run():
@@ -195,3 +279,20 @@ def test_runset_csv_layout(tmp_path):
     row = lines[1].split(",")
     assert row[0] == "0" and row[2] == "0"
     assert float(row[3]) == runs.counts[0, 0, 0]
+
+
+def test_runset_csv_matches_reference_writer(tmp_path):
+    rng = np.random.default_rng(3)
+    path = str(tmp_path / "runs.csv")
+    for n_runs, n_theta, n_proj in [(1, 1, 1), (3, 7, 2), (8, 45, 3)]:
+        thetas = np.sort(rng.uniform(0.0, 180.0, n_theta))
+        thetas[0] = 0.0
+        counts = rng.poisson(rng.lognormal(5.0, 4.0, (n_runs, n_theta, n_proj)))
+        counts = counts.astype(float) + 1.0
+        corrected = counts * rng.lognormal(0.0, 3.0, counts.shape)
+        corrected.flat[::5] = 0.0
+        corrected.flat[-1] = 1e-300
+        runs = RunSet("LP", thetas, counts, np.zeros((n_runs, 2)), 0)
+        runset_to_csv(runs, corrected, path)
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == reference_csv(runs, corrected)
