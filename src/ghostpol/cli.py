@@ -117,24 +117,19 @@ def cmd_discriminate(cfg: ExperimentConfig, out_dir: str) -> int:
         )
     report = discern.analyze_families(outcomes)
     discern.report_to_csv(report, _out_path(out_dir, "report.csv"))
-    _write(out_dir, "summary.txt", discern.summary_text(report))
+    summary = discern.summary_text(report)
+    _write(out_dir, "summary.txt", summary)
     n_axes = corrected[0].shape[2]
     pairs = [(i, j) for i in range(n_axes) for j in range(i + 1, n_axes)]
-    fams = [
-        {
-            "label": o.family,
-            "centers": np.array([s.mean for s in o.stats]),
-            "semi_axes": np.array([r.semi_axes for r in o.regions]),
-            "kept": o.kept,
-        }
-        for o in report.families
-    ]
+    fams = [{"label": o.family, "centers": o.stats.mean,
+             "semi_axes": o.regions.semi_axes, "kept": o.kept}
+            for o in report.families]
     svg = svgplot.region_panels(
         fams, pairs, [f"P{k + 1}" for k in range(n_axes)],
         "response regions",
     )
     _write(out_dir, "regions.svg", svg)
-    print(discern.summary_text(report), end="")
+    print(summary, end="")
     return 0
 
 

@@ -8,8 +8,11 @@ ellipsoids are strictly separated along the line joining the centers
 
 The criterion is one symmetric, broadcasting predicate, ``separable``:
 a region holds one ellipsoid, ``(d,)`` center and semi-axes, or a
-stack of them, ``(m, d)``.  The greedy sweep tests each candidate, and
-the cross-family exclusions each kept sample, against a stack at once.
+stack of them, ``(m, d)``.  A family's analysis holds one stack: its
+statistics and regions are ``(n_thetas, n_axes)`` arrays, row t for
+orientation t, floored once when built.  The greedy sweep tests each
+candidate row against the kept rows, and the cross-family exclusions
+test every kept pair of two families in one call.
 """
 
 from __future__ import annotations
@@ -26,6 +29,10 @@ ANGLE_PERIOD_DEG = 180.0
 
 @dataclass(frozen=True)
 class SampleStats:
+    """Per-axis mean, sample std and 95% CI half-width over ``n_runs``:
+    ``(n_axes,)`` for one cloud, ``(n_thetas, n_axes)`` for a family.
+    """
+
     mean: np.ndarray
     std: np.ndarray
     ci95: np.ndarray
@@ -34,7 +41,11 @@ class SampleStats:
 
 @dataclass(frozen=True)
 class EllipsoidRegion:
-    """Axis-aligned ellipsoid, or an (m, d) stack of them; see module."""
+    """Axis-aligned ellipsoid, or an (m, d) stack of them; see module.
+
+    Semi-axes are floored per row; indexing returns rows of a floored
+    stack, which are not floored again.
+    """
 
     center: np.ndarray
     semi_axes: np.ndarray
@@ -49,6 +60,12 @@ class EllipsoidRegion:
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "semi_axes", semi)
 
+    def __getitem__(self, index) -> EllipsoidRegion:
+        rows = object.__new__(EllipsoidRegion)
+        object.__setattr__(rows, "center", self.center[index])
+        object.__setattr__(rows, "semi_axes", self.semi_axes[index])
+        return rows
+
 
 @dataclass
 class StepStats:
@@ -59,10 +76,12 @@ class StepStats:
 
 @dataclass
 class FamilyOutcome:
+    """One family's stacked stats and regions, kept and excluded rows."""
+
     family: str
     thetas: np.ndarray
-    stats: list[SampleStats]
-    regions: list[EllipsoidRegion]
+    stats: SampleStats
+    regions: EllipsoidRegion
     kept: list[int]
     cross_excluded: list[int] = field(default_factory=list)
     step: StepStats | None = None
@@ -96,10 +115,6 @@ def t975(n_runs: int) -> float:
     return float(special.stdtrit(n_runs - 1, 0.975))
 
 
-def region_from_stats(s: SampleStats) -> EllipsoidRegion:
-    return EllipsoidRegion(center=s.mean, semi_axes=s.ci95)
-
-
 def _center_line(a: EllipsoidRegion, b: EllipsoidRegion):
     """Center distance and both support half-widths along the center line.
 
@@ -128,23 +143,16 @@ def separation_margin(a: EllipsoidRegion, b: EllipsoidRegion) -> float | np.ndar
     return dist - half_a - half_b
 
 
-def _stack(regions: list[EllipsoidRegion]) -> EllipsoidRegion:
-    return EllipsoidRegion(np.array([r.center for r in regions]),
-                           np.array([r.semi_axes for r in regions]))
+def max_distinguishable_subset(regions: EllipsoidRegion) -> list[int]:
+    """Greedy subset of mutually separable rows of a region stack.
 
-
-def max_distinguishable_subset(regions: list[EllipsoidRegion]) -> list[int]:
-    """Greedy subset of mutually separable samples.
-
-    Sweeps the orientation-ordered regions starting at index 0 and
-    keeps a sample iff it is separable from every sample kept so far.
+    Sweeps the orientation-ordered rows starting at index 0 and keeps
+    a sample iff it is separable from every sample kept so far.
     Every kept pair was tested on admission: no wrap-around re-check.
     """
-    stack = _stack(regions)
     kept: list[int] = []
-    for i, region in enumerate(regions):
-        kept_stack = EllipsoidRegion(stack.center[kept], stack.semi_axes[kept])
-        if np.all(separable(region, kept_stack)):
+    for i in range(len(regions.center)):
+        if np.all(separable(regions[i], regions[kept])):
             kept.append(i)
     return kept
 
@@ -161,14 +169,14 @@ def cross_family_exclusions(
     rows, cols = list(outcome_a.kept), list(outcome_b.kept)
     if not rows or not cols:
         return []
-    stack_b = _stack([outcome_b.regions[j] for j in cols])
-    conflict = np.array([~separable(outcome_a.regions[i], stack_b) for i in rows])
-    width_b = np.max(stack_b.semi_axes, axis=-1)
+    conflict = ~separable(outcome_a.regions[rows, None], outcome_b.regions[cols])
+    width_a = np.max(outcome_a.regions.semi_axes[rows], axis=-1)
+    width_b = np.max(outcome_b.regions.semi_axes[cols], axis=-1)
     exclusions: list[tuple[str, float, str, float]] = []
     for r, i in enumerate(rows):
         for c in np.flatnonzero(conflict[r]):
             pair = [(outcome_a, i), (outcome_b, cols[c])]
-            a_loses = np.max(outcome_a.regions[i].semi_axes) > width_b[c]
+            a_loses = width_a[r] > width_b[c]
             (loser, t), (other, o) = pair if a_loses else pair[::-1]
             loser.kept.remove(t)
             loser.cross_excluded.append(t)
@@ -202,16 +210,20 @@ def step_stats(kept_thetas: np.ndarray,
 def analyze_family(
     family: str, thetas: np.ndarray, run_points: np.ndarray
 ) -> FamilyOutcome:
-    """Stats, regions and greedy subset for one family.
+    """Stacked stats, regions and greedy subset for one family.
 
     ``run_points`` has shape (n_runs, n_thetas, n_axes) in normalized
-    response coordinates.
+    response coordinates; each orientation is summarized on its own.
     """
     pts = np.asarray(run_points, dtype=float)
-    stats_list = [summarize(pts[:, t, :]) for t in range(pts.shape[1])]
-    regions = [region_from_stats(s) for s in stats_list]
-    return FamilyOutcome(family=family, thetas=np.asarray(thetas, dtype=float),
-                         stats=stats_list, regions=regions,
+    n_runs, n_thetas, n_axes = pts.shape
+    mean, std, ci95 = (np.empty((n_thetas, n_axes)) for _ in range(3))
+    for t in range(n_thetas):
+        s = summarize(pts[:, t, :])
+        mean[t], std[t], ci95[t] = s.mean, s.std, s.ci95
+    regions = EllipsoidRegion(center=mean, semi_axes=ci95)
+    return FamilyOutcome(family, np.asarray(thetas, dtype=float),
+                         SampleStats(mean, std, ci95, n_runs), regions,
                          kept=max_distinguishable_subset(regions))
 
 
@@ -231,29 +243,20 @@ def analyze_families(
 
 def report_to_csv(report: DistinguishabilityReport, path: str) -> None:
     """One row per analyzed orientation with stats and kept flags."""
-    n_axes = report.families[0].regions[0].center.size if report.families else 0
+    n_axes = report.families[0].stats.mean.shape[1] if report.families else 0
     header = ["family", "theta_deg", "kept", "cross_excluded"]
-    header += [f"mean{k + 1}" for k in range(n_axes)]
-    header += [f"std{k + 1}" for k in range(n_axes)]
-    header += [f"ci95_{k + 1}" for k in range(n_axes)]
-    lines = [",".join(header)]
-    for outcome in report.families:
-        kept = set(outcome.kept)
-        crossed = set(outcome.cross_excluded)
-        for t in range(outcome.thetas.size):
-            s = outcome.stats[t]
-            cells = [
-                outcome.family,
-                f"{outcome.thetas[t]:.6g}",
-                "1" if t in kept else "0",
-                "1" if t in crossed else "0",
-            ]
-            cells += [f"{v:.9g}" for v in s.mean]
-            cells += [f"{v:.9g}" for v in s.std]
-            cells += [f"{v:.9g}" for v in s.ci95]
-            lines.append(",".join(cells))
+    header += [f"{name}{k + 1}" for name in ("mean", "std", "ci95_")
+               for k in range(n_axes)]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for o in report.families:
+            row = "%s,%.6g,%d,%d" + ",%.9g" * (3 * o.stats.mean.shape[1]) + "\n"
+            flags = np.zeros((2, o.thetas.size), dtype=int)
+            flags[0, o.kept] = 1
+            flags[1, o.cross_excluded] = 1
+            values = np.hstack([o.stats.mean, o.stats.std, o.stats.ci95])
+            rows = zip(o.thetas.tolist(), *flags.tolist(), values.tolist())
+            fh.write("".join([row % (o.family, t, k, x, *v) for t, k, x, v in rows]))
 
 
 def summary_text(report: DistinguishabilityReport) -> str:

@@ -151,7 +151,7 @@ def curve_chart(
         canvas,
         (MARGIN_L, MARGIN_T, width - MARGIN_L - MARGIN_R,
          height - MARGIN_T - MARGIN_B),
-        (float(thetas[0]), float(thetas[-1])),
+        (float(thetas[0]), float(thetas[-1])) if len(thetas) > 1 else (0.0, 180.0),
         ylim,
     )
     axes.frame("orientation [deg]", "response",

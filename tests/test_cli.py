@@ -224,6 +224,22 @@ def test_sweep_with_counting_adds_bands(tmp_path):
     assert "<polygon" in svg
 
 
+@pytest.mark.parametrize("counting", [False, True])
+def test_sweep_on_one_angle_grid(tmp_path, counting):
+    # One angle gives no x range to scale; the chart spans 0-180 instead.
+    text = SWEEP_CONFIG.replace(
+        "  - {family: LP, thetas: {start: 0, stop: 180, step: 20}}\n",
+        "  - {family: LP, thetas: [10.0]}\n  - {family: QWP, thetas: [10.0]}\n")
+    if counting:
+        text += COUNTING_BLOCK + "runs: 3\n"
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "one"
+    assert run(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    for family in ("LP", "QWP"):
+        assert (out / f"sweep_{family}.svg").read_text().startswith("<svg")
+        assert len((out / f"sweep_{family}.csv").read_text().splitlines()) == 2
+
+
 def test_discriminate_outputs(tmp_path, capsys):
     cfg = write_config(tmp_path, DISCRIMINATE_CONFIG)
     out = tmp_path / "disc"

@@ -8,11 +8,11 @@ from ghostpol.discern import (
     DistinguishabilityReport,
     EllipsoidRegion,
     FamilyOutcome,
+    SampleStats,
     analyze_families,
     analyze_family,
     cross_family_exclusions,
     max_distinguishable_subset,
-    region_from_stats,
     report_to_csv,
     separable,
     separation_margin,
@@ -42,6 +42,12 @@ def cloud_family(name, centers, sigma, n_runs=8, seed=0):
     return analyze_family(name, thetas, pts)
 
 
+def stack(regions):
+    """One (m, d) region stack from a list of single regions."""
+    return EllipsoidRegion(np.array([r.center for r in regions]),
+                           np.array([r.semi_axes for r in regions]))
+
+
 def test_summarize_matches_hand_computation():
     s = summarize(EIGHT_POINT_CLOUD[:, None])
     assert s.n_runs == 8
@@ -57,8 +63,21 @@ def test_summarize_needs_two_runs():
 
 def test_region_floors_zero_width_axes():
     s = summarize(np.array([[1.0, 5.0], [1.0, 5.0], [1.0, 5.0]]))
-    region = region_from_stats(s)
+    region = EllipsoidRegion(s.mean, s.ci95)
     assert np.all(region.semi_axes > 0.0)
+
+
+def test_region_rows_are_not_floored_again():
+    floored = EllipsoidRegion(np.array([[3.0, 0.0], [0.0, 0.0]]), np.zeros((2, 2)))
+    assert floored.semi_axes.tolist() == [[3e-12, 3e-12], [1e-12, 1e-12]]
+    # Rows index the floored arrays as they are: a slice is a view.
+    assert np.shares_memory(floored[1:].semi_axes, floored.semi_axes)
+    row = floored[1]
+    assert row.center.tolist() == [0.0, 0.0]
+    assert row.semi_axes.tolist() == [1e-12, 1e-12]
+    rows = floored[[1, 0], None]
+    assert rows.center.shape == (2, 1, 2)
+    npt.assert_array_equal(rows.semi_axes[:, 0], floored.semi_axes[[1, 0]])
 
 
 def test_region_shape_mismatch():
@@ -103,12 +122,12 @@ def test_greedy_subset_oracle():
     regions = [
         EllipsoidRegion(np.array([c]), semis) for c in (0.0, 1.0, 2.0, 10.0)
     ]
-    assert max_distinguishable_subset(regions) == [0, 2, 3]
+    assert max_distinguishable_subset(stack(regions)) == [0, 2, 3]
 
 
 def test_greedy_subset_keeps_first_of_identical():
     region = EllipsoidRegion(np.array([0.5]), np.array([0.1]))
-    assert max_distinguishable_subset([region] * 5) == [0]
+    assert max_distinguishable_subset(stack([region] * 5)) == [0]
 
 
 def test_greedy_subset_is_mutually_separable():
@@ -117,7 +136,7 @@ def test_greedy_subset_is_mutually_separable():
             EllipsoidRegion(RNG.uniform(0, 1, 2), RNG.uniform(0.005, 0.08, 2))
             for _ in range(30)
         ]
-        kept = max_distinguishable_subset(regions)
+        kept = max_distinguishable_subset(stack(regions))
         for x in range(len(kept)):
             for y in range(x + 1, len(kept)):
                 assert separable(regions[kept[x]], regions[kept[y]])
@@ -167,7 +186,8 @@ def test_analyze_family_keeps_well_separated_clouds():
     centers = [[0.0, 0.0], [0.4, 0.1], [0.8, 0.3], [0.2, 0.9]]
     outcome = cloud_family("LP", centers, sigma=0.002, seed=6)
     assert outcome.kept == [0, 1, 2, 3]
-    assert len(outcome.stats) == 4 and len(outcome.regions) == 4
+    assert outcome.stats.mean.shape == outcome.stats.ci95.shape == (4, 2)
+    assert outcome.regions.center.shape == outcome.regions.semi_axes.shape == (4, 2)
 
 
 def test_analyze_family_collapses_identical_clouds():
@@ -290,8 +310,8 @@ def random_outcome(rng, family, n, d, spread):
     return FamilyOutcome(
         family=family,
         thetas=np.sort(rng.uniform(0.0, 180.0, n)),
-        stats=[],
-        regions=regions,
+        stats=None,
+        regions=stack(regions),
         kept=ref_greedy(regions),
     )
 
@@ -300,11 +320,10 @@ def test_separable_broadcasts_like_scalar_reference():
     rng = np.random.default_rng(11)
     for d in (1, 2, 3):
         regions = random_regions(rng, 40, d, spread=0.3)
-        stack = EllipsoidRegion(np.array([r.center for r in regions]),
-                                np.array([r.semi_axes for r in regions]))
+        stacked = stack(regions)
         for a in regions:
-            got = separable(a, stack)
-            margins = separation_margin(a, stack)
+            got = separable(a, stacked)
+            margins = separation_margin(a, stacked)
             assert got.dtype == bool and got.shape == (40,)
             assert got.tolist() == [ref_separable(a, b) for b in regions]
             assert margins.tolist() == [ref_margin(a, b) for b in regions]
@@ -316,8 +335,9 @@ def test_greedy_subset_matches_scalar_reference():
     for trial in range(60):
         d = 1 + trial % 3
         regions = random_regions(rng, 60, d, spread=rng.uniform(0.05, 1.0))
-        assert max_distinguishable_subset(regions) == ref_greedy(regions)
-    assert max_distinguishable_subset([]) == []
+        assert max_distinguishable_subset(stack(regions)) == ref_greedy(regions)
+    assert max_distinguishable_subset(
+        EllipsoidRegion(np.zeros((0, 2)), np.zeros((0, 2)))) == []
 
 
 def test_cross_family_exclusions_match_scalar_reference():
@@ -341,3 +361,69 @@ def test_cross_family_exclusions_match_scalar_reference():
         seen_a_drop += sum(row[0] == "LP" for row in ref_rows)
         seen_b_drop += sum(row[0] == "QWP" for row in ref_rows)
     assert seen_a_drop > 0 and seen_b_drop > 0
+
+
+def ref_report_to_csv(report, path):
+    """The row-by-row writer that the one-pass report_to_csv replaced."""
+    n_axes = report.families[0].stats.mean.shape[1] if report.families else 0
+    header = ["family", "theta_deg", "kept", "cross_excluded"]
+    header += [f"mean{k + 1}" for k in range(n_axes)]
+    header += [f"std{k + 1}" for k in range(n_axes)]
+    header += [f"ci95_{k + 1}" for k in range(n_axes)]
+    lines = [",".join(header)]
+    for outcome in report.families:
+        kept = set(outcome.kept)
+        crossed = set(outcome.cross_excluded)
+        for t in range(outcome.thetas.size):
+            cells = [
+                outcome.family,
+                f"{outcome.thetas[t]:.6g}",
+                "1" if t in kept else "0",
+                "1" if t in crossed else "0",
+            ]
+            cells += [f"{v:.9g}" for v in outcome.stats.mean[t]]
+            cells += [f"{v:.9g}" for v in outcome.stats.std[t]]
+            cells += [f"{v:.9g}" for v in outcome.stats.ci95[t]]
+            lines.append(",".join(cells))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def random_report(rng, d):
+    """Families with stats over many magnitudes and random kept flags."""
+    families = []
+    for name in ("LP", "QWP", "custom")[:rng.integers(1, 4)]:
+        n = int(rng.integers(1, 40))
+        magnitude = 10.0 ** rng.uniform(-300.0, 10.0, (3, n, d))
+        mean, std, ci95 = np.where(rng.random((3, n, d)) < 0.1, 0.0, magnitude)
+        mean *= rng.choice([-1.0, 1.0], (n, d))
+        order = rng.permutation(n)
+        n_kept, n_crossed = rng.integers(0, n + 1, 2)
+        n_crossed = min(n_crossed, n - n_kept)
+        families.append(FamilyOutcome(
+            family=name,
+            thetas=np.sort(rng.uniform(0.0, 180.0, n)),
+            stats=SampleStats(mean, std, ci95, 8),
+            regions=EllipsoidRegion(mean, ci95),
+            kept=sorted(order[:n_kept].tolist()),
+            cross_excluded=order[n_kept:n_kept + n_crossed].tolist(),
+        ))
+    return DistinguishabilityReport(families=families, exclusions=[])
+
+
+def test_report_csv_matches_row_by_row_reference(tmp_path):
+    rng = np.random.default_rng(14)
+    seen_empty_kept = seen_crossed = 0
+    for trial in range(60):
+        report = random_report(rng, d=1 + trial % 3)
+        report_to_csv(report, str(tmp_path / "got.csv"))
+        ref_report_to_csv(report, str(tmp_path / "want.csv"))
+        got, want = (tmp_path / "got.csv"), (tmp_path / "want.csv")
+        assert got.read_bytes() == want.read_bytes()
+        seen_empty_kept += sum(not f.kept for f in report.families)
+        seen_crossed += sum(bool(f.cross_excluded) for f in report.families)
+    assert seen_empty_kept > 0 and seen_crossed > 0
+    empty = DistinguishabilityReport(families=[], exclusions=[])
+    report_to_csv(empty, str(tmp_path / "empty.csv"))
+    header = (tmp_path / "empty.csv").read_text()
+    assert header == "family,theta_deg,kept,cross_excluded\n"
