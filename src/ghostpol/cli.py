@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import countsim, discern, ghost, polcalc, qstate, svgplot, tomo
+from . import countsim, discern, ghost, polcalc, qstate, svgplot
 from .configio import ConfigError, ExperimentConfig, load_config, settings_fragment
 from .optproj import optimize
 
@@ -134,9 +134,14 @@ def cmd_discriminate(cfg: ExperimentConfig, out_dir: str) -> int:
 
 
 def cmd_tomo(cfg: ExperimentConfig, out_dir: str) -> int:
+    from . import tomo
+
     spec = cfg.tomography
     if spec is not None and spec.records_csv is not None:
-        records = tomo.records_from_csv(spec.records_csv)
+        try:
+            records = tomo.records_from_csv(spec.records_csv)
+        except OSError as exc:
+            raise ConfigError(f"'tomography.records_csv': {exc}") from exc
     else:
         model = cfg.counting if spec is None else spec.model
         if model is None:
@@ -211,6 +216,10 @@ def main(argv: list[str] | None = None) -> int:
         "optimize": cmd_optimize,
     }
     try:
+        if args.command == "tomo":
+            # Only the tomography fit needs scipy; load it with the
+            # package, before the config, and for this command alone.
+            from . import tomo  # noqa: F401
         cfg = load_config(args.config)
         if args.seed is not None:
             if args.seed < 0:

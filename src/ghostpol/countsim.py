@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads numpy.random on first use; load it with this module.
+import numpy.random  # noqa: F401
 
 from .ghost import ResponseCurve
 

@@ -13,6 +13,10 @@ statistics and regions are ``(n_thetas, n_axes)`` arrays, row t for
 orientation t, floored once when built.  The greedy sweep tests each
 candidate row against the kept rows, and the cross-family exclusions
 test every kept pair of two families in one call.
+
+The 95% Student t quantiles for 2..64 runs are a frozen table of
+``scipy.special.stdtrit(n - 1, 0.975)``, equal to it bit for bit;
+more runs import ``scipy.special`` when first asked for.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 SEMI_AXIS_FLOOR = 1e-12
 ANGLE_PERIOD_DEG = 180.0
@@ -109,9 +112,39 @@ def summarize(points: np.ndarray) -> SampleStats:
     return SampleStats(mean=mean, std=std, ci95=ci95, n_runs=n)
 
 
+# t975(n) for n = 2..64, from scipy.special.stdtrit(n - 1, 0.975).
+_T975 = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078,
+    2.7764451051977934, 2.5705818356363146, 2.4469118511449786,
+    2.364624251592784, 2.306004135204166, 2.262157162798205, 2.228138851986274,
+    2.200985160091639, 2.1788128296672284, 2.1603686564627913,
+    2.144786687917804, 2.131449545559776, 2.1199052992212546,
+    2.1098155778333156, 2.1009220402410382, 2.0930240544083087,
+    2.085963447265864, 2.0796138447276795, 2.0738730679040254,
+    2.0686576104190486, 2.0638985616280245, 2.0595385527532972,
+    2.0555294386428735, 2.0518305164802846, 2.0484071417952454,
+    2.045229642132703, 2.0422724563012378, 2.039513446396408,
+    2.0369333434601016, 2.0345152974493383, 2.0322445093177186,
+    2.030107928250343, 2.0280940009804502, 2.0261924630291093,
+    2.0243941639119694, 2.022690920036761, 2.021075390306273,
+    2.019540970441376, 2.0180817028184443, 2.016692199227824,
+    2.0153675744437636, 2.014103388880846, 2.012895598919429,
+    2.0117405137297655, 2.010634757624232, 2.0095752371292392,
+    2.008559112100761, 2.007583770315836, 2.006646805061688,
+    2.0057459953178687, 2.0048792881880564, 2.0040447832891455,
+    2.003240718847872, 2.002465459291007, 2.0017174841452356,
+    2.000995378088267, 2.0002978220142604, 1.999623584994939,
+    1.9989715170333788, 1.998340542520741,
+)
+
+
 @functools.lru_cache(maxsize=None)
 def t975(n_runs: int) -> float:
     """Two-sided 95% Student t quantile for the mean of ``n_runs`` runs."""
+    if 2 <= n_runs < 2 + len(_T975):
+        return _T975[n_runs - 2]
+    from scipy import special
+
     return float(special.stdtrit(n_runs - 1, 0.975))
 
 
@@ -199,11 +232,14 @@ def step_stats(kept_thetas: np.ndarray,
         raise ValueError("no kept orientations")
     if thetas.size == 1:
         return StepStats(period, period, period)
-    gaps = np.append(np.diff(thetas), period - thetas[-1] + thetas[0])
+    gaps = np.sort(np.append(np.diff(thetas), period - thetas[-1] + thetas[0]))
+    # The median as np.median takes it, without loading numpy.ma.
+    mid = gaps.size // 2
+    median = gaps[mid] if gaps.size % 2 else (gaps[mid - 1] + gaps[mid]) / 2.0
     return StepStats(
-        median_deg=float(np.median(gaps)),
-        max_deg=float(np.max(gaps)),
-        min_deg=float(np.min(gaps)),
+        median_deg=float(median),
+        max_deg=float(gaps[-1]),
+        min_deg=float(gaps[0]),
     )
 
 

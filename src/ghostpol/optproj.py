@@ -4,6 +4,14 @@ The figure of merit is the smallest pairwise Euclidean distance
 between the normalized response points of a configured sample set;
 optimization is a seeded multi-start simplex search over the
 orientation angles of the probe-side and idler-side projectors.
+
+The simplex search, :func:`minimize`, is a port of
+``scipy.optimize._optimize._minimize_neldermead`` from scipy 1.17.1
+(BSD-3-Clause; Copyright (c) 2001-2002 Enthought, Inc., 2003 SciPy
+Developers), kept to what is used here: the default initial simplex,
+no bounds, no adaptive parameters, no iteration cap, and ``maxfev``,
+``xatol`` and ``fatol``.  It gives the results of
+``scipy.optimize.minimize(method="Nelder-Mead")`` bit for bit.
 """
 
 from __future__ import annotations
@@ -12,7 +20,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import polcalc
 from .ghost import ProbeTransform, coincidence_probability
@@ -95,6 +102,93 @@ class OptimizationResult:
     n_evals: int
     converged: bool
     trace: list[dict] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class SimplexResult:
+    """Best point of a :func:`minimize` run, its value and call count."""
+
+    x: np.ndarray
+    fun: float
+    nfev: int
+    success: bool
+
+
+class _OutOfBudget(Exception):
+    pass
+
+
+def _by_value(sim: np.ndarray, fsim: np.ndarray):
+    ind = np.argsort(fsim)
+    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+
+def minimize(fun, x0: np.ndarray, maxfev: int, xatol: float,
+             fatol: float) -> SimplexResult:
+    """Nelder-Mead minimization of the scalar ``fun`` from ``x0``.
+
+    ``fun`` receives a copy of each point and is called at most
+    ``maxfev`` times; ``success`` means the simplex met both tolerances
+    within that budget.  See the module docstring for the provenance.
+    """
+    x0 = np.array(x0, dtype=float).ravel()
+    n = x0.size
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.full(n + 1, np.inf)
+    nfev = 0
+
+    def f(x: np.ndarray) -> float:
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _OutOfBudget
+        nfev += 1
+        return fun(np.copy(x))
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _OutOfBudget:
+        pass
+    # Sorted twice, as in scipy: argsort need not be stable, so the
+    # second sort may reorder ties.
+    sim, fsim = _by_value(*_by_value(sim, fsim))
+    while nfev < maxfev:
+        try:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                # Outside contraction if the reflection improved on the
+                # worst point, inside otherwise; shrink if it fails.
+                if fxr < fsim[-1]:
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = f(xc)
+                    shrink = not fxc <= fxr
+                else:
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = f(xc)
+                    shrink = not fxc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+        except _OutOfBudget:
+            pass
+        sim, fsim = _by_value(sim, fsim)
+    return SimplexResult(sim[0], np.min(fsim), nfev, nfev < maxfev)
 
 
 def projector_jones(params: tuple[ProjectorParam, ...]) -> np.ndarray:
@@ -264,12 +358,8 @@ def optimize(config: OptimizationConfig) -> OptimizationResult:
             total_evals += 1
             if start_val > best_val:
                 best_val, best_x = start_val, start.copy()
-            res = minimize(
-                score,
-                start,
-                method="Nelder-Mead",
-                options={"maxfev": per_start, "xatol": 1e-4, "fatol": 1e-10},
-            )
+            res = minimize(score, start, maxfev=per_start, xatol=1e-4,
+                           fatol=1e-10)
             total_evals += int(res.nfev)
             any_converged = any_converged or bool(res.success)
             final_val = -float(res.fun)
@@ -328,12 +418,7 @@ def nearest_feasible(
             d = distance(np.array([a, b]))
             if d < best_d:
                 best_d, best_x = d, np.array([a, b])
-    res = minimize(
-        distance,
-        best_x,
-        method="Nelder-Mead",
-        options={"xatol": 1e-9, "fatol": 1e-14, "maxfev": 4000},
-    )
+    res = minimize(distance, best_x, maxfev=4000, xatol=1e-9, fatol=1e-14)
     x = res.x if res.fun <= best_d else best_x
     final = ProjectorParam(
         qwp_deg=float(x[0]) % 180.0,

@@ -8,6 +8,7 @@ density matrix against Poisson-distributed coincidence counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +57,8 @@ class TomographyRecord:
     def __post_init__(self) -> None:
         if self.basis_a not in ANALYSIS_STATES or self.basis_b not in ANALYSIS_STATES:
             raise ValueError(f"unknown analysis basis {self.basis_a}{self.basis_b}")
-        if self.counts < 0.0:
-            raise ValueError("counts must be >= 0")
+        if not 0.0 <= self.counts < math.inf:
+            raise ValueError("counts must be finite and >= 0")
 
 
 @dataclass

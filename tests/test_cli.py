@@ -1,14 +1,17 @@
+import json
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+import scipy
 
 import ghostpol
 from ghostpol import tomo
 from ghostpol.cli import build_parser, main
 from ghostpol.qstate import bell_psi_plus
+from test_golden import CASES, FROZEN_WITH, case_argv, output_digests
 
 SWEEP_CONFIG = """
 seed: 5
@@ -196,12 +199,31 @@ def test_negative_seed_override_is_a_config_error(tmp_path, capsys):
 
 
 def test_runtime_failure_exits_one(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path, "tomography: {records_csv: missing.csv}\n"
-    )
+    (tmp_path / "bad.csv").write_text("a,b,n\nH,H,1\n")
+    cfg = write_config(tmp_path, "tomography: {records_csv: bad.csv}\n")
     code = run(["tomo", "--config", cfg, "--out", str(tmp_path)])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_missing_records_csv_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "tomography: {records_csv: missing.csv}\n")
+    assert run(["tomo", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: 'tomography.records_csv'")
+    assert "missing.csv" in err
+
+
+@pytest.mark.parametrize("count", ["nan", "inf", "1e400", "-5"])
+def test_bad_tomography_counts_fail_clearly(tmp_path, capsys, count):
+    records = tomo.expected_records(bell_psi_plus(), 1e6)
+    tomo.records_to_csv(records, str(tmp_path / "given.csv"))
+    lines = (tmp_path / "given.csv").read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + "," + count
+    (tmp_path / "given.csv").write_text("\n".join(lines) + "\n")
+    cfg = write_config(tmp_path, "tomography: {records_csv: given.csv}\n")
+    assert run(["tomo", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: counts must be finite and >= 0\n"
 
 
 def test_sweep_outputs(tmp_path):
@@ -340,10 +362,88 @@ def test_outputs_are_byte_reproducible(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
+NO_SCIPY_CASES = ("sweep-three_projection", "discriminate-three_projection",
+                  "optimize-one-restart")
+
+# A sys.meta_path finder that makes every scipy module unimportable.
+BLOCK_SCIPY = """
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"scipy is blocked: {name}")
+sys.meta_path.insert(0, NoScipy())
+"""
+
+
+def run_fresh(jobs, prelude=""):
+    """Run ``ghostpol.cli.main`` on each argv of ``jobs`` in one fresh
+    interpreter.  Returns, per job, the exit code, the stdout and the
+    scipy modules loaded when its config was parsed, plus the scipy
+    modules loaded after import (key ``import``) and at the end."""
     src = os.path.dirname(os.path.dirname(ghostpol.__file__))
-    code = (f"import sys; sys.path.insert(0, {src!r}); import ghostpol.cli; "
-            "print('scipy.stats' in sys.modules)")
+    code = f"""
+import contextlib, io, json, sys
+sys.path.insert(0, {src!r})
+{prelude}
+scipy = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+from ghostpol import cli
+out = {{"import": scipy()}}
+load_config = cli.load_config
+def recording_load_config(path):
+    cfg = load_config(path)
+    out["parsed"] = scipy()
+    return cfg
+cli.load_config = recording_load_config
+for job, argv in {jobs!r}.items():
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = cli.main(argv)
+    out[job] = [rc, stdout.getvalue(), out.pop("parsed", None)]
+out["end"] = scipy()
+print(json.dumps(out))
+"""
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True, timeout=60)
-    assert proc.stdout.strip() == "False"
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def no_scipy_jobs(base):
+    """The argv of each NO_SCIPY_CASES case, set up under ``base / case``."""
+    jobs = {}
+    for case in NO_SCIPY_CASES:
+        (base / case).mkdir(parents=True)
+        jobs[case] = case_argv(case, base / case)
+    return jobs
+
+
+def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
+    result = run_fresh(no_scipy_jobs(tmp_path))
+    assert result["import"] == [] and result["end"] == []
+    for case in NO_SCIPY_CASES:
+        assert result[case][0] == 0
+
+
+def test_commands_run_without_scipy(tmp_path):
+    found = {}
+    for name, prelude in (("with", ""), ("without", BLOCK_SCIPY)):
+        base = tmp_path / name
+        result = run_fresh(no_scipy_jobs(base), prelude)
+        found[name] = {}
+        for case in NO_SCIPY_CASES:
+            rc, stdout, _ = result[case]
+            assert rc == 0
+            found[name][case] = output_digests(stdout, base / case / "out")
+    assert found["without"] == found["with"]
+    if {"numpy": np.__version__, "scipy": scipy.__version__} == FROZEN_WITH:
+        assert found["without"] == {case: CASES[case][4]
+                                    for case in NO_SCIPY_CASES}
+
+
+def test_tomo_loads_scipy_before_its_config(tmp_path):
+    cfg = write_config(tmp_path, TOMO_CONFIG)
+    result = run_fresh({"tomo": ["tomo", "--config", cfg,
+                                 "--out", str(tmp_path / "out")]})
+    rc, _, parsed = result["tomo"]
+    assert rc == 0 and result["import"] == []
+    assert "scipy.optimize" in parsed

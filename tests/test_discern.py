@@ -3,7 +3,9 @@ import copy
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy import special
 
+from ghostpol import discern
 from ghostpol.discern import (
     DistinguishabilityReport,
     EllipsoidRegion,
@@ -180,6 +182,25 @@ def test_step_stats_degenerate_cases():
     assert (s.median_deg, s.max_deg, s.min_deg) == (180.0, 180.0, 180.0)
     with pytest.raises(ValueError):
         step_stats(np.array([]))
+
+
+def test_step_stats_median_equals_numpy_median():
+    for size in range(2, 60):
+        if size % 3:
+            thetas = np.sort(RNG.uniform(0.0, 180.0, size))
+        else:
+            # Uniform grids: equal gaps, so the two middle values tie.
+            thetas = np.arange(size) * (180.0 / size) + RNG.uniform(0.0, 1.0)
+        gaps = np.append(np.diff(thetas), 180.0 - thetas[-1] + thetas[0])
+        assert step_stats(RNG.permutation(thetas)).median_deg == float(
+            np.median(gaps))
+
+
+def test_t975_table_equals_stdtrit():
+    assert len(discern._T975) == 63
+    for n in range(2, 66):
+        assert discern.t975(n) == float(special.stdtrit(n - 1, 0.975)), n
+    assert discern.t975(8) == 2.364624251592784
 
 
 def test_analyze_family_keeps_well_separated_clouds():

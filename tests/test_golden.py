@@ -118,8 +118,9 @@ CASES = {
 }
 
 
-def run_case(case_id, tmp_path, capsys):
-    """Digests of every output file and of stdout (key ``stdout``)."""
+def case_argv(case_id, tmp_path):
+    """Command line of one case, its config written to ``tmp_path`` and
+    its outputs going to ``tmp_path / "out"``."""
     command, name, edit, seed, _ = CASES[case_id]
     with open(os.path.join(CONFIGS, f"{name}.yaml"), encoding="utf-8") as fh:
         cfg = yaml.safe_load(fh)
@@ -127,17 +128,25 @@ def run_case(case_id, tmp_path, capsys):
         edit(cfg)
     config = tmp_path / f"{name}.yaml"
     config.write_text(yaml.safe_dump(cfg, sort_keys=False))
-    out = tmp_path / "out"
-    argv = [command, "--config", str(config), "--out", str(out)]
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
     if seed is not None:
         argv += ["--seed", str(seed)]
-    capsys.readouterr()
-    assert main(argv) == 0
-    digests = {"stdout": hashlib.sha256(
-        capsys.readouterr().out.encode("utf-8")).hexdigest()}
+    return argv
+
+
+def output_digests(stdout, out):
+    """Digests of stdout (key ``stdout``) and of every file in ``out``."""
+    digests = {"stdout": hashlib.sha256(stdout.encode("utf-8")).hexdigest()}
     for path in sorted(out.iterdir()):
         digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
     return digests
+
+
+def run_case(case_id, tmp_path, capsys):
+    argv = case_argv(case_id, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 0
+    return output_digests(capsys.readouterr().out, tmp_path / "out")
 
 
 @pytest.mark.parametrize("case_id", sorted(CASES))

@@ -4,14 +4,17 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.optimize
 
 import os
 
+from ghostpol import optproj
 from ghostpol.configio import load_config, parse_config_text
 from ghostpol.optproj import (
     OptimizationConfig,
     ProjectorParam,
     _apply,
+    minimize,
     nearest_feasible,
     objective_min_separation,
     optimize,
@@ -354,3 +357,54 @@ def test_nearest_feasible_passes_through_extinction():
 def test_nearest_feasible_validates_shape():
     with pytest.raises(ValueError):
         nearest_feasible(np.eye(3))
+
+
+def scipy_nelder_mead(fun, x0, maxfev, xatol, fatol):
+    return scipy.optimize.minimize(fun, x0, method="Nelder-Mead", options={
+        "maxfev": maxfev, "xatol": xatol, "fatol": fatol})
+
+
+def random_objective(rng, n):
+    """A random bumpy function; some are stepped, so that simplex values
+    tie, and some overwrite the point they are given."""
+    a = rng.normal(size=(n, n))
+    c = rng.normal(size=n)
+    wiggle = rng.uniform(0.0, 2.0)
+    stepped = rng.random() < 0.2
+    mutates = rng.random() < 0.2
+
+    def f(x):
+        value = float(np.sum((a @ (x - c)) ** 2) + wiggle * np.sum(np.sin(3 * x)))
+        if mutates:
+            x[:] = 0.0
+        return math.floor(value) if stepped else value
+    return f
+
+
+def test_minimize_port_equals_scipy_nelder_mead():
+    rng = np.random.default_rng(2024)
+    outcomes = set()
+    for case in range(300):
+        n = int(rng.integers(1, 9))
+        f = random_objective(rng, n)
+        x0 = rng.normal(scale=10.0 ** rng.uniform(-3, 2), size=n)
+        x0[rng.random(n) < 0.3] = 0.0
+        maxfev = int(rng.choice([1, 2, n + 1, n + 2, rng.integers(3, 2001)]))
+        xatol, fatol = 10.0 ** rng.uniform(-9, -2), 10.0 ** rng.uniform(-14, -2)
+        ours = minimize(f, x0.copy(), maxfev, xatol, fatol)
+        ref = scipy_nelder_mead(f, x0.copy(), maxfev, xatol, fatol)
+        assert ours.x.tobytes() == ref.x.tobytes(), case
+        assert (ours.fun, ours.nfev, ours.success) == (
+            ref.fun, ref.nfev, ref.success), case
+        outcomes.add((ours.success, maxfev == 1))
+    assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+def test_nearest_feasible_equals_scipy_nelder_mead(monkeypatch):
+    targets = [(ProjectorParam(qwp_deg=33.0, lp_deg=121.0).mueller(), math.inf),
+               (ProjectorParam(qwp_deg=18.0, lp_deg=110.0, extinction=3.7)
+                .mueller(), 3.7),
+               (RNG.normal(size=(4, 4)), math.inf)]
+    ours = [nearest_feasible(t, extinction=e) for t, e in targets]
+    monkeypatch.setattr(optproj, "minimize", scipy_nelder_mead)
+    assert ours == [nearest_feasible(t, extinction=e) for t, e in targets]
