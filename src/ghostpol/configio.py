@@ -203,19 +203,25 @@ def _parse_thetas(node, path: str) -> np.ndarray:
     return grid
 
 
-def _parse_sample(node, path: str) -> SampleSpec:
-    node = _require_mapping(node, path)
-    _check_keys(node, {"family", "element", "thetas"}, path)
+def _sample_family(node: dict, path: str) -> tuple[str, PolElement | None]:
+    """Family and template element of a sample mapping: ``element`` is
+    required for the custom family and refused for the others."""
     family = node.get("family")
     if family not in ("LP", "QWP", "custom"):
         raise ConfigError(f"'{path}.family' must be LP, QWP or custom")
-    template = None
-    if family == "custom":
-        if "element" not in node:
-            raise ConfigError(f"'{path}' custom family needs an element")
-        template = parse_element(node["element"], f"{path}.element")
-    elif "element" in node:
-        raise ConfigError(f"'{path}.element' is only valid for custom family")
+    if family != "custom":
+        if "element" in node:
+            raise ConfigError(f"'{path}.element' is only valid for custom family")
+        return family, None
+    if "element" not in node:
+        raise ConfigError(f"'{path}' custom family needs an element")
+    return family, parse_element(node["element"], f"{path}.element")
+
+
+def _parse_sample(node, path: str) -> SampleSpec:
+    node = _require_mapping(node, path)
+    _check_keys(node, {"family", "element", "thetas"}, path)
+    family, template = _sample_family(node, path)
     return SampleSpec(
         family=family,
         thetas=_parse_thetas(node.get("thetas"), f"{path}.thetas"),
@@ -308,19 +314,11 @@ def _parse_optimize(node, path: str) -> OptimizationConfig:
         where = f"{path}.samples[{i}]"
         item = _require_mapping(item, where)
         _check_keys(item, {"family", "theta_deg", "element"}, where)
-        family = item.get("family")
-        if family not in ("LP", "QWP", "custom"):
-            raise ConfigError(f"'{where}.family' must be LP, QWP or custom")
-        template = None
-        if "element" in item:
-            template = parse_element(item["element"], f"{where}.element")
+        family, template = _sample_family(item, where)
         if "theta_deg" not in item:
             raise ConfigError(f"'{where}' needs theta_deg")
         theta = _number(item["theta_deg"], f"{where}.theta_deg", finite=True)
-        try:
-            samples.append(sample_element(family, theta, template))
-        except ValueError as exc:
-            raise ConfigError(f"'{where}': {exc}") from exc
+        samples.append(sample_element(family, theta, template))
     if len(samples) < 2:
         raise ConfigError(f"'{path}.samples' needs at least two samples")
     projectors = [

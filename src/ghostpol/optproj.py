@@ -5,6 +5,11 @@ between the normalized response points of a configured sample set;
 optimization is a seeded multi-start simplex search over the
 orientation angles of the probe-side and idler-side projectors.
 
+The search runs on one settings table: a ``(3, k)`` array with rows
+``qwp_deg`` (NaN for a bare polarizer), ``lp_deg`` and ``extinction``,
+one column per setting (the probe, if any, first), plus ``(k,)``
+``qwp_first`` flags; :func:`settings_jones` builds its Jones stack.
+
 The simplex search, :func:`minimize`, is a port of
 ``scipy.optimize._optimize._minimize_neldermead`` from scipy 1.17.1
 (BSD-3-Clause; Copyright (c) 2001-2002 Enthought, Inc., 2003 SciPy
@@ -17,7 +22,7 @@ no bounds, no adaptive parameters, no iteration cap, and ``maxfev``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +32,7 @@ from .polcalc import PolElement
 from .qstate import TwoQubitDensity, bell_psi_plus
 
 QWP_RETARDANCE = math.pi / 2.0
+QWP = PolElement("retarder", 0.0, retardance_rad=QWP_RETARDANCE)
 
 
 @dataclass(frozen=True)
@@ -191,26 +197,41 @@ def minimize(fun, x0: np.ndarray, maxfev: int, xatol: float,
     return SimplexResult(sim[0], np.min(fsim), nfev, nfev < maxfev)
 
 
-def projector_jones(params: tuple[ProjectorParam, ...]) -> np.ndarray:
-    """(m, 2, 2) Jones stack of projector settings.
+def settings_table(params: tuple[ProjectorParam, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """``(3, k)`` settings table and ``(k,)`` ``qwp_first`` flags of
+    projector settings (see the module docstring)."""
+    table = np.array([[math.nan if p.qwp_deg is None else p.qwp_deg,
+                       p.lp_deg, p.extinction] for p in params]).T
+    return table, np.array([p.qwp_first for p in params])
 
-    Settings whose elements agree up to their angles share one oriented
-    element stack per element position and one stacked chain product.
+
+def table_params(table: np.ndarray,
+                 qwp_first: np.ndarray) -> tuple[ProjectorParam, ...]:
+    """Projector settings of the columns of a settings table."""
+    return tuple(
+        ProjectorParam(None if math.isnan(q) else q, lp, ext, first)
+        for (q, lp, ext), first in zip(table.T.tolist(), qwp_first.tolist())
+    )
+
+
+def settings_jones(table: np.ndarray, qwp_first: np.ndarray) -> np.ndarray:
+    """``table.shape[1:] + (2, 2)`` Jones stack of a settings table, for
+    any mix of layouts: one call builds the waveplates (the identity for
+    a bare polarizer, whose NaN angle gives NaN entries), one the
+    polarizers (axis factor 1/sqrt(extinction), 0 when ideal) and one
+    chain product applies them in order.  Angles are reduced modulo 180.
     """
-    out = np.empty((len(params), 2, 2), dtype=complex)
-    groups: dict[tuple, list[int]] = {}
-    for i, p in enumerate(params):
-        key = (p.qwp_deg is None, p.extinction, p.qwp_first)
-        groups.setdefault(key, []).append(i)
-    for rows in groups.values():
-        out[rows] = polcalc.compose([
-            polcalc.element_jones(el, [
-                params[i].qwp_deg if el.kind == "retarder" else params[i].lp_deg
-                for i in rows
-            ])
-            for el in params[rows[0]].elements()
-        ])
-    return out
+    qwp_deg, lp_deg, extinction = table
+    qwp = np.where(np.isnan(qwp_deg)[..., None, None], np.eye(2),
+                   polcalc.element_jones(QWP, qwp_deg))
+    lp = polcalc.oriented_jones(1.0 / np.sqrt(extinction), lp_deg % 180.0)
+    first = np.asarray(qwp_first)[..., None, None]
+    return polcalc.compose([np.where(first, qwp, lp), np.where(first, lp, qwp)])
+
+
+def projector_jones(params: tuple[ProjectorParam, ...]) -> np.ndarray:
+    """(m, 2, 2) Jones stack of projector settings."""
+    return settings_jones(*settings_table(params))
 
 
 def sample_jones(samples: tuple[PolElement, ...]) -> np.ndarray:
@@ -221,35 +242,38 @@ def sample_jones(samples: tuple[PolElement, ...]) -> np.ndarray:
 def response_points(
     rho: TwoQubitDensity,
     samples: tuple[PolElement, ...] | np.ndarray,
-    probe: ProjectorParam | None,
-    projectors: tuple[ProjectorParam, ...],
+    probe: ProjectorParam | np.ndarray | None,
+    projectors: tuple[ProjectorParam, ...] | np.ndarray,
 ) -> np.ndarray:
     """Raw response coordinates, one row per sample.
 
-    ``samples`` may also be their :func:`sample_jones` stack, which a
-    caller scoring many settings for one sample set builds once.  The
-    probe and the projectors are built as one stack.
+    ``samples`` may also be their :func:`sample_jones` stack, the probe
+    its 2x2 Jones matrix and the projectors their ``(m, 2, 2)`` Jones
+    stack, as a caller scoring many settings for one sample set builds
+    them.
     """
     if not isinstance(samples, np.ndarray):
         samples = sample_jones(samples)
-    if probe is None:
-        idler = projector_jones(projectors)
-    else:
-        jones = projector_jones((probe, *projectors))
-        samples, idler = jones[0] @ samples, jones[1:]
-    return coincidence_probability(rho, ProbeTransform.from_jones(samples), idler)
+    if not isinstance(projectors, np.ndarray):
+        projectors = projector_jones(projectors)
+    if isinstance(probe, ProjectorParam):
+        probe = probe.jones()
+    if probe is not None:
+        samples = probe @ samples
+    return coincidence_probability(rho, ProbeTransform.from_jones(samples),
+                                   projectors)
 
 
 def objective_min_separation(
     rho: TwoQubitDensity,
     samples: tuple[PolElement, ...] | np.ndarray,
-    probe: ProjectorParam | None,
-    projectors: tuple[ProjectorParam, ...],
+    probe: ProjectorParam | np.ndarray | None,
+    projectors: tuple[ProjectorParam, ...] | np.ndarray,
 ) -> float:
     """Smallest pairwise distance between normalized response points.
 
-    An all-zero response set (a fully blocking probe) scores 0.
-    ``samples`` may be their Jones stack, as in :func:`response_points`.
+    An all-zero response set (a fully blocking probe) scores 0.  The
+    arguments may be Jones stacks, as in :func:`response_points`.
     """
     pts = response_points(rho, samples, probe, projectors)
     peak = float(np.max(pts))
@@ -264,73 +288,54 @@ def objective_min_separation(
     return float(np.sqrt(np.min(sq)))
 
 
-def _pack(settings: tuple[ProjectorParam | None, ...], varied: list[int],
-          vary_extinction: bool) -> list[tuple[int, str]]:
-    """Coordinates (settings index, field) of the varied settings."""
-    coords: list[tuple[int, str]] = []
-    for k in varied:
-        if settings[k].qwp_deg is not None:
-            coords.append((k, "qwp_deg"))
-        coords.append((k, "lp_deg"))
-        if vary_extinction and math.isfinite(settings[k].extinction):
-            coords.append((k, "extinction"))
-    return coords
+def point_table(table: np.ndarray, coords: tuple[np.ndarray, np.ndarray],
+                x: np.ndarray) -> np.ndarray:
+    """Copy of ``table`` with the entries at ``coords`` (row and column
+    indices) set to ``x``: angles modulo 180, extinctions floored at 1."""
+    rows, cols = coords
+    out = table.copy()
+    out[rows, cols] = np.where(rows == 2, np.maximum(x, 1.0), x % 180.0)
+    return out
 
 
-def _apply(coords: list[tuple[int, str]], x: np.ndarray,
-           settings: tuple[ProjectorParam | None, ...],
-           ) -> tuple[ProjectorParam | None, ...]:
-    """Settings with the coordinates set to ``x``: angles taken modulo
-    180, extinction floored at 1."""
-    changes: dict[int, dict[str, float]] = {}
-    for value, (k, fieldname) in zip(x, coords):
-        value = float(value)
-        changes.setdefault(k, {})[fieldname] = (
-            max(1.0, value) if fieldname == "extinction" else value % 180.0
-        )
-    out = list(settings)
-    for k, fields in changes.items():
-        out[k] = replace(out[k], **fields)
-    return tuple(out)
-
-
-def _start_points(coords: list[tuple[int, str]], n_starts: int,
-                  x0: np.ndarray, seed: int) -> np.ndarray:
+def _start_points(rows: np.ndarray, n_starts: int, x0: np.ndarray,
+                  seed: int) -> np.ndarray:
     """Deterministic spread of starts: x0 first, then a stratified
-    scramble of the search box (angle torus, extinction in [1, 10])."""
+    scramble of the search box (angle torus, extinction in [1, 10]).
+    ``rows`` gives the table row of each coordinate."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
         entropy=seed, spawn_key=(7,))))
-    n_dim = len(coords)
-    starts = np.empty((n_starts, n_dim))
+    starts = np.empty((n_starts, len(rows)))
     starts[0] = x0
     extra = n_starts - 1
-    if extra > 0:
-        grid = np.empty((extra, n_dim))
-        for d, (_, fieldname) in enumerate(coords):
-            lo, hi = (1.0, 10.0) if fieldname == "extinction" else (0.0, 180.0)
-            bins = (np.arange(extra) + rng.uniform(0.0, 1.0, size=extra))
-            grid[:, d] = lo + rng.permutation(bins) / extra * (hi - lo)
-        starts[1:] = grid
+    for d, row in enumerate(rows):
+        lo, hi = (1.0, 10.0) if row == 2 else (0.0, 180.0)
+        bins = np.arange(extra) + rng.uniform(0.0, 1.0, size=extra)
+        starts[1:, d] = lo + rng.permutation(bins) / extra * (hi - lo)
     return starts
 
 
 def optimize(config: OptimizationConfig) -> OptimizationResult:
     """Multi-start maximization of the minimum pairwise separation.
 
-    The settings are searched as one tuple ``(probe, *projectors)``;
-    index 0 is the probe and may be None.  The returned settings never
-    score below the best evaluated start point; ``converged`` reports
-    whether any simplex run terminated within its evaluation budget.
+    A stage varies the angles of its columns of the settings table, and
+    their finite extinctions with ``vary_extinction``.  The returned
+    settings never score below the best evaluated start point;
+    ``converged`` reports whether any simplex run terminated within its
+    evaluation budget.
     """
     rho = config.state if config.state is not None else bell_psi_plus()
-    settings = (config.probe, *config.projectors)
-    probe_idx = [0] if config.vary_probe and config.probe is not None else []
-    proj_idx = list(range(1, len(settings))) if config.vary_projectors else []
+    n_probe = 0 if config.probe is None else 1
+    table, qwp_first = settings_table(
+        (config.probe,) * n_probe + config.projectors)
+    is_probe = np.arange(table.shape[1]) < n_probe
+    probe_cols = is_probe & config.vary_probe
+    proj_cols = ~is_probe & config.vary_projectors
     if config.mode == "sequential":
-        stages = [("probe", probe_idx), ("projectors", proj_idx)]
+        stages = [("probe", probe_cols), ("projectors", proj_cols)]
     else:
-        stages = [("joint", probe_idx + proj_idx)]
-    stages = [(name, varied) for name, varied in stages if varied]
+        stages = [("joint", probe_cols | proj_cols)]
+    stages = [(name, varied) for name, varied in stages if varied.any()]
     if not stages:
         raise ValueError("nothing to vary")
 
@@ -341,15 +346,21 @@ def optimize(config: OptimizationConfig) -> OptimizationResult:
     trace: list[dict] = []
 
     for stage_name, varied in stages:
-        coords = _pack(settings, varied, config.vary_extinction)
-        base = settings
+        # Angles are finite and a bare polarizer's qwp_deg is NaN, so
+        # isfinite picks its angles and a partial polarizer's extinction.
+        searched = varied & np.isfinite(table)
+        searched[2] &= config.vary_extinction
+        cols, rows = np.nonzero(searched.T)  # each setting's coords together
+        coords = (rows, cols)
+        base = table
 
         def score(x: np.ndarray) -> float:
-            trial = _apply(coords, x, base)
-            return -objective_min_separation(rho, samples, trial[0], trial[1:])
+            jones = settings_jones(point_table(base, coords, x), qwp_first)
+            probe = jones[0] if n_probe else None
+            return -objective_min_separation(rho, samples, probe, jones[n_probe:])
 
-        x0 = np.array([getattr(base[k], fieldname) for k, fieldname in coords])
-        starts = _start_points(coords, config.restarts, x0, config.seed)
+        starts = _start_points(rows, config.restarts, base[coords],
+                               config.seed)
         per_start = max(1, budget // config.restarts)
         best_x = None
         best_val = -math.inf
@@ -365,18 +376,16 @@ def optimize(config: OptimizationConfig) -> OptimizationResult:
             final_val = -float(res.fun)
             if final_val > best_val:
                 best_val, best_x = final_val, np.asarray(res.x, dtype=float)
-            trace.append({
-                "stage": stage_name,
-                "restart": s,
-                "start_objective": start_val,
-                "final_objective": final_val,
-                "n_evals": int(res.nfev),
-            })
-        settings = _apply(coords, best_x, base)
+            trace.append({"stage": stage_name, "restart": s,
+                          "start_objective": start_val,
+                          "final_objective": final_val,
+                          "n_evals": int(res.nfev)})
+        table = point_table(base, coords, best_x)
 
+    settings = table_params(table, qwp_first)
     return OptimizationResult(
-        probe=settings[0],
-        projectors=settings[1:],
+        probe=settings[0] if n_probe else None,
+        projectors=settings[n_probe:],
         objective=best_val,
         n_evals=total_evals,
         converged=any_converged,
@@ -394,36 +403,29 @@ def nearest_feasible(
 
     Minimizes the Frobenius distance between the Mueller matrix of a
     quarter-wave retarder at angle a composed with a polarizer at
-    angle b and the target.  A coarse angle grid seeds a simplex
-    refinement, so distinct local basins are covered.
+    angle b and the target.  A coarse angle grid, scored in one call,
+    seeds a simplex refinement, so distinct local basins are covered.
     """
     target = np.asarray(target_mueller, dtype=float)
     if target.shape != (4, 4):
         raise ValueError("target must be a 4x4 Mueller matrix")
 
-    def distance(x: np.ndarray) -> float:
-        param = ProjectorParam(
-            qwp_deg=float(x[0]) % 180.0,
-            lp_deg=float(x[1]) % 180.0,
-            extinction=extinction,
-            qwp_first=qwp_first,
-        )
-        return float(np.linalg.norm(param.mueller() - target))
+    def distance(x: np.ndarray) -> np.ndarray:  # angle pairs, (2, ...)
+        qwp_deg, lp_deg = np.asarray(x) % 180.0
+        table = np.array([qwp_deg, lp_deg, np.full_like(qwp_deg, extinction)])
+        jones = settings_jones(table, np.full(qwp_deg.shape, qwp_first))
+        d = polcalc.jones_to_mueller(jones) - target
+        d = d.reshape(d.shape[:-2] + (16,))
+        # sqrt(vecdot) rounds like np.linalg.norm of each 4x4 difference.
+        return np.sqrt(np.vecdot(d, d))
 
     angles = np.arange(0.0, 180.0, grid_step_deg)
-    best_x = None
-    best_d = math.inf
-    for a in angles:
-        for b in angles:
-            d = distance(np.array([a, b]))
-            if d < best_d:
-                best_d, best_x = d, np.array([a, b])
-    res = minimize(distance, best_x, maxfev=4000, xatol=1e-9, fatol=1e-14)
+    grid = np.array(np.meshgrid(angles, angles, indexing="ij")).reshape(2, -1)
+    seed_d = distance(grid)
+    best = int(np.argmin(seed_d))
+    best_x, best_d = grid[:, best], float(seed_d[best])
+    res = minimize(lambda x: float(distance(x)), best_x, maxfev=4000,
+                   xatol=1e-9, fatol=1e-14)
     x = res.x if res.fun <= best_d else best_x
-    final = ProjectorParam(
-        qwp_deg=float(x[0]) % 180.0,
-        lp_deg=float(x[1]) % 180.0,
-        extinction=extinction,
-        qwp_first=qwp_first,
-    )
-    return final, float(min(res.fun, best_d))
+    return (ProjectorParam(float(x[0]) % 180.0, float(x[1]) % 180.0,
+                           extinction, qwp_first), float(min(res.fun, best_d)))

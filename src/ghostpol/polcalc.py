@@ -26,13 +26,13 @@ CHOI_PSD_TOL = 1e-9
 
 # Operators sigma_i with S_i = tr(sigma_i C) for a coherency matrix C,
 # in the vertical-referenced Stokes frame described in the module
-# docstring.  Order: S0, S1, S2, S3.
-STOKES_OPS = (
-    np.eye(2, dtype=complex),
-    np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex),
-    np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-)
+# docstring, as one (4, 2, 2) stack in the order S0, S1, S2, S3.
+STOKES_OPS = np.array([
+    np.eye(2),
+    [[-1.0, 0.0], [0.0, 1.0]],
+    [[0.0, -1.0], [-1.0, 0.0]],
+    [[0.0, -1.0j], [1.0j, 0.0]],
+], dtype=complex)
 
 ELEMENT_KINDS = ("ideal_polarizer", "partial_polarizer", "retarder")
 
@@ -69,9 +69,6 @@ class PolElement:
             raise ValueError("retarder needs retardance_rad")
         object.__setattr__(self, "theta_deg", float(self.theta_deg) % 180.0)
 
-    def jones(self) -> np.ndarray:
-        return element_jones(self)
-
 
 def rotation_jones(theta_deg: float) -> np.ndarray:
     """Jones rotation matrix for a frame rotation by ``theta_deg``."""
@@ -88,9 +85,7 @@ def element_jones(element: PolElement,
     diag(0, 1), a partial polarizer with extinction k is
     diag(1/sqrt(k), 1) and a retarder with retardance d is
     diag(exp(i d), 1), i.e. the fast (vertical) axis carries zero
-    extra phase.  Oriented elements are R(theta) J0 R(theta)^T; with
-    J0 = diag(a, 1) and (c, s) = (cos, sin) theta that is
-    [[c^2 a + s^2, c s (a - 1)], [c s (a - 1), s^2 a + c^2]].
+    extra phase.  See :func:`oriented_jones` for the oriented form.
 
     With ``theta_deg`` (an array of angles in degrees, reduced modulo
     180 like an element's own orientation) the element is taken at
@@ -103,10 +98,20 @@ def element_jones(element: PolElement,
         a = 1.0 / np.sqrt(element.extinction)
     else:
         a = np.exp(1.0j * element.retardance_rad)
-    if theta_deg is None:
-        theta_deg = element.theta_deg
-    else:
-        theta_deg = np.asarray(theta_deg, dtype=float) % 180.0
+    theta = element.theta_deg if theta_deg is None else \
+        np.asarray(theta_deg, dtype=float) % 180.0
+    return oriented_jones(a, theta)
+
+
+def oriented_jones(a, theta_deg) -> np.ndarray:
+    """R(theta) diag(a, 1) R(theta)^T, with (c, s) = (cos, sin) theta:
+    [[c^2 a + s^2, c s (a - 1)], [c s (a - 1), s^2 a + c^2]].
+
+    The axis factor ``a`` (real or complex) is one number or one per
+    angle of ``theta_deg`` (in degrees, taken as given), so one call
+    builds elements of mixed kinds; the result has shape
+    ``theta_deg.shape + (2, 2)``.
+    """
     t = np.deg2rad(theta_deg)
     c, s = np.cos(t), np.sin(t)
     cc, ss, cs = c * c, s * s, c * s
@@ -151,39 +156,28 @@ def check_passive(jones: np.ndarray, tol: float = PASSIVITY_TOL) -> None:
 def jones_to_mueller(jones: np.ndarray) -> np.ndarray:
     """Mueller matrix of the deterministic map C -> J C J^dagger.
 
-    Parameters
-    ----------
-    jones : (2, 2) complex array
-
-    Returns
-    -------
-    (4, 4) real array in the package Stokes convention.
+    ``jones`` is one 2x2 complex matrix or a ``(..., 2, 2)`` stack; the
+    result is real, of shape ``(..., 4, 4)``, in the package Stokes
+    convention: M[i, k] = tr(S_i J S_k J^dagger) / 2.
     """
     j = np.asarray(jones, dtype=complex)
-    if j.shape != (2, 2):
-        raise ValueError("jones_to_mueller expects a 2x2 matrix")
-    m = np.empty((4, 4))
-    jd = j.conj().T
-    for i, si in enumerate(STOKES_OPS):
-        for k, sk in enumerate(STOKES_OPS):
-            m[i, k] = 0.5 * np.real(np.trace(si @ j @ sk @ jd))
-    return m
+    if j.shape[-2:] != (2, 2):
+        raise ValueError("jones_to_mueller expects 2x2 matrices")
+    j = j[..., None, None, :, :]
+    chain = STOKES_OPS[:, None] @ j @ STOKES_OPS @ j.conj().swapaxes(-1, -2)
+    return 0.5 * np.real(np.trace(chain, axis1=-2, axis2=-1))
 
 
 def stokes_from_jones_vector(vec: np.ndarray) -> np.ndarray:
     """Stokes vector of a (possibly unnormalized) Jones vector."""
     v = np.asarray(vec, dtype=complex).reshape(2)
-    coh = np.outer(v, v.conj())
-    return np.array([np.real(np.trace(op @ coh)) for op in STOKES_OPS])
+    return np.real(np.trace(STOKES_OPS @ np.outer(v, v.conj()), axis1=1, axis2=2))
 
 
 def coherency_from_stokes(stokes: np.ndarray) -> np.ndarray:
     """Coherency matrix C with tr(sigma_i C) = S_i."""
     s = np.asarray(stokes, dtype=float).reshape(4)
-    c = np.zeros((2, 2), dtype=complex)
-    for si, op in zip(s, STOKES_OPS):
-        c += 0.5 * si * op
-    return c
+    return 0.5 * np.tensordot(s, STOKES_OPS, 1)
 
 
 def validate_mueller(m: np.ndarray, tol: float = 1e-9) -> None:
@@ -213,10 +207,9 @@ def mueller_to_choi(m: np.ndarray) -> tuple[np.ndarray, bool]:
     m = np.asarray(m, dtype=float)
     if m.shape != (4, 4):
         raise ValueError("Mueller matrix must be 4x4")
-    choi = np.zeros((4, 4), dtype=complex)
-    for i, si in enumerate(STOKES_OPS):
-        for k, sk in enumerate(STOKES_OPS):
-            choi += 0.5 * m[i, k] * np.kron(sk.T, si)
+    # sum_ik M[i, k] kron(S_k^T, S_i) / 2, entry [(a, c), (b, d)].
+    choi = 0.5 * np.einsum("ik,kba,icd->acbd", m, STOKES_OPS,
+                           STOKES_OPS).reshape(4, 4)
     choi = 0.5 * (choi + choi.conj().T)
     eigvals = np.linalg.eigvalsh(choi)
     physical = bool(eigvals[0] >= -CHOI_PSD_TOL)

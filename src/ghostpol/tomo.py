@@ -236,11 +236,16 @@ def records_to_csv(records: list[TomographyRecord], path: str) -> None:
 
 def records_from_csv(path: str) -> list[TomographyRecord]:
     with open(path, "r", encoding="utf-8") as fh:
-        rows = [line.strip() for line in fh if line.strip()]
-    if not rows or rows[0] != "basis_a,basis_b,counts":
+        rows = [(n, line.strip()) for n, line in enumerate(fh, 1) if line.strip()]
+    if not rows or rows[0][1] != "basis_a,basis_b,counts":
         raise ValueError("tomography CSV must start with basis_a,basis_b,counts")
     records = []
-    for line in rows[1:]:
-        a, b, n = line.split(",")
-        records.append(TomographyRecord(a, b, float(n)))
+    for n, line in rows[1:]:
+        try:
+            a, b, count = line.split(",")
+            count = float(count)
+        except ValueError:
+            raise ValueError(f"{path}, line {n}: expected basis_a,basis_b,counts "
+                             f"with a numeric count, got {line!r}") from None
+        records.append(TomographyRecord(a, b, count))
     return records

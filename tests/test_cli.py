@@ -111,9 +111,16 @@ def test_unknown_key_is_a_config_error(tmp_path, capsys):
      "optimize.projectors[0].qwp_deg"),
     (OPTIMIZE_CONFIG.replace("theta_deg: 45.0", "theta_deg: .nan"),
      "optimize.samples[1].theta_deg"),
+    (OPTIMIZE_CONFIG.replace(
+        "theta_deg: 0.0}",
+        "theta_deg: 0.0, element: {kind: ideal_polarizer, angle_deg: 0}}"),
+     "'optimize.samples[0].element' is only valid for custom family"),
+    (OPTIMIZE_CONFIG.replace("family: LP, theta_deg: 45.0",
+                             "family: custom, theta_deg: 45.0"),
+     "'optimize.samples[1]' custom family needs an element"),
 ], ids=["restarts", "max_evals", "projector_extinction", "probe_extinction",
         "seed", "one_sample", "no_projectors", "nan_lp", "infinite_qwp",
-        "nan_sample_theta"])
+        "nan_sample_theta", "element_on_lp", "custom_without_element"])
 def test_bad_optimize_settings_are_config_errors(tmp_path, capsys, text, key):
     cfg = write_config(tmp_path, text)
     assert run(["optimize", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -224,6 +231,21 @@ def test_bad_tomography_counts_fail_clearly(tmp_path, capsys, count):
     cfg = write_config(tmp_path, "tomography: {records_csv: given.csv}\n")
     assert run(["tomo", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == "error: counts must be finite and >= 0\n"
+
+
+@pytest.mark.parametrize("row", ["H,H", "H,H,abc"],
+                         ids=["two_fields", "non_numeric"])
+def test_malformed_tomography_row_names_file_and_line(tmp_path, capsys, row):
+    records = tomo.expected_records(bell_psi_plus(), 1e6)
+    tomo.records_to_csv(records, str(tmp_path / "given.csv"))
+    lines = (tmp_path / "given.csv").read_text().splitlines()
+    lines[3] = row
+    (tmp_path / "given.csv").write_text("\n".join(lines) + "\n")
+    cfg = write_config(tmp_path, "tomography: {records_csv: given.csv}\n")
+    assert run(["tomo", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "given.csv, line 4:" in err
+    assert repr(row) in err
 
 
 def test_sweep_outputs(tmp_path):

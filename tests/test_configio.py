@@ -198,7 +198,8 @@ def test_optimize_rules():
         parse_config_text(
             "optimize:\n samples: [{family: LP}]\n projectors: [{lp_deg: 0}]\n"
         )
-    with pytest.raises(ConfigError, match="custom family needs a template"):
+    with pytest.raises(ConfigError, match=r"'optimize\.samples\[0\]' custom "
+                       "family needs an element"):
         parse_config_text(
             "optimize:\n samples: [{family: custom, theta_deg: 0},"
             " {family: LP, theta_deg: 45}]\n projectors: [{lp_deg: 0}]\n"

@@ -13,16 +13,21 @@ from ghostpol.configio import load_config, parse_config_text
 from ghostpol.optproj import (
     OptimizationConfig,
     ProjectorParam,
-    _apply,
     minimize,
     nearest_feasible,
     objective_min_separation,
     optimize,
+    point_table,
     projector_jones,
     response_points,
     sample_jones,
+    settings_jones,
+    settings_table,
+    table_params,
 )
-from ghostpol.polcalc import PolElement, compose, element_jones, rotation_jones
+from ghostpol.polcalc import (
+    STOKES_OPS, PolElement, compose, element_jones, rotation_jones,
+)
 from ghostpol.qstate import TwoQubitDensity, bell_psi_plus, werner
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs")
@@ -125,10 +130,23 @@ def random_param():
     )
 
 
+# Every layout in one stack: bare or waveplate, ideal or partial,
+# waveplate first or polarizer first, with angles outside [0, 180).
+EVERY_LAYOUT = tuple(
+    ProjectorParam(qwp_deg=qwp, lp_deg=lp, extinction=ext, qwp_first=first)
+    for qwp, lp in ((None, 200.0), (-30.0, 47.5))
+    for ext in (math.inf, 3.7)
+    for first in (True, False)
+)
+
+
 def test_projector_stack_equals_per_setting_chains():
-    for _ in range(20):
-        params = tuple(random_param() for _ in range(int(RNG.integers(1, 6))))
+    mixed = tuple(RNG.permutation(EVERY_LAYOUT + EVERY_LAYOUT[:3]))
+    for params in [mixed] + [
+            tuple(random_param() for _ in range(int(RNG.integers(1, 6))))
+            for _ in range(20)]:
         stack = projector_jones(params)
+        assert np.array_equal(stack, np.stack([p.jones() for p in params]))
         for p, jones in zip(params, stack):
             assert np.array_equal(jones, compose(p.elements()))
             npt.assert_allclose(jones, reference_jones(p.elements()),
@@ -220,14 +238,25 @@ def test_small_run_regression(text, n_evals, objective):
     assert (result.probe is None) == (cfg.optimize.probe is None)
 
 
-def test_apply_wraps_angles_and_floors_extinction():
-    settings = (None, ProjectorParam(qwp_deg=5.0, lp_deg=20.0, extinction=3.0),
+def test_settings_table_round_trips():
+    table, qwp_first = settings_table(EVERY_LAYOUT)
+    assert table.shape == (3, 8) and qwp_first.shape == (8,)
+    assert table_params(table, qwp_first) == EVERY_LAYOUT
+
+
+def test_point_table_wraps_angles_and_floors_extinction():
+    settings = (ProjectorParam(qwp_deg=5.0, lp_deg=20.0, extinction=3.0),
                 bare_lp(40.0))
-    coords = [(1, "qwp_deg"), (1, "lp_deg"), (1, "extinction"), (2, "lp_deg")]
-    out = _apply(coords, np.array([-10.0, 190.0, 0.5, 40.0]), settings)
-    assert out == (None, ProjectorParam(qwp_deg=170.0, lp_deg=10.0,
-                                        extinction=1.0), bare_lp(40.0))
-    assert settings[1].lp_deg == 20.0
+    table, qwp_first = settings_table(settings)
+    coords = (np.array([0, 1, 2, 1]), np.array([0, 0, 0, 1]))
+    out = point_table(table, coords, np.array([-10.0, 190.0, 0.5, 220.0]))
+    assert table_params(out, qwp_first) == (
+        ProjectorParam(qwp_deg=170.0, lp_deg=10.0, extinction=1.0),
+        bare_lp(40.0))
+    assert table_params(table, qwp_first) == settings
+    # Extinctions at or above 1 pass through unchanged.
+    out = point_table(table, (np.array([2]), np.array([0])), np.array([7.25]))
+    assert out[2, 0] == 7.25
 
 
 def test_objective_hand_value():
@@ -357,6 +386,54 @@ def test_nearest_feasible_passes_through_extinction():
 def test_nearest_feasible_validates_shape():
     with pytest.raises(ValueError):
         nearest_feasible(np.eye(3))
+
+
+def loop_mueller(j):
+    """The per-entry jones_to_mueller that the batched one replaced."""
+    m = np.empty((4, 4))
+    jd = j.conj().T
+    for i, si in enumerate(STOKES_OPS):
+        for k, sk in enumerate(STOKES_OPS):
+            m[i, k] = 0.5 * np.real(np.trace(si @ j @ sk @ jd))
+    return m
+
+
+def loop_nearest_feasible(target, extinction, qwp_first, grid_step_deg=7.5):
+    """nearest_feasible as it was: one scalar distance per seed-grid
+    point, each from the element chain of a ProjectorParam."""
+    def distance(x):
+        param = ProjectorParam(float(x[0]) % 180.0, float(x[1]) % 180.0,
+                               extinction, qwp_first)
+        return float(np.linalg.norm(
+            loop_mueller(compose(param.elements())) - target))
+
+    angles = np.arange(0.0, 180.0, grid_step_deg)
+    best_x, best_d = None, math.inf
+    for a in angles:
+        for b in angles:
+            d = distance(np.array([a, b]))
+            if d < best_d:
+                best_d, best_x = d, np.array([a, b])
+    res = minimize(distance, best_x, maxfev=4000, xatol=1e-9, fatol=1e-14)
+    x = res.x if res.fun <= best_d else best_x
+    return (ProjectorParam(float(x[0]) % 180.0, float(x[1]) % 180.0,
+                           extinction, qwp_first),
+            float(min(res.fun, best_d)))
+
+
+@pytest.mark.parametrize("extinction", [math.inf, 3.7])
+@pytest.mark.parametrize("qwp_first", [True, False])
+def test_nearest_feasible_equals_scalar_grid_loop(extinction, qwp_first):
+    rng = np.random.default_rng(int(qwp_first) + 2 * math.isinf(extinction))
+    targets = [
+        ProjectorParam(float(rng.uniform(0.0, 180.0)),
+                       float(rng.uniform(0.0, 180.0)),
+                       extinction, qwp_first).mueller(),
+        rng.normal(size=(4, 4)),
+    ]
+    for target in targets:
+        assert nearest_feasible(target, extinction, qwp_first) == \
+            loop_nearest_feasible(target, extinction, qwp_first)
 
 
 def scipy_nelder_mead(fun, x0, maxfev, xatol, fatol):

@@ -12,6 +12,7 @@ from ghostpol.polcalc import (
     jones_to_mueller,
     kraus_from_mueller,
     mueller_to_choi,
+    oriented_jones,
     rotation_jones,
     stokes_from_jones_vector,
     validate_mueller,
@@ -144,6 +145,20 @@ def test_element_stack_equals_elementwise_calls():
     assert element_jones(qwp(0.0), np.zeros((3, 4))).shape == (3, 4, 2, 2)
 
 
+def test_oriented_jones_takes_a_factor_per_angle():
+    # One call over mixed kinds equals one element_jones call per element.
+    elements = [random_element() for _ in range(30)]
+    factors = np.array([
+        0.0 if el.kind == "ideal_polarizer" else
+        1.0 / np.sqrt(el.extinction) if el.kind == "partial_polarizer" else
+        np.exp(1.0j * el.retardance_rad)
+        for el in elements])
+    stack = oriented_jones(factors, [el.theta_deg for el in elements])
+    for jones, el in zip(stack, elements):
+        assert np.array_equal(jones, element_jones(el))
+    assert oriented_jones(0.5, np.zeros((3, 4))).shape == (3, 4, 2, 2)
+
+
 def test_compose_broadcasts_stacks():
     a = [random_element() for _ in range(3)]
     thetas = RNG.uniform(0.0, 180.0, size=5)
@@ -194,6 +209,44 @@ def test_passivity_of_generated_elements():
 def test_mueller_of_vertical_polarizer_total_transmission():
     m = jones_to_mueller(np.diag([0.0, 1.0]))
     assert abs(m[0, 0] - 0.5) < 1e-15
+
+
+def test_mueller_stack_equals_entrywise_traces():
+    # The matrix-product chain per entry, as the batched form must keep it.
+    stack = RNG.normal(size=(3, 50, 2, 2)) + 1j * RNG.normal(size=(3, 50, 2, 2))
+    muellers = jones_to_mueller(stack)
+    assert muellers.shape == (3, 50, 4, 4)
+    for j, m in zip(stack.reshape(-1, 2, 2), muellers.reshape(-1, 4, 4)):
+        jd = j.conj().T
+        for i, si in enumerate(STOKES_OPS):
+            for k, sk in enumerate(STOKES_OPS):
+                assert m[i, k] == 0.5 * np.real(np.trace(si @ j @ sk @ jd))
+        assert np.array_equal(jones_to_mueller(j), m)
+    with pytest.raises(ValueError):
+        jones_to_mueller(np.eye(3))
+
+
+def test_stokes_stack_forms_equal_their_loops():
+    # coherency_from_stokes, stokes_from_jones_vector and mueller_to_choi
+    # as they were, one Stokes operator at a time.
+    for _ in range(50):
+        s = RNG.normal(size=4)
+        c = np.zeros((2, 2), dtype=complex)
+        for si, op in zip(s, STOKES_OPS):
+            c += 0.5 * si * op
+        assert np.array_equal(coherency_from_stokes(s), c)
+        v = RNG.normal(size=2) + 1j * RNG.normal(size=2)
+        coh = np.outer(v, v.conj())
+        assert np.array_equal(stokes_from_jones_vector(v), np.array(
+            [np.real(np.trace(op @ coh)) for op in STOKES_OPS]))
+        m = jones_to_mueller(element_jones(random_element())) \
+            + 0.1 * RNG.normal(size=(4, 4))
+        choi = np.zeros((4, 4), dtype=complex)
+        for i, si in enumerate(STOKES_OPS):
+            for k, sk in enumerate(STOKES_OPS):
+                choi += 0.5 * m[i, k] * np.kron(sk.T, si)
+        assert np.array_equal(mueller_to_choi(m)[0],
+                              0.5 * (choi + choi.conj().T))
 
 
 def test_mueller_action_matches_coherency_oracle():
