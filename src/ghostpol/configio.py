@@ -386,6 +386,14 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
         cfg.samples = [
             _parse_sample(s, f"samples[{i}]") for i, s in enumerate(items)
         ]
+        families = [s.family for s in cfg.samples]
+        for i, family in enumerate(families):
+            if family in families[:i]:
+                raise ConfigError(
+                    f"'samples[{i}].family' repeats {family} of "
+                    f"samples[{families.index(family)}]; each family names "
+                    f"its own output files"
+                )
     if "counting" in data:
         cfg.counting = _parse_counting(data["counting"], "counting")
     if "tomography" in data:

@@ -11,6 +11,9 @@ import numpy as np
 
 PALETTE = ("#1b6ca8", "#c0392b", "#27ae60", "#8e44ad", "#d68910", "#16a085")
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 56.0, 16.0, 28.0, 44.0
+# One confidence ellipse: cx, cy, rx, ry, fill ("none" when open), stroke.
+_ELLIPSE = ('<ellipse cx="%.2f" cy="%.2f" rx="%.2f" ry="%.2f" fill="%s" '
+            'fill-opacity="0.35" stroke="%s" stroke-width="1.00"/>')
 
 
 def _fmt(v: float) -> str:
@@ -65,15 +68,6 @@ class _Canvas:
             f'y2="{_fmt(y2)}" stroke="{color}" stroke-width="{_fmt(width)}"/>'
         )
 
-    def ellipse(self, cx: float, cy: float, rx: float, ry: float,
-                color: str, filled: bool) -> None:
-        fill = color if filled else "none"
-        self.parts.append(
-            f'<ellipse cx="{_fmt(cx)}" cy="{_fmt(cy)}" rx="{_fmt(rx)}" '
-            f'ry="{_fmt(ry)}" fill="{fill}" fill-opacity="0.35" '
-            f'stroke="{color}" stroke-width="1.00"/>'
-        )
-
     def text(self, x: float, y: float, s: str, size: float = 11.0,
              anchor: str = "middle", color: str = "#222222") -> None:
         self.parts.append(
@@ -83,14 +77,15 @@ class _Canvas:
         )
 
     def to_string(self) -> str:
-        body = "\n".join(self.parts)
-        return (
+        # One join: a joined body copied into the document would hold
+        # a large chart's text twice at once.
+        head = (
             f'<svg xmlns="http://www.w3.org/2000/svg" '
             f'width="{_fmt(self.width)}" height="{_fmt(self.height)}" '
             f'viewBox="0 0 {_fmt(self.width)} {_fmt(self.height)}">\n'
-            f'<rect width="100%" height="100%" fill="#ffffff"/>\n'
-            f"{body}\n</svg>\n"
+            f'<rect width="100%" height="100%" fill="#ffffff"/>'
         )
+        return "\n".join([head, *self.parts, "</svg>\n"])
 
 
 class _Axes:
@@ -199,15 +194,19 @@ def region_panels(
                    xticks=[0.0, 0.5, 1.0])
         for f, fam in enumerate(families):
             color = PALETTE[f % len(PALETTE)]
-            kept = set(fam["kept"])
             centers = fam["centers"]
-            semis = fam["semi_axes"]
-            for i in range(centers.shape[0]):
-                cx, cy = axes.px(centers[i, ix]), axes.py(centers[i, iy])
-                rx = semis[i, ix] / 1.1 * panel
-                ry = semis[i, iy] / 1.1 * panel
-                canvas.ellipse(cx, cy, max(rx, 1.0), max(ry, 1.0),
-                               color, filled=(i in kept))
+            rx, ry = (np.maximum(fam["semi_axes"][:, k] / 1.1 * panel, 1.0)
+                      for k in (ix, iy))
+            fill = ["none"] * centers.shape[0]
+            for i in fam["kept"]:
+                fill[i] = color
+            canvas.parts.extend([
+                _ELLIPSE % (cx, cy, w, h, fc, color)
+                for cx, cy, w, h, fc in zip(
+                    axes.px(centers[:, ix]).tolist(),
+                    axes.py(centers[:, iy]).tolist(), rx.tolist(), ry.tolist(),
+                    fill)
+            ])
             canvas.text(box_x + 8.0, MARGIN_T - 6.0 + 12.0 * f,
                         fam["label"], size=10.0, anchor="start", color=color)
     return canvas.to_string()

@@ -198,6 +198,26 @@ def test_bad_sweep_settings_are_config_errors(tmp_path, capsys, monkeypatch,
     assert err.startswith("config error") and key in err
 
 
+CUSTOM_SAMPLE = ("  - {family: custom, element: {kind: retarder, angle_deg: 0, "
+                 "retardance_rad: 1.0}}\n")
+
+
+@pytest.mark.parametrize("extra, key", [
+    ("  - {family: LP, thetas: [5, 95]}\n", "'samples[1].family'"),
+    (CUSTOM_SAMPLE + CUSTOM_SAMPLE, "'samples[2].family'"),
+], ids=["LP_twice", "custom_twice"])
+def test_repeated_sample_family_is_a_config_error(tmp_path, capsys, extra, key):
+    # Each family writes runs_<family>.csv and sweep_<family>.*: a repeat
+    # would overwrite the first family's files.
+    text = DISCRIMINATE_CONFIG.replace("step: 20}}\n", "step: 20}}\n" + extra)
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert run(["discriminate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err
+    assert not out.exists()
+
+
 def test_negative_seed_override_is_a_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, OPTIMIZE_CONFIG)
     assert run(["optimize", "--config", cfg, "--out", str(tmp_path),

@@ -359,6 +359,22 @@ def test_greedy_subset_matches_scalar_reference():
         assert max_distinguishable_subset(stack(regions)) == ref_greedy(regions)
     assert max_distinguishable_subset(
         EllipsoidRegion(np.zeros((0, 2)), np.zeros((0, 2)))) == []
+    # The sweep admits rows 32 at a time: sizes on both sides of a block
+    # edge, a stack of one repeated center and floored zero-width
+    # regions on a coarse lattice (many repeated centers).
+    for n in (1, 31, 32, 33, 65, 300):
+        for d in (1, 2, 3):
+            cases = [
+                random_regions(rng, n, d, spread=rng.uniform(0.05, 1.0)),
+                [EllipsoidRegion(np.full(d, 0.3), s)
+                 for s in rng.choice([0.0, 0.01], size=(n, d))],
+                [EllipsoidRegion(c, np.zeros(d))
+                 for c in np.round(rng.uniform(0.0, 1.0, (n, d)), 1)],
+            ]
+            for regions in cases:
+                assert (max_distinguishable_subset(stack(regions))
+                        == ref_greedy(regions)), (n, d)
+            assert max_distinguishable_subset(stack(cases[1])) == [0]
 
 
 def test_cross_family_exclusions_match_scalar_reference():

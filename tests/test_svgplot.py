@@ -56,3 +56,55 @@ def test_region_panels_draws_every_region():
     assert "LP" in svg and "QWP" in svg
     two_panels = region_panels(families, [(0, 1), (1, 0)], ["P1", "P2"], "r")
     assert two_panels.count("<ellipse") == 6
+
+
+def ref_region_panels(families, axis_pairs, axis_names, title, panel=300.0):
+    """The per-ellipse loop that region_panels replaced, kept verbatim."""
+    from ghostpol.svgplot import (MARGIN_B, MARGIN_L, MARGIN_T, PALETTE,
+                                  _Axes, _Canvas, _fmt)
+
+    width = MARGIN_L + len(axis_pairs) * (panel + 24.0)
+    canvas = _Canvas(width, panel + MARGIN_T + MARGIN_B)
+    canvas.text(width / 2.0, 16.0, title, size=13.0)
+    for p, (ix, iy) in enumerate(axis_pairs):
+        box_x = MARGIN_L + p * (panel + 24.0)
+        axes = _Axes(canvas, (box_x, MARGIN_T, panel, panel),
+                     (-0.05, 1.05), (-0.05, 1.05))
+        axes.frame(axis_names[ix], axis_names[iy], xticks=[0.0, 0.5, 1.0])
+        for f, fam in enumerate(families):
+            color = PALETTE[f % len(PALETTE)]
+            kept = set(fam["kept"])
+            centers, semis = fam["centers"], fam["semi_axes"]
+            for i in range(centers.shape[0]):
+                cx, cy = axes.px(centers[i, ix]), axes.py(centers[i, iy])
+                rx = max(semis[i, ix] / 1.1 * panel, 1.0)
+                ry = max(semis[i, iy] / 1.1 * panel, 1.0)
+                fill = color if i in kept else "none"
+                canvas.parts.append(
+                    f'<ellipse cx="{_fmt(cx)}" cy="{_fmt(cy)}" rx="{_fmt(rx)}" '
+                    f'ry="{_fmt(ry)}" fill="{fill}" fill-opacity="0.35" '
+                    f'stroke="{color}" stroke-width="1.00"/>'
+                )
+            canvas.text(box_x + 8.0, MARGIN_T - 6.0 + 12.0 * f,
+                        fam["label"], size=10.0, anchor="start", color=color)
+    return canvas.to_string()
+
+
+def test_region_panels_equal_per_ellipse_loop():
+    rng = np.random.default_rng(21)
+    for trial in range(12):
+        d = 1 + trial % 3
+        families = []
+        for f in range(1 + trial % 4):
+            n = int(rng.integers(1, 60))
+            # Semi-axes below 1.1 / panel are drawn at the 1-pixel floor.
+            semis = rng.choice([0.0, 1e-4, 3e-3, 0.02, 0.2], size=(n, d))
+            kept = [[], list(range(n)),
+                    sorted(rng.choice(n, n // 2, replace=False).tolist())][f % 3]
+            families.append({"label": f"F{f}",
+                             "centers": rng.uniform(-0.1, 1.1, (n, d)),
+                             "semi_axes": semis * rng.uniform(0.5, 1.5, (n, d)),
+                             "kept": kept})
+        pairs = [(i, j) for i in range(d) for j in range(d) if i != j] or [(0, 0)]
+        args = (families, pairs, [f"P{k + 1}" for k in range(d)], "regions")
+        assert region_panels(*args) == ref_region_panels(*args)
