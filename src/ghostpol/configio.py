@@ -31,6 +31,9 @@ class ConfigError(ValueError):
 # three-projector benchmark).
 MAX_THETAS = 18_000
 MAX_CELLS = 2_000_000
+# Objective evaluations of one optimize run, about 8 times the shipped
+# 12,000; restarts may not exceed it either.
+MAX_EVALS = 100_000
 
 
 @dataclass
@@ -63,9 +66,18 @@ class ExperimentConfig:
     optimize: OptimizationConfig | None = None
 
 
-def _require_mapping(node, path: str) -> dict:
+def _section(node, path: str, allowed: set[str],
+             required: tuple[str, ...] = ()) -> dict:
+    """``node`` as a mapping whose keys are all in ``allowed`` and which
+    holds every key of ``required``; ``path`` "" is the document root."""
     if not isinstance(node, dict):
-        raise ConfigError(f"'{path}' must be a mapping")
+        raise ConfigError(f"'{path or '<root>'}' must be a mapping")
+    for key in node:
+        if key not in allowed:
+            raise ConfigError(f"unknown key '{path}.{key}'" if path
+                              else f"unknown key '{key}'")
+    if any(key not in node for key in required):
+        raise ConfigError(f"'{path}' needs {' and '.join(required)}")
     return node
 
 
@@ -73,13 +85,6 @@ def _require_list(node, path: str) -> list:
     if not isinstance(node, list):
         raise ConfigError(f"'{path}' must be a list")
     return node
-
-
-def _check_keys(mapping: dict, allowed: set[str], path: str) -> None:
-    for key in mapping:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{path}.{key}'" if path
-                              else f"unknown key '{key}'")
 
 
 def _number(node, path: str, finite: bool = False) -> float:
@@ -94,9 +99,11 @@ def _number(node, path: str, finite: bool = False) -> float:
     return value
 
 
-def _integer(node, path: str) -> int:
+def _integer(node, path: str, minimum: int) -> int:
     if isinstance(node, bool) or not isinstance(node, int):
         raise ConfigError(f"'{path}' must be an integer")
+    if node < minimum:
+        raise ConfigError(f"'{path}' must be >= {minimum}")
     return node
 
 
@@ -107,10 +114,8 @@ def _boolean(node, path: str) -> bool:
 
 
 def parse_element(node, path: str) -> PolElement:
-    node = _require_mapping(node, path)
-    _check_keys(node, {"kind", "angle_deg", "extinction", "retardance_rad"}, path)
-    if "kind" not in node or "angle_deg" not in node:
-        raise ConfigError(f"'{path}' needs kind and angle_deg")
+    node = _section(node, path, {"kind", "angle_deg", "extinction", "retardance_rad"},
+                    ("kind", "angle_deg"))
     kwargs = {}
     if "extinction" in node:
         kwargs["extinction"] = _number(node["extinction"], f"{path}.extinction")
@@ -135,24 +140,19 @@ def element_to_dict(element: PolElement) -> dict:
 
 
 def _parse_element_chain(node, path: str) -> list[PolElement]:
-    node = _require_mapping(node, path)
-    _check_keys(node, {"elements"}, path)
-    if "elements" not in node:
-        raise ConfigError(f"'{path}' needs an elements list")
+    node = _section(node, path, {"elements"}, ("elements",))
     items = _require_list(node["elements"], f"{path}.elements")
     if not items:
         raise ConfigError(f"'{path}.elements' must not be empty")
-    return [
-        parse_element(el, f"{path}.elements[{i}]") for i, el in enumerate(items)
-    ]
+    return [parse_element(el, f"{path}.elements[{i}]")
+            for i, el in enumerate(items)]
 
 
 def _parse_state(node, path: str, base_dir: str) -> TwoQubitDensity:
-    node = _require_mapping(node, path)
-    _check_keys(node, {"kind", "p", "matrix_csv"}, path)
+    node = _section(node, path, {"kind", "p", "matrix_csv"})
     kind = node.get("kind", "bell_psi_plus")
     if kind == "bell_psi_plus":
-        _check_keys(node, {"kind"}, path)
+        _section(node, path, {"kind"})
         return bell_psi_plus()
     if kind == "werner":
         if "p" not in node:
@@ -165,9 +165,8 @@ def _parse_state(node, path: str, base_dir: str) -> TwoQubitDensity:
     if kind == "matrix_csv":
         if "matrix_csv" not in node:
             raise ConfigError(f"'{path}' with kind matrix_csv needs matrix_csv")
-        rel = str(node["matrix_csv"])
         try:
-            return load_density_csv(os.path.join(base_dir, rel))
+            return load_density_csv(os.path.join(base_dir, str(node["matrix_csv"])))
         except (OSError, ValueError) as exc:
             raise ConfigError(f"'{path}.matrix_csv': {exc}") from exc
     raise ConfigError(f"'{path}.kind' must be bell_psi_plus, werner or matrix_csv")
@@ -182,8 +181,7 @@ def _parse_thetas(node, path: str) -> np.ndarray:
         grid = np.array([_number(v, f"{path}[{i}]", finite=True)
                          for i, v in enumerate(node)])
     else:
-        node = _require_mapping(node, path)
-        _check_keys(node, {"start", "stop", "step"}, path)
+        node = _section(node, path, {"start", "stop", "step"})
         start = _number(node.get("start", 0.0), f"{path}.start", finite=True)
         stop = _number(node.get("stop", 180.0), f"{path}.stop", finite=True)
         step = _number(node.get("step", 1.0), f"{path}.step", finite=True)
@@ -219,25 +217,17 @@ def _sample_family(node: dict, path: str) -> tuple[str, PolElement | None]:
 
 
 def _parse_sample(node, path: str) -> SampleSpec:
-    node = _require_mapping(node, path)
-    _check_keys(node, {"family", "element", "thetas"}, path)
+    node = _section(node, path, {"family", "element", "thetas"})
     family, template = _sample_family(node, path)
-    return SampleSpec(
-        family=family,
-        thetas=_parse_thetas(node.get("thetas"), f"{path}.thetas"),
-        template=template,
-    )
+    return SampleSpec(family, _parse_thetas(node.get("thetas"), f"{path}.thetas"),
+                      template)
 
 
 def _parse_counting(node, path: str) -> CountModel:
-    node = _require_mapping(node, path)
-    allowed = {
+    node = _section(node, path, {
         "pair_rate", "integration_time", "eff_signal", "eff_idler",
         "coincidence_window", "singles_background", "drift_amplitude",
-    }
-    _check_keys(node, allowed, path)
-    if "pair_rate" not in node or "integration_time" not in node:
-        raise ConfigError(f"'{path}' needs pair_rate and integration_time")
+    }, ("pair_rate", "integration_time"))
     kwargs = {k: _number(v, f"{path}.{k}", finite=True) for k, v in node.items()}
     try:
         model = CountModel(**kwargs)
@@ -268,8 +258,7 @@ def _check_means(model: CountModel, key: str | None = None) -> None:
 
 
 def _parse_tomography(node, path: str, base_dir: str) -> TomographySpec:
-    node = _require_mapping(node, path)
-    _check_keys(node, {"integration_time", "records_csv"}, path)
+    node = _section(node, path, {"integration_time", "records_csv"})
     spec = TomographySpec()
     if "integration_time" in node:
         spec.integration_time = _number(node["integration_time"],
@@ -282,10 +271,8 @@ def _parse_tomography(node, path: str, base_dir: str) -> TomographySpec:
 
 
 def _parse_projector_param(node, path: str) -> ProjectorParam:
-    node = _require_mapping(node, path)
-    _check_keys(node, {"qwp_deg", "lp_deg", "extinction", "qwp_first"}, path)
-    if "lp_deg" not in node:
-        raise ConfigError(f"'{path}' needs lp_deg")
+    node = _section(node, path, {"qwp_deg", "lp_deg", "extinction", "qwp_first"},
+                    ("lp_deg",))
     qwp = node.get("qwp_deg")
     if qwp is not None:
         qwp = _number(qwp, f"{path}.qwp_deg", finite=True)
@@ -293,30 +280,21 @@ def _parse_projector_param(node, path: str) -> ProjectorParam:
     if not extinction >= 1.0:
         raise ConfigError(f"'{path}.extinction' must be >= 1")
     return ProjectorParam(
-        qwp_deg=qwp,
-        lp_deg=_number(node["lp_deg"], f"{path}.lp_deg", finite=True),
-        extinction=extinction,
-        qwp_first=_boolean(node.get("qwp_first", True), f"{path}.qwp_first"),
-    )
+        qwp, _number(node["lp_deg"], f"{path}.lp_deg", finite=True), extinction,
+        _boolean(node.get("qwp_first", True), f"{path}.qwp_first"))
 
 
 def _parse_optimize(node, path: str) -> OptimizationConfig:
-    node = _require_mapping(node, path)
-    allowed = {
+    node = _section(node, path, {
         "samples", "projectors", "probe", "mode", "restarts", "max_evals",
         "vary_probe", "vary_projectors", "vary_extinction",
-    }
-    _check_keys(node, allowed, path)
-    if "samples" not in node or "projectors" not in node:
-        raise ConfigError(f"'{path}' needs samples and projectors")
+    }, ("samples", "projectors"))
     samples = []
     for i, item in enumerate(_require_list(node["samples"], f"{path}.samples")):
         where = f"{path}.samples[{i}]"
-        item = _require_mapping(item, where)
-        _check_keys(item, {"family", "theta_deg", "element"}, where)
+        item = _section(item, where, {"family", "theta_deg", "element"},
+                        ("theta_deg",))
         family, template = _sample_family(item, where)
-        if "theta_deg" not in item:
-            raise ConfigError(f"'{where}' needs theta_deg")
         theta = _number(item["theta_deg"], f"{where}.theta_deg", finite=True)
         samples.append(sample_element(family, theta, template))
     if len(samples) < 2:
@@ -335,16 +313,20 @@ def _parse_optimize(node, path: str) -> OptimizationConfig:
         if node["mode"] not in ("joint", "sequential"):
             raise ConfigError(f"'{path}.mode' must be joint or sequential")
         options["mode"] = node["mode"]
-    for key in ("restarts", "max_evals"):
-        if key in node:
-            options[key] = _integer(node[key], f"{path}.{key}")
-            if options[key] < 1:
-                raise ConfigError(f"'{path}.{key}' must be >= 1")
+    max_evals = _integer(node.get("max_evals", OptimizationConfig.max_evals),
+                         f"{path}.max_evals", 1)
+    if max_evals > MAX_EVALS:
+        raise ConfigError(f"'{path}.max_evals' must be <= {MAX_EVALS}")
+    restarts = _integer(node.get("restarts", OptimizationConfig.restarts),
+                        f"{path}.restarts", 1)
+    if restarts > max_evals:
+        raise ConfigError(f"'{path}.restarts' must be <= max_evals ({max_evals})")
     for flag in ("vary_probe", "vary_projectors", "vary_extinction"):
         if flag in node:
             options[flag] = _boolean(node[flag], f"{path}.{flag}")
     return OptimizationConfig(samples=tuple(samples),
-                              projectors=tuple(projectors), **options)
+                              projectors=tuple(projectors), restarts=restarts,
+                              max_evals=max_evals, **options)
 
 
 def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
@@ -354,21 +336,15 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
         raise ConfigError(f"malformed YAML: {exc}") from exc
     if data is None:
         data = {}
-    data = _require_mapping(data, "<root>")
-    allowed = {
+    data = _section(data, "", {
         "seed", "runs", "conditional", "state", "probe", "projectors",
         "samples", "counting", "tomography", "optimize",
-    }
-    _check_keys(data, allowed, "")
+    })
     cfg = ExperimentConfig()
     if "seed" in data:
-        cfg.seed = _integer(data["seed"], "seed")
-        if cfg.seed < 0:
-            raise ConfigError("'seed' must be >= 0")
+        cfg.seed = _integer(data["seed"], "seed", 0)
     if "runs" in data:
-        cfg.runs = _integer(data["runs"], "runs")
-        if cfg.runs < 1:
-            raise ConfigError("'runs' must be >= 1")
+        cfg.runs = _integer(data["runs"], "runs", 1)
     if "conditional" in data:
         cfg.conditional = _boolean(data["conditional"], "conditional")
     if "state" in data:

@@ -120,12 +120,11 @@ def simulate_counts(
     model: CountModel,
     seed: int,
     spawn_key: tuple[int, ...] = (),
-    drift_factor: float = 1.0,
 ) -> int:
     """One Poisson coincidence count for one joint probability."""
     if not -1e-12 <= p_joint <= 1.0 + 1e-12:
         raise ValueError("joint probability must lie in [0, 1]")
-    mean = model.signal_mean(min(max(p_joint, 0.0), 1.0), drift_factor)
+    mean = model.signal_mean(min(max(p_joint, 0.0), 1.0))
     mean += model.accidental_mean()
     rng = _generator(seed, (_TAG_CELL, *spawn_key))
     return int(rng.poisson(mean))

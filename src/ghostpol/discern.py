@@ -235,8 +235,7 @@ def cross_family_exclusions(
     return exclusions
 
 
-def step_stats(kept_thetas: np.ndarray,
-               period: float = ANGLE_PERIOD_DEG) -> StepStats:
+def step_stats(kept_thetas: np.ndarray) -> StepStats:
     """Median, max and min angular gap between kept orientations.
 
     The gap set includes the wrap-around gap across the period.
@@ -245,8 +244,9 @@ def step_stats(kept_thetas: np.ndarray,
     if thetas.size == 0:
         raise ValueError("no kept orientations")
     if thetas.size == 1:
-        return StepStats(period, period, period)
-    gaps = np.sort(np.append(np.diff(thetas), period - thetas[-1] + thetas[0]))
+        return StepStats(ANGLE_PERIOD_DEG, ANGLE_PERIOD_DEG, ANGLE_PERIOD_DEG)
+    gaps = np.sort(np.append(np.diff(thetas),
+                             ANGLE_PERIOD_DEG - thetas[-1] + thetas[0]))
     # The median as np.median takes it, without loading numpy.ma.
     mid = gaps.size // 2
     median = gaps[mid] if gaps.size % 2 else (gaps[mid - 1] + gaps[mid]) / 2.0

@@ -156,8 +156,8 @@ class ResponseCurve:
         return self.raw.shape[1]
 
 
-def default_theta_grid(step_deg: float = 1.0) -> np.ndarray:
-    return np.arange(0.0, 180.0, step_deg)
+def default_theta_grid() -> np.ndarray:
+    return np.arange(0.0, 180.0, 1.0)
 
 
 def sample_element(family: str, theta_deg: float,

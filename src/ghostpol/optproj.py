@@ -397,13 +397,12 @@ def nearest_feasible(
     target_mueller: np.ndarray,
     extinction: float = math.inf,
     qwp_first: bool = True,
-    grid_step_deg: float = 7.5,
 ) -> tuple[ProjectorParam, float]:
     """Feasible waveplate-polarizer pair closest to a target matrix.
 
     Minimizes the Frobenius distance between the Mueller matrix of a
     quarter-wave retarder at angle a composed with a polarizer at
-    angle b and the target.  A coarse angle grid, scored in one call,
+    angle b and the target.  A coarse 7.5-degree grid, scored in one call,
     seeds a simplex refinement, so distinct local basins are covered.
     """
     target = np.asarray(target_mueller, dtype=float)
@@ -419,7 +418,7 @@ def nearest_feasible(
         # sqrt(vecdot) rounds like np.linalg.norm of each 4x4 difference.
         return np.sqrt(np.vecdot(d, d))
 
-    angles = np.arange(0.0, 180.0, grid_step_deg)
+    angles = np.arange(0.0, 180.0, 7.5)
     grid = np.array(np.meshgrid(angles, angles, indexing="ij")).reshape(2, -1)
     seed_d = distance(grid)
     best = int(np.argmin(seed_d))

@@ -141,15 +141,16 @@ def compose(elements: list | tuple) -> np.ndarray:
     return total
 
 
-def check_passive(jones: np.ndarray, tol: float = PASSIVITY_TOL) -> None:
+def check_passive(jones: np.ndarray) -> None:
     """Raise if ``jones`` (one matrix or a stack) amplifies light.
 
-    A matrix amplifies when its largest singular value exceeds 1 + tol;
+    A matrix amplifies when its largest singular value exceeds
+    1 + ``PASSIVITY_TOL``;
     a stack is checked in one batched SVD.
     """
     sv = np.linalg.svd(np.asarray(jones, dtype=complex), compute_uv=False)
     smax = np.max(sv[..., 0], initial=0.0)
-    if smax > 1.0 + tol:
+    if smax > 1.0 + PASSIVITY_TOL:
         raise ValueError(f"non-passive Jones matrix, max singular value {smax}")
 
 
@@ -180,14 +181,14 @@ def coherency_from_stokes(stokes: np.ndarray) -> np.ndarray:
     return 0.5 * np.tensordot(s, STOKES_OPS, 1)
 
 
-def validate_mueller(m: np.ndarray, tol: float = 1e-9) -> None:
+def validate_mueller(m: np.ndarray) -> None:
     """Check the gross passivity structure of a Mueller matrix."""
     m = np.asarray(m, dtype=float)
     if m.shape != (4, 4):
         raise ValueError("Mueller matrix must be 4x4")
-    if m[0, 0] < -tol:
+    if m[0, 0] < -PASSIVITY_TOL:
         raise ValueError("Mueller matrix has negative total transmission")
-    if np.any(np.abs(m) > m[0, 0] + tol):
+    if np.any(np.abs(m) > m[0, 0] + PASSIVITY_TOL):
         raise ValueError("Mueller matrix entry exceeds M[0][0]")
 
 
@@ -216,7 +217,7 @@ def mueller_to_choi(m: np.ndarray) -> tuple[np.ndarray, bool]:
     return choi, physical
 
 
-def kraus_from_mueller(m: np.ndarray, tol: float = CHOI_PSD_TOL) -> list[np.ndarray]:
+def kraus_from_mueller(m: np.ndarray) -> list[np.ndarray]:
     """Kraus operators of a physical Mueller matrix.
 
     Raises ``ValueError`` when the map is not completely positive.
@@ -227,7 +228,7 @@ def kraus_from_mueller(m: np.ndarray, tol: float = CHOI_PSD_TOL) -> list[np.ndar
     eigvals, eigvecs = np.linalg.eigh(choi)
     kraus = []
     for lam, vec in zip(eigvals, eigvecs.T):
-        if lam <= tol:
+        if lam <= CHOI_PSD_TOL:
             continue
         # Column index pairs are (input k, output i); unvec accordingly.
         kraus.append(np.sqrt(lam) * vec.reshape(2, 2).T)

@@ -26,6 +26,8 @@ def _validated(matrix: np.ndarray) -> np.ndarray:
     rho = np.asarray(matrix, dtype=complex)
     if rho.shape != (4, 4):
         raise StateValidationError("density matrix must be 4x4")
+    if not np.isfinite(rho).all():
+        raise StateValidationError("density matrix has non-finite entries")
     if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
         raise StateValidationError("density matrix is not Hermitian")
     rho = 0.5 * (rho + rho.conj().T)
@@ -123,11 +125,11 @@ def fidelity(rho: TwoQubitDensity, reference: np.ndarray | None = None) -> float
     return float(np.real(vec.conj() @ rho.matrix @ vec))
 
 
-def metrics(rho: TwoQubitDensity, reference: np.ndarray | None = None) -> StateMetrics:
+def metrics(rho: TwoQubitDensity) -> StateMetrics:
     return StateMetrics(
         concurrence=concurrence(rho),
         linear_entropy=linear_entropy(rho),
-        fidelity=fidelity(rho, reference),
+        fidelity=fidelity(rho),
         purity=rho.purity(),
     )
 

@@ -11,6 +11,8 @@ import numpy as np
 
 PALETTE = ("#1b6ca8", "#c0392b", "#27ae60", "#8e44ad", "#d68910", "#16a085")
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 56.0, 16.0, 28.0, 44.0
+CHART_W, CHART_H = 560.0, 360.0  # curve chart size
+PANEL = 300.0  # side of one square region panel
 # One confidence ellipse: cx, cy, rx, ry, fill ("none" when open), stroke.
 _ELLIPSE = ('<ellipse cx="%.2f" cy="%.2f" rx="%.2f" ry="%.2f" fill="%s" '
             'fill-opacity="0.35" stroke="%s" stroke-width="1.00"/>')
@@ -20,10 +22,11 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """About five round-valued ticks covering [lo, hi]."""
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / n
+    raw = (hi - lo) / 5
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -44,28 +47,24 @@ class _Canvas:
         self.height = height
         self.parts: list[str] = []
 
-    def polyline(self, pts: list[tuple[float, float]], color: str,
-                 width: float = 1.5, dash: str | None = None) -> None:
+    def polyline(self, pts: list[tuple[float, float]], color: str) -> None:
         coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         self.parts.append(
             f'<polyline fill="none" stroke="{color}" '
-            f'stroke-width="{_fmt(width)}"{dash_attr} points="{coords}"/>'
+            f'stroke-width="1.50" points="{coords}"/>'
         )
 
-    def polygon(self, pts: list[tuple[float, float]], fill: str,
-                opacity: float = 0.25) -> None:
+    def polygon(self, pts: list[tuple[float, float]], fill: str) -> None:
         coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
         self.parts.append(
-            f'<polygon fill="{fill}" fill-opacity="{opacity}" '
+            f'<polygon fill="{fill}" fill-opacity="0.25" '
             f'stroke="none" points="{coords}"/>'
         )
 
-    def line(self, x1: float, y1: float, x2: float, y2: float,
-             color: str = "#333333", width: float = 1.0) -> None:
+    def line(self, x1: float, y1: float, x2: float, y2: float) -> None:
         self.parts.append(
             f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
-            f'y2="{_fmt(y2)}" stroke="{color}" stroke-width="{_fmt(width)}"/>'
+            f'y2="{_fmt(y2)}" stroke="#333333" stroke-width="1.00"/>'
         )
 
     def text(self, x: float, y: float, s: str, size: float = 11.0,
@@ -131,27 +130,25 @@ def curve_chart(
     labels: list[str],
     title: str,
     bands: np.ndarray | None = None,
-    width: float = 560.0,
-    height: float = 360.0,
 ) -> str:
     """Response-versus-orientation chart, one polyline per projector.
 
     ``series`` is (n_theta, n_series); ``bands`` gives optional CI
     half-widths of the same shape, drawn as shaded strips.
     """
-    canvas = _Canvas(width, height)
+    canvas = _Canvas(CHART_W, CHART_H)
     top = np.max(series + (bands if bands is not None else 0.0))
     ylim = (0.0, max(1e-12, float(top)) * 1.05)
     axes = _Axes(
         canvas,
-        (MARGIN_L, MARGIN_T, width - MARGIN_L - MARGIN_R,
-         height - MARGIN_T - MARGIN_B),
+        (MARGIN_L, MARGIN_T, CHART_W - MARGIN_L - MARGIN_R,
+         CHART_H - MARGIN_T - MARGIN_B),
         (float(thetas[0]), float(thetas[-1])) if len(thetas) > 1 else (0.0, 180.0),
         ylim,
     )
     axes.frame("orientation [deg]", "response",
                xticks=[0.0, 45.0, 90.0, 135.0, 180.0])
-    canvas.text(width / 2.0, 16.0, title, size=13.0)
+    canvas.text(CHART_W / 2.0, 16.0, title, size=13.0)
     for k in range(series.shape[1]):
         color = PALETTE[k % len(PALETTE)]
         if bands is not None:
@@ -174,7 +171,6 @@ def region_panels(
     axis_pairs: list[tuple[int, int]],
     axis_names: list[str],
     title: str,
-    panel: float = 300.0,
 ) -> str:
     """Response-space scatter with confidence ellipses.
 
@@ -182,20 +178,19 @@ def region_panels(
     ``semi_axes`` (n, k) and ``kept`` index list; one panel is drawn
     per requested coordinate pair.
     """
-    width = MARGIN_L + len(axis_pairs) * (panel + 24.0)
-    height = panel + MARGIN_T + MARGIN_B
-    canvas = _Canvas(width, height)
+    width = MARGIN_L + len(axis_pairs) * (PANEL + 24.0)
+    canvas = _Canvas(width, PANEL + MARGIN_T + MARGIN_B)
     canvas.text(width / 2.0, 16.0, title, size=13.0)
     for p, (ix, iy) in enumerate(axis_pairs):
-        box_x = MARGIN_L + p * (panel + 24.0)
-        axes = _Axes(canvas, (box_x, MARGIN_T, panel, panel),
+        box_x = MARGIN_L + p * (PANEL + 24.0)
+        axes = _Axes(canvas, (box_x, MARGIN_T, PANEL, PANEL),
                      (-0.05, 1.05), (-0.05, 1.05))
         axes.frame(axis_names[ix], axis_names[iy],
                    xticks=[0.0, 0.5, 1.0])
         for f, fam in enumerate(families):
             color = PALETTE[f % len(PALETTE)]
             centers = fam["centers"]
-            rx, ry = (np.maximum(fam["semi_axes"][:, k] / 1.1 * panel, 1.0)
+            rx, ry = (np.maximum(fam["semi_axes"][:, k] / 1.1 * PANEL, 1.0)
                       for k in (ix, iy))
             fill = ["none"] * centers.shape[0]
             for i in fam["kept"]:

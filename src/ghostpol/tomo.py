@@ -243,9 +243,8 @@ def records_from_csv(path: str) -> list[TomographyRecord]:
     for n, line in rows[1:]:
         try:
             a, b, count = line.split(",")
-            count = float(count)
-        except ValueError:
-            raise ValueError(f"{path}, line {n}: expected basis_a,basis_b,counts "
-                             f"with a numeric count, got {line!r}") from None
-        records.append(TomographyRecord(a, b, count))
+            records.append(TomographyRecord(a, b, float(count)))
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {n}: bad basis_a,basis_b,counts "
+                             f"row {line!r}: {exc}") from None
     return records

@@ -10,7 +10,7 @@ import scipy
 import ghostpol
 from ghostpol import tomo
 from ghostpol.cli import build_parser, main
-from ghostpol.qstate import bell_psi_plus
+from ghostpol.qstate import bell_psi_plus, save_density_csv, werner
 from test_golden import CASES, FROZEN_WITH, case_argv, output_digests
 
 SWEEP_CONFIG = """
@@ -96,6 +96,13 @@ def test_unknown_key_is_a_config_error(tmp_path, capsys):
     (OPTIMIZE_CONFIG.replace("restarts: 4", "restarts: 0"), "optimize.restarts"),
     (OPTIMIZE_CONFIG.replace("max_evals: 300", "max_evals: 0"),
      "optimize.max_evals"),
+    (OPTIMIZE_CONFIG.replace("max_evals: 300", "max_evals: 100001"),
+     "'optimize.max_evals' must be <= 100000"),
+    (OPTIMIZE_CONFIG.replace("restarts: 4", "restarts: 301"),
+     "'optimize.restarts' must be <= max_evals (300)"),
+    (OPTIMIZE_CONFIG.replace("restarts: 4", "restarts: 4001")
+     .replace("  max_evals: 300\n", ""),
+     "'optimize.restarts' must be <= max_evals (4000)"),
     (OPTIMIZE_CONFIG.replace("lp_deg: 20.0}", "lp_deg: 20.0, extinction: 0.5}"),
      "optimize.projectors[0].extinction"),
     (OPTIMIZE_CONFIG + "  probe: {qwp_deg: 1.0, lp_deg: 2.0, extinction: 0.5}\n",
@@ -118,7 +125,8 @@ def test_unknown_key_is_a_config_error(tmp_path, capsys):
     (OPTIMIZE_CONFIG.replace("family: LP, theta_deg: 45.0",
                              "family: custom, theta_deg: 45.0"),
      "'optimize.samples[1]' custom family needs an element"),
-], ids=["restarts", "max_evals", "projector_extinction", "probe_extinction",
+], ids=["restarts", "max_evals", "huge_max_evals", "restarts_over_max_evals",
+        "restarts_over_default", "projector_extinction", "probe_extinction",
         "seed", "one_sample", "no_projectors", "nan_lp", "infinite_qwp",
         "nan_sample_theta", "element_on_lp", "custom_without_element"])
 def test_bad_optimize_settings_are_config_errors(tmp_path, capsys, text, key):
@@ -156,6 +164,8 @@ SWEEP_GRID = "thetas: {start: 0, stop: 180, step: 20}"
      "projectors[1].elements[0]"),
     (SWEEP_CONFIG + "state: {kind: matrix_csv, matrix_csv: absent.csv}\n",
      "state.matrix_csv"),
+    (SWEEP_CONFIG + "state: {kind: matrix_csv, matrix_csv: nan_rho.csv}\n",
+     "'state.matrix_csv': density matrix has non-finite entries"),
     (SWEEP_CONFIG.replace("step: 20", "step: 1.0e-9"), "samples[0].thetas"),
     (SWEEP_CONFIG + COUNTING_BLOCK + "runs: 1000000000\n", "'runs'"),
     (SWEEP_CONFIG + COUNTING_BLOCK.replace("200000", ".nan"),
@@ -175,7 +185,7 @@ SWEEP_GRID = "thetas: {start: 0, stop: 180, step: 20}"
      "tomography.integration_time"),
 ], ids=["out_of_range", "negative_start", "decreasing", "empty", "nan_step",
         "infinite_stop", "werner_p", "nan_probe_angle", "infinite_projector_angle",
-        "nan_retardance", "nan_extinction", "missing_matrix_csv", "tiny_step",
+        "nan_retardance", "nan_extinction", "missing_matrix_csv", "nan_matrix_csv", "tiny_step",
         "huge_runs", "nan_pair_rate", "nan_window", "infinite_pair_rate",
         "nan_integration_time", "huge_pair_rate", "huge_singles",
         "huge_tomo_integration"])
@@ -192,6 +202,10 @@ def test_bad_sweep_settings_are_config_errors(tmp_path, capsys, monkeypatch,
         return arange(*args, **kwargs)
 
     monkeypatch.setattr(np, "arange", bounded_arange)
+    # The nan_matrix_csv case reads I/4 with one NaN entry.
+    save_density_csv(werner(0.0), str(tmp_path / "nan_rho.csv"))
+    rho_csv = (tmp_path / "nan_rho.csv").read_text()
+    (tmp_path / "nan_rho.csv").write_text(rho_csv.replace("0.25", "nan", 1))
     cfg = write_config(tmp_path, text)
     assert run(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
@@ -250,12 +264,20 @@ def test_bad_tomography_counts_fail_clearly(tmp_path, capsys, count):
     (tmp_path / "given.csv").write_text("\n".join(lines) + "\n")
     cfg = write_config(tmp_path, "tomography: {records_csv: given.csv}\n")
     assert run(["tomo", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err == "error: counts must be finite and >= 0\n"
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'given.csv'}, line 4: bad basis_a,basis_b,counts "
+        f"row {lines[3]!r}: counts must be finite and >= 0\n")
 
 
-@pytest.mark.parametrize("row", ["H,H", "H,H,abc"],
-                         ids=["two_fields", "non_numeric"])
-def test_malformed_tomography_row_names_file_and_line(tmp_path, capsys, row):
+@pytest.mark.parametrize("row, reason", [
+    ("H,H", "not enough values to unpack"),
+    ("H,H,abc", "could not convert string to float"),
+    ("X,H,5", "unknown analysis basis XH"),
+    ("H,H,-5", "counts must be finite and >= 0"),
+    ("H,H,nan", "counts must be finite and >= 0"),
+], ids=["two_fields", "non_numeric", "unknown_basis", "negative", "nan"])
+def test_malformed_tomography_row_names_file_and_line(tmp_path, capsys, row,
+                                                      reason):
     records = tomo.expected_records(bell_psi_plus(), 1e6)
     tomo.records_to_csv(records, str(tmp_path / "given.csv"))
     lines = (tmp_path / "given.csv").read_text().splitlines()
@@ -265,7 +287,7 @@ def test_malformed_tomography_row_names_file_and_line(tmp_path, capsys, row):
     assert run(["tomo", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "given.csv, line 4:" in err
-    assert repr(row) in err
+    assert repr(row) in err and reason in err
 
 
 def test_sweep_outputs(tmp_path):

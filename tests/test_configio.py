@@ -145,6 +145,9 @@ def test_element_parsing_and_errors():
 def test_state_variants(tmp_path):
     with pytest.raises(ConfigError, match="kind werner needs p"):
         parse_config_text("state: {kind: werner}")
+    # p and matrix_csv belong to the other kinds.
+    with pytest.raises(ConfigError, match=r"unknown key 'state\.p'"):
+        parse_config_text("state: {p: 0.5}")
     with pytest.raises(ConfigError, match="bell_psi_plus, werner or matrix_csv"):
         parse_config_text("state: {kind: ghz}")
     save_density_csv(werner(0.8), str(tmp_path / "rho.csv"))

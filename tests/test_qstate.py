@@ -60,6 +60,14 @@ def test_validation_rejects_wrong_trace():
         TwoQubitDensity(np.eye(4, dtype=complex) / 2.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_validation_rejects_non_finite_entries(value):
+    bad = np.eye(4, dtype=complex) / 4.0
+    bad[1, 2] = bad[2, 1] = value
+    with pytest.raises(StateValidationError, match="non-finite"):
+        TwoQubitDensity(bad)
+
+
 def test_validation_clips_eigenvalue_dust():
     vec = psi_plus_vector()
     rho = np.outer(vec, vec.conj())
