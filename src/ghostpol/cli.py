@@ -35,20 +35,11 @@ def _sweep_curves(cfg: ExperimentConfig) -> list[ghost.ResponseCurve]:
     if not cfg.projectors:
         raise ConfigError("a projectors section is required")
     idler = [polcalc.compose(chain) for chain in cfg.projectors]
-    curves = []
-    for spec in cfg.samples:
-        curves.append(
-            ghost.sweep_family(
-                cfg.state,
-                spec.family,
-                idler,
-                probe_elements=cfg.probe_elements,
-                thetas=spec.thetas,
-                template=spec.template,
-                conditional=cfg.conditional,
-            )
-        )
-    return curves
+    return [ghost.sweep_family(cfg.state, spec.family, idler,
+                               probe_elements=cfg.probe_elements,
+                               thetas=spec.thetas, template=spec.template,
+                               conditional=cfg.conditional)
+            for spec in cfg.samples]
 
 
 def _measure(cfg: ExperimentConfig, curves: list[ghost.ResponseCurve],
@@ -110,12 +101,9 @@ def cmd_discriminate(cfg: ExperimentConfig, out_dir: str) -> int:
     scale = max(float(np.max(c.mean(axis=0))) for c in corrected)
     if scale <= 0.0:
         raise ValueError("dataset has no counts to normalize")
-    outcomes = []
-    for curve, corr in zip(curves, corrected):
-        outcomes.append(
-            discern.analyze_family(curve.family, curve.thetas, corr / scale)
-        )
-    report = discern.analyze_families(outcomes)
+    report = discern.analyze_families([
+        discern.analyze_family(curve.family, curve.thetas, corr / scale)
+        for curve, corr in zip(curves, corrected)])
     discern.report_to_csv(report, _out_path(out_dir, "report.csv"))
     summary = discern.summary_text(report)
     _write(out_dir, "summary.txt", summary)

@@ -14,9 +14,9 @@ import numpy as np
 import yaml
 
 from .countsim import MAX_MEAN, CountModel
-from .ghost import default_theta_grid, sample_element
+from .ghost import SAMPLE_FAMILIES, default_theta_grid, sample_element
 from .optproj import OptimizationConfig, ProjectorParam
-from .polcalc import PolElement
+from .polcalc import ELEMENT_KINDS, PolElement
 from .qstate import TwoQubitDensity, bell_psi_plus, load_density_csv, werner
 
 
@@ -34,6 +34,9 @@ MAX_CELLS = 2_000_000
 # Objective evaluations of one optimize run, about 8 times the shipped
 # 12,000; restarts may not exceed it either.
 MAX_EVALS = 100_000
+
+# The keys each state kind takes besides ``kind``, all required.
+STATE_KINDS = {"bell_psi_plus": (), "werner": ("p",), "matrix_csv": ("matrix_csv",)}
 
 
 @dataclass
@@ -81,6 +84,29 @@ def _section(node, path: str, allowed: set[str],
     return node
 
 
+def _one_of(names) -> str:
+    names = list(names)
+    return f"{', '.join(names[:-1])} or {names[-1]}"
+
+
+def _kind_section(node, path: str, kinds: dict, fixed: tuple[str, ...] = (),
+                  default: str | None = None) -> tuple[dict, str]:
+    """``node`` as a mapping, and its ``kind``: a key of ``kinds``, or
+    ``default`` when left out (else required).  That kind's keys in
+    ``kinds`` and ``fixed`` are required and any other key is unknown;
+    without a kind any kind's keys pass, so the missing kind is the error."""
+    kind = node.get("kind", default) if isinstance(node, dict) else default
+    if isinstance(node, dict) and "kind" in node and \
+            not (isinstance(kind, str) and kind in kinds):
+        raise ConfigError(f"'{path}.kind' must be {_one_of(kinds)}")
+    keys = kinds[kind] if kind is not None else set().union(*kinds.values())
+    node = _section(node, path, {"kind", *fixed, *keys},
+                    fixed if default else ("kind", *fixed))
+    if any(key not in node for key in keys):
+        raise ConfigError(f"'{path}' with kind {kind} needs {' and '.join(keys)}")
+    return node, kind
+
+
 def _require_list(node, path: str) -> list:
     if not isinstance(node, list):
         raise ConfigError(f"'{path}' must be a list")
@@ -114,29 +140,20 @@ def _boolean(node, path: str) -> bool:
 
 
 def parse_element(node, path: str) -> PolElement:
-    node = _section(node, path, {"kind", "angle_deg", "extinction", "retardance_rad"},
-                    ("kind", "angle_deg"))
-    kwargs = {}
-    if "extinction" in node:
-        kwargs["extinction"] = _number(node["extinction"], f"{path}.extinction")
-    if "retardance_rad" in node:
-        kwargs["retardance_rad"] = _number(
-            node["retardance_rad"], f"{path}.retardance_rad", finite=True
-        )
-    angle = _number(node["angle_deg"], f"{path}.angle_deg", finite=True)
+    node, kind = _kind_section(node, path, ELEMENT_KINDS, ("angle_deg",))
+    # An extinction may be infinite: the partial polarizer is then ideal.
+    values = {key: _number(node[key], f"{path}.{key}", finite=key != "extinction")
+              for key in (*ELEMENT_KINDS[kind], "angle_deg")}
     try:
-        return PolElement(node["kind"], angle, **kwargs)
+        return PolElement(kind, values.pop("angle_deg"), **values)
     except ValueError as exc:
         raise ConfigError(f"'{path}': {exc}") from exc
 
 
 def element_to_dict(element: PolElement) -> dict:
-    out: dict = {"kind": element.kind, "angle_deg": float(element.theta_deg)}
-    if element.extinction is not None:
-        out["extinction"] = float(element.extinction)
-    if element.retardance_rad is not None:
-        out["retardance_rad"] = float(element.retardance_rad)
-    return out
+    params = ELEMENT_KINDS[element.kind]
+    return {"kind": element.kind, "angle_deg": float(element.theta_deg),
+            **{key: float(getattr(element, key)) for key in params}}
 
 
 def _parse_element_chain(node, path: str) -> list[PolElement]:
@@ -149,27 +166,16 @@ def _parse_element_chain(node, path: str) -> list[PolElement]:
 
 
 def _parse_state(node, path: str, base_dir: str) -> TwoQubitDensity:
-    node = _section(node, path, {"kind", "p", "matrix_csv"})
-    kind = node.get("kind", "bell_psi_plus")
+    node, kind = _kind_section(node, path, STATE_KINDS, default="bell_psi_plus")
     if kind == "bell_psi_plus":
-        _section(node, path, {"kind"})
         return bell_psi_plus()
     if kind == "werner":
-        if "p" not in node:
-            raise ConfigError(f"'{path}' with kind werner needs p")
         p = _number(node["p"], f"{path}.p")
-        try:
-            return werner(p)
-        except ValueError as exc:
-            raise ConfigError(f"'{path}.p': {exc}") from exc
-    if kind == "matrix_csv":
-        if "matrix_csv" not in node:
-            raise ConfigError(f"'{path}' with kind matrix_csv needs matrix_csv")
-        try:
-            return load_density_csv(os.path.join(base_dir, str(node["matrix_csv"])))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"'{path}.matrix_csv': {exc}") from exc
-    raise ConfigError(f"'{path}.kind' must be bell_psi_plus, werner or matrix_csv")
+    try:
+        return werner(p) if kind == "werner" else load_density_csv(
+            os.path.join(base_dir, str(node["matrix_csv"])))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"'{path}.{STATE_KINDS[kind][0]}': {exc}") from exc
 
 
 def _parse_thetas(node, path: str) -> np.ndarray:
@@ -205,15 +211,13 @@ def _sample_family(node: dict, path: str) -> tuple[str, PolElement | None]:
     """Family and template element of a sample mapping: ``element`` is
     required for the custom family and refused for the others."""
     family = node.get("family")
-    if family not in ("LP", "QWP", "custom"):
-        raise ConfigError(f"'{path}.family' must be LP, QWP or custom")
-    if family != "custom":
-        if "element" in node:
-            raise ConfigError(f"'{path}.element' is only valid for custom family")
-        return family, None
-    if "element" not in node:
-        raise ConfigError(f"'{path}' custom family needs an element")
-    return family, parse_element(node["element"], f"{path}.element")
+    if not (isinstance(family, str) and family in SAMPLE_FAMILIES):
+        raise ConfigError(f"'{path}.family' must be {_one_of(SAMPLE_FAMILIES)}")
+    custom = SAMPLE_FAMILIES[family] is None
+    if ("element" in node) != custom:
+        raise ConfigError(f"'{path}' custom family needs an element" if custom
+                          else f"'{path}.element' is only valid for custom family")
+    return family, parse_element(node["element"], f"{path}.element") if custom else None
 
 
 def _parse_sample(node, path: str) -> SampleSpec:
@@ -266,6 +270,9 @@ def _parse_tomography(node, path: str, base_dir: str) -> TomographySpec:
         if spec.integration_time <= 0.0:
             raise ConfigError(f"'{path}.integration_time' must be > 0")
     if "records_csv" in node:
+        if spec.integration_time is not None:
+            raise ConfigError(f"'{path}.integration_time' is only valid "
+                              f"without records_csv")
         spec.records_csv = os.path.join(base_dir, str(node["records_csv"]))
     return spec
 
@@ -276,6 +283,8 @@ def _parse_projector_param(node, path: str) -> ProjectorParam:
     qwp = node.get("qwp_deg")
     if qwp is not None:
         qwp = _number(qwp, f"{path}.qwp_deg", finite=True)
+    elif "qwp_first" in node:
+        raise ConfigError(f"'{path}.qwp_first' is only valid with qwp_deg")
     extinction = _number(node.get("extinction", math.inf), f"{path}.extinction")
     if not extinction >= 1.0:
         raise ConfigError(f"'{path}.extinction' must be >= 1")
@@ -341,12 +350,9 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
         "samples", "counting", "tomography", "optimize",
     })
     cfg = ExperimentConfig()
-    if "seed" in data:
-        cfg.seed = _integer(data["seed"], "seed", 0)
-    if "runs" in data:
-        cfg.runs = _integer(data["runs"], "runs", 1)
-    if "conditional" in data:
-        cfg.conditional = _boolean(data["conditional"], "conditional")
+    cfg.seed = _integer(data.get("seed", cfg.seed), "seed", 0)
+    cfg.runs = _integer(data.get("runs", cfg.runs), "runs", 1)
+    cfg.conditional = _boolean(data.get("conditional", cfg.conditional), "conditional")
     if "state" in data:
         cfg.state = _parse_state(data["state"], "state", base_dir)
     if "probe" in data:
@@ -407,13 +413,9 @@ def load_config(path: str) -> ExperimentConfig:
 def settings_fragment(probe: ProjectorParam | None,
                       projectors: tuple[ProjectorParam, ...]) -> str:
     """Best measurement settings as a reusable YAML config fragment."""
-    doc: dict = {}
-    if probe is not None:
-        doc["probe"] = {
-            "elements": [element_to_dict(e) for e in probe.elements()]
-        }
-    doc["projectors"] = [
-        {"elements": [element_to_dict(e) for e in p.elements()]}
-        for p in projectors
-    ]
+    def chain(param: ProjectorParam) -> dict:
+        return {"elements": [element_to_dict(e) for e in param.elements()]}
+
+    doc = {} if probe is None else {"probe": chain(probe)}
+    doc["projectors"] = [chain(p) for p in projectors]
     return yaml.safe_dump(doc, sort_keys=False, default_flow_style=False)

@@ -15,7 +15,7 @@ gives every probability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -160,23 +160,25 @@ def default_theta_grid() -> np.ndarray:
     return np.arange(0.0, 180.0, 1.0)
 
 
+# The element of each sample family; the custom family (None) rotates
+# a template element given with it instead.
+SAMPLE_FAMILIES = {
+    "LP": PolElement("ideal_polarizer", 0.0),
+    "QWP": polcalc.QWP,
+    "custom": None,
+}
+
+
 def sample_element(family: str, theta_deg: float,
                    template: PolElement | None = None) -> PolElement:
     """Concrete sample element of a family at one orientation."""
-    if family == "LP":
-        return PolElement("ideal_polarizer", theta_deg)
-    if family == "QWP":
-        return PolElement("retarder", theta_deg, retardance_rad=np.pi / 2.0)
-    if family == "custom":
-        if template is None:
-            raise ValueError("custom family needs a template element")
-        return PolElement(
-            template.kind,
-            theta_deg,
-            extinction=template.extinction,
-            retardance_rad=template.retardance_rad,
-        )
-    raise ValueError(f"unknown sample family {family!r}")
+    if not (isinstance(family, str) and family in SAMPLE_FAMILIES):
+        raise ValueError(f"unknown sample family {family!r}")
+    base = SAMPLE_FAMILIES[family]
+    if (base is None) == (template is None):
+        raise ValueError("custom family needs a template element" if base is None
+                         else f"{family} family takes no template element")
+    return replace(template if base is None else base, theta_deg=theta_deg)
 
 
 def sweep_family(

@@ -22,17 +22,14 @@ no bounds, no adaptive parameters, no iteration cap, and ``maxfev``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import polcalc
 from .ghost import ProbeTransform, coincidence_probability
-from .polcalc import PolElement
+from .polcalc import QWP, PolElement
 from .qstate import TwoQubitDensity, bell_psi_plus
-
-QWP_RETARDANCE = math.pi / 2.0
-QWP = PolElement("retarder", 0.0, retardance_rad=QWP_RETARDANCE)
 
 
 @dataclass(frozen=True)
@@ -58,8 +55,7 @@ class ProjectorParam:
                             extinction=self.extinction)
         if self.qwp_deg is None:
             return [lp]
-        qwp = PolElement("retarder", self.qwp_deg,
-                         retardance_rad=QWP_RETARDANCE)
+        qwp = replace(QWP, theta_deg=self.qwp_deg)
         return [qwp, lp] if self.qwp_first else [lp, qwp]
 
     def jones(self) -> np.ndarray:

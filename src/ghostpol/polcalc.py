@@ -34,7 +34,10 @@ STOKES_OPS = np.array([
     [[0.0, -1.0j], [1.0j, 0.0]],
 ], dtype=complex)
 
-ELEMENT_KINDS = ("ideal_polarizer", "partial_polarizer", "retarder")
+# The parameters each element kind takes.  An element gives every
+# parameter of its kind and leaves every other one None.
+ELEMENT_KINDS = {"ideal_polarizer": (), "partial_polarizer": ("extinction",),
+                 "retarder": ("retardance_rad",)}
 
 
 @dataclass(frozen=True)
@@ -44,14 +47,14 @@ class PolElement:
     Parameters
     ----------
     kind : str
-        One of ``ideal_polarizer``, ``partial_polarizer``, ``retarder``.
+        A key of :data:`ELEMENT_KINDS`, which lists the parameters the
+        kind takes; every other parameter must be None.
     theta_deg : float
         Axis orientation from the global vertical, reduced modulo 180.
     extinction : float, optional
         Intensity extinction ratio of a partial polarizer, >= 1.
     retardance_rad : float, optional
-        Retardance of a retarder in radians (pi/2 for a quarter-wave
-        plate).
+        Retardance of a retarder in radians.
     """
 
     kind: str
@@ -60,14 +63,20 @@ class PolElement:
     retardance_rad: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ELEMENT_KINDS:
+        if not (isinstance(self.kind, str) and self.kind in ELEMENT_KINDS):
             raise ValueError(f"unknown element kind {self.kind!r}")
-        if self.kind == "partial_polarizer":
-            if self.extinction is None or not self.extinction >= 1.0:
-                raise ValueError("partial_polarizer needs extinction >= 1")
-        if self.kind == "retarder" and self.retardance_rad is None:
-            raise ValueError("retarder needs retardance_rad")
+        for name in ("extinction", "retardance_rad"):
+            given = getattr(self, name) is not None
+            if given != (name in ELEMENT_KINDS[self.kind]):
+                raise ValueError(f"{self.kind} takes no {name}" if given
+                                 else f"{self.kind} needs {name}")
+        if self.kind == "partial_polarizer" and not self.extinction >= 1.0:
+            raise ValueError("partial_polarizer needs extinction >= 1")
         object.__setattr__(self, "theta_deg", float(self.theta_deg) % 180.0)
+
+
+# The quarter-wave plate, axis vertical.
+QWP = PolElement("retarder", 0.0, retardance_rad=np.pi / 2.0)
 
 
 def rotation_jones(theta_deg: float) -> np.ndarray:

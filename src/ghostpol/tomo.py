@@ -182,10 +182,13 @@ def _neg_log_likelihood_and_grad(
 def reconstruct_mle(records: list[TomographyRecord]) -> ReconstructionResult:
     """Maximum-likelihood density matrix from the canonical 16 records.
 
-    The state is parametrized by 16 real Cholesky parameters; the fit
-    maximizes the Poisson log-likelihood of the counts and stops when
-    the largest gradient component falls below 1e-8 or after 10^4
-    iterations.
+    The state is parametrized by 16 real Cholesky parameters, and
+    scipy's L-BFGS-B maximizes the Poisson log-likelihood of the counts.
+    It stops on its relative-reduction test (ftol 1e-15) or after 10^4
+    iterations: its max |grad| <= 1e-8 test is out of reach at realistic
+    count totals.  ``converged`` is scipy's success flag or max |grad|
+    < 1e-8.  ROADMAP.md open item 2 plans a gradient stop scaled by the
+    total counts.
     """
     by_pair = {(r.basis_a, r.basis_b): r.counts for r in records}
     if len(records) != 16 or set(by_pair) != set(CANONICAL_PAIRS):

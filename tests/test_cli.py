@@ -12,6 +12,7 @@ from ghostpol import tomo
 from ghostpol.cli import build_parser, main
 from ghostpol.qstate import bell_psi_plus, save_density_csv, werner
 from test_golden import CASES, FROZEN_WITH, case_argv, output_digests
+from test_polcalc import FOREIGN_PARAMETERS
 
 SWEEP_CONFIG = """
 seed: 5
@@ -125,10 +126,15 @@ def test_unknown_key_is_a_config_error(tmp_path, capsys):
     (OPTIMIZE_CONFIG.replace("family: LP, theta_deg: 45.0",
                              "family: custom, theta_deg: 45.0"),
      "'optimize.samples[1]' custom family needs an element"),
+    (OPTIMIZE_CONFIG.replace("lp_deg: 20.0}", "lp_deg: 20.0, qwp_first: false}"),
+     "'optimize.projectors[0].qwp_first' is only valid with qwp_deg"),
+    (OPTIMIZE_CONFIG + "  probe: {lp_deg: 2.0, qwp_first: true}\n",
+     "'optimize.probe.qwp_first' is only valid with qwp_deg"),
 ], ids=["restarts", "max_evals", "huge_max_evals", "restarts_over_max_evals",
         "restarts_over_default", "projector_extinction", "probe_extinction",
         "seed", "one_sample", "no_projectors", "nan_lp", "infinite_qwp",
-        "nan_sample_theta", "element_on_lp", "custom_without_element"])
+        "nan_sample_theta", "element_on_lp", "custom_without_element",
+        "projector_qwp_first_without_qwp", "probe_qwp_first_without_qwp"])
 def test_bad_optimize_settings_are_config_errors(tmp_path, capsys, text, key):
     cfg = write_config(tmp_path, text)
     assert run(["optimize", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -183,12 +189,20 @@ SWEEP_GRID = "thetas: {start: 0, stop: 180, step: 20}"
      "counting.singles_background"),
     (SWEEP_CONFIG + COUNTING_BLOCK + "tomography: {integration_time: 1.0e+12}\n",
      "tomography.integration_time"),
+    (SWEEP_CONFIG + "state: {kind: werner, p: 0.9, matrix_csv: nan_rho.csv}\n",
+     "unknown key 'state.matrix_csv'"),
+    (SWEEP_CONFIG + "state: {kind: matrix_csv, matrix_csv: nan_rho.csv, p: 0.3}\n",
+     "unknown key 'state.p'"),
+    (SWEEP_CONFIG + "  - {family: custom, element: {kind: retarder, angle_deg: 0, "
+     "retardance_rad: 1.0, extinction: 2.0}}\n",
+     "unknown key 'samples[1].element.extinction'"),
 ], ids=["out_of_range", "negative_start", "decreasing", "empty", "nan_step",
         "infinite_stop", "werner_p", "nan_probe_angle", "infinite_projector_angle",
         "nan_retardance", "nan_extinction", "missing_matrix_csv", "nan_matrix_csv", "tiny_step",
         "huge_runs", "nan_pair_rate", "nan_window", "infinite_pair_rate",
         "nan_integration_time", "huge_pair_rate", "huge_singles",
-        "huge_tomo_integration"])
+        "huge_tomo_integration", "werner_with_matrix_csv", "matrix_csv_with_p",
+        "custom_template_extinction"])
 def test_bad_sweep_settings_are_config_errors(tmp_path, capsys, monkeypatch,
                                               text, key):
     # A grid cap that failed would reach np.arange: refuse such a grid
@@ -210,6 +224,32 @@ def test_bad_sweep_settings_are_config_errors(tmp_path, capsys, monkeypatch,
     assert run(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and key in err
+
+
+@pytest.mark.parametrize("kind, name", FOREIGN_PARAMETERS)
+def test_foreign_element_parameter_is_a_config_error(tmp_path, capsys, kind,
+                                                     name):
+    old = "{kind: ideal_polarizer, angle_deg: 110.0}"
+    own = {"ideal_polarizer": "", "partial_polarizer": ", extinction: 3.0",
+           "retarder": ", retardance_rad: 1.0"}[kind]
+    new = f"{{kind: {kind}, angle_deg: 110.0{own}, {name}: 2.0}}"
+    cfg = write_config(tmp_path, SWEEP_CONFIG.replace(old, new))
+    assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: unknown key 'projectors[1].elements[0].{name}'\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_tomography_integration_time_with_records_is_a_config_error(
+        tmp_path, capsys):
+    tomo.records_to_csv(tomo.expected_records(bell_psi_plus(), 1e6),
+                        str(tmp_path / "given.csv"))
+    cfg = write_config(tmp_path, "tomography: {records_csv: given.csv, "
+                                 "integration_time: 5.0}\n")
+    assert run(["tomo", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: 'tomography.integration_time' is only valid without "
+        "records_csv\n")
 
 
 CUSTOM_SAMPLE = ("  - {family: custom, element: {kind: retarder, angle_deg: 0, "

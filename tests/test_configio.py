@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,9 @@ from ghostpol.configio import (
     settings_fragment,
 )
 from ghostpol.optproj import OptimizationConfig, ProjectorParam
+from ghostpol.polcalc import ELEMENT_KINDS, PolElement
 from ghostpol.qstate import bell_psi_plus, save_density_csv, werner
+from test_polcalc import FOREIGN_PARAMETERS
 
 FULL_CONFIG = """
 seed: 11
@@ -142,6 +145,80 @@ def test_element_parsing_and_errors():
     assert back["extinction"] == 3.7
 
 
+@pytest.mark.parametrize("kind, name", FOREIGN_PARAMETERS)
+def test_element_rejects_a_key_its_kind_does_not_take(kind, name):
+    own = "".join(f", {p}: 2.0" for p in ELEMENT_KINDS[kind])
+    element = f"{{kind: {kind}, angle_deg: 10.0{own}"
+    chain = f"probe: {{elements: [{element}}}]}}\n"
+    assert parse_config_text(chain).probe_elements[0].kind == kind
+    with pytest.raises(ConfigError, match=re.escape(
+            f"unknown key 'probe.elements[0].{name}'")):
+        parse_config_text(chain.replace("}]", f", {name}: 5.0}}]"))
+    # A custom sample template is read as an element too.
+    custom = f"samples: [{{family: custom, element: {element}, {name}: 5.0}}}}]"
+    with pytest.raises(ConfigError, match=re.escape(
+            f"unknown key 'samples[0].element.{name}'")):
+        parse_config_text(custom)
+
+
+def test_element_kind_errors_name_the_key():
+    with pytest.raises(ConfigError, match=re.escape(
+            "'x.kind' must be ideal_polarizer, partial_polarizer or retarder")):
+        parse_element({"kind": "circular_polarizer", "angle_deg": 0.0}, "x")
+    # Kinds and families that YAML reads as lists or mappings are refused
+    # like any other unknown name.
+    for kind in (["retarder"], {"a": 1}, None, 3):
+        with pytest.raises(ConfigError, match=re.escape("'x.kind' must be")):
+            parse_element({"kind": kind, "angle_deg": 0.0}, "x")
+    for family in ("[LP]", "{a: 1}", "null"):
+        with pytest.raises(ConfigError, match="must be LP, QWP or custom"):
+            parse_config_text(f"samples: [{{family: {family}}}]")
+    # Without a kind, the missing kind is the error, not another key.
+    with pytest.raises(ConfigError, match="'x' needs kind and angle_deg"):
+        parse_element({"angle_deg": 0.0, "extinction": 2.0}, "x")
+    with pytest.raises(ConfigError, match=re.escape(
+            "'x' with kind retarder needs retardance_rad")):
+        parse_element({"kind": "retarder", "angle_deg": 0.0}, "x")
+    with pytest.raises(ConfigError, match=re.escape(
+            "'x' with kind partial_polarizer needs extinction")):
+        parse_element({"kind": "partial_polarizer", "angle_deg": 0.0}, "x")
+    # element_to_dict writes kind, angle_deg, then the kind's parameter.
+    for el in (PolElement("ideal_polarizer", 3.0),
+               PolElement("partial_polarizer", 3.0, extinction=2.0),
+               PolElement("retarder", 3.0, retardance_rad=1.0)):
+        assert list(element_to_dict(el)) == ["kind", "angle_deg",
+                                             *ELEMENT_KINDS[el.kind]]
+        assert parse_element(element_to_dict(el), "x") == el
+
+
+def test_element_extinction_may_be_infinite():
+    # Only the extinction may be infinite: the polarizer is then ideal.
+    el = parse_element({"kind": "partial_polarizer", "angle_deg": 0.0,
+                        "extinction": math.inf}, "x")
+    assert el.extinction == math.inf
+    with pytest.raises(ConfigError, match=r"'x\.retardance_rad' must be finite"):
+        parse_element({"kind": "retarder", "angle_deg": 0.0,
+                       "retardance_rad": math.inf}, "x")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("state: {kind: werner, p: 0.9, matrix_csv: rho.csv}",
+     "unknown key 'state.matrix_csv'"),
+    ("state: {kind: matrix_csv, matrix_csv: rho.csv, p: 0.3}",
+     "unknown key 'state.p'"),
+    ("state: {kind: bell_psi_plus, p: 0.3}", "unknown key 'state.p'"),
+    ("state: {matrix_csv: rho.csv}", "unknown key 'state.matrix_csv'"),
+    ("state: {kind: matrix_csv}", "'state' with kind matrix_csv needs matrix_csv"),
+    ("state: {kind: [werner], p: 0.3}",
+     "'state.kind' must be bell_psi_plus, werner or matrix_csv"),
+    ("state: [werner]", "'state' must be a mapping"),
+], ids=["werner_matrix_csv", "matrix_csv_p", "bell_p", "default_matrix_csv",
+        "matrix_csv_missing", "list_kind", "not_a_mapping"])
+def test_state_kind_takes_only_its_keys(text, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config_text(text)
+
+
 def test_state_variants(tmp_path):
     with pytest.raises(ConfigError, match="kind werner needs p"):
         parse_config_text("state: {kind: werner}")
@@ -213,6 +290,32 @@ def test_optimize_rules():
             " {family: LP, theta_deg: 45}]\n projectors: [{lp_deg: 0}]\n"
             " mode: fast\n"
         )
+
+
+def test_tomography_integration_time_needs_simulated_records():
+    assert parse_config_text(
+        "tomography: {records_csv: r.csv}").tomography.integration_time is None
+    with pytest.raises(ConfigError, match=re.escape(
+            "'tomography.integration_time' is only valid without records_csv")):
+        parse_config_text("tomography: {records_csv: r.csv, integration_time: 2}")
+
+
+@pytest.mark.parametrize("setting", [
+    "{lp_deg: 10, qwp_first: false}",
+    "{qwp_deg: null, lp_deg: 10, qwp_first: true}",
+])
+def test_qwp_first_needs_a_waveplate(setting):
+    base = ("optimize:\n samples: [{family: LP, theta_deg: 0},"
+            " {family: LP, theta_deg: 45}]\n")
+    assert parse_config_text(
+        base + " projectors: [{qwp_deg: 3, lp_deg: 10, qwp_first: false}]\n"
+    ).optimize.projectors[0].qwp_first is False
+    with pytest.raises(ConfigError, match=re.escape(
+            "'optimize.projectors[0].qwp_first' is only valid with qwp_deg")):
+        parse_config_text(base + f" projectors: [{setting}]\n")
+    with pytest.raises(ConfigError, match=re.escape(
+            "'optimize.probe.qwp_first' is only valid with qwp_deg")):
+        parse_config_text(base + f" projectors: [{{lp_deg: 0}}]\n probe: {setting}\n")
 
 
 def test_load_config_missing_file(tmp_path):

@@ -85,6 +85,11 @@ def mutated_config(draw):
 @example("samples: [{family: LP, thetas: {stop: -1.0e+20}}]")
 @example("counting: {pair_rate: 1" + "0" * 400 + ", integration_time: 1}")
 @example("[" * 1000)
+@example("state: {kind: werner, p: 0.9, matrix_csv: absent.csv}")
+@example("probe: {elements: [{kind: ideal_polarizer, angle_deg: 0, extinction: 5}]}")
+@example("state: {kind: [werner], p: {a: 1}}")
+@example("probe: {elements: [{kind: {retarder: 1}, angle_deg: 0}]}")
+@example("samples: [{family: [LP]}, {family: {custom: 1}}]")
 @given(st.one_of(
     NODES.map(lambda d: yaml.safe_dump(d, sort_keys=False)),
     mutated_config().map(lambda d: yaml.safe_dump(d, sort_keys=False)),

@@ -3,7 +3,6 @@ import copy
 import numpy as np
 import numpy.testing as npt
 import pytest
-from scipy import special
 
 from ghostpol import discern
 from ghostpol.discern import (
@@ -197,6 +196,9 @@ def test_step_stats_median_equals_numpy_median():
 
 
 def test_t975_table_equals_stdtrit():
+    pytest.importorskip("scipy")
+    from scipy import special
+
     assert len(discern._T975) == 63
     for n in range(2, 66):
         assert discern.t975(n) == float(special.stdtrit(n - 1, 0.975)), n

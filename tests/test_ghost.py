@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from ghostpol import ghost
 from ghostpol.ghost import (
     ProbeTransform,
     ResponseCurve,
@@ -350,6 +351,47 @@ def test_sweep_identity_sample_is_constant():
         template=template,
     )
     npt.assert_allclose(curve.raw, np.full_like(curve.raw, curve.raw[0, 0]), atol=1e-12)
+
+
+def per_family_sample_element(family, theta_deg, template=None):
+    """sample_element as written out per family before the family table."""
+    if family == "LP":
+        return PolElement("ideal_polarizer", theta_deg)
+    if family == "QWP":
+        return PolElement("retarder", theta_deg, retardance_rad=np.pi / 2.0)
+    return PolElement(template.kind, theta_deg, extinction=template.extinction,
+                      retardance_rad=template.retardance_rad)
+
+
+def test_sample_element_equals_per_family_construction():
+    assert list(ghost.SAMPLE_FAMILIES) == ["LP", "QWP", "custom"]
+    thetas = [0.0, 1e-12, 17.3, 90.0, 179.99999999999997, 180.0, 180.5,
+              271.25, 359.9, 360.0, 1000.0, -0.5, -180.0]
+    templates = [PolElement("ideal_polarizer", 33.0),
+                 PolElement("partial_polarizer", 140.0, extinction=3.7),
+                 PolElement("partial_polarizer", 5.0, extinction=np.inf),
+                 PolElement("retarder", 71.0, retardance_rad=0.5),
+                 PolElement("retarder", 0.0, retardance_rad=-7.0)]
+    cases = [("LP", None), ("QWP", None)] + [("custom", t) for t in templates]
+    for family, template in cases:
+        for theta in thetas:
+            new = sample_element(family, theta, template)
+            old = per_family_sample_element(family, theta, template)
+            assert new == old, (family, template, theta)
+            assert new.theta_deg.hex() == old.theta_deg.hex()
+            assert np.array_equal(element_jones(new), element_jones(old))
+
+
+def test_sample_element_rejects_bad_family_or_template():
+    with pytest.raises(ValueError, match="unknown sample family 'HWP'"):
+        sample_element("HWP", 0.0)
+    with pytest.raises(ValueError, match="unknown sample family"):
+        sample_element(["LP"], 0.0)
+    with pytest.raises(ValueError, match="custom family needs a template"):
+        sample_element("custom", 0.0)
+    for family in ("LP", "QWP"):
+        with pytest.raises(ValueError, match=f"{family} family takes no template"):
+            sample_element(family, 0.0, lp(0.0))
 
 
 def test_sweep_closes_loop_over_half_turn():

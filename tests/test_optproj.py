@@ -4,7 +4,6 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
-import scipy.optimize
 
 import os
 
@@ -437,6 +436,8 @@ def test_nearest_feasible_equals_scalar_grid_loop(extinction, qwp_first):
 
 
 def scipy_nelder_mead(fun, x0, maxfev, xatol, fatol):
+    import scipy.optimize
+
     return scipy.optimize.minimize(fun, x0, method="Nelder-Mead", options={
         "maxfev": maxfev, "xatol": xatol, "fatol": fatol})
 
@@ -459,6 +460,7 @@ def random_objective(rng, n):
 
 
 def test_minimize_port_equals_scipy_nelder_mead():
+    pytest.importorskip("scipy")
     rng = np.random.default_rng(2024)
     outcomes = set()
     for case in range(300):
@@ -478,6 +480,7 @@ def test_minimize_port_equals_scipy_nelder_mead():
 
 
 def test_nearest_feasible_equals_scipy_nelder_mead(monkeypatch):
+    pytest.importorskip("scipy")
     targets = [(ProjectorParam(qwp_deg=33.0, lp_deg=121.0).mueller(), math.inf),
                (ProjectorParam(qwp_deg=18.0, lp_deg=110.0, extinction=3.7)
                 .mueller(), 3.7),

@@ -3,6 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from ghostpol.polcalc import (
+    ELEMENT_KINDS,
+    QWP,
     STOKES_OPS,
     PolElement,
     check_passive,
@@ -19,6 +21,14 @@ from ghostpol.polcalc import (
 )
 
 RNG = np.random.default_rng(20240814)
+
+# Every (element kind, parameter the kind does not take) pair.
+FOREIGN_PARAMETERS = [
+    ("ideal_polarizer", "extinction"),
+    ("ideal_polarizer", "retardance_rad"),
+    ("partial_polarizer", "retardance_rad"),
+    ("retarder", "extinction"),
+]
 
 # Reference Mueller matrix of the standard probe settings: ideal
 # polarizer at 90 deg followed by a quarter-wave plate at 62 deg.
@@ -177,6 +187,28 @@ def test_element_rejects_bad_parameters():
         PolElement("retarder", 0.0)
     with pytest.raises(ValueError):
         PolElement("circular_polarizer", 0.0)
+
+
+def test_element_kind_table():
+    assert ELEMENT_KINDS == {"ideal_polarizer": (),
+                             "partial_polarizer": ("extinction",),
+                             "retarder": ("retardance_rad",)}
+    assert QWP == PolElement("retarder", 0.0, retardance_rad=np.pi / 2.0)
+    with pytest.raises(ValueError, match="partial_polarizer needs extinction"):
+        PolElement("partial_polarizer", 0.0)
+    with pytest.raises(ValueError, match="retarder needs retardance_rad"):
+        PolElement("retarder", 0.0)
+    # Kinds that are not strings, such as YAML lists, are unknown too.
+    with pytest.raises(ValueError, match="unknown element kind"):
+        PolElement(["retarder"], 0.0)
+
+
+@pytest.mark.parametrize("kind, name", FOREIGN_PARAMETERS)
+def test_element_rejects_a_parameter_its_kind_does_not_take(kind, name):
+    own = {p: 2.0 for p in ELEMENT_KINDS[kind]}
+    PolElement(kind, 0.0, **own)
+    with pytest.raises(ValueError, match=f"^{kind} takes no {name}$"):
+        PolElement(kind, 0.0, **own, **{name: 2.0})
 
 
 def test_compose_empty_rejected():
