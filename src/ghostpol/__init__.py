@@ -18,7 +18,7 @@ _EXPORTS = {
                "analyze_families analyze_family max_distinguishable_subset "
                "separable step_stats summarize",
     "ghost": "ProbeTransform ResponseCurve coincidence_probability "
-             "heralded_idler normalize_dataset sweep_family",
+             "dataset_scale heralded_idler sweep_family",
     "optproj": "OptimizationConfig OptimizationResult ProjectorParam "
                "nearest_feasible objective_min_separation optimize",
     "polcalc": "PolElement compose element_jones jones_to_mueller "

@@ -70,15 +70,15 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
                     corrected.std(axis=0, ddof=1) / np.sqrt(n) * discern.t975(n)
                 )
         curves = means
-    curves = ghost.normalize_dataset(curves)
-    scale = max(float(np.max(c.raw)) for c in curves)
+    scale = ghost.dataset_scale(c.raw for c in curves)
     for curve in curves:
-        ghost.curve_to_csv(curve, _out_path(out_dir, f"sweep_{curve.family}.csv"))
+        ghost.curve_to_csv(curve, scale,
+                           _out_path(out_dir, f"sweep_{curve.family}.csv"))
         band = bands_by_family.get(curve.family)
         svg = svgplot.curve_chart(
             curve.thetas,
-            curve.normalized,
-            [f"P{j + 1}" for j in range(curve.n_projectors)],
+            curve.raw / scale,
+            [f"P{j + 1}" for j in range(curve.raw.shape[1])],
             f"{curve.family} response",
             bands=None if band is None else band / scale,
         )
@@ -98,9 +98,7 @@ def cmd_discriminate(cfg: ExperimentConfig, out_dir: str) -> int:
             runs, corr, _out_path(out_dir, f"runs_{curve.family}.csv")
         )
         corrected.append(corr)
-    scale = max(float(np.max(c.mean(axis=0))) for c in corrected)
-    if scale <= 0.0:
-        raise ValueError("dataset has no counts to normalize")
+    scale = ghost.dataset_scale(c.mean(axis=0) for c in corrected)
     report = discern.analyze_families([
         discern.analyze_family(curve.family, curve.thetas, corr / scale)
         for curve, corr in zip(curves, corrected)])
@@ -158,6 +156,9 @@ def cmd_tomo(cfg: ExperimentConfig, out_dir: str) -> int:
 def cmd_optimize(cfg: ExperimentConfig, out_dir: str) -> int:
     if cfg.optimize is None:
         raise ConfigError("an optimize section is required")
+    if cfg.conditional:
+        raise ConfigError("'conditional' is not supported by optimize, "
+                          "which scores joint probabilities")
     result = optimize(replace(cfg.optimize, state=cfg.state, seed=cfg.seed))
     _write(out_dir, "best_params.yaml",
            settings_fragment(result.probe, result.projectors))

@@ -15,7 +15,7 @@ import yaml
 
 from .countsim import MAX_MEAN, CountModel
 from .ghost import SAMPLE_FAMILIES, default_theta_grid, sample_element
-from .optproj import OptimizationConfig, ProjectorParam
+from .optproj import OptimizationConfig, ProjectorParam, search_stages
 from .polcalc import ELEMENT_KINDS, PolElement
 from .qstate import TwoQubitDensity, bell_psi_plus, load_density_csv, werner
 
@@ -26,9 +26,9 @@ class ConfigError(ValueError):
 
 # Size caps, checked before anything of that size is allocated: the
 # points of one sample family's theta grid (a 0.01 degree grid over
-# [0, 180)), and the count cells runs x orientations x projectors
-# summed over all families (58 times the 0.25 degree, 8-run,
-# three-projector benchmark).
+# [0, 180)), and the cells of any one array a config asks for, such
+# as runs x orientations x projectors count cells summed over all
+# families (58 times the 0.25 degree, 8-run, three-projector benchmark).
 MAX_THETAS = 18_000
 MAX_CELLS = 2_000_000
 # Objective evaluations of one optimize run, about 8 times the shipped
@@ -333,9 +333,22 @@ def _parse_optimize(node, path: str) -> OptimizationConfig:
     for flag in ("vary_probe", "vary_projectors", "vary_extinction"):
         if flag in node:
             options[flag] = _boolean(node[flag], f"{path}.{flag}")
-    return OptimizationConfig(samples=tuple(samples),
-                              projectors=tuple(projectors), restarts=restarts,
-                              max_evals=max_evals, **options)
+    try:
+        config = OptimizationConfig(tuple(samples), tuple(projectors),
+                                    restarts=restarts, max_evals=max_evals, **options)
+    except ValueError as exc:
+        raise ConfigError(f"'{path}': {exc}") from exc
+    # The objective's pairwise differences, the largest stage's simplex and starts.
+    n = max(rows.size for _, (rows, _) in search_stages(config)[2])
+    for key, cells, what in (
+            ("samples", len(samples) ** 2 * len(projectors),
+             "pairwise cells (samples^2 x projectors)"),
+            ("projectors", (n + 1) * n,
+             "simplex cells ((coordinates + 1) x coordinates)"),
+            ("restarts", restarts * n, "start cells (restarts x coordinates)")):
+        if cells > MAX_CELLS:
+            raise ConfigError(f"'{path}.{key}': {cells} {what} exceed {MAX_CELLS}")
+    return config
 
 
 def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
@@ -383,13 +396,15 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
                                            base_dir)
     if "optimize" in data:
         cfg.optimize = _parse_optimize(data["optimize"], "optimize")
+    n_points = sum(s.thetas.size for s in cfg.samples) * len(cfg.projectors)
+    if cfg.counting is None and n_points > MAX_CELLS:
+        raise ConfigError(f"'projectors': {n_points} response points "
+                          f"(orientations x projectors) exceed {MAX_CELLS}")
     if cfg.counting is not None:
-        n_cells = (cfg.runs * sum(s.thetas.size for s in cfg.samples)
-                   * len(cfg.projectors))
-        if n_cells > MAX_CELLS:
+        if cfg.runs * n_points > MAX_CELLS:
             raise ConfigError(
-                f"'runs': {n_cells} count cells (runs x orientations x "
-                f"projectors) exceed {MAX_CELLS}"
+                f"'runs': {cfg.runs * n_points} count cells (runs x "
+                f"orientations x projectors) exceed {MAX_CELLS}"
             )
         if cfg.tomography is not None:
             spec = cfg.tomography

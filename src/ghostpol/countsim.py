@@ -2,13 +2,13 @@
 
 Randomness is drawn from PCG64 streams spawned from one master seed
 and keyed by index, never by evaluation order.  A repeated-run
-simulation uses one stream per (family, run): its drift, its whole
-(theta, projector) block of counts and its singles, in that fixed
-order.  A run therefore does not depend on how many runs are
-simulated or on which families are simulated with it, but it does
-depend on the whole theta grid and projector set of its family.
-Single counts (``simulate_counts``, used by tomography) draw one
-stream per cell.
+simulation uses one stream per (family, run): its drift, then its
+whole (theta, projector) block of counts.  A run therefore does not
+depend on how many runs are simulated or on which families are
+simulated with it, but it does depend on the whole theta grid and
+projector set of its family.  Single counts (``simulate_counts``, used
+by tomography) draw one stream per cell.  No singles counts are
+drawn: ``singles_background`` enters only through the accidental mean.
 """
 
 from __future__ import annotations
@@ -88,15 +88,11 @@ class CountModel:
 class RunSet:
     """Repeated coincidence measurements over a (theta, projector) grid."""
 
-    family: str
     thetas: np.ndarray
     counts: np.ndarray
-    singles: np.ndarray
-    seed: int
 
     def __post_init__(self) -> None:
         self.counts = np.asarray(self.counts, dtype=float)
-        self.singles = np.asarray(self.singles, dtype=float)
         if self.counts.ndim != 3:
             raise ValueError("counts must be (runs, thetas, projectors)")
         if self.counts.shape[0] < 1 or self.counts.shape[1] < 1:
@@ -104,10 +100,6 @@ class RunSet:
         totals = self.counts.sum(axis=(1, 2))
         if np.any(totals <= 0.0):
             raise ValueError("RunSet contains an all-zero run")
-
-    @property
-    def n_runs(self) -> int:
-        return self.counts.shape[0]
 
 
 def _generator(master_seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
@@ -142,8 +134,7 @@ def simulate_runs(
     Run ``r`` draws from the stream ``(_TAG_RUN, family_tag, r)`` in a
     fixed order: one uniform in [-1, 1) for its multiplicative drift
     factor 1 + a * u (drawn even when a = 0), then the whole
-    (theta, projector) block of Poisson counts in C order, then the two
-    singles counts.
+    (theta, projector) block of Poisson counts in C order.
     """
     if n_runs < 1:
         raise ValueError("need at least one run")
@@ -152,21 +143,12 @@ def simulate_runs(
         raise ValueError("joint probability must lie in [0, 1]")
     p = np.clip(p, 0.0, 1.0)
     accidental = model.accidental_mean()
-    singles_mean = model.singles_background * model.integration_time
     counts = np.empty((n_runs, *p.shape), dtype=float)
-    singles = np.empty((n_runs, 2), dtype=float)
     for r in range(n_runs):
         rng = _generator(seed, (_TAG_RUN, family_tag, r))
         drift = 1.0 + model.drift_amplitude * rng.uniform(-1.0, 1.0)
         counts[r] = rng.poisson(model.signal_mean(p, drift) + accidental)
-        singles[r] = rng.poisson(singles_mean, size=2)
-    return RunSet(
-        family=curve.family,
-        thetas=curve.thetas.copy(),
-        counts=counts,
-        singles=singles,
-        seed=seed,
-    )
+    return RunSet(curve.thetas, counts)
 
 
 def correct_counts(runs: RunSet, model: CountModel) -> np.ndarray:

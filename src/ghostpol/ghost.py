@@ -132,14 +132,12 @@ class ResponseCurve:
     """Responses of one sample family over an orientation grid.
 
     ``raw[t, j]`` is the response of sample orientation ``thetas[t]``
-    under projector ``j``; ``normalized`` is filled by
-    :func:`normalize_dataset` and shares one scale across a dataset.
+    under projector ``j``.
     """
 
     family: str
     thetas: np.ndarray
     raw: np.ndarray
-    normalized: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.thetas = np.asarray(self.thetas, dtype=float)
@@ -150,10 +148,6 @@ class ResponseCurve:
             raise ValueError("theta grid must be strictly increasing")
         if np.any(self.thetas < 0.0) or np.any(self.thetas >= 180.0):
             raise ValueError("theta grid must lie in [0, 180)")
-
-    @property
-    def n_projectors(self) -> int:
-        return self.raw.shape[1]
 
 
 def default_theta_grid() -> np.ndarray:
@@ -209,36 +203,25 @@ def sweep_family(
     return ResponseCurve(family=family, thetas=thetas, raw=raw)
 
 
-def normalize_dataset(curves: list[ResponseCurve]) -> list[ResponseCurve]:
-    """Scale a whole dataset by its single global maximum response."""
-    scale = max(float(np.max(c.raw)) for c in curves)
+def dataset_scale(responses) -> float:
+    """Largest response of a dataset: the one scale that all of its
+    response points are divided by, so that families stay comparable."""
+    scale = max(float(np.max(r)) for r in responses)
     if scale <= 0.0:
         raise ValueError("cannot normalize an all-zero dataset")
-    return [
-        ResponseCurve(
-            family=c.family,
-            thetas=c.thetas.copy(),
-            raw=c.raw.copy(),
-            normalized=c.raw / scale,
-        )
-        for c in curves
-    ]
+    return scale
 
 
-def curve_to_csv(curve: ResponseCurve, path: str) -> None:
-    """Write one curve as CSV: theta, normalized coordinates, raw ones."""
-    n = curve.n_projectors
-    if curve.normalized is None:
-        raise ValueError("normalize the dataset before exporting")
-    header = (
-        ["theta_deg"]
-        + [f"P{j + 1}" for j in range(n)]
-        + [f"raw{j + 1}" for j in range(n)]
-    )
-    lines = [",".join(header)]
+def curve_to_csv(curve: ResponseCurve, scale: float, path: str) -> None:
+    """Write one curve as CSV: theta, the coordinates divided by the
+    dataset ``scale``, then the raw ones."""
+    n = curve.raw.shape[1]
+    normalized = curve.raw / scale
+    lines = [",".join(["theta_deg", *[f"P{j + 1}" for j in range(n)],
+                       *[f"raw{j + 1}" for j in range(n)]])]
     for t in range(curve.thetas.size):
         cells = [f"{curve.thetas[t]:.6g}"]
-        cells += [f"{v:.9g}" for v in curve.normalized[t]]
+        cells += [f"{v:.9g}" for v in normalized[t]]
         cells += [f"{v:.9g}" for v in curve.raw[t]]
         lines.append(",".join(cells))
     with open(path, "w", encoding="utf-8") as fh:

@@ -94,6 +94,9 @@ class OptimizationConfig:
             raise ValueError("mode must be 'joint' or 'sequential'")
         if self.restarts < 1 or self.max_evals < 1:
             raise ValueError("restarts and max_evals must be positive")
+        if not self.vary_projectors and (self.probe is None or not self.vary_probe):
+            raise ValueError("nothing to vary: needs vary_projectors, or a "
+                             "probe with vary_probe")
 
 
 @dataclass
@@ -311,16 +314,11 @@ def _start_points(rows: np.ndarray, n_starts: int, x0: np.ndarray,
     return starts
 
 
-def optimize(config: OptimizationConfig) -> OptimizationResult:
-    """Multi-start maximization of the minimum pairwise separation.
-
-    A stage varies the angles of its columns of the settings table, and
-    their finite extinctions with ``vary_extinction``.  The returned
-    settings never score below the best evaluated start point;
-    ``converged`` reports whether any simplex run terminated within its
-    evaluation budget.
-    """
-    rho = config.state if config.state is not None else bell_psi_plus()
+def search_stages(config: OptimizationConfig) -> tuple[np.ndarray, np.ndarray, list]:
+    """Settings table and ``qwp_first`` flags of a run, the probe first,
+    and its stages: each one's name and the (rows, cols) coordinates it
+    searches, the angles of its columns and, with ``vary_extinction``,
+    their finite extinctions."""
     n_probe = 0 if config.probe is None else 1
     table, qwp_first = settings_table(
         (config.probe,) * n_probe + config.projectors)
@@ -331,23 +329,34 @@ def optimize(config: OptimizationConfig) -> OptimizationResult:
         stages = [("probe", probe_cols), ("projectors", proj_cols)]
     else:
         stages = [("joint", probe_cols | proj_cols)]
-    stages = [(name, varied) for name, varied in stages if varied.any()]
-    if not stages:
-        raise ValueError("nothing to vary")
+    # Angles are finite and a bare polarizer's qwp_deg is NaN, so
+    # isfinite picks its angles and a partial polarizer's extinction.
+    searched = np.isfinite(table)
+    searched[2] &= config.vary_extinction
+    # The transpose lists each setting's entries together; reversed, its
+    # nonzero indices are (rows, cols).
+    return table, qwp_first, [(name, np.nonzero((varied & searched).T)[::-1])
+                              for name, varied in stages if varied.any()]
 
+
+def optimize(config: OptimizationConfig) -> OptimizationResult:
+    """Multi-start maximization of the minimum pairwise separation.
+
+    Each stage of :func:`search_stages` runs in turn from the best
+    settings of the one before.  The returned settings never score
+    below the best evaluated start point; ``converged`` reports whether
+    any simplex run terminated within its evaluation budget.
+    """
+    rho = config.state if config.state is not None else bell_psi_plus()
+    n_probe = 0 if config.probe is None else 1
+    table, qwp_first, stages = search_stages(config)
     samples = sample_jones(config.samples)
     budget = max(1, config.max_evals // len(stages))
     total_evals = 0
     any_converged = False
     trace: list[dict] = []
 
-    for stage_name, varied in stages:
-        # Angles are finite and a bare polarizer's qwp_deg is NaN, so
-        # isfinite picks its angles and a partial polarizer's extinction.
-        searched = varied & np.isfinite(table)
-        searched[2] &= config.vary_extinction
-        cols, rows = np.nonzero(searched.T)  # each setting's coords together
-        coords = (rows, cols)
+    for stage_name, coords in stages:
         base = table
 
         def score(x: np.ndarray) -> float:
@@ -355,7 +364,7 @@ def optimize(config: OptimizationConfig) -> OptimizationResult:
             probe = jones[0] if n_probe else None
             return -objective_min_separation(rho, samples, probe, jones[n_probe:])
 
-        starts = _start_points(rows, config.restarts, base[coords],
+        starts = _start_points(coords[0], config.restarts, base[coords],
                                config.seed)
         per_start = max(1, budget // config.restarts)
         best_x = None

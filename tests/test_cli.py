@@ -93,6 +93,10 @@ def test_unknown_key_is_a_config_error(tmp_path, capsys):
     assert "seeed" in capsys.readouterr().err
 
 
+NOTHING_TO_VARY = ("'optimize': nothing to vary: needs vary_projectors, or a probe "
+                   "with vary_probe")
+
+
 @pytest.mark.parametrize("text, key", [
     (OPTIMIZE_CONFIG.replace("restarts: 4", "restarts: 0"), "optimize.restarts"),
     (OPTIMIZE_CONFIG.replace("max_evals: 300", "max_evals: 0"),
@@ -130,11 +134,18 @@ def test_unknown_key_is_a_config_error(tmp_path, capsys):
      "'optimize.projectors[0].qwp_first' is only valid with qwp_deg"),
     (OPTIMIZE_CONFIG + "  probe: {lp_deg: 2.0, qwp_first: true}\n",
      "'optimize.probe.qwp_first' is only valid with qwp_deg"),
+    (OPTIMIZE_CONFIG + "  vary_projectors: false\n", NOTHING_TO_VARY),
+    (OPTIMIZE_CONFIG + "  probe: {qwp_deg: 1.0, lp_deg: 2.0}\n"
+     "  vary_probe: false\n  vary_projectors: false\n", NOTHING_TO_VARY),
+    (OPTIMIZE_CONFIG + "  mode: sequential\n  vary_projectors: false\n",
+     NOTHING_TO_VARY),
 ], ids=["restarts", "max_evals", "huge_max_evals", "restarts_over_max_evals",
         "restarts_over_default", "projector_extinction", "probe_extinction",
         "seed", "one_sample", "no_projectors", "nan_lp", "infinite_qwp",
         "nan_sample_theta", "element_on_lp", "custom_without_element",
-        "projector_qwp_first_without_qwp", "probe_qwp_first_without_qwp"])
+        "projector_qwp_first_without_qwp", "probe_qwp_first_without_qwp",
+        "nothing_to_vary_joint", "nothing_to_vary_probe_fixed",
+        "nothing_to_vary_sequential"])
 def test_bad_optimize_settings_are_config_errors(tmp_path, capsys, text, key):
     cfg = write_config(tmp_path, text)
     assert run(["optimize", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -427,6 +438,20 @@ def test_optimize_outputs(tmp_path, capsys):
     trace = (out / "trace.csv").read_text().strip().split("\n")
     assert trace[0] == "stage,restart,start_objective,final_objective,n_evals"
     assert len(trace) == 5
+
+
+def test_optimize_refuses_conditional(tmp_path, capsys):
+    # The objective scores joint probabilities only; a herald-conditioned
+    # request is refused rather than ignored.
+    cfg = write_config(tmp_path, OPTIMIZE_CONFIG + "conditional: true\n")
+    out = tmp_path / "opt"
+    assert run(["optimize", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: 'conditional' is not supported by optimize, which "
+        "scores joint probabilities\n")
+    assert not out.exists()
+    cfg = write_config(tmp_path, OPTIMIZE_CONFIG + "conditional: false\n")
+    assert run(["optimize", "--config", cfg, "--out", str(out)]) == 0
 
 
 def test_optimize_best_params_are_loadable(tmp_path):

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+import yaml
 
 from ghostpol import configio
 from ghostpol.configio import (
@@ -356,6 +357,65 @@ def test_size_caps_reject_before_allocating(monkeypatch):
     assert parse_config_text(four_cells_per_run + counting + "runs: 3").runs == 3
     with pytest.raises(ConfigError, match="'runs': 16 count cells"):
         parse_config_text(four_cells_per_run + counting + "runs: 4")
+
+
+def test_response_points_are_capped_without_counting(monkeypatch):
+    monkeypatch.setattr(configio, "MAX_CELLS", 4)
+    lp = "  - {elements: [{kind: ideal_polarizer, angle_deg: 0}]}\n"
+    four_points = ("samples: [{family: LP, thetas: [0, 90]}, "
+                   "{family: QWP, thetas: [0, 90]}]\nprojectors:\n" + lp)
+    assert len(parse_config_text(four_points).projectors) == 1
+    with pytest.raises(ConfigError, match=r"^'projectors': 8 response points "
+                       r"\(orientations x projectors\) exceed 4$"):
+        parse_config_text(four_points + lp)
+    # With counting the runs x orientations x projectors cap applies.
+    counting = "counting: {pair_rate: 1000, integration_time: 1}\nruns: 1\n"
+    with pytest.raises(ConfigError, match="'runs': 8 count cells"):
+        parse_config_text(four_points + lp + counting)
+    monkeypatch.setattr(configio, "MAX_CELLS", 8)
+    assert parse_config_text(four_points + lp + counting).runs == 1
+
+
+OPTIMIZE_SECTION = """
+optimize:
+  samples: [{family: LP, theta_deg: 0}, {family: LP, theta_deg: 45}]
+  projectors: [{qwp_deg: 10, lp_deg: 20, extinction: 50}]
+  restarts: 2
+"""
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("", None),
+    ("  vary_extinction: false\n", None),
+    # The pairwise distances are samples^2 x projectors.
+    ("  samples: [{family: LP, theta_deg: 0}, {family: LP, theta_deg: 45}, "
+     "{family: QWP, theta_deg: 0}]\n",
+     "'optimize.samples': 9 pairwise cells (samples^2 x projectors) exceed 6"),
+    ("  restarts: 4\n",
+     "'optimize.restarts': 8 start cells (restarts x coordinates) exceed 6"),
+    # The finite extinction is a third coordinate only when varied.
+    ("  vary_extinction: true\n", "'optimize.projectors': 12 simplex cells "
+     "((coordinates + 1) x coordinates) exceed 6"),
+    # A joint search holds the probe's and the projectors' coordinates;
+    # a sequential one holds one stage at a time, and a fixed probe none.
+    ("  probe: {qwp_deg: 1, lp_deg: 2}\n", "'optimize.projectors': 20 simplex "
+     "cells ((coordinates + 1) x coordinates) exceed 6"),
+    ("  probe: {qwp_deg: 1, lp_deg: 2}\n  mode: sequential\n", None),
+    ("  probe: {qwp_deg: 1, lp_deg: 2}\n  vary_probe: false\n", None),
+], ids=["base", "extinction_fixed", "samples", "restarts", "extinction_varied",
+        "joint_probe", "sequential_probe", "fixed_probe"])
+def test_optimize_arrays_are_capped(monkeypatch, extra, message):
+    # Two samples, one projector and two angle coordinates make 4
+    # pairwise cells, a 3 x 2 simplex and 2 x 2 start points.
+    monkeypatch.setattr(configio, "MAX_CELLS", 6)
+    node = yaml.safe_load(OPTIMIZE_SECTION)
+    node["optimize"].update(yaml.safe_load(extra) or {})
+    text = yaml.safe_dump(node)
+    if message is None:
+        assert parse_config_text(text).optimize.restarts == node["optimize"]["restarts"]
+    else:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config_text(text)
 
 
 def test_counting_means_are_bounded():

@@ -33,7 +33,8 @@ def reference_runs(curve, model, n_runs, seed, family_tag=0):
     """Each run rebuilt from its own stream, one scalar draw at a time.
 
     Draw order: the drift uniform, the (theta, projector) counts in C
-    order, then the two singles.
+    order, then the two singles that ``simulate_runs`` once drew last
+    and no longer draws: the counts must stay those of that stream.
     """
     n_theta, n_proj = curve.raw.shape
     counts = np.empty((n_runs, n_theta, n_proj))
@@ -143,7 +144,6 @@ def test_runs_are_reproducible_and_schedule_independent():
     a = simulate_runs(curve, model, n_runs=3, seed=21)
     b = simulate_runs(curve, model, n_runs=3, seed=21)
     npt.assert_array_equal(a.counts, b.counts)
-    npt.assert_array_equal(a.singles, b.singles)
     # Extending the schedule must not disturb earlier runs.
     c = simulate_runs(curve, model, n_runs=5, seed=21)
     npt.assert_array_equal(c.counts[:3], a.counts)
@@ -165,7 +165,6 @@ def test_runs_match_per_run_stream_reference(drift):
         runs = simulate_runs(curve, model, n_runs=4, seed=17, family_tag=tag)
         counts, singles = reference_runs(curve, model, 4, 17, family_tag=tag)
         npt.assert_array_equal(runs.counts, counts)
-        npt.assert_array_equal(runs.singles, singles)
 
 
 def test_run_does_not_depend_on_run_count():
@@ -176,7 +175,6 @@ def test_run_does_not_depend_on_run_count():
     for n in (1, 2, 5):
         part = simulate_runs(curve, model, n_runs=n, seed=4, family_tag=1)
         npt.assert_array_equal(part.counts, full.counts[:n])
-        npt.assert_array_equal(part.singles, full.singles[:n])
 
 
 def test_run_and_cell_streams_are_disjoint():
@@ -215,13 +213,8 @@ def test_correction_matches_hand_oracle():
         singles_background=20000.0,
         drift_amplitude=0.1,
     )
-    runs = RunSet(
-        family="LP",
-        thetas=np.array([0.0]),
-        counts=np.array([[[10.0, 2.0]], [[6.0, 1.0]]]),
-        singles=np.zeros((2, 2)),
-        seed=0,
-    )
+    runs = RunSet(thetas=np.array([0.0]),
+                  counts=np.array([[[10.0, 2.0]], [[6.0, 1.0]]]))
     npt.assert_allclose(correct_counts(runs, model), CORRECTION_ORACLE, atol=1e-12)
 
 
@@ -237,13 +230,7 @@ def test_correction_removes_drift():
 
 
 def test_correction_error_cases():
-    runs = RunSet(
-        family="LP",
-        thetas=np.array([0.0]),
-        counts=np.array([[[4.0]]]),
-        singles=np.zeros((1, 2)),
-        seed=0,
-    )
+    runs = RunSet(thetas=np.array([0.0]), counts=np.array([[[4.0]]]))
     dead = CountModel(pair_rate=1.0, integration_time=1.0, eff_signal=0.0)
     with pytest.raises(ValueError):
         correct_counts(runs, dead)
@@ -259,11 +246,11 @@ def test_correction_error_cases():
 
 def test_runset_validation():
     with pytest.raises(ValueError):
-        RunSet("LP", np.array([0.0]), np.zeros((2, 1)), np.zeros((2, 2)), 0)
+        RunSet(np.array([0.0]), np.zeros((2, 1)))
     with pytest.raises(ValueError):
-        RunSet("LP", np.array([0.0]), np.zeros((2, 1, 1)), np.zeros((2, 2)), 0)
-    ok = RunSet("LP", np.array([0.0]), np.ones((2, 1, 1)), np.zeros((2, 2)), 0)
-    assert ok.n_runs == 2
+        RunSet(np.array([0.0]), np.zeros((2, 1, 1)))
+    ok = RunSet(np.array([0.0]), np.ones((2, 1, 1)))
+    assert ok.counts.shape[0] == 2
 
 
 def test_runset_csv_layout(tmp_path):
@@ -292,7 +279,7 @@ def test_runset_csv_matches_reference_writer(tmp_path):
         corrected = counts * rng.lognormal(0.0, 3.0, counts.shape)
         corrected.flat[::5] = 0.0
         corrected.flat[-1] = 1e-300
-        runs = RunSet("LP", thetas, counts, np.zeros((n_runs, 2)), 0)
+        runs = RunSet(thetas, counts)
         runset_to_csv(runs, corrected, path)
         with open(path, encoding="utf-8") as fh:
             assert fh.read() == reference_csv(runs, corrected)

@@ -9,9 +9,9 @@ from ghostpol.ghost import (
     UnheraldableError,
     coincidence_probability,
     curve_to_csv,
+    dataset_scale,
     default_theta_grid,
     heralded_idler,
-    normalize_dataset,
     sample_element,
     sweep_family,
 )
@@ -434,24 +434,25 @@ def test_curve_grid_validation():
 def test_normalize_dataset_shares_one_scale():
     c1 = ResponseCurve("LP", np.array([0.0, 10.0]), np.array([[0.2], [0.4]]))
     c2 = ResponseCurve("QWP", np.array([0.0, 10.0]), np.array([[0.1], [0.8]]))
-    n1, n2 = normalize_dataset([c1, c2])
-    assert abs(np.max(n2.normalized) - 1.0) < 1e-15
-    npt.assert_allclose(n1.normalized, c1.raw / 0.8, atol=1e-15)
-    assert np.max(n1.normalized) <= 1.0
+    scale = dataset_scale(c.raw for c in (c1, c2))
+    assert scale == 0.8
+    assert abs(np.max(c2.raw / scale) - 1.0) < 1e-15
+    npt.assert_allclose(c1.raw / scale, c1.raw / 0.8, atol=1e-15)
+    assert np.max(c1.raw / scale) <= 1.0
 
 
 def test_normalize_rejects_all_zero():
     c = ResponseCurve("LP", np.array([0.0]), np.zeros((1, 2)))
     with pytest.raises(ValueError):
-        normalize_dataset([c])
+        dataset_scale([c.raw])
 
 
 def test_curve_csv_layout(tmp_path):
     projs = [element_jones(lp(a)) for a in (7.5, 110.0, 34.0)]
     curve = sweep_family(bell_psi_plus(), "LP", projs)
-    curve = normalize_dataset([curve])[0]
+    scale = dataset_scale([curve.raw])
     path = str(tmp_path / "curve.csv")
-    curve_to_csv(curve, path)
+    curve_to_csv(curve, scale, path)
     lines = open(path).read().strip().split("\n")
     assert lines[0] == "theta_deg,P1,P2,P3,raw1,raw2,raw3"
     assert len(lines) == 181
