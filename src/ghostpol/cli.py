@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import countsim, discern, ghost, polcalc, qstate, svgplot
+from . import countsim, discern, ghost, polcalc, qstate, svgplot, tomo
 from .configio import ConfigError, ExperimentConfig, load_config, settings_fragment
 from .optproj import optimize
 
@@ -120,8 +120,6 @@ def cmd_discriminate(cfg: ExperimentConfig, out_dir: str) -> int:
 
 
 def cmd_tomo(cfg: ExperimentConfig, out_dir: str) -> int:
-    from . import tomo
-
     spec = cfg.tomography
     if spec is not None and spec.records_csv is not None:
         try:
@@ -206,9 +204,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         if args.command == "tomo":
-            # Only the tomography fit needs scipy; load it with the
-            # package, before the config, and for this command alone.
-            from . import tomo  # noqa: F401
+            # Only the tomography fit needs scipy, and it imports it when
+            # called; load it before the config, and for this command alone.
+            import scipy.optimize  # noqa: F401
         cfg = load_config(args.config)
         if args.seed is not None:
             if args.seed < 0:

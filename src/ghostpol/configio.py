@@ -48,10 +48,9 @@ class SampleSpec:
 
 @dataclass
 class TomographySpec:
-    integration_time: float | None = None
     records_csv: str | None = None
-    # The counting model with integration_time applied; set and checked
-    # by parse_config_text when a counting section is present.
+    # The counting model with tomography.integration_time applied; None
+    # without a counting section.
     model: CountModel | None = None
 
 
@@ -261,18 +260,21 @@ def _check_means(model: CountModel, key: str | None = None) -> None:
             )
 
 
-def _parse_tomography(node, path: str, base_dir: str) -> TomographySpec:
+def _parse_tomography(node, path: str, base_dir: str,
+                      counting: CountModel | None) -> TomographySpec:
     node = _section(node, path, {"integration_time", "records_csv"})
-    spec = TomographySpec()
+    spec = TomographySpec(model=counting)
     if "integration_time" in node:
-        spec.integration_time = _number(node["integration_time"],
-                                        f"{path}.integration_time", finite=True)
-        if spec.integration_time <= 0.0:
-            raise ConfigError(f"'{path}.integration_time' must be > 0")
+        key = f"{path}.integration_time"
+        integration_time = _number(node["integration_time"], key, finite=True)
+        if integration_time <= 0.0:
+            raise ConfigError(f"'{key}' must be > 0")
+        if "records_csv" in node:
+            raise ConfigError(f"'{key}' is only valid without records_csv")
+        if counting is not None:
+            spec.model = replace(counting, integration_time=integration_time)
+            _check_means(spec.model, key)
     if "records_csv" in node:
-        if spec.integration_time is not None:
-            raise ConfigError(f"'{path}.integration_time' is only valid "
-                              f"without records_csv")
         spec.records_csv = os.path.join(base_dir, str(node["records_csv"]))
     return spec
 
@@ -393,7 +395,7 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
         cfg.counting = _parse_counting(data["counting"], "counting")
     if "tomography" in data:
         cfg.tomography = _parse_tomography(data["tomography"], "tomography",
-                                           base_dir)
+                                           base_dir, cfg.counting)
     if "optimize" in data:
         cfg.optimize = _parse_optimize(data["optimize"], "optimize")
     n_points = sum(s.thetas.size for s in cfg.samples) * len(cfg.projectors)
@@ -406,13 +408,6 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
                 f"'runs': {cfg.runs * n_points} count cells (runs x "
                 f"orientations x projectors) exceed {MAX_CELLS}"
             )
-        if cfg.tomography is not None:
-            spec = cfg.tomography
-            spec.model = cfg.counting
-            if spec.integration_time is not None:
-                spec.model = replace(cfg.counting,
-                                     integration_time=spec.integration_time)
-                _check_means(spec.model, "tomography.integration_time")
     return cfg
 
 

@@ -57,6 +57,9 @@ class ProbeTransform:
         if shape[-2:] != (2, 2) or len(shape) > 3 or \
                 any(k.shape != shape for k in ops):
             raise ValueError("Kraus operators must be 2x2 (or equal stacks)")
+        # eigvalsh returns finite values for a NaN matrix.
+        if not all(np.isfinite(k).all() for k in ops):
+            raise ValueError("Kraus operators must be finite")
         effect = sum(_dagger(k) @ k for k in ops)
         eigmax = np.max(np.linalg.eigvalsh(effect)[..., -1], initial=0.0)
         if eigmax > 1.0 + KRAUS_SUM_TOL:

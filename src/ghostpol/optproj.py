@@ -47,6 +47,14 @@ class ProjectorParam:
     extinction: float = math.inf
     qwp_first: bool = True
 
+    def __post_init__(self) -> None:
+        for name in ("qwp_deg", "lp_deg"):
+            angle = getattr(self, name)
+            if angle is not None and not math.isfinite(angle):
+                raise ValueError(f"{name} must be finite")
+        if not self.extinction >= 1.0:
+            raise ValueError("extinction must be >= 1")
+
     def elements(self) -> list[PolElement]:
         if math.isinf(self.extinction):
             lp = PolElement("ideal_polarizer", self.lp_deg)

@@ -151,13 +151,17 @@ def compose(elements: list | tuple) -> np.ndarray:
 
 
 def check_passive(jones: np.ndarray) -> None:
-    """Raise if ``jones`` (one matrix or a stack) amplifies light.
+    """Raise if ``jones`` (one matrix or a stack) amplifies light or is
+    not finite.
 
     A matrix amplifies when its largest singular value exceeds
     1 + ``PASSIVITY_TOL``;
     a stack is checked in one batched SVD.
     """
-    sv = np.linalg.svd(np.asarray(jones, dtype=complex), compute_uv=False)
+    jones = np.asarray(jones, dtype=complex)
+    if not np.isfinite(jones).all():
+        raise ValueError("Jones matrix must be finite")
+    sv = np.linalg.svd(jones, compute_uv=False)
     smax = np.max(sv[..., 0], initial=0.0)
     if smax > 1.0 + PASSIVITY_TOL:
         raise ValueError(f"non-passive Jones matrix, max singular value {smax}")

@@ -3,7 +3,9 @@
 The measurement set is the canonical 16-pair combination of single
 photon analysis states drawn from {H, V, D, A, L, R}, and the
 reconstruction is a maximum-likelihood fit of a Cholesky-parametrized
-density matrix against Poisson-distributed coincidence counts.
+density matrix against Poisson-distributed coincidence counts.  Only
+the fit needs scipy, and it imports it when called, so the records and
+their CSV files work without it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .countsim import CountModel, simulate_counts
 from .qstate import TwoQubitDensity
@@ -196,6 +197,7 @@ def reconstruct_mle(records: list[TomographyRecord]) -> ReconstructionResult:
     counts = np.array([by_pair[p] for p in CANONICAL_PAIRS], dtype=float)
     if counts.sum() <= 0.0:
         raise ValueError("all-zero counts cannot be reconstructed")
+    from scipy.optimize import minimize
 
     pair_mat = np.array([pair_vector(a, b) for a, b in CANONICAL_PAIRS])
     rho0 = _linear_inversion(counts, pair_mat)

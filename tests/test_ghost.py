@@ -183,6 +183,31 @@ def test_probe_transform_validation():
     ProbeTransform((np.diag([0.7, 0.0]), np.diag([0.0, 0.7])))
 
 
+NON_FINITE = [np.diag([np.nan, 1.0]), np.diag([np.inf, 0.5]),
+              np.array([[0.5, 0.0], [np.nan, 0.5]]),
+              np.stack([np.eye(2), np.diag([1.0, np.nan])])]
+
+
+@pytest.mark.parametrize("op", NON_FINITE)
+def test_non_finite_signal_operator_is_a_value_error(op):
+    # eigvalsh of a NaN effect returns finite values, so the Kraus-sum
+    # bound alone would accept it and every probability would be NaN.
+    with pytest.raises(ValueError, match="Kraus operators must be finite"):
+        ProbeTransform((op,))
+    with pytest.raises(ValueError, match="Kraus operators must be finite"):
+        ProbeTransform((np.zeros_like(op), op))
+
+
+@pytest.mark.parametrize("op", NON_FINITE)
+def test_non_finite_idler_projector_is_a_value_error(op):
+    # The SVD of the passivity check fails on NaN with LinAlgError.
+    probe = ProbeTransform.from_jones(element_jones(lp(0.0), np.array([0.0, 30.0])))
+    with pytest.raises(ValueError, match="Jones matrix must be finite"):
+        coincidence_probability(bell_psi_plus(), probe, op)
+    with pytest.raises(ValueError, match="Jones matrix must be finite"):
+        check_passive(op)
+
+
 def test_kraus_bound_rejects_every_non_passive_jones():
     # from_jones relies on the Kraus-sum bound alone: lambda_max(J^dagger J)
     # is the squared largest singular value, so every matrix that

@@ -290,6 +290,23 @@ def test_config_validation():
         toy_config(restarts=0)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"qwp_deg": None, "lp_deg": math.nan}, "lp_deg must be finite"),
+    ({"qwp_deg": 10.0, "lp_deg": math.inf}, "lp_deg must be finite"),
+    ({"qwp_deg": math.nan, "lp_deg": 10.0}, "qwp_deg must be finite"),
+    ({"qwp_deg": -math.inf, "lp_deg": 10.0}, "qwp_deg must be finite"),
+    ({"qwp_deg": None, "lp_deg": 10.0, "extinction": 0.5}, "extinction must be >= 1"),
+    ({"qwp_deg": None, "lp_deg": 10.0, "extinction": math.nan},
+     "extinction must be >= 1"),
+], ids=["nan_lp", "inf_lp", "nan_qwp", "inf_qwp", "low_extinction", "nan_extinction"])
+def test_projector_param_validates_itself(kwargs, message):
+    # A NaN qwp_deg would read as "no waveplate" in the settings table,
+    # and the others would fail only at the first evaluation.
+    with pytest.raises(ValueError, match=message):
+        ProjectorParam(**kwargs)
+    ProjectorParam(qwp_deg=None, lp_deg=10.0, extinction=1.0)
+
+
 def test_optimize_finds_full_separation():
     # The one-parameter landscape sin^2(x), sin^2(x+45) has its best
     # normalized separation 1.0 at x = 0 and x = 135.

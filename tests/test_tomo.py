@@ -22,6 +22,15 @@ from ghostpol.tomo import (
 
 RNG = np.random.default_rng(2024)
 
+try:
+    import scipy.optimize  # noqa: F401
+    HAVE_SCIPY = True
+except ImportError:
+    HAVE_SCIPY = False
+# Only the maximum-likelihood fit imports scipy; the rest of tomo runs
+# without it.
+needs_scipy = pytest.mark.skipif(not HAVE_SCIPY, reason="reconstruct_mle needs scipy")
+
 
 def random_density():
     g = RNG.normal(size=(4, 4)) + 1.0j * RNG.normal(size=(4, 4))
@@ -92,6 +101,7 @@ def test_simulate_tomography_deterministic():
     assert [r.counts for r in a] != [r.counts for r in c]
 
 
+@needs_scipy
 def test_mle_recovers_bell_state_from_clean_counts():
     result = reconstruct_mle(expected_records(bell_psi_plus(), 1e6))
     assert result.converged
@@ -99,6 +109,7 @@ def test_mle_recovers_bell_state_from_clean_counts():
     assert np.max(np.abs(result.rho.matrix - bell_psi_plus().matrix)) < 1e-3
 
 
+@needs_scipy
 def test_mle_recovers_mixed_state_from_clean_counts():
     rho = werner(0.92)
     result = reconstruct_mle(expected_records(rho, 1e6))
@@ -107,6 +118,7 @@ def test_mle_recovers_mixed_state_from_clean_counts():
     assert abs(concurrence(result.rho) - concurrence(rho)) < 1e-3
 
 
+@needs_scipy
 def test_mle_respects_slot_order():
     # A product state pins the reconstruction to one basis slot, which
     # would move if the two analyzer labels were swapped anywhere.
@@ -136,6 +148,7 @@ def test_cholesky_layout_matches_slot_table():
     assert np.array_equal(_params_from_t(ref), params)
 
 
+@needs_scipy
 def test_mle_from_noisy_counts_lands_near_truth():
     truth = werner(0.92)
     model = CountModel(pair_rate=1e6, integration_time=1.0)
@@ -146,6 +159,7 @@ def test_mle_from_noisy_counts_lands_near_truth():
         assert abs(concurrence(result.rho) - concurrence(truth)) < 0.02
 
 
+@needs_scipy
 def test_mle_survives_degenerate_flux_block():
     # Zero counts in the four flux-normalizing slots force the fallback
     # initial guess; the fit must still return a valid state.
