@@ -31,8 +31,9 @@ class ConfigError(ValueError):
 # families (58 times the 0.25 degree, 8-run, three-projector benchmark).
 MAX_THETAS = 18_000
 MAX_CELLS = 2_000_000
-# Objective evaluations of one optimize run, about 8 times the shipped
-# 12,000; restarts may not exceed it either.
+# Largest max_evals, about 8 times the shipped 12,000; restarts may not
+# exceed it either.  A run scores at most 4 x max_evals points: see
+# optproj.optimize for the formula.
 MAX_EVALS = 100_000
 
 # The keys each state kind takes besides ``kind``, all required.
@@ -244,13 +245,12 @@ def _check_means(model: CountModel, key: str | None = None) -> None:
     """Reject a model whose Poisson means could exceed ``MAX_MEAN``.
 
     Each term of the largest cell mean, signal_mean(1) * (1 + drift) +
-    accidental_mean(), and the singles mean are checked on their own and
-    reported under ``key``, or else under the counting key that sets them.
+    accidental_mean(), is checked on its own and reported under ``key``,
+    or else under the counting key that sets it; no singles are drawn.
     """
     terms = (
         ("pair_rate", model.signal_mean(1.0, 1.0 + model.drift_amplitude)),
         ("coincidence_window", model.accidental_mean()),
-        ("singles_background", model.singles_background * model.integration_time),
     )
     for name, mean in terms:
         if not mean <= MAX_MEAN:

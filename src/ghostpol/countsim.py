@@ -26,9 +26,9 @@ from .ghost import ResponseCurve
 _TAG_CELL = 1
 _TAG_RUN = 3
 
-# Largest Poisson mean a config may ask for, per term of a cell mean and
-# for the singles.  numpy's sampler refuses means above about 9.2e18,
-# and counts stay exact integers in float64 arrays below 2**53 ~ 9.0e15.
+# Largest Poisson mean a config may ask for, per term of a cell mean.
+# numpy's sampler refuses means above about 9.2e18, and counts stay
+# exact integers in float64 arrays below 2**53 ~ 9.0e15.
 MAX_MEAN = 1e15
 
 

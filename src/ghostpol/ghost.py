@@ -8,9 +8,9 @@ effect E = sum_k K_k^dagger K_k and an idler projector J through
 F = J^dagger J, so a coincidence probability is p = tr[rho (E (x) F)],
 the herald is tr[rho (E (x) I)] and the unnormalized idler state is
 Tr_s[(E (x) I) rho].  Probe-arm chains and idler projectors may come
-as (n, 2, 2) stacks; the Kraus-sum bound (probe arm) and passivity
-(projectors) are then checked once per stack, and one contraction
-gives every probability.
+as (n, 2, 2) stacks; :func:`polcalc.passive_effect` forms each arm's
+effect once per stack and bounds its eigenvalues by 1 (passive optics
+do not amplify light), and one contraction gives every probability.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from . import polcalc
 from .polcalc import PolElement
 from .qstate import TwoQubitDensity
 
-KRAUS_SUM_TOL = 1e-9
 HERALD_EPS = 1e-15
 
 
@@ -42,8 +41,8 @@ class ProbeTransform:
     Each Kraus operator is a 2x2 matrix, or an (n, 2, 2) stack that
     describes n probe-arm transforms at once (one per sweep
     orientation).  ``effect`` is E = sum_k K_k^dagger K_k, with the
-    shape of one operator; it is computed and checked against the
-    trace-nonincreasing bound once, on construction.
+    shape of one operator; :func:`polcalc.passive_effect` forms and
+    checks it once, on construction.
     """
 
     kraus: tuple[np.ndarray, ...]
@@ -57,20 +56,12 @@ class ProbeTransform:
         if shape[-2:] != (2, 2) or len(shape) > 3 or \
                 any(k.shape != shape for k in ops):
             raise ValueError("Kraus operators must be 2x2 (or equal stacks)")
-        # eigvalsh returns finite values for a NaN matrix.
-        if not all(np.isfinite(k).all() for k in ops):
-            raise ValueError("Kraus operators must be finite")
-        effect = sum(_dagger(k) @ k for k in ops)
-        eigmax = np.max(np.linalg.eigvalsh(effect)[..., -1], initial=0.0)
-        if eigmax > 1.0 + KRAUS_SUM_TOL:
-            raise ValueError("Kraus operators exceed trace-nonincreasing bound")
         object.__setattr__(self, "kraus", ops)
-        object.__setattr__(self, "effect", effect)
+        object.__setattr__(self, "effect",
+                           polcalc.passive_effect(ops, "Kraus operators"))
 
     @classmethod
     def from_jones(cls, jones: np.ndarray) -> "ProbeTransform":
-        # No separate passivity check: the Kraus-sum bound on J^dagger J
-        # is the squared largest singular value, so it rejects as much.
         return cls((np.asarray(jones, dtype=complex),))
 
     @classmethod
@@ -114,11 +105,10 @@ def coincidence_probability(
     probability is divided by its herald probability; conditioning on
     a herald of probability ~0 raises :class:`UnheraldableError`.
     """
-    j = np.asarray(idler_jones, dtype=complex)
-    polcalc.check_passive(j)
+    f = polcalc.check_passive(idler_jones)
     e = probe.effect
     p = np.einsum("abcd,ica,jdb->ij", rho.matrix.reshape(2, 2, 2, 2),
-                  e.reshape(-1, 2, 2), (_dagger(j) @ j).reshape(-1, 2, 2))
+                  e.reshape(-1, 2, 2), f.reshape(-1, 2, 2))
     p = np.maximum(p.real, 0.0)
     if conditional:
         _, herald = heralded_idler(rho, probe)
@@ -126,7 +116,7 @@ def coincidence_probability(
         if np.any(herald <= HERALD_EPS):
             raise UnheraldableError("herald probability is zero")
         p = p / herald
-    p = p.reshape(e.shape[:-2] + j.shape[:-2])
+    p = p.reshape(e.shape[:-2] + f.shape[:-2])
     return float(p) if p.ndim == 0 else p
 
 

@@ -354,6 +354,11 @@ def optimize(config: OptimizationConfig) -> OptimizationResult:
     settings of the one before.  The returned settings never score
     below the best evaluated start point; ``converged`` reports whether
     any simplex run terminated within its evaluation budget.
+
+    ``max_evals`` bounds the simplex runs, not the scored points: each
+    restart of each stage scores its start point, then runs a simplex on
+    share = max(1, max_evals // (stages * restarts)) evaluations, so a
+    run scores at most stages * restarts * (1 + share) points.
     """
     rho = config.state if config.state is not None else bell_psi_plus()
     n_probe = 0 if config.probe is None else 1

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # Tolerances for physicality checks.
-PASSIVITY_TOL = 1e-9
+EFFECT_TOL = 1e-9
 CHOI_PSD_TOL = 1e-9
 
 # Operators sigma_i with S_i = tr(sigma_i C) for a coherency matrix C,
@@ -150,21 +150,29 @@ def compose(elements: list | tuple) -> np.ndarray:
     return total
 
 
-def check_passive(jones: np.ndarray) -> None:
-    """Raise if ``jones`` (one matrix or a stack) amplifies light or is
-    not finite.
+def passive_effect(ops, what: str) -> np.ndarray:
+    """Effect E = sum_k K_k^dagger K_k of the operators ``ops``.
 
-    A matrix amplifies when its largest singular value exceeds
-    1 + ``PASSIVITY_TOL``;
-    a stack is checked in one batched SVD.
+    ``ops`` are 2x2 matrices or equal (n, 2, 2) stacks, and E has the
+    shape of one of them.  Raises ``ValueError``, naming the operators
+    as ``what``, if one is not finite or if E amplifies light: its
+    largest eigenvalue, over a stack too, exceeds 1 + ``EFFECT_TOL``.
     """
-    jones = np.asarray(jones, dtype=complex)
-    if not np.isfinite(jones).all():
-        raise ValueError("Jones matrix must be finite")
-    sv = np.linalg.svd(jones, compute_uv=False)
-    smax = np.max(sv[..., 0], initial=0.0)
-    if smax > 1.0 + PASSIVITY_TOL:
-        raise ValueError(f"non-passive Jones matrix, max singular value {smax}")
+    # Checked before any product: inf * 0 would warn inside matmul.
+    if not all(np.isfinite(k).all() for k in ops):
+        raise ValueError(f"{what} must be finite")
+    effect = sum(k.conj().swapaxes(-1, -2) @ k for k in ops)
+    eigmax = np.max(np.linalg.eigvalsh(effect)[..., -1], initial=0.0)
+    if eigmax > 1.0 + EFFECT_TOL:
+        raise ValueError(f"non-passive {what}, largest effect eigenvalue {eigmax}")
+    return effect
+
+
+def check_passive(jones: np.ndarray) -> np.ndarray:
+    """Effect J^dagger J of ``jones`` (one matrix or a stack), checked
+    by :func:`passive_effect`: the squared largest singular value of
+    each matrix may not exceed 1 + ``EFFECT_TOL``."""
+    return passive_effect((np.asarray(jones, dtype=complex),), "Jones matrix")
 
 
 def jones_to_mueller(jones: np.ndarray) -> np.ndarray:
@@ -192,17 +200,6 @@ def coherency_from_stokes(stokes: np.ndarray) -> np.ndarray:
     """Coherency matrix C with tr(sigma_i C) = S_i."""
     s = np.asarray(stokes, dtype=float).reshape(4)
     return 0.5 * np.tensordot(s, STOKES_OPS, 1)
-
-
-def validate_mueller(m: np.ndarray) -> None:
-    """Check the gross passivity structure of a Mueller matrix."""
-    m = np.asarray(m, dtype=float)
-    if m.shape != (4, 4):
-        raise ValueError("Mueller matrix must be 4x4")
-    if m[0, 0] < -PASSIVITY_TOL:
-        raise ValueError("Mueller matrix has negative total transmission")
-    if np.any(np.abs(m) > m[0, 0] + PASSIVITY_TOL):
-        raise ValueError("Mueller matrix entry exceeds M[0][0]")
 
 
 def mueller_to_choi(m: np.ndarray) -> tuple[np.ndarray, bool]:

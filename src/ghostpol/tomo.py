@@ -11,6 +11,7 @@ their CSV files work without it.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,8 +224,12 @@ def reconstruct_mle(records: list[TomographyRecord]) -> ReconstructionResult:
     rho = t.conj().T @ t
     rho = rho / np.real(np.trace(rho))
     grad_norm = float(np.max(np.abs(res.jac)))
+    # T^dagger T is PSD: its round-off is clipped without a warning.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "clipping negative eigenvalues")
+        rho = TwoQubitDensity(rho)
     return ReconstructionResult(
-        rho=TwoQubitDensity(rho),
+        rho=rho,
         log_likelihood=-float(res.fun),
         iterations=int(res.nit),
         converged=bool(res.success or grad_norm < GRADIENT_TOL),

@@ -195,9 +195,6 @@ SWEEP_GRID = "thetas: {start: 0, stop: 180, step: 20}"
      "counting.integration_time"),
     (SWEEP_CONFIG + COUNTING_BLOCK.replace("200000", "1.0e+300"),
      "counting.pair_rate"),
-    (SWEEP_CONFIG + COUNTING_BLOCK.replace("3.0e-9", "0")
-     .replace("20000\n", "1.0e+16\n"),
-     "counting.singles_background"),
     (SWEEP_CONFIG + COUNTING_BLOCK + "tomography: {integration_time: 1.0e+12}\n",
      "tomography.integration_time"),
     (SWEEP_CONFIG + "state: {kind: werner, p: 0.9, matrix_csv: nan_rho.csv}\n",
@@ -211,7 +208,7 @@ SWEEP_GRID = "thetas: {start: 0, stop: 180, step: 20}"
         "infinite_stop", "werner_p", "nan_probe_angle", "infinite_projector_angle",
         "nan_retardance", "nan_extinction", "missing_matrix_csv", "nan_matrix_csv", "tiny_step",
         "huge_runs", "nan_pair_rate", "nan_window", "infinite_pair_rate",
-        "nan_integration_time", "huge_pair_rate", "huge_singles",
+        "nan_integration_time", "huge_pair_rate",
         "huge_tomo_integration", "werner_with_matrix_csv", "matrix_csv_with_p",
         "custom_template_extinction"])
 def test_bad_sweep_settings_are_config_errors(tmp_path, capsys, monkeypatch,
@@ -389,6 +386,20 @@ def test_discriminate_outputs(tmp_path, capsys):
     report = (out / "report.csv").read_text().strip().split("\n")
     assert report[0].startswith("family,theta_deg,kept,cross_excluded")
     assert len(report) == 10
+
+
+def test_singles_without_window_reach_no_output(tmp_path):
+    # No singles are drawn: with no coincidence window there are no
+    # accidentals either, so the singles rate changes nothing.
+    outs = []
+    for rate in ("0", "1.0e+16"):
+        text = DISCRIMINATE_CONFIG.replace("3.0e-9", "0").replace(
+            "singles_background: 20000", f"singles_background: {rate}")
+        cfg = write_config(tmp_path, text, name=f"singles-{rate}.yaml")
+        outs.append(tmp_path / f"singles-{rate}")
+        assert run(["discriminate", "--config", cfg, "--out", str(outs[-1])]) == 0
+    for name in ("runs_LP.csv", "report.csv", "summary.txt", "regions.svg"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_discriminate_requires_counting(tmp_path):

@@ -260,7 +260,7 @@ def test_runset_csv_layout(tmp_path):
     corrected = correct_counts(runs, model)
     path = str(tmp_path / "runs.csv")
     runset_to_csv(runs, corrected, path)
-    lines = open(path).read().strip().split("\n")
+    lines = (tmp_path / "runs.csv").read_text().strip().split("\n")
     assert lines[0] == "run,theta_deg,projector_index,raw,corrected"
     assert len(lines) == 1 + 2 * 3 * 2
     row = lines[1].split(",")

@@ -235,7 +235,7 @@ def test_report_csv_and_summary(tmp_path):
     report = analyze_families([a])
     path = str(tmp_path / "report.csv")
     report_to_csv(report, path)
-    lines = open(path).read().strip().split("\n")
+    lines = (tmp_path / "report.csv").read_text().strip().split("\n")
     assert lines[0] == (
         "family,theta_deg,kept,cross_excluded,"
         "mean1,mean2,std1,std2,ci95_1,ci95_2"

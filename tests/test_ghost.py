@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ghostpol import ghost
+from ghostpol import ghost, polcalc
 from ghostpol.ghost import (
     ProbeTransform,
     ResponseCurve,
@@ -16,7 +18,8 @@ from ghostpol.ghost import (
     sweep_family,
 )
 from ghostpol.polcalc import (
-    PolElement, check_passive, compose, element_jones, jones_to_mueller,
+    EFFECT_TOL, PolElement, check_passive, compose, element_jones,
+    jones_to_mueller,
 )
 from ghostpol.qstate import TwoQubitDensity, bell_psi_plus, werner
 
@@ -190,42 +193,55 @@ NON_FINITE = [np.diag([np.nan, 1.0]), np.diag([np.inf, 0.5]),
 
 @pytest.mark.parametrize("op", NON_FINITE)
 def test_non_finite_signal_operator_is_a_value_error(op):
-    # eigvalsh of a NaN effect returns finite values, so the Kraus-sum
-    # bound alone would accept it and every probability would be NaN.
-    with pytest.raises(ValueError, match="Kraus operators must be finite"):
-        ProbeTransform((op,))
-    with pytest.raises(ValueError, match="Kraus operators must be finite"):
-        ProbeTransform((np.zeros_like(op), op))
+    # eigvalsh of a NaN effect returns finite values, so the effect bound
+    # alone would accept it and every probability would be NaN.  The
+    # operators are checked before any product: inf * 0 warns in matmul.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="Kraus operators must be finite"):
+            ProbeTransform((op,))
+        with pytest.raises(ValueError, match="Kraus operators must be finite"):
+            ProbeTransform((np.zeros_like(op), op))
 
 
 @pytest.mark.parametrize("op", NON_FINITE)
 def test_non_finite_idler_projector_is_a_value_error(op):
-    # The SVD of the passivity check fails on NaN with LinAlgError.
     probe = ProbeTransform.from_jones(element_jones(lp(0.0), np.array([0.0, 30.0])))
-    with pytest.raises(ValueError, match="Jones matrix must be finite"):
-        coincidence_probability(bell_psi_plus(), probe, op)
-    with pytest.raises(ValueError, match="Jones matrix must be finite"):
-        check_passive(op)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="Jones matrix must be finite"):
+            coincidence_probability(bell_psi_plus(), probe, op)
+        with pytest.raises(ValueError, match="Jones matrix must be finite"):
+            check_passive(op)
 
 
-def test_kraus_bound_rejects_every_non_passive_jones():
-    # from_jones relies on the Kraus-sum bound alone: lambda_max(J^dagger J)
-    # is the squared largest singular value, so every matrix that
-    # check_passive rejects must fail it too.  The samples sit on the
-    # edge, with largest singular value within 3e-9 of 1.
-    rng = np.random.default_rng(7)
-    jones = rng.normal(size=(20000, 2, 2)) + 1.0j * rng.normal(size=(20000, 2, 2))
-    smax = np.linalg.svd(jones, compute_uv=False)[:, 0]
-    jones *= ((1.0 + rng.uniform(-3e-9, 3e-9, size=20000)) / smax)[:, None, None]
-    rejected = 0
-    for j in jones:
-        try:
-            check_passive(j)
-        except ValueError:
-            rejected += 1
-            with pytest.raises(ValueError):
-                ProbeTransform.from_jones(j)
-    assert rejected > 1000
+@pytest.mark.parametrize("excess", [1.1e-9, 0.9e-9])
+def test_both_arms_bound_the_effect(excess):
+    # The bound is on lambda_max(J^dagger J) = sigma_max^2 in both arms:
+    # sigma_max = sqrt(1 + 1.1e-9) ~ 1 + 5.5e-10 amplifies by 1.1e-9.
+    jones = np.diag([np.sqrt(1.0 + excess), 0.0])
+    if excess > EFFECT_TOL:
+        with pytest.raises(ValueError, match="non-passive Jones matrix"):
+            check_passive(jones)
+        with pytest.raises(ValueError, match="non-passive Kraus operators"):
+            ProbeTransform.from_jones(jones)
+    else:
+        npt.assert_array_equal(check_passive(jones),
+                               ProbeTransform.from_jones(jones).effect)
+
+
+def test_both_arms_reach_one_passivity_check(monkeypatch):
+    checked = []
+    passive_effect = polcalc.passive_effect
+
+    def spy(ops, what):
+        checked.append(what)
+        return passive_effect(ops, what)
+
+    monkeypatch.setattr(polcalc, "passive_effect", spy)
+    coincidence_probability(bell_psi_plus(), ProbeTransform.from_jones(np.eye(2)),
+                            np.eye(2))
+    assert checked == ["Kraus operators", "Jones matrix"]
 
 
 def test_heralded_idler_anticorrelation():
@@ -478,7 +494,7 @@ def test_curve_csv_layout(tmp_path):
     scale = dataset_scale([curve.raw])
     path = str(tmp_path / "curve.csv")
     curve_to_csv(curve, scale, path)
-    lines = open(path).read().strip().split("\n")
+    lines = (tmp_path / "curve.csv").read_text().strip().split("\n")
     assert lines[0] == "theta_deg,P1,P2,P3,raw1,raw2,raw3"
     assert len(lines) == 181
     first = [float(x) for x in lines[1].split(",")]

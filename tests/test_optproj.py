@@ -185,6 +185,19 @@ def test_shipped_first_restart_regression():
     assert f"{result.objective:.6g}" == "0.871092"
 
 
+@pytest.mark.parametrize("mode, stages, n_evals",
+                         [("joint", 1, 20), ("sequential", 2, 40)])
+def test_max_evals_bounds_simplex_shares_not_scored_points(mode, stages,
+                                                           n_evals):
+    # Each restart of each stage scores its start point, then a simplex
+    # on max(1, max_evals // (stages * restarts)) evaluations: here 1.
+    cfg = load_config(os.path.join(CONFIGS, "optimize.yaml"))
+    result = optimize(replace(cfg.optimize, state=cfg.state, seed=cfg.seed,
+                              mode=mode, restarts=10, max_evals=10))
+    assert result.n_evals == n_evals == stages * 10 * (1 + 1)
+    assert [row["n_evals"] for row in result.trace] == [1] * (stages * 10)
+
+
 # A sequential run varying partial-polarizer extinctions, with a
 # projector whose polarizer comes first, and a joint run without a
 # probe: the two settings layouts the shipped config does not reach.

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -107,6 +109,18 @@ def test_mle_recovers_bell_state_from_clean_counts():
     assert result.converged
     assert fidelity(result.rho) > 0.9999
     assert np.max(np.abs(result.rho.matrix - bell_psi_plus().matrix)) < 1e-3
+
+
+@needs_scipy
+def test_mle_does_not_warn_about_its_own_round_off(tmp_path):
+    # rho = T^dagger T is PSD; the Bell counts, as written to CSV, leave
+    # an eigenvalue of about -5e-16, which is clipped without a warning.
+    path = str(tmp_path / "records.csv")
+    records_to_csv(expected_records(bell_psi_plus(), 1e6), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = reconstruct_mle(records_from_csv(path))
+    assert fidelity(result.rho) > 0.9999
 
 
 @needs_scipy
