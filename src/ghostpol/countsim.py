@@ -63,7 +63,10 @@ class CountModel:
             raise ValueError("drift amplitude must lie in [0, 1)")
 
     def accidental_mean(self) -> float:
-        """Mean accidental coincidences per integration window."""
+        """Mean accidental coincidences per integration window: 0 without
+        a window, where the squared singles rate may overflow to inf."""
+        if self.coincidence_window == 0.0:
+            return 0.0
         return (
             self.singles_background
             * self.singles_background

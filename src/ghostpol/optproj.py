@@ -1,8 +1,9 @@
 """Search for measurement settings that spread response points apart.
 
-The figure of merit is the smallest pairwise Euclidean distance
-between the normalized response points of a configured sample set;
-optimization is a seeded multi-start simplex search over the
+The figure of merit, :func:`objective_min_separation`, is the smallest
+pairwise Euclidean distance between the normalized response points
+that :func:`response_points` computes for a sample set from Jones
+stacks; optimization is a seeded multi-start simplex search over the
 orientation angles of the probe-side and idler-side projectors.
 
 The search runs on one settings table: a ``(3, k)`` array with rows
@@ -246,47 +247,26 @@ def sample_jones(samples: tuple[PolElement, ...]) -> np.ndarray:
     return np.stack([polcalc.element_jones(s) for s in samples])
 
 
-def response_points(
-    rho: TwoQubitDensity,
-    samples: tuple[PolElement, ...] | np.ndarray,
-    probe: ProjectorParam | np.ndarray | None,
-    projectors: tuple[ProjectorParam, ...] | np.ndarray,
-) -> np.ndarray:
-    """Raw response coordinates, one row per sample.
-
-    ``samples`` may also be their :func:`sample_jones` stack, the probe
-    its 2x2 Jones matrix and the projectors their ``(m, 2, 2)`` Jones
-    stack, as a caller scoring many settings for one sample set builds
-    them.
-    """
-    if not isinstance(samples, np.ndarray):
-        samples = sample_jones(samples)
-    if not isinstance(projectors, np.ndarray):
-        projectors = projector_jones(projectors)
-    if isinstance(probe, ProjectorParam):
-        probe = probe.jones()
+def response_points(rho: TwoQubitDensity, samples: np.ndarray,
+                    probe: np.ndarray | None,
+                    projectors: np.ndarray) -> np.ndarray:
+    """``(n, m)`` raw response coordinates of a :func:`sample_jones`
+    stack seen through a 2x2 probe Jones matrix (or None) and an
+    ``(m, 2, 2)`` projector Jones stack, one row per sample."""
     if probe is not None:
         samples = probe @ samples
     return coincidence_probability(rho, ProbeTransform.from_jones(samples),
                                    projectors)
 
 
-def objective_min_separation(
-    rho: TwoQubitDensity,
-    samples: tuple[PolElement, ...] | np.ndarray,
-    probe: ProjectorParam | np.ndarray | None,
-    projectors: tuple[ProjectorParam, ...] | np.ndarray,
-) -> float:
-    """Smallest pairwise distance between normalized response points.
-
-    An all-zero response set (a fully blocking probe) scores 0.  The
-    arguments may be Jones stacks, as in :func:`response_points`.
-    """
-    pts = response_points(rho, samples, probe, projectors)
-    peak = float(np.max(pts))
+def objective_min_separation(points: np.ndarray) -> float:
+    """Smallest pairwise distance between ``(n, m)`` response points
+    divided by their largest entry; an all-zero set (a fully blocking
+    probe) scores 0."""
+    peak = float(np.max(points))
     if peak <= 0.0:
         return 0.0
-    pts = pts / peak
+    pts = points / peak
     d = pts[:, None] - pts
     # vecdot rounds like np.linalg.norm of each difference vector;
     # norm(axis=-1) can differ in the last bit.
@@ -375,7 +355,8 @@ def optimize(config: OptimizationConfig) -> OptimizationResult:
         def score(x: np.ndarray) -> float:
             jones = settings_jones(point_table(base, coords, x), qwp_first)
             probe = jones[0] if n_probe else None
-            return -objective_min_separation(rho, samples, probe, jones[n_probe:])
+            return -objective_min_separation(
+                response_points(rho, samples, probe, jones[n_probe:]))
 
         starts = _start_points(coords[0], config.restarts, base[coords],
                                config.seed)

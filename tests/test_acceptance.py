@@ -22,6 +22,9 @@ from ghostpol.optproj import (
     nearest_feasible,
     objective_min_separation,
     optimize,
+    projector_jones,
+    response_points,
+    sample_jones,
 )
 from ghostpol.polcalc import (
     PolElement,
@@ -372,9 +375,9 @@ def test_criterion_09_optimizer_sanity():
     rho = bell_psi_plus()
 
     def toy(angle):
-        return objective_min_separation(
-            rho, samples, None, (ProjectorParam(None, float(angle)),)
-        )
+        return objective_min_separation(response_points(
+            rho, sample_jones(samples), None,
+            projector_jones((ProjectorParam(None, float(angle)),))))
 
     grid = np.arange(0.0, 180.0, 0.1)
     values = np.array([toy(a) for a in grid])

@@ -79,7 +79,8 @@ def test_projector_param_variants():
 def test_response_points_match_malus_law():
     # For the entangled pair source, a polarizer pair at angles
     # (alpha, beta) from vertical coincides with rate sin^2(alpha+beta)/2.
-    pts = response_points(bell_psi_plus(), LP_SAMPLES, None, (bare_lp(90.0),))
+    pts = response_points(bell_psi_plus(), sample_jones(LP_SAMPLES), None,
+                          projector_jones((bare_lp(90.0),)))
     assert pts.shape == (2, 1)
     assert abs(pts[0, 0] - 0.5 * math.sin(math.radians(90.0)) ** 2) < 1e-12
     assert abs(pts[1, 0] - 0.5 * math.sin(math.radians(135.0)) ** 2) < 1e-12
@@ -162,15 +163,14 @@ def test_response_points_match_kron_loop_reference():
         )
         probe = None if case % 4 == 0 else random_param()
         projectors = tuple(random_param() for _ in range(int(RNG.integers(1, 4))))
-        pts = response_points(rho, samples, probe, projectors)
+        pts = response_points(rho, sample_jones(samples),
+                              None if probe is None else probe.jones(),
+                              projector_jones(projectors))
         ref = reference_response_points(rho, samples, probe, projectors)
         assert np.max(np.abs(pts - ref)) <= 1e-15
-        assert np.array_equal(
-            pts, response_points(rho, sample_jones(samples), probe, projectors))
         if np.max(pts) > 0.0:
             # Same points in, bit-identical minimum out.
-            assert objective_min_separation(rho, samples, probe, projectors) \
-                == reference_min_separation(pts)
+            assert objective_min_separation(pts) == reference_min_separation(pts)
 
 
 def test_shipped_first_restart_regression():
@@ -273,10 +273,17 @@ def test_point_table_wraps_angles_and_floors_extinction():
 
 def test_objective_hand_value():
     # Points 0.5 and 0.25 normalize to 1.0 and 0.5.
-    val = objective_min_separation(
-        bell_psi_plus(), LP_SAMPLES, None, (bare_lp(90.0),)
-    )
+    val = objective_min_separation(response_points(
+        bell_psi_plus(), sample_jones(LP_SAMPLES), None,
+        projector_jones((bare_lp(90.0),))))
     assert abs(val - 0.5) < 1e-12
+
+
+def test_objective_scores_response_points():
+    assert objective_min_separation(np.array([[0.5], [0.25]])) == 0.5
+    assert objective_min_separation(np.zeros((3, 2))) == 0.0
+    pts = np.random.default_rng(15).uniform(size=(7, 2))
+    assert objective_min_separation(pts) == reference_min_separation(pts)
 
 
 def test_objective_zero_for_dark_responses():
@@ -286,9 +293,9 @@ def test_objective_zero_for_dark_responses():
         PolElement("retarder", 10.0, retardance_rad=0.0),
         PolElement("retarder", 20.0, retardance_rad=0.0),
     )
-    val = objective_min_separation(
-        TwoQubitDensity(rho), samples, None, (bare_lp(0.0),)
-    )
+    val = objective_min_separation(response_points(
+        TwoQubitDensity(rho), sample_jones(samples), None,
+        projector_jones((bare_lp(0.0),))))
     assert val == 0.0
 
 
