@@ -5,8 +5,7 @@ polarization objects, the resulting coincidence response curves,
 counting statistics, state tomography and the distinguishability
 analysis of the measured response points.
 
-Importing the package loads numpy and no scipy: only the tomography
-fit, ``reconstruct_mle``, imports scipy, when it is called.
+The package needs numpy and PyYAML; no part of it imports scipy.
 """
 
 from types import ModuleType as _ModuleType

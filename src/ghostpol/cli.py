@@ -144,6 +144,7 @@ def cmd_tomo(cfg: ExperimentConfig, out_dir: str) -> int:
         f"purity: {m.purity:.6f}",
         f"log_likelihood: {result.log_likelihood:.6g}",
         f"iterations: {result.iterations}",
+        f"gradient_norm: {result.gradient_norm:.6g}",
         f"converged: {result.converged}",
     ]
     _write(out_dir, "metrics.txt", "\n".join(lines) + "\n")
@@ -203,10 +204,6 @@ def main(argv: list[str] | None = None) -> int:
         "optimize": cmd_optimize,
     }
     try:
-        if args.command == "tomo":
-            # Only the tomography fit needs scipy, and it imports it when
-            # called; load it before the config, and for this command alone.
-            import scipy.optimize  # noqa: F401
         cfg = load_config(args.config)
         if args.seed is not None:
             if args.seed < 0:

@@ -176,16 +176,16 @@ def correct_counts(runs: RunSet, model: CountModel) -> np.ndarray:
 
 def runset_to_csv(runs: RunSet, corrected: np.ndarray, path: str) -> None:
     """Write raw and corrected counts, one row per cell and run."""
-    n_runs, n_theta, n_proj = runs.counts.shape
-    thetas = [f"{t:.6g}" for t in runs.thetas.tolist() for _ in range(n_proj)]
-    projectors = list(range(n_proj)) * n_theta
+    n_proj = runs.counts.shape[2]
+    cells = [f"{t:.6g},{p}," for t in runs.thetas.tolist() for p in range(n_proj)]
+    template = "%d,%s%.9g,%.9g\n" * len(cells)
+    values = [None] * (4 * len(cells))
+    values[1::4] = cells
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("run,theta_deg,projector_index,raw,corrected\n")
-        # One run at a time keeps the formatted text to one grid's rows.
-        for r in range(n_runs):
-            fh.write("".join([
-                "%d,%s,%d,%.9g,%.9g\n" % row
-                for row in zip([r] * len(projectors), thetas, projectors,
-                               runs.counts[r].ravel().tolist(),
-                               corrected[r].ravel().tolist())
-            ]))
+        # One % per run keeps the formatted text to one grid's rows.
+        for r in range(runs.counts.shape[0]):
+            values[0::4] = [r] * len(cells)
+            values[2::4] = runs.counts[r].ravel().tolist()
+            values[3::4] = corrected[r].ravel().tolist()
+            fh.write(template % tuple(values))

@@ -190,18 +190,6 @@ def jones_to_mueller(jones: np.ndarray) -> np.ndarray:
     return 0.5 * np.real(np.trace(chain, axis1=-2, axis2=-1))
 
 
-def stokes_from_jones_vector(vec: np.ndarray) -> np.ndarray:
-    """Stokes vector of a (possibly unnormalized) Jones vector."""
-    v = np.asarray(vec, dtype=complex).reshape(2)
-    return np.real(np.trace(STOKES_OPS @ np.outer(v, v.conj()), axis1=1, axis2=2))
-
-
-def coherency_from_stokes(stokes: np.ndarray) -> np.ndarray:
-    """Coherency matrix C with tr(sigma_i C) = S_i."""
-    s = np.asarray(stokes, dtype=float).reshape(4)
-    return 0.5 * np.tensordot(s, STOKES_OPS, 1)
-
-
 def mueller_to_choi(m: np.ndarray) -> tuple[np.ndarray, bool]:
     """Choi matrix of the map encoded by a Mueller matrix.
 

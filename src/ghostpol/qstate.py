@@ -63,6 +63,15 @@ class TwoQubitDensity:
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrix", _validated(self.matrix))
 
+    @classmethod
+    def from_factor(cls, t: np.ndarray) -> TwoQubitDensity:
+        """T^dagger T / tr(T^dagger T), Hermitian and positive semidefinite
+        by construction, so it is not validated: that would call LAPACK."""
+        rho = np.einsum("ab,ac->bc", t.conj(), t)
+        state = object.__new__(cls)
+        object.__setattr__(state, "matrix", rho / np.trace(rho).real)
+        return state
+
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
 

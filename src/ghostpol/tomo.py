@@ -3,15 +3,15 @@
 The measurement set is the canonical 16-pair combination of single
 photon analysis states drawn from {H, V, D, A, L, R}, and the
 reconstruction is a maximum-likelihood fit of a Cholesky-parametrized
-density matrix against Poisson-distributed coincidence counts.  Only
-the fit needs scipy, and it imports it when called, so the records and
-their CSV files work without it.
+density matrix against Poisson-distributed coincidence counts (James
+et al., PRA 64, 052312, 2001).  Every contraction from the records to
+the fitted state is an ``np.einsum`` or ``np.sum``, never a BLAS or
+LAPACK call, so the fit gives the same bits under every BLAS kernel.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +19,8 @@ import numpy as np
 from .countsim import CountModel, simulate_counts
 from .qstate import TwoQubitDensity
 
-GRADIENT_TOL = 1e-8
+# The fit stops when max |gradient| <= GRADIENT_TOL x the total counts.
+GRADIENT_TOL = 1e-12
 MAX_ITERATIONS = 10_000
 
 _SQ = 1.0 / np.sqrt(2.0)
@@ -49,6 +50,32 @@ _COLS = np.array([0, 1, 2, 3, 0, 1, 2, 0, 1, 0])
 _RE = np.array([0, 1, 2, 3, 4, 6, 8, 10, 12, 14])
 _IM = _RE[4:] + 1
 
+# Linear inversion: with Gamma_k = sigma_m (x) sigma_n / 2 (k = 4m + n),
+# the canonical probabilities are p_i = sum_k B_ik c_k for
+# rho = sum_k c_k Gamma_k.  B is invertible, and 2 B^-1 is this integer
+# matrix, so c = B^-1 p holds exactly.
+_INVERSION_X2 = np.array([
+    [1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [-1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 2, 2, 0, 0, 0],
+    [1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, -2, -2, 0],
+    [1, -1, -1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [-1, -1, -1, -1, 0, 0, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0],
+    [1, 1, 1, 1, 0, 0, -2, -2, 0, 4, 0, -2, -2, 0, 0, 0],
+    [-1, -1, -1, -1, 0, 0, -2, -2, 4, 0, 0, 0, 0, 2, 2, 0],
+    [-1, 1, 1, -1, 0, 0, -2, 2, 0, 0, 0, 0, 0, 0, 0, 0],
+    [-1, -1, -1, -1, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [1, 1, 1, 1, -2, -2, 0, 0, 0, 0, 4, -2, -2, 0, 0, 0],
+    [-1, -1, -1, -1, 2, 2, 0, 0, 0, 0, 0, 0, 0, 2, 2, -4],
+    [-1, 1, 1, -1, 2, -2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [1, 1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [-1, -1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 2, -2, 0, 0, 0],
+    [1, 1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, -2, 0],
+    [1, -1, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+])
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                    [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_GAMMAS = 0.5 * np.einsum("mab,ncd->mnacbd", _PAULIS, _PAULIS).reshape(16, 4, 4)
+
 
 @dataclass(frozen=True)
 class TomographyRecord:
@@ -69,6 +96,7 @@ class ReconstructionResult:
     log_likelihood: float
     iterations: int
     converged: bool
+    gradient_norm: float
 
 
 def canonical_projections() -> list[tuple[str, str]]:
@@ -81,7 +109,7 @@ def pair_vector(basis_a: str, basis_b: str) -> np.ndarray:
 
 def projection_probability(rho: TwoQubitDensity, basis_a: str, basis_b: str) -> float:
     vec = pair_vector(basis_a, basis_b)
-    return float(np.real(vec.conj() @ rho.matrix @ vec))
+    return float(np.einsum("a,ab,b->", vec.conj(), rho.matrix, vec).real)
 
 
 def expected_records(rho: TwoQubitDensity, total_pairs: float) -> list[TomographyRecord]:
@@ -118,121 +146,136 @@ def _params_from_t(t: np.ndarray) -> np.ndarray:
     return params
 
 
-def _lower_triangular_factor(rho: np.ndarray) -> np.ndarray:
-    """Lower-triangular T with T^dagger T = rho (flip-Cholesky trick)."""
-    flip = np.eye(4)[::-1]
-    chol = np.linalg.cholesky(flip @ rho @ flip)
-    upper = flip @ chol @ flip
-    return upper.conj().T
+_PAIR_VECS = np.array([pair_vector(a, b) for a, b in CANONICAL_PAIRS])
+# rho = sum_i p_i _RHO_FROM_PROBS[i] inverts the probabilities exactly.
+_RHO_FROM_PROBS = np.einsum("ki,kab->iab", _INVERSION_X2 / 2.0, _GAMMAS)
+# |T v_i|^2 = x . _QUAD[i] . x for the parameters x of T.
+_TV = np.einsum("sab,ib->isa", np.array([_t_matrix(e) for e in np.eye(16)]),
+                _PAIR_VECS)
+_QUAD = np.einsum("isa,ita->ist", _TV.conj(), _TV).real.copy()
 
 
-def _linear_inversion(counts: np.ndarray, pair_vecs: np.ndarray) -> np.ndarray | None:
-    """Least-squares Gamma-basis estimate, projected onto valid states."""
+def _cholesky(a: np.ndarray) -> np.ndarray | None:
+    """Lower-triangular T with T^dagger T = a; None if a pivot is not > 0."""
+    t = np.zeros((4, 4), dtype=complex)
+    for j in (3, 2, 1, 0):
+        col = t[j + 1:, j].conj()
+        pivot = a[j, j].real - np.einsum("a,a->", col, t[j + 1:, j]).real
+        if not pivot > 0.0:
+            return None
+        t[j, j] = np.sqrt(pivot)
+        t[j, :j] = (a[j, :j] - np.einsum("a,ak->k", col, t[j + 1:, :j])) / t[j, j].real
+    return t
+
+
+def _start(counts: np.ndarray) -> np.ndarray:
+    """Parameters of the linear-inversion estimate plus the smallest
+    shift s in 1e-6, 1e-5, ..., 1 whose Cholesky pivots are all
+    positive (T = I/2 if none is, or if the rectilinear flux is 0),
+    scaled so that the expected counts sum to the observed total."""
     flux = counts[:4].sum()
-    if flux <= 0.0:
-        return None
-    probs = counts / flux
-    paulis = (
-        np.eye(2, dtype=complex),
-        np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-        np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-        np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-    )
-    gammas = [0.5 * np.kron(a, b) for a in paulis for b in paulis]
-    basis = np.array(
-        [
-            [np.real(v.conj() @ g @ v) for g in gammas]
-            for v in pair_vecs
-        ]
-    )
-    coeff, *_ = np.linalg.lstsq(basis, probs, rcond=None)
-    rho = sum(c * g for c, g in zip(coeff, gammas))
-    rho = 0.5 * (rho + rho.conj().T)
-    eigvals, eigvecs = np.linalg.eigh(rho)
-    eigvals = np.clip(eigvals, 0.0, None)
-    if eigvals.sum() <= 0.0:
-        return None
-    rho = eigvecs @ np.diag(eigvals) @ eigvecs.conj().T
-    return rho / np.real(np.trace(rho))
+    t = None
+    if flux > 0.0:
+        rho = np.einsum("i,iab->ab", counts / flux, _RHO_FROM_PROBS)
+        for shift in 10.0 ** np.arange(-6, 1):
+            t = _cholesky(rho + shift * np.eye(4))
+            if t is not None:
+                break
+    x = _params_from_t(np.eye(4) / 2.0 if t is None else t)
+    return x / np.sqrt(np.einsum("s,ist,t->", x, _QUAD, x))
 
 
-def _neg_log_likelihood_and_grad(
-    params: np.ndarray, counts: np.ndarray, pair_mat: np.ndarray
-) -> tuple[float, np.ndarray]:
-    t = _t_matrix(params)
-    tau = float(np.real(np.sum(t.conj() * t)))
-    if tau <= 1e-300:
-        return 1e300, np.zeros(16)
-    g = t @ pair_mat.T
-    norms = np.real(np.sum(g.conj() * g, axis=0))
-    probs = norms / tau
-    total_n = counts.sum()
-    total_p = probs.sum()
-    flux = total_n / total_p
-    mu = np.clip(flux * probs, 1e-12, None)
-    nll = float(np.sum(mu - counts * np.log(mu)))
+def _deviance_and_grad(x: np.ndarray, counts: np.ndarray, total: float
+                       ) -> tuple[float, np.ndarray]:
+    """Half the Poisson deviance of mu_i = total |T v_i|^2, and its gradient.
 
-    # Gradient with the flux profiled out (its optimality zeroes the
-    # corresponding total-derivative term).
-    coeff = 1.0 - counts / mu
-    q = (g * coeff) @ pair_mat.conj()
-    cp = float(coeff @ probs)
-    grad_mat = (2.0 * flux / tau) * (q - cp * t)
-    return nll, _params_from_t(grad_mat)
+    sum mu - n log mu is the same up to a constant, but it is about
+    N log N in size, and its rounding would hide the last descent steps.
+    """
+    qx = np.einsum("ist,t->is", _QUAD, x)  # |T v_i|^2 = x . qx[i]
+    mu = total * np.einsum("is,s->i", qx, x)
+    excess = mu - counts
+    seen = counts > 0.0
+    d = excess / np.where(seen, counts, 1.0)
+    dev = float(np.sum(np.where(seen, counts * (d - np.log1p(d)), mu)))
+    return dev, (2.0 * total) * np.einsum("i,is->s", excess / mu, qx)
+
+
+def _bfgs(x: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Dense BFGS with Armijo backtracking; returns (x, gradient, iterations).
+
+    It stops when max |gradient| <= GRADIENT_TOL x total counts, after
+    MAX_ITERATIONS steps, or when no step length passes the Armijo test.
+    """
+    total = counts.sum()
+    f, g = _deviance_and_grad(x, counts, total)
+    h = np.eye(16) / total
+    scaled = False
+    for it in range(MAX_ITERATIONS):
+        if np.max(np.abs(g)) <= GRADIENT_TOL * total:
+            return x, g, it
+        p = -np.einsum("ij,j->i", h, g)
+        slope = np.einsum("i,i->", g, p)
+        step = 1.0
+        while True:
+            x_new = x + step * p
+            f_new, g_new = _deviance_and_grad(x_new, counts, total)
+            # Armijo on f; where the change in f is lost in its rounding,
+            # the same test on the quadratic with both end slopes (the
+            # approximate Armijo test of Hager and Zhang, SIAM J. Optim.
+            # 16, 170, 2005).  Strict, so that a step that f cannot see
+            # passes on the slopes or not at all.
+            if f_new < f + 1e-4 * step * slope or (
+                    f_new <= f + 1e-10 * abs(f)
+                    and slope + np.einsum("i,i->", g_new, p) <= 2e-4 * slope):
+                break
+            step *= 0.5
+            if not slope < 0.0 or step < 1e-9:
+                return x, g, it
+        s, y = x_new - x, g_new - g
+        sy = np.einsum("i,i->", s, y)
+        if sy > 0.0:  # otherwise the update would lose positive definiteness
+            if not scaled:
+                h = np.eye(16) * (sy / np.einsum("i,i->", y, y))
+                scaled = True
+            # h += ((sy + y.hy) s s^T - hy s^T - s hy^T) / sy = w s^T + s w^T
+            hy = np.einsum("ij,j->i", h, y)
+            w = ((sy + np.einsum("i,i->", y, hy)) / (2.0 * sy) * s - hy) / sy
+            ws = w[:, None] * s
+            h = h + ws + ws.T
+        x, f, g = x_new, f_new, g_new
+    return x, g, MAX_ITERATIONS
 
 
 def reconstruct_mle(records: list[TomographyRecord]) -> ReconstructionResult:
     """Maximum-likelihood density matrix from the canonical 16 records.
 
-    The state is parametrized by 16 real Cholesky parameters, and
-    scipy's L-BFGS-B maximizes the Poisson log-likelihood of the counts.
-    It stops on its relative-reduction test (ftol 1e-15) or after 10^4
-    iterations: its max |grad| <= 1e-8 test is out of reach at realistic
-    count totals.  ``converged`` is scipy's success flag or max |grad|
-    < 1e-8.  ROADMAP.md open item 2 plans a gradient stop scaled by the
-    total counts.
+    The state is rho = T^dagger T / tr, with T lower triangular and set
+    by 16 real parameters.  A dense BFGS minimizes the Poisson deviance
+    of the expected counts mu_i = N |T v_i|^2 (N the total counts; the
+    flux is carried by the scale of T), from the linear-inversion
+    estimate.  It stops when max |gradient| <= GRADIENT_TOL x N, which
+    is ``converged``, or after MAX_ITERATIONS.  ``log_likelihood`` is
+    sum(n log mu - mu) at the fitted mu, and ``gradient_norm`` is the
+    final max |gradient|.
     """
     by_pair = {(r.basis_a, r.basis_b): r.counts for r in records}
     if len(records) != 16 or set(by_pair) != set(CANONICAL_PAIRS):
         raise ValueError("need exactly the 16 canonical projection records")
     counts = np.array([by_pair[p] for p in CANONICAL_PAIRS], dtype=float)
-    if counts.sum() <= 0.0:
+    total = float(counts.sum())
+    if total <= 0.0:
         raise ValueError("all-zero counts cannot be reconstructed")
-    from scipy.optimize import minimize
-
-    pair_mat = np.array([pair_vector(a, b) for a, b in CANONICAL_PAIRS])
-    rho0 = _linear_inversion(counts, pair_mat)
-    if rho0 is None:
-        rho0 = np.eye(4, dtype=complex) / 4.0
-    t0 = _lower_triangular_factor(rho0 + 1e-6 * np.eye(4))
-    x0 = _params_from_t(t0)
-
-    res = minimize(
-        _neg_log_likelihood_and_grad,
-        x0,
-        args=(counts, pair_mat),
-        jac=True,
-        method="L-BFGS-B",
-        options={
-            "maxiter": MAX_ITERATIONS,
-            "maxfun": 10 * MAX_ITERATIONS,
-            "gtol": GRADIENT_TOL,
-            "ftol": 1e-15,
-        },
-    )
-    t = _t_matrix(res.x)
-    rho = t.conj().T @ t
-    rho = rho / np.real(np.trace(rho))
-    grad_norm = float(np.max(np.abs(res.jac)))
-    # T^dagger T is PSD: its round-off is clipped without a warning.
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "clipping negative eigenvalues")
-        rho = TwoQubitDensity(rho)
+    x, grad, iterations = _bfgs(_start(counts), counts)
+    mu = total * np.einsum("s,ist,t->i", x, _QUAD, x)
+    log_likelihood = float(np.sum(counts * np.log(np.where(counts > 0.0, mu, 1.0)) - mu))
+    grad_norm = float(np.max(np.abs(grad)))
     return ReconstructionResult(
-        rho=rho,
-        log_likelihood=-float(res.fun),
-        iterations=int(res.nit),
-        converged=bool(res.success or grad_norm < GRADIENT_TOL),
+        rho=TwoQubitDensity.from_factor(_t_matrix(x)),
+        log_likelihood=log_likelihood,
+        iterations=iterations,
+        converged=grad_norm <= GRADIENT_TOL * total,
+        gradient_norm=grad_norm,
     )
 
 

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import numpy.testing as npt
-from scipy import stats as scipy_stats
+import pytest
 
 from ghostpol import countsim, discern, ghost, polcalc, tomo
 from ghostpol.cli import main as cli_main
@@ -289,6 +289,9 @@ def test_criterion_06_tomography_recovery():
 
 
 def test_criterion_07_confidence_interval_coverage():
+    # scipy is the oracle of the t quantile, so that discern.t975, the
+    # code under test elsewhere, is not its own reference.
+    scipy_stats = pytest.importorskip("scipy.stats")
     t0 = time.perf_counter()
     rng = np.random.default_rng(271828)
     n_trials, n_runs, n_axes = 10_000, 8, 2

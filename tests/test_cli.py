@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 
@@ -14,7 +15,6 @@ from test_golden import (
     CASES, FROZEN_WITH, case_argv, installed_versions, output_digests,
 )
 from test_polcalc import FOREIGN_PARAMETERS
-from test_tomo import needs_scipy
 
 SWEEP_CONFIG = """
 seed: 5
@@ -250,7 +250,6 @@ def test_foreign_element_parameter_is_a_config_error(tmp_path, capsys, kind,
     assert not (tmp_path / "o").exists()
 
 
-@needs_scipy
 def test_tomography_integration_time_with_records_is_a_config_error(
         tmp_path, capsys):
     tomo.records_to_csv(tomo.expected_records(bell_psi_plus(), 1e6),
@@ -290,7 +289,6 @@ def test_negative_seed_override_is_a_config_error(tmp_path, capsys):
     assert "'--seed' must be >= 0" in capsys.readouterr().err
 
 
-@needs_scipy
 def test_runtime_failure_exits_one(tmp_path, capsys):
     (tmp_path / "bad.csv").write_text("a,b,n\nH,H,1\n")
     cfg = write_config(tmp_path, "tomography: {records_csv: bad.csv}\n")
@@ -299,7 +297,6 @@ def test_runtime_failure_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-@needs_scipy
 def test_missing_records_csv_is_a_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, "tomography: {records_csv: missing.csv}\n")
     assert run(["tomo", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -308,7 +305,6 @@ def test_missing_records_csv_is_a_config_error(tmp_path, capsys):
     assert "missing.csv" in err
 
 
-@needs_scipy
 @pytest.mark.parametrize("count", ["nan", "inf", "1e400", "-5"])
 def test_bad_tomography_counts_fail_clearly(tmp_path, capsys, count):
     records = tomo.expected_records(bell_psi_plus(), 1e6)
@@ -323,7 +319,6 @@ def test_bad_tomography_counts_fail_clearly(tmp_path, capsys, count):
         f"row {lines[3]!r}: counts must be finite and >= 0\n")
 
 
-@needs_scipy
 @pytest.mark.parametrize("row, reason", [
     ("H,H", "not enough values to unpack"),
     ("H,H,abc", "could not convert string to float"),
@@ -415,7 +410,6 @@ def test_discriminate_requires_counting(tmp_path):
     assert run(["discriminate", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
-@needs_scipy
 def test_tomo_simulation_outputs(tmp_path, capsys):
     cfg = write_config(tmp_path, TOMO_CONFIG)
     out = tmp_path / "tomo"
@@ -432,7 +426,6 @@ def test_tomo_simulation_outputs(tmp_path, capsys):
     assert "concurrence" in capsys.readouterr().out
 
 
-@needs_scipy
 def test_tomo_reads_records_csv(tmp_path):
     records = tomo.expected_records(bell_psi_plus(), 1e6)
     tomo.records_to_csv(records, str(tmp_path / "given.csv"))
@@ -590,11 +583,42 @@ def test_commands_run_without_scipy(tmp_path):
                                     for case in NO_SCIPY_CASES}
 
 
-@needs_scipy
-def test_tomo_loads_scipy_before_its_config(tmp_path):
+def test_tomo_loads_no_scipy(tmp_path):
+    # A run that succeeds and one that stops on a bad config, with scipy
+    # importable and with every scipy import failing: neither loads it,
+    # and the bad config is a config error either way.
     cfg = write_config(tmp_path, TOMO_CONFIG)
-    result = run_fresh({"tomo": ["tomo", "--config", cfg,
-                                 "--out", str(tmp_path / "out")]})
-    rc, _, parsed = result["tomo"]
-    assert rc == 0 and result["import"] == []
-    assert "scipy.optimize" in parsed
+    bad = write_config(tmp_path, "tomography: {records_csv: missing.csv}\n",
+                       name="bad.yaml")
+    for prelude in ("", BLOCK_SCIPY):
+        result = run_fresh({
+            "ok": ["tomo", "--config", cfg, "--out", str(tmp_path / "out")],
+            "bad": ["tomo", "--config", bad, "--out", str(tmp_path / "bad")],
+        }, prelude)
+        assert result["ok"][0] == 0 and "converged: True" in result["ok"][1]
+        assert result["bad"][0] == 2
+        assert result["import"] == result["end"] == []
+
+
+def test_tomo_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    # Every step from the records to rho.csv avoids BLAS and LAPACK, so
+    # the kernel OpenBLAS picks (SSE3-only Prescott, which any x86-64
+    # CPU runs, or the machine's own) changes no byte.
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("OPENBLAS_CORETYPE=Prescott names an x86-64 kernel")
+    cfg = write_config(tmp_path, TOMO_CONFIG)
+    src = os.path.dirname(os.path.dirname(ghostpol.__file__))
+    found = {}
+    for kernel in (None, "Prescott"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        if kernel is not None:
+            env["OPENBLAS_CORETYPE"] = kernel
+        env["PYTHONPATH"] = src
+        out = tmp_path / str(kernel)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ghostpol.cli", "tomo", "--config", cfg,
+             "--out", str(out)], capture_output=True, text=True, env=env,
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        found[kernel] = output_digests(proc.stdout, out)
+    assert found["Prescott"] == found[None]

@@ -200,9 +200,31 @@ def test_t975_table_equals_stdtrit():
     from scipy import special
 
     assert len(discern._T975) == 63
-    for n in range(2, 66):
+    for n in range(2, 65):
         assert discern.t975(n) == float(special.stdtrit(n - 1, 0.975)), n
     assert discern.t975(8) == 2.364624251592784
+
+
+def test_t975_above_the_table_is_within_1e_13_of_stdtrit():
+    pytest.importorskip("scipy")
+    from scipy import special
+
+    n = np.arange(65, 10 ** 6 + 1)
+    # The uncached function, so that 10^6 values do not fill the cache.
+    ours = np.array([discern.t975.__wrapped__(k) for k in n.tolist()])
+    rel = np.abs(ours / special.stdtrit(n - 1, 0.975) - 1.0)
+    assert rel.max() <= 1e-13, n[np.argmax(rel)]
+
+
+def test_t975_above_the_table_needs_no_scipy():
+    # The series at the normal quantile, and the Newton step on the exact
+    # two-sided probability (A&S 26.7.3-4), checked at small df by hand.
+    assert discern._t_within(1.0, 2) == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-15)
+    assert discern._t_within(1.0, 3) == pytest.approx(
+        2.0 / np.pi * (np.pi / 6.0 + 0.5 * np.sqrt(3.0) / 2.0), rel=1e-15)
+    assert discern.t975(100) == pytest.approx(1.9842169515864174, rel=1e-13)
+    with pytest.raises(ValueError):
+        discern.t975(1)
 
 
 def test_analyze_family_keeps_well_separated_clouds():

@@ -8,7 +8,6 @@ from ghostpol.polcalc import (
     STOKES_OPS,
     PolElement,
     check_passive,
-    coherency_from_stokes,
     compose,
     element_jones,
     jones_to_mueller,
@@ -16,10 +15,23 @@ from ghostpol.polcalc import (
     mueller_to_choi,
     oriented_jones,
     rotation_jones,
-    stokes_from_jones_vector,
 )
 
 RNG = np.random.default_rng(20240814)
+
+
+# Test-only Stokes helpers, referenced to the same vertical axis as
+# ``STOKES_OPS``.
+def stokes_from_jones_vector(vec: np.ndarray) -> np.ndarray:
+    """Stokes vector of a (possibly unnormalized) Jones vector."""
+    v = np.asarray(vec, dtype=complex).reshape(2)
+    return np.real(np.trace(STOKES_OPS @ np.outer(v, v.conj()), axis1=1, axis2=2))
+
+
+def coherency_from_stokes(stokes: np.ndarray) -> np.ndarray:
+    """Coherency matrix C with tr(sigma_i C) = S_i."""
+    s = np.asarray(stokes, dtype=float).reshape(4)
+    return 0.5 * np.tensordot(s, STOKES_OPS, 1)
 
 # Every (element kind, parameter the kind does not take) pair.
 FOREIGN_PARAMETERS = [

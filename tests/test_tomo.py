@@ -6,9 +6,11 @@ import pytest
 
 from ghostpol.countsim import CountModel
 from ghostpol.qstate import TwoQubitDensity, bell_psi_plus, concurrence, fidelity, werner
+from ghostpol import tomo
 from ghostpol.tomo import (
     ANALYSIS_STATES,
     CANONICAL_PAIRS,
+    GRADIENT_TOL,
     TomographyRecord,
     _params_from_t,
     _t_matrix,
@@ -29,9 +31,9 @@ try:
     HAVE_SCIPY = True
 except ImportError:
     HAVE_SCIPY = False
-# Only the maximum-likelihood fit imports scipy; the rest of tomo runs
-# without it.
-needs_scipy = pytest.mark.skipif(not HAVE_SCIPY, reason="reconstruct_mle needs scipy")
+# The package runs without scipy; only the tests that compare against it
+# need it.
+needs_scipy = pytest.mark.skipif(not HAVE_SCIPY, reason="the oracle is scipy")
 
 
 def random_density():
@@ -103,7 +105,6 @@ def test_simulate_tomography_deterministic():
     assert [r.counts for r in a] != [r.counts for r in c]
 
 
-@needs_scipy
 def test_mle_recovers_bell_state_from_clean_counts():
     result = reconstruct_mle(expected_records(bell_psi_plus(), 1e6))
     assert result.converged
@@ -111,10 +112,9 @@ def test_mle_recovers_bell_state_from_clean_counts():
     assert np.max(np.abs(result.rho.matrix - bell_psi_plus().matrix)) < 1e-3
 
 
-@needs_scipy
 def test_mle_does_not_warn_about_its_own_round_off(tmp_path):
-    # rho = T^dagger T is PSD; the Bell counts, as written to CSV, leave
-    # an eigenvalue of about -5e-16, which is clipped without a warning.
+    # rho = T^dagger T is PSD by construction, so the Bell counts, as
+    # written to CSV, do not reach the eigenvalue clip and its warning.
     path = str(tmp_path / "records.csv")
     records_to_csv(expected_records(bell_psi_plus(), 1e6), path)
     with warnings.catch_warnings():
@@ -123,7 +123,6 @@ def test_mle_does_not_warn_about_its_own_round_off(tmp_path):
     assert fidelity(result.rho) > 0.9999
 
 
-@needs_scipy
 def test_mle_recovers_mixed_state_from_clean_counts():
     rho = werner(0.92)
     result = reconstruct_mle(expected_records(rho, 1e6))
@@ -132,7 +131,6 @@ def test_mle_recovers_mixed_state_from_clean_counts():
     assert abs(concurrence(result.rho) - concurrence(rho)) < 1e-3
 
 
-@needs_scipy
 def test_mle_respects_slot_order():
     # A product state pins the reconstruction to one basis slot, which
     # would move if the two analyzer labels were swapped anywhere.
@@ -162,7 +160,6 @@ def test_cholesky_layout_matches_slot_table():
     assert np.array_equal(_params_from_t(ref), params)
 
 
-@needs_scipy
 def test_mle_from_noisy_counts_lands_near_truth():
     truth = werner(0.92)
     model = CountModel(pair_rate=1e6, integration_time=1.0)
@@ -173,7 +170,6 @@ def test_mle_from_noisy_counts_lands_near_truth():
         assert abs(concurrence(result.rho) - concurrence(truth)) < 0.02
 
 
-@needs_scipy
 def test_mle_survives_degenerate_flux_block():
     # Zero counts in the four flux-normalizing slots force the fallback
     # initial guess; the fit must still return a valid state.
@@ -213,3 +209,118 @@ def test_records_csv_rejects_foreign_header(tmp_path):
     path.write_text("a,b,c\nH,V,3\n")
     with pytest.raises(ValueError):
         records_from_csv(str(path))
+
+
+def test_inversion_table_inverts_the_canonical_system():
+    # p_i = sum_k B_ik c_k for rho = sum_k c_k Gamma_k; the table is 2 B^-1.
+    basis = np.einsum("ia,kab,ib->ik", tomo._PAIR_VECS.conj(), tomo._GAMMAS,
+                      tomo._PAIR_VECS).real
+    npt.assert_allclose(tomo._INVERSION_X2 / 2.0 @ basis, np.eye(16), atol=1e-14)
+    npt.assert_allclose(np.linalg.inv(basis), tomo._INVERSION_X2 / 2.0, atol=1e-12)
+
+
+def test_linear_inversion_is_exact_on_clean_counts():
+    for _ in range(5):
+        rho = random_density()
+        counts = np.array([r.counts for r in expected_records(rho, 1e6)])
+        est = np.einsum("i,iab->ab", counts / counts[:4].sum(), tomo._RHO_FROM_PROBS)
+        npt.assert_allclose(est, rho.matrix, atol=1e-12)
+
+
+def test_cholesky_factor_is_lower_triangular_or_refused():
+    for _ in range(5):
+        a = random_density().matrix + 1e-3 * np.eye(4)
+        t = tomo._cholesky(a)
+        assert np.array_equal(t, np.tril(t))
+        assert np.all(np.diag(t).real > 0.0) and np.all(np.diag(t).imag == 0.0)
+        npt.assert_allclose(t.conj().T @ t, a, atol=1e-14)
+    assert tomo._cholesky(bell_psi_plus().matrix - 1e-3 * np.eye(4)) is None
+
+
+def test_quadratic_forms_give_the_projection_norms():
+    params = np.random.default_rng(9).normal(size=16)
+    tv = _t_matrix(params) @ tomo._PAIR_VECS.T
+    npt.assert_allclose(np.einsum("s,ist,t->i", params, tomo._QUAD, params),
+                        np.sum(np.abs(tv) ** 2, axis=0), rtol=1e-13)
+
+
+def test_fit_is_converged_exactly_when_the_gradient_test_passes(monkeypatch):
+    records = simulate_tomography(werner(0.92), CountModel(1e6, 1.0), seed=1)
+    total = sum(r.counts for r in records)
+    done = reconstruct_mle(records)
+    assert done.converged and done.gradient_norm <= GRADIENT_TOL * total
+    monkeypatch.setattr(tomo, "MAX_ITERATIONS", 3)
+    cut = reconstruct_mle(records)
+    assert cut.iterations == 3 and not cut.converged
+    assert cut.gradient_norm > GRADIENT_TOL * total
+    assert cut.log_likelihood < done.log_likelihood
+
+
+def _old_nll_and_grad(params, counts, pair_mat):
+    """The objective of the L-BFGS-B fit that the BFGS replaced: the
+    Poisson negative log-likelihood with the flux profiled out."""
+    t = _t_matrix(params)
+    tau = float(np.real(np.sum(t.conj() * t)))
+    g = t @ pair_mat.T
+    probs = np.real(np.sum(g.conj() * g, axis=0)) / tau
+    flux = counts.sum() / probs.sum()
+    mu = np.clip(flux * probs, 1e-12, None)
+    coeff = 1.0 - counts / mu
+    grad = (2.0 * flux / tau) * ((g * coeff) @ pair_mat.conj()
+                                 - float(coeff @ probs) * t)
+    return float(np.sum(mu - counts * np.log(mu))), _params_from_t(grad)
+
+
+def lbfgsb_log_likelihood(records):
+    """Log-likelihood that scipy's L-BFGS-B reached before the BFGS:
+    started from the eigenvalue-clipped linear inversion plus 1e-6 I,
+    stopped by its relative-reduction test (ftol 1e-15)."""
+    from scipy.optimize import minimize
+
+    counts = np.array([r.counts for r in records])
+    rho = np.einsum("i,iab->ab", counts / counts[:4].sum(), tomo._RHO_FROM_PROBS)
+    w, v = np.linalg.eigh(rho)
+    rho = (v * np.clip(w, 0.0, None)) @ v.conj().T
+    flip = np.eye(4)[::-1]
+    chol = np.linalg.cholesky(flip @ (rho / np.trace(rho).real + 1e-6 * np.eye(4)) @ flip)
+    x0 = _params_from_t((flip @ chol @ flip).conj().T)
+    res = minimize(_old_nll_and_grad, x0, args=(counts, tomo._PAIR_VECS), jac=True,
+                   method="L-BFGS-B", options={"maxiter": 10_000, "maxfun": 100_000,
+                                               "gtol": 1e-8, "ftol": 1e-15})
+    return -float(res.fun)
+
+
+def oracle_record_sets():
+    """23 record sets: the shipped config on 5 seeds, random interior
+    states, near-pure and Bell states with few and with many counts, and
+    three clean (noise-free) sets."""
+    rng = np.random.default_rng(7)
+    shipped = CountModel(pair_rate=1e6, integration_time=1.0)
+    few, some = CountModel(1e3, 1.0), CountModel(1e5, 1.0)
+    sets = [simulate_tomography(werner(0.92), shipped, seed) for seed in range(5)]
+    for seed in range(4):
+        g = rng.normal(size=(4, 4)) + 1.0j * rng.normal(size=(4, 4))
+        rho = TwoQubitDensity(g @ g.conj().T / np.trace(g @ g.conj().T))
+        sets.append(simulate_tomography(rho, some, seed))
+    sets += [simulate_tomography(werner(0.999), some, seed) for seed in range(4)]
+    sets += [simulate_tomography(bell_psi_plus(), few, seed) for seed in range(4)]
+    sets += [simulate_tomography(bell_psi_plus(), shipped, seed) for seed in range(3)]
+    product = np.zeros((4, 4), dtype=complex)
+    product[1, 1] = 1.0
+    sets += [expected_records(rho, 1e6) for rho in
+             (bell_psi_plus(), werner(0.92), TwoQubitDensity(product))]
+    return sets
+
+
+@needs_scipy
+def test_fit_reaches_at_least_the_lbfgsb_likelihood():
+    sets = oracle_record_sets()
+    assert len(sets) >= 20
+    for k, records in enumerate(sets):
+        result = reconstruct_mle(records)
+        total = sum(r.counts for r in records)
+        assert result.converged, k
+        assert result.gradient_norm <= GRADIENT_TOL * total, k
+        ref = lbfgsb_log_likelihood(records)
+        # The same optimum may differ in the last digits of its sum.
+        assert result.log_likelihood >= ref - 1e-14 * abs(ref), (k, ref)
