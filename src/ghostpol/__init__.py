@@ -14,12 +14,12 @@ from .countsim import CountModel, RunSet, correct_counts, simulate_counts, simul
 from .discern import (DistinguishabilityReport, EllipsoidRegion, SampleStats,
                       analyze_families, analyze_family, max_distinguishable_subset,
                       separable, step_stats, summarize)
-from .ghost import (ProbeTransform, ResponseCurve, coincidence_probability,
-                    dataset_scale, heralded_idler, sweep_family)
+from .ghost import (ResponseCurve, coincidence_probability, dataset_scale,
+                    heralded_idler, sweep_family)
 from .optproj import (OptimizationConfig, OptimizationResult, ProjectorParam,
                       nearest_feasible, objective_min_separation, optimize)
 from .polcalc import (PolElement, compose, element_jones, jones_to_mueller,
-                      kraus_from_mueller, mueller_to_choi, rotation_jones)
+                      rotation_jones)
 from .qstate import (StateMetrics, TwoQubitDensity, bell_psi_plus, concurrence,
                      fidelity, linear_entropy, metrics, partial_trace, werner)
 from .tomo import (ReconstructionResult, TomographyRecord, canonical_projections,

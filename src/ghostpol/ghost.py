@@ -2,20 +2,23 @@
 
 The signal photon interacts with the probed object (and any probe-side
 projector); the idler photon is analyzed remotely.  Every response
-quantity is a contraction of the joint two-photon state with 2x2
-effects: the signal arm's Kraus set {K_k} enters only through its
-effect E = sum_k K_k^dagger K_k and an idler projector J through
-F = J^dagger J, so a coincidence probability is p = tr[rho (E (x) F)],
-the herald is tr[rho (E (x) I)] and the unnormalized idler state is
-Tr_s[(E (x) I) rho].  Probe-arm chains and idler projectors may come
-as (n, 2, 2) stacks; :func:`polcalc.passive_effect` forms each arm's
-effect once per stack and bounds its eigenvalues by 1 (passive optics
-do not amplify light), and one contraction gives every probability.
+quantity is a contraction of the joint two-photon state with the 2x2
+effects of the two arms: the signal arm's Kraus set {K_k} enters only
+through its effect E = sum_k K_k^dagger K_k and an idler projector J
+through F = J^dagger J, so a coincidence probability is
+p = tr[rho (E (x) F)], the herald is tr[rho (E (x) I)] and the
+unnormalized idler state is Tr_s[(E (x) I) rho].  The engine takes
+the effects themselves, one or an (n, 2, 2) stack per arm, and one
+contraction gives every probability.  It checks neither: each arm is
+bounded once where it enters, by :func:`polcalc.passive_effect` (or
+:func:`polcalc.check_passive` for a Jones stack), which forms the
+effect and refuses one that is not finite or whose eigenvalues exceed
+1 (passive optics do not amplify light).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,88 +33,47 @@ class UnheraldableError(ZeroDivisionError):
     """Conditioning on a herald that never fires."""
 
 
-def _dagger(ops: np.ndarray) -> np.ndarray:
-    return ops.conj().swapaxes(-1, -2)
-
-
-@dataclass(frozen=True)
-class ProbeTransform:
-    """Signal-side transformation as a set of Kraus operators.
-
-    Each Kraus operator is a 2x2 matrix, or an (n, 2, 2) stack that
-    describes n probe-arm transforms at once (one per sweep
-    orientation).  ``effect`` is E = sum_k K_k^dagger K_k, with the
-    shape of one operator; :func:`polcalc.passive_effect` forms and
-    checks it once, on construction.
-    """
-
-    kraus: tuple[np.ndarray, ...]
-    effect: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
-        if len(ops) == 0:
-            raise ValueError("ProbeTransform needs at least one Kraus operator")
-        shape = ops[0].shape
-        if shape[-2:] != (2, 2) or len(shape) > 3 or \
-                any(k.shape != shape for k in ops):
-            raise ValueError("Kraus operators must be 2x2 (or equal stacks)")
-        object.__setattr__(self, "kraus", ops)
-        object.__setattr__(self, "effect",
-                           polcalc.passive_effect(ops, "Kraus operators"))
-
-    @classmethod
-    def from_jones(cls, jones: np.ndarray) -> "ProbeTransform":
-        return cls((np.asarray(jones, dtype=complex),))
-
-    @classmethod
-    def from_elements(cls, elements: list[PolElement]) -> "ProbeTransform":
-        return cls.from_jones(polcalc.compose(elements))
-
-    @classmethod
-    def from_mueller(cls, mueller: np.ndarray) -> "ProbeTransform":
-        return cls(tuple(polcalc.kraus_from_mueller(mueller)))
-
-
 def heralded_idler(
-    rho: TwoQubitDensity, probe: ProbeTransform
+    rho: TwoQubitDensity, e: np.ndarray
 ) -> tuple[np.ndarray, float | np.ndarray]:
     """Unnormalized idler state after the signal passes the probe arm.
 
+    ``e`` is the signal arm's effect E, (2, 2) or an (n, 2, 2) stack.
     Returns the 2x2 conditional (unnormalized) idler matrix
     Tr_s[(E (x) I) rho] and the herald probability, which equals its
-    trace.  For a stacked probe both come stacked: (n, 2, 2) and (n,).
+    trace.  For a stacked effect both come stacked: (n, 2, 2) and (n,).
     """
-    out = np.einsum("...ac,cbad->...bd", probe.effect,
-                    rho.matrix.reshape(2, 2, 2, 2))
-    out = 0.5 * (out + _dagger(out))
+    out = np.einsum("...ac,cbad->...bd", e, rho.matrix.reshape(2, 2, 2, 2))
+    out = 0.5 * (out + out.conj().swapaxes(-1, -2))
     herald = np.real(np.trace(out, axis1=-2, axis2=-1))
     return out, float(herald) if herald.ndim == 0 else herald
 
 
 def coincidence_probability(
     rho: TwoQubitDensity,
-    probe: ProbeTransform,
-    idler_jones: np.ndarray,
+    e: np.ndarray,
+    f: np.ndarray,
     conditional: bool = False,
 ) -> float | np.ndarray:
-    """Coincidence probability p = tr[rho (E (x) J^dagger J)].
+    """Coincidence probability p = tr[rho (E (x) F)].
 
-    This equals the Kraus form sum_k tr[(K_k (x) J) rho (K_k (x) J)^dagger].
-    One probe and one 2x2 projector give a float.  A stacked probe (n
-    transforms) and/or an (m, 2, 2) projector stack give an array of
-    shape (n, m), (n,) or (m,), from one batched passivity check of the
-    projectors and one contraction.  With ``conditional=True`` each
-    probability is divided by its herald probability; conditioning on
-    a herald of probability ~0 raises :class:`UnheraldableError`.
+    ``e`` is the signal arm's effect E = sum_k K_k^dagger K_k, (2, 2)
+    or an (n, 2, 2) stack, and ``f`` an idler projector's effect
+    F = J^dagger J, (2, 2) or (m, 2, 2); p equals the Kraus form
+    sum_k tr[(K_k (x) J) rho (K_k (x) J)^dagger].  Both are taken as
+    given: the caller forms and bounds them where each arm enters
+    (:func:`polcalc.passive_effect`, :func:`polcalc.check_passive`).
+    Two 2x2 effects give a float; stacks give an array of shape
+    (n, m), (n,) or (m,), from one contraction.  With
+    ``conditional=True`` each probability is divided by its herald
+    probability; conditioning on a herald of probability ~0 raises
+    :class:`UnheraldableError`.
     """
-    f = polcalc.check_passive(idler_jones)
-    e = probe.effect
     p = np.einsum("abcd,ica,jdb->ij", rho.matrix.reshape(2, 2, 2, 2),
                   e.reshape(-1, 2, 2), f.reshape(-1, 2, 2))
     p = np.maximum(p.real, 0.0)
     if conditional:
-        _, herald = heralded_idler(rho, probe)
+        _, herald = heralded_idler(rho, e)
         herald = np.reshape(herald, (-1, 1))
         if np.any(herald <= HERALD_EPS):
             raise UnheraldableError("herald probability is zero")
@@ -181,7 +143,8 @@ def sweep_family(
 
     For every grid orientation the signal-arm transformation is the
     sample followed by the probe-side projector chain; each idler
-    projector contributes one response coordinate.
+    projector contributes one response coordinate.  The chain stack and
+    the projector stack each get one :func:`polcalc.check_passive`.
     """
     if thetas is None:
         thetas = default_theta_grid()
@@ -190,8 +153,8 @@ def sweep_family(
     if probe_elements:
         chain = polcalc.compose(probe_elements) @ chain
     raw = coincidence_probability(
-        rho, ProbeTransform.from_jones(chain), np.stack(projectors),
-        conditional=conditional,
+        rho, polcalc.check_passive(chain),
+        polcalc.check_passive(np.stack(projectors)), conditional=conditional,
     )
     return ResponseCurve(family=family, thetas=thetas, raw=raw)
 

@@ -10,6 +10,10 @@ The search runs on one settings table: a ``(3, k)`` array with rows
 ``qwp_deg`` (NaN for a bare polarizer), ``lp_deg`` and ``extinction``,
 one column per setting (the probe, if any, first), plus ``(k,)``
 ``qwp_first`` flags; :func:`settings_jones` builds its Jones stack.
+Every table is passive by construction (waveplates are unitary, and
+:func:`point_table` floors extinctions at 1, so no polarizer's axis
+factor 1/sqrt(extinction) exceeds 1): :func:`optimize` checks the
+samples once per run and each stage's table once, not each evaluation.
 
 The simplex search, :func:`minimize`, is a port of
 ``scipy.optimize._optimize._minimize_neldermead`` from scipy 1.17.1
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import polcalc
-from .ghost import ProbeTransform, coincidence_probability
+from .ghost import coincidence_probability
 from .polcalc import QWP, PolElement
 from .qstate import TwoQubitDensity, bell_psi_plus
 
@@ -255,8 +259,8 @@ def response_points(rho: TwoQubitDensity, samples: np.ndarray,
     ``(m, 2, 2)`` projector Jones stack, one row per sample."""
     if probe is not None:
         samples = probe @ samples
-    return coincidence_probability(rho, ProbeTransform.from_jones(samples),
-                                   projectors)
+    return coincidence_probability(rho, polcalc.kraus_effect((samples,)),
+                                   polcalc.kraus_effect((projectors,)))
 
 
 def objective_min_separation(points: np.ndarray) -> float:
@@ -344,6 +348,7 @@ def optimize(config: OptimizationConfig) -> OptimizationResult:
     n_probe = 0 if config.probe is None else 1
     table, qwp_first, stages = search_stages(config)
     samples = sample_jones(config.samples)
+    polcalc.check_passive(samples)
     budget = max(1, config.max_evals // len(stages))
     total_evals = 0
     any_converged = False
@@ -351,6 +356,7 @@ def optimize(config: OptimizationConfig) -> OptimizationResult:
 
     for stage_name, coords in stages:
         base = table
+        polcalc.check_passive(settings_jones(base, qwp_first))
 
         def score(x: np.ndarray) -> float:
             jones = settings_jones(point_table(base, coords, x), qwp_first)

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Tolerances for physicality checks.
+# Tolerance of the passivity check.
 EFFECT_TOL = 1e-9
-CHOI_PSD_TOL = 1e-9
 
 # Operators sigma_i with S_i = tr(sigma_i C) for a coherency matrix C,
 # in the vertical-referenced Stokes frame described in the module
@@ -150,6 +149,12 @@ def compose(elements: list | tuple) -> np.ndarray:
     return total
 
 
+def kraus_effect(ops) -> np.ndarray:
+    """Effect sum_k K_k^dagger K_k of the operators ``ops``, unchecked:
+    for operators that are passive by construction."""
+    return sum(k.conj().swapaxes(-1, -2) @ k for k in ops)
+
+
 def passive_effect(ops, what: str) -> np.ndarray:
     """Effect E = sum_k K_k^dagger K_k of the operators ``ops``.
 
@@ -161,7 +166,7 @@ def passive_effect(ops, what: str) -> np.ndarray:
     # Checked before any product: inf * 0 would warn inside matmul.
     if not all(np.isfinite(k).all() for k in ops):
         raise ValueError(f"{what} must be finite")
-    effect = sum(k.conj().swapaxes(-1, -2) @ k for k in ops)
+    effect = kraus_effect(ops)
     eigmax = np.max(np.linalg.eigvalsh(effect)[..., -1], initial=0.0)
     if eigmax > 1.0 + EFFECT_TOL:
         raise ValueError(f"non-passive {what}, largest effect eigenvalue {eigmax}")
@@ -188,46 +193,3 @@ def jones_to_mueller(jones: np.ndarray) -> np.ndarray:
     j = j[..., None, None, :, :]
     chain = STOKES_OPS[:, None] @ j @ STOKES_OPS @ j.conj().swapaxes(-1, -2)
     return 0.5 * np.real(np.trace(chain, axis1=-2, axis2=-1))
-
-
-def mueller_to_choi(m: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Choi matrix of the map encoded by a Mueller matrix.
-
-    Returns
-    -------
-    choi : (4, 4) complex Hermitian array
-        Choi matrix sum_kl E_kl (x) Phi(E_kl); for a Jones matrix J it
-        is the rank-1 projector onto (I (x) J)|Omega> with |Omega> the
-        unnormalized maximally entangled vector, trace tr(J^dagger J).
-    physical : bool
-        True when the Choi matrix is positive semidefinite within
-        ``CHOI_PSD_TOL``, i.e. the map is completely positive.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.shape != (4, 4):
-        raise ValueError("Mueller matrix must be 4x4")
-    # sum_ik M[i, k] kron(S_k^T, S_i) / 2, entry [(a, c), (b, d)].
-    choi = 0.5 * np.einsum("ik,kba,icd->acbd", m, STOKES_OPS,
-                           STOKES_OPS).reshape(4, 4)
-    choi = 0.5 * (choi + choi.conj().T)
-    eigvals = np.linalg.eigvalsh(choi)
-    physical = bool(eigvals[0] >= -CHOI_PSD_TOL)
-    return choi, physical
-
-
-def kraus_from_mueller(m: np.ndarray) -> list[np.ndarray]:
-    """Kraus operators of a physical Mueller matrix.
-
-    Raises ``ValueError`` when the map is not completely positive.
-    """
-    choi, physical = mueller_to_choi(m)
-    if not physical:
-        raise ValueError("Mueller matrix is not completely positive")
-    eigvals, eigvecs = np.linalg.eigh(choi)
-    kraus = []
-    for lam, vec in zip(eigvals, eigvecs.T):
-        if lam <= CHOI_PSD_TOL:
-            continue
-        # Column index pairs are (input k, output i); unvec accordingly.
-        kraus.append(np.sqrt(lam) * vec.reshape(2, 2).T)
-    return kraus

@@ -15,7 +15,7 @@ import pytest
 
 from ghostpol import countsim, discern, ghost, polcalc, tomo
 from ghostpol.cli import main as cli_main
-from ghostpol.ghost import ProbeTransform, coincidence_probability, sweep_family
+from ghostpol.ghost import coincidence_probability, sweep_family
 from ghostpol.optproj import (
     OptimizationConfig,
     ProjectorParam,
@@ -28,6 +28,7 @@ from ghostpol.optproj import (
 )
 from ghostpol.polcalc import (
     PolElement,
+    check_passive,
     compose,
     element_jones,
     jones_to_mueller,
@@ -220,7 +221,8 @@ def test_criterion_04_engine_matches_bruteforce():
         k = compose([sample] + probe_chain)
         j = compose([_random_element(rng)]) if rng.uniform() < 0.5 else \
             _random_passive_jones(rng)
-        engine = coincidence_probability(state, ProbeTransform((k,)), j)
+        engine = coincidence_probability(state, check_passive(k),
+                                         check_passive(j))
         oracle = _bruteforce_joint(state.matrix, k, j)
         worst = max(worst, abs(engine - oracle))
     assert worst <= 1e-12
@@ -243,7 +245,7 @@ def test_criterion_05_half_turn_periodicity_and_closure():
         inv = rotation_jones(-theta_deg)
         k = probe_j @ (rot @ j0 @ inv)
         return np.array([
-            coincidence_probability(rho, ProbeTransform((k,)), pj)
+            coincidence_probability(rho, check_passive(k), check_passive(pj))
             for pj in PROJECTOR_JONES
         ])
 

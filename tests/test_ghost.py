@@ -6,7 +6,6 @@ import pytest
 
 from ghostpol import ghost, polcalc
 from ghostpol.ghost import (
-    ProbeTransform,
     ResponseCurve,
     UnheraldableError,
     coincidence_probability,
@@ -19,7 +18,7 @@ from ghostpol.ghost import (
 )
 from ghostpol.polcalc import (
     EFFECT_TOL, PolElement, check_passive, compose, element_jones,
-    jones_to_mueller,
+    passive_effect,
 )
 from ghostpol.qstate import TwoQubitDensity, bell_psi_plus, werner
 
@@ -61,25 +60,25 @@ def joint_probability_oracle(rho, k, j):
     return total
 
 
-def kron_loop_probability(rho, probe, idler_jones, conditional=False):
+def kron_loop_probability(rho, kraus, idler_jones, conditional=False):
     """The engine before the effect contraction, kept as the reference:
     one 4x4 Kraus conjugation per Kraus operator, herald from the
     explicit partial trace."""
     j = np.asarray(idler_jones, dtype=complex)
     p = 0.0
-    for k in probe.kraus:
+    for k in kraus:
         big = np.kron(k, j)
         p += float(np.real(np.trace(big @ rho.matrix @ big.conj().T)))
     p = max(p, 0.0)
     if not conditional:
         return p
-    _, herald = kron_loop_heralded_idler(rho, probe)
+    _, herald = kron_loop_heralded_idler(rho, kraus)
     return p / herald
 
 
-def kron_loop_heralded_idler(rho, probe):
+def kron_loop_heralded_idler(rho, kraus):
     out = np.zeros((2, 2), dtype=complex)
-    for k in probe.kraus:
+    for k in kraus:
         big = np.kron(k, np.eye(2, dtype=complex))
         joint = big @ rho.matrix @ big.conj().T
         out += np.trace(joint.reshape(2, 2, 2, 2), axis1=0, axis2=2)
@@ -107,46 +106,49 @@ def random_state():
 
 
 def random_channel():
-    """Multi-Kraus probe: a convex mix of two element chains' Mueller
-    matrices, which from_mueller splits into several Kraus operators."""
+    """Multi-Kraus probe: the Kraus pair {sqrt(w) J1, sqrt(1 - w) J2} of
+    the convex mix w M(J1) + (1 - w) M(J2) of two element chains'
+    Mueller matrices."""
     w = float(RNG.uniform(0.1, 0.9))
-    m = w * jones_to_mueller(random_chain()) + \
-        (1.0 - w) * jones_to_mueller(random_chain())
-    return ProbeTransform.from_mueller(m)
+    return (np.sqrt(w) * random_chain(), np.sqrt(1.0 - w) * random_chain())
+
+
+def signal_effect(kraus):
+    return passive_effect(kraus, "Kraus operators")
 
 
 def test_engine_matches_kron_loop_reference():
     for case in range(300):
         rho = random_state()
-        probe = random_channel() if case % 3 == 0 else \
-            ProbeTransform.from_jones(random_chain())
+        kraus = random_channel() if case % 3 == 0 else (random_chain(),)
+        e = signal_effect(kraus)
         j = random_chain() if case % 2 else random_passive_jones()
         for conditional in (False, True):
-            new = coincidence_probability(rho, probe, j, conditional=conditional)
+            new = coincidence_probability(rho, e, check_passive(j),
+                                          conditional=conditional)
             assert isinstance(new, float)
-            old = kron_loop_probability(rho, probe, j, conditional=conditional)
+            old = kron_loop_probability(rho, kraus, j, conditional=conditional)
             assert abs(new - old) <= 1e-15
-        reduced, herald = heralded_idler(rho, probe)
-        ref_reduced, ref_herald = kron_loop_heralded_idler(rho, probe)
+        reduced, herald = heralded_idler(rho, e)
+        ref_reduced, ref_herald = kron_loop_heralded_idler(rho, kraus)
         assert np.max(np.abs(reduced - ref_reduced)) <= 1e-15
         assert abs(herald - ref_herald) <= 1e-15
-    assert len(random_channel().kraus) > 1
 
 
 def test_stacked_engine_matches_kron_loop_reference():
     chains = np.stack([random_chain() for _ in range(7)])
     idlers = np.stack([random_chain() for _ in range(3)])
-    stacked = ProbeTransform.from_jones(chains)
-    assert stacked.effect.shape == (7, 2, 2)
+    stacked = check_passive(chains)
+    f = check_passive(idlers)
+    assert stacked.shape == (7, 2, 2) and f.shape == (3, 2, 2)
     for rho in (werner(0.92), random_density()):
         for conditional in (False, True):
-            grid = coincidence_probability(rho, stacked, idlers,
+            grid = coincidence_probability(rho, stacked, f,
                                            conditional=conditional)
-            row = coincidence_probability(rho, stacked, idlers[1],
+            row = coincidence_probability(rho, stacked, f[1],
                                           conditional=conditional)
-            col = coincidence_probability(
-                rho, ProbeTransform.from_jones(chains[4]), idlers,
-                conditional=conditional)
+            col = coincidence_probability(rho, check_passive(chains[4]), f,
+                                          conditional=conditional)
             assert grid.shape == (7, 3) and row.shape == (7,)
             assert col.shape == (3,)
             npt.assert_array_equal(row, grid[:, 1])
@@ -154,36 +156,35 @@ def test_stacked_engine_matches_kron_loop_reference():
             for n in range(7):
                 for m in range(3):
                     ref = kron_loop_probability(
-                        rho, ProbeTransform((chains[n],)), idlers[m],
-                        conditional=conditional)
+                        rho, (chains[n],), idlers[m], conditional=conditional)
                     assert abs(grid[n, m] - ref) <= 1e-15
         reduced, herald = heralded_idler(rho, stacked)
         assert reduced.shape == (7, 2, 2) and herald.shape == (7,)
         for n in range(7):
-            ref = kron_loop_heralded_idler(rho, ProbeTransform((chains[n],)))
+            ref = kron_loop_heralded_idler(rho, (chains[n],))
             assert np.max(np.abs(reduced[n] - ref[0])) <= 1e-15
     # Validation covers every member of a stack.
     bad = chains.copy()
     bad[3] = 1.5 * np.eye(2)
     with pytest.raises(ValueError):
-        ProbeTransform.from_jones(bad)
+        check_passive(bad)
     with pytest.raises(ValueError):
-        ProbeTransform((bad,))
+        signal_effect((bad,))
     with pytest.raises(ValueError):
-        coincidence_probability(werner(0.5), stacked, 1.5 * idlers)
-    with pytest.raises(ValueError):
-        ProbeTransform((np.eye(2), np.zeros((3, 2, 2))))
+        check_passive(1.5 * idlers)
 
 
 def test_probe_transform_validation():
-    with pytest.raises(ValueError):
-        ProbeTransform(())
-    with pytest.raises(ValueError):
-        ProbeTransform((np.eye(3),))
-    with pytest.raises(ValueError):
-        ProbeTransform((np.diag([1.5, 0.0]),))
+    # The probe arm's transform is bounded on its effect, summed over
+    # its Kraus operators.
+    with pytest.raises(ValueError, match="non-passive Kraus operators"):
+        signal_effect((np.diag([1.5, 0.0]),))
+    with pytest.raises(ValueError, match="non-passive Kraus operators"):
+        signal_effect((np.diag([0.8, 0.0]), np.diag([0.8, 0.0])))
     # Two balanced branches of a depolarizing-style map stay admissible.
-    ProbeTransform((np.diag([0.7, 0.0]), np.diag([0.0, 0.7])))
+    npt.assert_allclose(
+        signal_effect((np.diag([0.7, 0.0]), np.diag([0.0, 0.7]))),
+        np.diag([0.49, 0.49]), atol=1e-15)
 
 
 NON_FINITE = [np.diag([np.nan, 1.0]), np.diag([np.inf, 0.5]),
@@ -199,20 +200,31 @@ def test_non_finite_signal_operator_is_a_value_error(op):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="Kraus operators must be finite"):
-            ProbeTransform((op,))
+            signal_effect((op,))
         with pytest.raises(ValueError, match="Kraus operators must be finite"):
-            ProbeTransform((np.zeros_like(op), op))
+            signal_effect((np.zeros_like(op), op))
 
 
 @pytest.mark.parametrize("op", NON_FINITE)
 def test_non_finite_idler_projector_is_a_value_error(op):
-    probe = ProbeTransform.from_jones(element_jones(lp(0.0), np.array([0.0, 30.0])))
+    # The engine takes effects as given; the idler arm is checked where
+    # it enters, here in sweep_family.
+    projectors = list(np.reshape(op, (-1, 2, 2)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="Jones matrix must be finite"):
-            coincidence_probability(bell_psi_plus(), probe, op)
+            sweep_family(bell_psi_plus(), "LP", projectors,
+                         thetas=np.array([0.0, 30.0]))
         with pytest.raises(ValueError, match="Jones matrix must be finite"):
             check_passive(op)
+
+
+def test_sweep_refuses_an_amplifying_idler_projector():
+    projectors = [element_jones(lp(10.0)), np.diag([1.0 + 1e-6, 0.5])]
+    with pytest.raises(ValueError, match="non-passive Jones matrix"):
+        sweep_family(bell_psi_plus(), "QWP", projectors,
+                     probe_elements=[qwp(62.0), lp(90.0)],
+                     thetas=np.array([0.0, 30.0]))
 
 
 @pytest.mark.parametrize("excess", [1.1e-9, 0.9e-9])
@@ -224,10 +236,9 @@ def test_both_arms_bound_the_effect(excess):
         with pytest.raises(ValueError, match="non-passive Jones matrix"):
             check_passive(jones)
         with pytest.raises(ValueError, match="non-passive Kraus operators"):
-            ProbeTransform.from_jones(jones)
+            signal_effect((jones,))
     else:
-        npt.assert_array_equal(check_passive(jones),
-                               ProbeTransform.from_jones(jones).effect)
+        npt.assert_array_equal(check_passive(jones), signal_effect((jones,)))
 
 
 def test_both_arms_reach_one_passivity_check(monkeypatch):
@@ -239,14 +250,17 @@ def test_both_arms_reach_one_passivity_check(monkeypatch):
         return passive_effect(ops, what)
 
     monkeypatch.setattr(polcalc, "passive_effect", spy)
-    coincidence_probability(bell_psi_plus(), ProbeTransform.from_jones(np.eye(2)),
-                            np.eye(2))
-    assert checked == ["Kraus operators", "Jones matrix"]
+    # The engine checks neither effect; a sweep checks each arm once.
+    coincidence_probability(bell_psi_plus(), np.eye(2), np.eye(2))
+    assert checked == []
+    sweep_family(bell_psi_plus(), "LP", [element_jones(lp(a)) for a in (0.0, 45.0)],
+                 probe_elements=[qwp(62.0)], conditional=True)
+    assert checked == ["Jones matrix", "Jones matrix"]
 
 
 def test_heralded_idler_anticorrelation():
     reduced, herald = heralded_idler(
-        bell_psi_plus(), ProbeTransform.from_elements([lp(0.0)])
+        bell_psi_plus(), check_passive(element_jones(lp(0.0)))
     )
     assert abs(herald - 0.5) < 1e-12
     npt.assert_allclose(reduced, np.diag([0.5, 0.0]), atol=1e-12)
@@ -254,9 +268,8 @@ def test_heralded_idler_anticorrelation():
 
 def test_heralded_idler_matches_direct_oracle():
     rho = werner(0.92)
-    probe = ProbeTransform.from_elements([lp(37.0)])
-    reduced, herald = heralded_idler(rho, probe)
-    k = probe.kraus[0]
+    k = element_jones(lp(37.0))
+    reduced, herald = heralded_idler(rho, check_passive(k))
     big = np.kron(k, np.eye(2))
     joint = big @ rho.matrix @ big.conj().T
     expected = joint.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
@@ -266,41 +279,41 @@ def test_heralded_idler_matches_direct_oracle():
 
 def test_coincidences_of_crossed_and_parallel_analyzers():
     rho = bell_psi_plus()
-    probe = ProbeTransform.from_elements([lp(0.0)])
-    same = coincidence_probability(rho, probe, element_jones(lp(0.0)))
-    crossed = coincidence_probability(rho, probe, element_jones(lp(90.0)))
+    probe = check_passive(element_jones(lp(0.0)))
+    same = coincidence_probability(rho, probe, check_passive(element_jones(lp(0.0))))
+    crossed = coincidence_probability(rho, probe,
+                                      check_passive(element_jones(lp(90.0))))
     assert abs(same) < 1e-12
     assert abs(crossed - 0.5) < 1e-12
 
 
 def test_conditional_probability_normalizes_by_herald():
     rho = bell_psi_plus()
-    probe = ProbeTransform.from_elements([lp(0.0)])
+    probe = check_passive(element_jones(lp(0.0)))
     p = coincidence_probability(
-        rho, probe, element_jones(lp(90.0)), conditional=True
+        rho, probe, check_passive(element_jones(lp(90.0))), conditional=True
     )
     assert abs(p - 1.0) < 1e-12
 
 
 def test_conditioning_on_dead_herald_raises():
     # A fully blocking probe arm never heralds, also inside a stack.
-    blocking = ProbeTransform((np.zeros((2, 2)),))
+    f = check_passive(element_jones(lp(0.0)))
     with pytest.raises(UnheraldableError):
         coincidence_probability(
-            bell_psi_plus(), blocking, element_jones(lp(0.0)), conditional=True
+            bell_psi_plus(), np.zeros((2, 2)), f, conditional=True
         )
-    stacked = ProbeTransform((np.stack([np.eye(2), np.zeros((2, 2))]),))
+    stacked = np.stack([np.eye(2), np.zeros((2, 2))])
     with pytest.raises(UnheraldableError):
-        coincidence_probability(
-            bell_psi_plus(), stacked, element_jones(lp(0.0)), conditional=True
-        )
+        coincidence_probability(bell_psi_plus(), stacked, f, conditional=True)
 
 
 def test_identity_probe_gives_half_for_any_polarizer():
     rho = bell_psi_plus()
-    probe = ProbeTransform.from_jones(np.eye(2))
+    probe = check_passive(np.eye(2))
     for theta in RNG.uniform(0.0, 180.0, size=8):
-        p = coincidence_probability(rho, probe, element_jones(lp(theta)))
+        p = coincidence_probability(rho, probe,
+                                    check_passive(element_jones(lp(theta))))
         assert abs(p - 0.5) < 1e-12
 
 
@@ -309,7 +322,7 @@ def test_joint_probability_against_bruteforce_oracle():
         rho = random_density()
         k = random_passive_jones()
         j = random_passive_jones()
-        engine = coincidence_probability(rho, ProbeTransform((k,)), j)
+        engine = coincidence_probability(rho, check_passive(k), check_passive(j))
         oracle = joint_probability_oracle(rho.matrix, k, j)
         assert abs(engine - oracle) < 1e-12
 
@@ -317,9 +330,9 @@ def test_joint_probability_against_bruteforce_oracle():
 def test_joint_never_exceeds_herald():
     for _ in range(20):
         rho = random_density()
-        probe = ProbeTransform((random_passive_jones(),))
+        probe = check_passive(random_passive_jones())
         j = random_passive_jones()
-        p = coincidence_probability(rho, probe, j)
+        p = coincidence_probability(rho, probe, check_passive(j))
         _, herald = heralded_idler(rho, probe)
         assert p <= herald + 1e-12
 
@@ -329,9 +342,9 @@ def test_reduction_consistency():
     # reduced state.
     for _ in range(20):
         rho = random_density()
-        probe = ProbeTransform((random_passive_jones(),))
+        probe = check_passive(random_passive_jones())
         j = random_passive_jones()
-        p = coincidence_probability(rho, probe, j)
+        p = coincidence_probability(rho, probe, check_passive(j))
         reduced, _ = heralded_idler(rho, probe)
         assert abs(p - np.trace(j @ reduced @ j.conj().T).real) < 1e-12
 
@@ -346,9 +359,9 @@ def test_kraus_mixing_invariance():
         u[1, 0] * k1 + u[1, 1] * k2,
     )
     rho = random_density()
-    a = ProbeTransform((k1, k2))
-    b = ProbeTransform(mixed)
-    j = random_passive_jones()
+    a = signal_effect((k1, k2))
+    b = signal_effect(mixed)
+    j = check_passive(random_passive_jones())
     assert abs(
         coincidence_probability(rho, a, j) - coincidence_probability(rho, b, j)
     ) < 1e-12
@@ -356,23 +369,6 @@ def test_kraus_mixing_invariance():
     rb, hb = heralded_idler(rho, b)
     npt.assert_allclose(ra, rb, atol=1e-12)
     assert abs(ha - hb) < 1e-12
-
-
-def test_nonphysical_mueller_probe_refused():
-    with pytest.raises(ValueError):
-        ProbeTransform.from_mueller(np.diag([1.0, 1.0, 1.0, -1.0]))
-
-
-def test_probe_from_mueller_matches_jones_route():
-    rho = random_density()
-    j_sample = element_jones(qwp(25.0))
-    via_jones = ProbeTransform.from_jones(j_sample)
-    via_mueller = ProbeTransform.from_mueller(jones_to_mueller(j_sample))
-    proj = element_jones(lp(120.0))
-    assert abs(
-        coincidence_probability(rho, via_jones, proj)
-        - coincidence_probability(rho, via_mueller, proj)
-    ) < 1e-10
 
 
 def test_default_grid_covers_half_turn():
@@ -458,7 +454,7 @@ def test_sweep_against_pointwise_computation():
     for t, theta in enumerate(thetas):
         k = compose([lp(theta), qwp(62.0), lp(90.0)])
         p = coincidence_probability(
-            bell_psi_plus(), ProbeTransform((k,)), projs[0]
+            bell_psi_plus(), check_passive(k), check_passive(projs[0])
         )
         assert abs(curve.raw[t, 0] - p) < 1e-12
 

@@ -7,7 +7,7 @@ import pytest
 
 import os
 
-from ghostpol import optproj
+from ghostpol import optproj, polcalc
 from ghostpol.configio import load_config, parse_config_text
 from ghostpol.optproj import (
     OptimizationConfig,
@@ -24,8 +24,10 @@ from ghostpol.optproj import (
     settings_table,
     table_params,
 )
+from ghostpol.ghost import coincidence_probability
 from ghostpol.polcalc import (
-    STOKES_OPS, PolElement, compose, element_jones, rotation_jones,
+    STOKES_OPS, PolElement, check_passive, compose, element_jones,
+    passive_effect, rotation_jones,
 )
 from ghostpol.qstate import TwoQubitDensity, bell_psi_plus, werner
 
@@ -171,6 +173,56 @@ def test_response_points_match_kron_loop_reference():
         if np.max(pts) > 0.0:
             # Same points in, bit-identical minimum out.
             assert objective_min_separation(pts) == reference_min_separation(pts)
+
+
+def test_response_points_equal_the_checked_path():
+    # Evaluations give the engine unchecked effects.  A settings table
+    # is passive by construction, so checking every one, as each
+    # evaluation once did, gives the same bits.
+    for case in range(60):
+        rho = werner(float(RNG.uniform())) if case % 2 else bell_psi_plus()
+        samples = sample_jones(tuple(
+            PolElement("partial_polarizer", float(t), extinction=float(RNG.uniform(1, 9)))
+            if case % 3 else PolElement("retarder", float(t), retardance_rad=1.0)
+            for t in RNG.uniform(0.0, 180.0, size=int(RNG.integers(2, 6)))))
+        n_probe = case % 4 != 0
+        projectors = EVERY_LAYOUT if case < 2 else \
+            tuple(random_param() for _ in range(int(RNG.integers(1, 4))))
+        table, qwp_first = settings_table((random_param(),) * n_probe + projectors)
+        coords = np.nonzero(np.isfinite(table))
+        x = np.where(coords[0] == 2, RNG.uniform(0.2, 10.0, size=coords[0].size),
+                     RNG.uniform(-360.0, 540.0, size=coords[0].size))
+        jones = settings_jones(point_table(table, coords, x), qwp_first)
+        probe = jones[0] if n_probe else None
+        pts = response_points(rho, samples, probe, jones[n_probe:])
+        checked = coincidence_probability(
+            rho, passive_effect((samples if probe is None else probe @ samples,),
+                                "Kraus operators"),
+            check_passive(jones[n_probe:]))
+        assert pts.shape == (samples.shape[0], len(projectors))
+        assert pts.tobytes() == checked.tobytes()
+
+
+@pytest.mark.parametrize("mode, probe, checks", [
+    ("joint", None, 2),
+    ("joint", ProjectorParam(qwp_deg=62.0, lp_deg=90.0), 2),
+    ("sequential", ProjectorParam(qwp_deg=62.0, lp_deg=90.0), 3),
+], ids=["joint", "joint_probe", "sequential_probe"])
+def test_optimize_checks_once_per_run_and_stage(monkeypatch, mode, probe, checks):
+    # The sample stack once, then each stage's settings table once; no
+    # evaluation checks its effects again.
+    shapes = []
+    check = polcalc.check_passive
+
+    def spy(jones):
+        shapes.append(jones.shape)
+        return check(jones)
+
+    monkeypatch.setattr(polcalc, "check_passive", spy)
+    result = optimize(toy_config(probe=probe, mode=mode, restarts=2,
+                                 max_evals=60))
+    assert result.n_evals > checks
+    assert shapes == [(2, 2, 2)] + [(1 + (probe is not None), 2, 2)] * (checks - 1)
 
 
 def test_shipped_first_restart_regression():

@@ -13,12 +13,12 @@ EXPORTS = {
     "discern": "DistinguishabilityReport EllipsoidRegion SampleStats "
                "analyze_families analyze_family max_distinguishable_subset "
                "separable step_stats summarize",
-    "ghost": "ProbeTransform ResponseCurve coincidence_probability "
-             "dataset_scale heralded_idler sweep_family",
+    "ghost": "ResponseCurve coincidence_probability dataset_scale "
+             "heralded_idler sweep_family",
     "optproj": "OptimizationConfig OptimizationResult ProjectorParam "
                "nearest_feasible objective_min_separation optimize",
     "polcalc": "PolElement compose element_jones jones_to_mueller "
-               "kraus_from_mueller mueller_to_choi rotation_jones",
+               "rotation_jones",
     "qstate": "StateMetrics TwoQubitDensity bell_psi_plus concurrence fidelity "
               "linear_entropy metrics partial_trace werner",
     "tomo": "ReconstructionResult TomographyRecord canonical_projections "
@@ -28,7 +28,7 @@ EXPORTS = {
 
 def test_exports_are_the_submodule_objects():
     names = [name for names in EXPORTS.values() for name in names.split()]
-    assert len(names) == 47
+    assert len(names) == 44
     assert ghostpol.__all__ == sorted(names)
     for module, names in EXPORTS.items():
         module = importlib.import_module(f"ghostpol.{module}")

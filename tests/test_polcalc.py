@@ -11,8 +11,6 @@ from ghostpol.polcalc import (
     compose,
     element_jones,
     jones_to_mueller,
-    kraus_from_mueller,
-    mueller_to_choi,
     oriented_jones,
     rotation_jones,
 )
@@ -270,8 +268,8 @@ def test_mueller_stack_equals_entrywise_traces():
 
 
 def test_stokes_stack_forms_equal_their_loops():
-    # coherency_from_stokes, stokes_from_jones_vector and mueller_to_choi
-    # as they were, one Stokes operator at a time.
+    # coherency_from_stokes and stokes_from_jones_vector as they were,
+    # one Stokes operator at a time.
     for _ in range(50):
         s = RNG.normal(size=4)
         c = np.zeros((2, 2), dtype=complex)
@@ -282,14 +280,6 @@ def test_stokes_stack_forms_equal_their_loops():
         coh = np.outer(v, v.conj())
         assert np.array_equal(stokes_from_jones_vector(v), np.array(
             [np.real(np.trace(op @ coh)) for op in STOKES_OPS]))
-        m = jones_to_mueller(element_jones(random_element())) \
-            + 0.1 * RNG.normal(size=(4, 4))
-        choi = np.zeros((4, 4), dtype=complex)
-        for i, si in enumerate(STOKES_OPS):
-            for k, sk in enumerate(STOKES_OPS):
-                choi += 0.5 * m[i, k] * np.kron(sk.T, si)
-        assert np.array_equal(mueller_to_choi(m)[0],
-                              0.5 * (choi + choi.conj().T))
 
 
 def test_mueller_action_matches_coherency_oracle():
@@ -335,50 +325,6 @@ def test_reference_probe_two_matrix_first_row():
         compose([PolElement("partial_polarizer", 90.0, extinction=3.7), qwp(62.0)])
     )
     npt.assert_allclose(m[0], REF_PROBE_TWO[0], atol=5e-3)
-
-
-def test_choi_of_identity_is_maximally_entangled():
-    choi, physical = mueller_to_choi(np.eye(4))
-    assert physical
-    vec = np.zeros(4)
-    vec[0] = vec[3] = 1.0
-    npt.assert_allclose(choi, np.outer(vec, vec), atol=1e-12)
-    assert abs(np.trace(choi).real - 2.0) < 1e-12
-
-
-def test_choi_flags_transpose_like_map():
-    # Flipping the handedness axis alone is positive but not completely
-    # positive, so the physicality flag must match a direct PSD check.
-    m = np.diag([1.0, 1.0, 1.0, -1.0])
-    choi, physical = mueller_to_choi(m)
-    eigvals = np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))
-    assert physical == bool(eigvals[0] >= -1e-9)
-    assert not physical
-    with pytest.raises(ValueError):
-        kraus_from_mueller(m)
-
-
-def test_kraus_roundtrip_recovers_jones():
-    for _ in range(15):
-        j = element_jones(random_element())
-        kraus = kraus_from_mueller(jones_to_mueller(j))
-        assert len(kraus) == 1
-        k = kraus[0]
-        # Align the arbitrary global phase before comparing.
-        idx = np.unravel_index(np.argmax(np.abs(j)), j.shape)
-        phase = j[idx] / k[idx]
-        assert abs(abs(phase) - 1.0) < 1e-9
-        npt.assert_allclose(k * phase, j, atol=1e-9)
-
-
-def test_kraus_reassemble_mueller():
-    for _ in range(10):
-        j1 = element_jones(random_element())
-        j2 = element_jones(random_element())
-        m = 0.5 * jones_to_mueller(j1) + 0.5 * jones_to_mueller(j2)
-        kraus = kraus_from_mueller(m)
-        rebuilt = sum(jones_to_mueller(k) for k in kraus)
-        npt.assert_allclose(rebuilt, m, atol=1e-9)
 
 
 def test_stokes_of_basis_states():
