@@ -26,6 +26,7 @@ no bounds, no adaptive parameters, no iteration cap, and ``maxfev``,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -174,8 +175,10 @@ def minimize(fun, x0: np.ndarray, maxfev: int, xatol: float,
     sim, fsim = _by_value(*_by_value(sim, fsim))
     while nfev < maxfev:
         try:
-            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            # The f-spread first: it is cheaper, and rarely passes.
+            f0, *rest = fsim.tolist()
+            if (all(abs(f0 - f) <= fatol for f in rest)
+                    and np.max(np.abs(sim[1:] - sim[0])) <= xatol):
                 break
             xbar = np.add.reduce(sim[:-1], 0) / n
             xr = 2 * xbar - sim[-1]
@@ -226,19 +229,35 @@ def table_params(table: np.ndarray,
     )
 
 
+def settings_builder(table: np.ndarray, qwp_first: np.ndarray,
+                     coords: tuple[np.ndarray, np.ndarray] | None = None):
+    """Prepared :func:`settings_jones`: ``build(x)`` gives the stack of
+    ``point_table(table, coords, x)`` for a ``(3, k)`` table, ``build(None)``
+    that of ``table``.  One :func:`polcalc.oriented_jones` pass builds all
+    elements; a bare polarizer's waveplate, factor 1 at angle 0, is the
+    exact identity.  Complex polarizer factors can give -0 imaginary parts
+    where real ones give +0; the stack's bytes are the same (see tests)."""
+    bare = np.isnan(table[0])
+    base = table.copy()
+    base[0] = np.where(bare, 0.0, table[0])
+    wave = np.where(bare, 1.0, polcalc.axis_factor(QWP))
+    # Flat indices of each setting's two elements, in crossing order.
+    order = np.arange(2 * bare.size).reshape((2,) + bare.shape)
+    crossed = np.where(qwp_first, order, order[::-1])
+
+    def build(x: np.ndarray | None) -> np.ndarray:
+        t = base if x is None else point_table(base, coords, x)
+        a = np.array([wave, 1.0 / np.sqrt(t[2])])
+        return polcalc.compose(polcalc.oriented_jones(a, t[:2] % 180.0)
+                               .reshape(-1, 2, 2).take(crossed, 0))
+
+    return build
+
+
 def settings_jones(table: np.ndarray, qwp_first: np.ndarray) -> np.ndarray:
-    """``table.shape[1:] + (2, 2)`` Jones stack of a settings table, for
-    any mix of layouts: one call builds the waveplates (the identity for
-    a bare polarizer, whose NaN angle gives NaN entries), one the
-    polarizers (axis factor 1/sqrt(extinction), 0 when ideal) and one
-    chain product applies them in order.  Angles are reduced modulo 180.
-    """
-    qwp_deg, lp_deg, extinction = table
-    qwp = np.where(np.isnan(qwp_deg)[..., None, None], np.eye(2),
-                   polcalc.element_jones(QWP, qwp_deg))
-    lp = polcalc.oriented_jones(1.0 / np.sqrt(extinction), lp_deg % 180.0)
-    first = np.asarray(qwp_first)[..., None, None]
-    return polcalc.compose([np.where(first, qwp, lp), np.where(first, lp, qwp)])
+    """``table.shape[1:] + (2, 2)`` Jones stack of a settings table, any
+    mix of layouts: :func:`settings_builder` used once."""
+    return settings_builder(table, qwp_first)(None)
 
 
 def projector_jones(params: tuple[ProjectorParam, ...]) -> np.ndarray:
@@ -263,20 +282,22 @@ def response_points(rho: TwoQubitDensity, samples: np.ndarray,
                                    polcalc.kraus_effect((projectors,)))
 
 
+_pairs = functools.cache(np.triu_indices)
+
+
 def objective_min_separation(points: np.ndarray) -> float:
     """Smallest pairwise distance between ``(n, m)`` response points
     divided by their largest entry; an all-zero set (a fully blocking
-    probe) scores 0."""
-    peak = float(np.max(points))
+    probe) scores 0, and a single point inf."""
+    peak = float(points.max())
     if peak <= 0.0:
         return 0.0
     pts = points / peak
-    d = pts[:, None] - pts
+    i, j = _pairs(len(pts), 1)
+    d = pts.take(i, 0) - pts.take(j, 0)
     # vecdot rounds like np.linalg.norm of each difference vector;
     # norm(axis=-1) can differ in the last bit.
-    sq = np.vecdot(d, d)
-    np.fill_diagonal(sq, np.inf)
-    return float(np.sqrt(np.min(sq)))
+    return float(np.sqrt(np.vecdot(d, d).min(initial=np.inf)))
 
 
 def point_table(table: np.ndarray, coords: tuple[np.ndarray, np.ndarray],
@@ -355,16 +376,16 @@ def optimize(config: OptimizationConfig) -> OptimizationResult:
     trace: list[dict] = []
 
     for stage_name, coords in stages:
-        base = table
-        polcalc.check_passive(settings_jones(base, qwp_first))
+        build = settings_builder(table, qwp_first, coords)
+        polcalc.check_passive(build(None))
 
         def score(x: np.ndarray) -> float:
-            jones = settings_jones(point_table(base, coords, x), qwp_first)
+            jones = build(x)
             probe = jones[0] if n_probe else None
             return -objective_min_separation(
                 response_points(rho, samples, probe, jones[n_probe:]))
 
-        starts = _start_points(coords[0], config.restarts, base[coords],
+        starts = _start_points(coords[0], config.restarts, table[coords],
                                config.seed)
         per_start = max(1, budget // config.restarts)
         best_x = None
@@ -385,7 +406,7 @@ def optimize(config: OptimizationConfig) -> OptimizationResult:
                           "start_objective": start_val,
                           "final_objective": final_val,
                           "n_evals": int(res.nfev)})
-        table = point_table(base, coords, best_x)
+        table = point_table(table, coords, best_x)
 
     settings = table_params(table, qwp_first)
     return OptimizationResult(

@@ -33,6 +33,10 @@ STOKES_OPS = np.array([
     [[0.0, -1.0j], [1.0j, 0.0]],
 ], dtype=complex)
 
+# The start of every chain product in compose(), read-only.
+IDENTITY = np.eye(2, dtype=complex)
+IDENTITY.flags.writeable = False
+
 # The parameters each element kind takes.  An element gives every
 # parameter of its kind and leaves every other one None.
 ELEMENT_KINDS = {"ideal_polarizer": (), "partial_polarizer": ("extinction",),
@@ -93,22 +97,26 @@ def element_jones(element: PolElement,
     diag(0, 1), a partial polarizer with extinction k is
     diag(1/sqrt(k), 1) and a retarder with retardance d is
     diag(exp(i d), 1), i.e. the fast (vertical) axis carries zero
-    extra phase.  See :func:`oriented_jones` for the oriented form.
+    extra phase (:func:`axis_factor`).  See :func:`oriented_jones` for
+    the oriented form.
 
     With ``theta_deg`` (an array of angles in degrees, reduced modulo
     180 like an element's own orientation) the element is taken at
     each of those angles instead, and the result is a stack of shape
     ``theta_deg.shape + (2, 2)``.
     """
-    if element.kind == "ideal_polarizer":
-        a = 0.0
-    elif element.kind == "partial_polarizer":
-        a = 1.0 / np.sqrt(element.extinction)
-    else:
-        a = np.exp(1.0j * element.retardance_rad)
     theta = element.theta_deg if theta_deg is None else \
         np.asarray(theta_deg, dtype=float) % 180.0
-    return oriented_jones(a, theta)
+    return oriented_jones(axis_factor(element), theta)
+
+
+def axis_factor(element: PolElement):
+    """The factor ``a`` of ``element`` at theta = 0, diag(a, 1)."""
+    if element.kind == "ideal_polarizer":
+        return 0.0
+    if element.kind == "partial_polarizer":
+        return 1.0 / np.sqrt(element.extinction)
+    return np.exp(1.0j * element.retardance_rad)
 
 
 def oriented_jones(a, theta_deg) -> np.ndarray:
@@ -121,12 +129,11 @@ def oriented_jones(a, theta_deg) -> np.ndarray:
     ``theta_deg.shape + (2, 2)``.
     """
     t = np.deg2rad(theta_deg)
-    c, s = np.cos(t), np.sin(t)
-    cc, ss, cs = c * c, s * s, c * s
+    trig = np.array([np.cos(t), np.sin(t)])
+    sq = trig * trig  # c^2 and s^2: both diagonal entries in one pass
     out = np.empty(np.shape(t) + (2, 2), dtype=complex)
-    out[..., 0, 0] = cc * a + ss
-    out[..., 0, 1] = out[..., 1, 0] = cs * (a - 1.0)
-    out[..., 1, 1] = ss * a + cc
+    out[..., 0, 0], out[..., 1, 1] = sq * a + sq[::-1]
+    out[..., 0, 1] = out[..., 1, 0] = trig[0] * trig[1] * (a - 1.0)
     return out
 
 
@@ -141,7 +148,7 @@ def compose(elements: list | tuple) -> np.ndarray:
     """
     if len(elements) == 0:
         raise ValueError("compose() needs at least one element")
-    total = np.eye(2, dtype=complex)
+    total = IDENTITY
     for el in elements:
         if isinstance(el, PolElement):
             el = element_jones(el)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -20,14 +21,15 @@ from ghostpol.optproj import (
     projector_jones,
     response_points,
     sample_jones,
+    settings_builder,
     settings_jones,
     settings_table,
     table_params,
 )
 from ghostpol.ghost import coincidence_probability
 from ghostpol.polcalc import (
-    STOKES_OPS, PolElement, check_passive, compose, element_jones,
-    passive_effect, rotation_jones,
+    QWP, STOKES_OPS, PolElement, check_passive, compose, element_jones,
+    oriented_jones, passive_effect, rotation_jones,
 )
 from ghostpol.qstate import TwoQubitDensity, bell_psi_plus, werner
 
@@ -302,6 +304,145 @@ def test_small_run_regression(text, n_evals, objective):
     assert (result.probe is None) == (cfg.optimize.probe is None)
 
 
+def reference_oriented_jones(a, theta_deg):
+    """oriented_jones as it was: one product per entry."""
+    t = np.deg2rad(theta_deg)
+    c, s = np.cos(t), np.sin(t)
+    cc, ss, cs = c * c, s * s, c * s
+    out = np.empty(np.shape(t) + (2, 2), dtype=complex)
+    out[..., 0, 0] = cc * a + ss
+    out[..., 0, 1] = out[..., 1, 0] = cs * (a - 1.0)
+    out[..., 1, 1] = ss * a + cc
+    return out
+
+
+def reference_settings_jones(table, qwp_first):
+    """settings_jones as it was before the prepared builder: separate
+    waveplate and polarizer stacks, ordered by np.where, multiplied
+    onto a fresh identity as compose did."""
+    qwp_deg, lp_deg, extinction = table
+    qwp = np.where(np.isnan(qwp_deg)[..., None, None], np.eye(2),
+                   reference_oriented_jones(np.exp(1.0j * QWP.retardance_rad),
+                                            np.asarray(qwp_deg) % 180.0))
+    lp = reference_oriented_jones(1.0 / np.sqrt(extinction), lp_deg % 180.0)
+    first = np.asarray(qwp_first)[..., None, None]
+    return np.where(first, lp, qwp) @ (
+        np.where(first, qwp, lp) @ np.eye(2, dtype=complex))
+
+
+def test_oriented_jones_equals_reference_bytes():
+    rng = np.random.default_rng(20)
+    theta = rng.uniform(0.0, 180.0, size=(3, 5))
+    theta[0] = [0.0, 45.0, 90.0, 135.0, 180.0 - 1e-13]
+    factors = [0.0, 0.3, 1.0, np.exp(1.0j * rng.uniform(0.0, 6.0)),
+               rng.uniform(size=(3, 5)) + 0.0j,
+               np.exp(1.0j * rng.uniform(0.0, 6.0, size=5))]
+    for a in factors:
+        ref = reference_oriented_jones(a, theta)
+        assert oriented_jones(a, theta).tobytes() == ref.tobytes()
+        if np.ndim(a) == 0:
+            assert oriented_jones(a, theta[0, 1]).tobytes() == \
+                reference_oriented_jones(a, theta[0, 1]).tobytes()
+
+
+def reference_min_separation_matrix(points):
+    """objective_min_separation as it was: the full n x n matrix of
+    squared distances, its diagonal set to inf."""
+    peak = float(np.max(points))
+    if peak <= 0.0:
+        return 0.0
+    pts = points / peak
+    d = pts[:, None] - pts
+    sq = np.vecdot(d, d)
+    np.fill_diagonal(sq, np.inf)
+    return float(np.sqrt(np.min(sq)))
+
+
+def random_table(rng, k):
+    """A (3, k) settings table of every layout.  Its angles lie in
+    [-1e3, 1e3]; some are exact multiples of 45 degrees, some so little
+    below 0 that modulo 180 they round to 180."""
+    angles = rng.uniform(-1e3, 1e3, size=(2, k))
+    pick = rng.random((2, k))
+    angles[pick < 0.3] = 45.0 * rng.integers(-23, 23, size=(2, k))[pick < 0.3]
+    angles[pick > 0.9] = -1e-14
+    angles[0, rng.random(k) < 0.3] = np.nan
+    extinction = np.where(rng.random(k) < 0.4, np.inf,
+                          rng.choice([1.0, 2.0, 3.7, 1e6], size=k))
+    return np.vstack([angles, extinction]), rng.random(k) < 0.5
+
+
+def test_settings_builder_equals_reference_bytes():
+    rng = np.random.default_rng(18)
+    for case in range(400):
+        table, qwp_first = random_table(rng, int(rng.integers(1, 6)))
+        searched = np.isfinite(table) & (rng.random(table.shape) < 0.7)
+        coords = np.nonzero(searched.T)[::-1]
+        build = settings_builder(table, qwp_first, coords)
+        assert build(None).tobytes() == \
+            reference_settings_jones(table, qwp_first).tobytes(), case
+        for _ in range(3):
+            # Extinctions below 1 are floored; angles as in random_table.
+            x = np.where(coords[0] == 2,
+                         rng.choice([0.2, 1.0, 4.5, 1e3], size=coords[0].size),
+                         random_table(rng, coords[0].size)[0][1])
+            jones = build(x)
+            ref = reference_settings_jones(point_table(table, coords, x),
+                                           qwp_first)
+            assert jones.tobytes() == ref.tobytes(), case
+
+
+@pytest.mark.parametrize("shape", [(), (7,)], ids=["scalar", "grid"])
+@pytest.mark.parametrize("extinction", [math.inf, 3.7])
+@pytest.mark.parametrize("qwp_first", [True, False])
+def test_settings_jones_equals_reference_bytes_on_grids(shape, extinction,
+                                                       qwp_first):
+    # The table shapes that nearest_feasible scores: one angle pair, or
+    # one per seed-grid point.
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        qwp_deg, lp_deg = rng.uniform(-1e3, 1e3, size=(2,) + shape)
+        qwp_deg = np.where(rng.random(shape) < 0.3, 45.0 * 3, qwp_deg)
+        table = np.array([qwp_deg, lp_deg, np.full_like(qwp_deg, extinction)])
+        flags = np.full(shape, qwp_first)
+        assert settings_jones(table, flags).shape == shape + (2, 2)
+        assert settings_jones(table, flags).tobytes() == \
+            reference_settings_jones(table, flags).tobytes()
+
+
+@pytest.mark.parametrize("entry", [(1, 0), (2, 1)], ids=["lp_deg", "extinction"])
+def test_settings_jones_keeps_nan_outside_the_bare_waveplate(entry):
+    # Only a bare polarizer's waveplate angle may be NaN; a NaN anywhere
+    # else still gives a NaN Jones matrix, which check_passive refuses.
+    table, qwp_first = settings_table(EVERY_LAYOUT)
+    table[entry] = math.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        jones = settings_jones(table, qwp_first)
+    assert np.isnan(jones[entry[1]]).any()
+    with pytest.raises(ValueError):
+        check_passive(jones)
+
+
+def test_objective_equals_full_matrix_reference_bits():
+    rng = np.random.default_rng(19)
+    for case in range(500):
+        n, m = int(rng.integers(1, 10)), int(rng.integers(1, 4))
+        pts = rng.uniform(size=(n, m))
+        if case % 3 == 0:
+            # Coarse values, so that pairs tie or coincide.
+            pts = np.round(pts * 4.0) / 4.0
+        got = objective_min_separation(pts)
+        assert np.float64(got).tobytes() == \
+            np.float64(reference_min_separation_matrix(pts)).tobytes(), case
+
+
+def test_objective_of_one_point_is_inf():
+    # No pair to separate: the pair form keeps the full matrix's inf.
+    assert objective_min_separation(np.array([[0.25, 0.5]])) == math.inf
+    assert objective_min_separation(np.zeros((1, 3))) == 0.0
+
+
 def test_settings_table_round_trips():
     table, qwp_first = settings_table(EVERY_LAYOUT)
     assert table.shape == (3, 8) and qwp_first.shape == (8,)
@@ -546,6 +687,29 @@ def random_objective(rng, n):
             x[:] = 0.0
         return math.floor(value) if stepped else value
     return f
+
+
+def valley(x):
+    """A coupled quadratic in Python floats, the same on every platform."""
+    x = x.tolist()
+    coupling = x[0] * x[-1] - 1.0
+    return sum((i + 1) * (v - 0.5 * i) * (v - 0.5 * i)
+               for i, v in enumerate(x)) + 0.3 * coupling * coupling
+
+
+@pytest.mark.parametrize("maxfev, x_hex, fun, nfev, success", [
+    (4000, "4bf6b0525438d13f6c1c65610000e03f"
+           "f90961180000f03f0b3471d70731f83f", 0.17852848930943255, 654, True),
+    (37, "67667af04d55f13f8499ddcab81e03c0"
+         "48b6f31febeb5f3f0000f0c90b73fe3f", 21.854184995127245, 37, False),
+], ids=["tolerances", "budget"])
+def test_minimize_regression(maxfev, x_hex, fun, nfev, success):
+    # Frozen from the port before its stop test was reordered; needs no
+    # scipy, unlike the comparison below.
+    res = minimize(valley, np.array([1.0, -2.0, 0.0, 7.5]), maxfev=maxfev,
+                   xatol=1e-6, fatol=1e-12)
+    assert (res.x.tobytes().hex(), res.fun, res.nfev, res.success) == \
+        (x_hex, fun, nfev, success)
 
 
 def test_minimize_port_equals_scipy_nelder_mead():
