@@ -21,9 +21,9 @@ from .optproj import (OptimizationConfig, OptimizationResult, ProjectorParam,
 from .polcalc import (PolElement, compose, element_jones, jones_to_mueller,
                       rotation_jones)
 from .qstate import (StateMetrics, TwoQubitDensity, bell_psi_plus, concurrence,
-                     fidelity, linear_entropy, metrics, partial_trace, werner)
-from .tomo import (ReconstructionResult, TomographyRecord, canonical_projections,
-                   reconstruct_mle, simulate_tomography)
+                     fidelity, linear_entropy, metrics, werner)
+from .tomo import (ReconstructionResult, TomographyRecord, reconstruct_mle,
+                   simulate_tomography)
 
 # The names imported above; the submodules that the imports bind are
 # not exports.

@@ -10,10 +10,10 @@ p = tr[rho (E (x) F)], the herald is tr[rho (E (x) I)] and the
 unnormalized idler state is Tr_s[(E (x) I) rho].  The engine takes
 the effects themselves, one or an (n, 2, 2) stack per arm, and one
 contraction gives every probability.  It checks neither: each arm is
-bounded once where it enters, by :func:`polcalc.passive_effect` (or
-:func:`polcalc.check_passive` for a Jones stack), which forms the
-effect and refuses one that is not finite or whose eigenvalues exceed
-1 (passive optics do not amplify light).
+bounded once where it enters, by :func:`polcalc.check_passive`, which
+forms the effect of a Jones stack and refuses one that is not finite
+or whose eigenvalues exceed 1 (passive optics do not amplify light).
+A caller with a Kraus set passes sum_k K_k^dagger K_k, unchecked.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def coincidence_probability(
     F = J^dagger J, (2, 2) or (m, 2, 2); p equals the Kraus form
     sum_k tr[(K_k (x) J) rho (K_k (x) J)^dagger].  Both are taken as
     given: the caller forms and bounds them where each arm enters
-    (:func:`polcalc.passive_effect`, :func:`polcalc.check_passive`).
+    (:func:`polcalc.check_passive`).
     Two 2x2 effects give a float; stacks give an array of shape
     (n, m), (n,) or (m,), from one contraction.  With
     ``conditional=True`` each probability is divided by its herald

@@ -278,8 +278,8 @@ def response_points(rho: TwoQubitDensity, samples: np.ndarray,
     ``(m, 2, 2)`` projector Jones stack, one row per sample."""
     if probe is not None:
         samples = probe @ samples
-    return coincidence_probability(rho, polcalc.kraus_effect((samples,)),
-                                   polcalc.kraus_effect((projectors,)))
+    return coincidence_probability(rho, polcalc.effect(samples),
+                                   polcalc.effect(projectors))
 
 
 _pairs = functools.cache(np.triu_indices)

@@ -156,35 +156,28 @@ def compose(elements: list | tuple) -> np.ndarray:
     return total
 
 
-def kraus_effect(ops) -> np.ndarray:
-    """Effect sum_k K_k^dagger K_k of the operators ``ops``, unchecked:
-    for operators that are passive by construction."""
-    return sum(k.conj().swapaxes(-1, -2) @ k for k in ops)
-
-
-def passive_effect(ops, what: str) -> np.ndarray:
-    """Effect E = sum_k K_k^dagger K_k of the operators ``ops``.
-
-    ``ops`` are 2x2 matrices or equal (n, 2, 2) stacks, and E has the
-    shape of one of them.  Raises ``ValueError``, naming the operators
-    as ``what``, if one is not finite or if E amplifies light: its
-    largest eigenvalue, over a stack too, exceeds 1 + ``EFFECT_TOL``.
-    """
-    # Checked before any product: inf * 0 would warn inside matmul.
-    if not all(np.isfinite(k).all() for k in ops):
-        raise ValueError(f"{what} must be finite")
-    effect = kraus_effect(ops)
-    eigmax = np.max(np.linalg.eigvalsh(effect)[..., -1], initial=0.0)
-    if eigmax > 1.0 + EFFECT_TOL:
-        raise ValueError(f"non-passive {what}, largest effect eigenvalue {eigmax}")
-    return effect
+def effect(jones: np.ndarray) -> np.ndarray:
+    """Effect J^dagger J of ``jones`` (one matrix or a stack), unchecked:
+    for Jones matrices that are passive by construction."""
+    return jones.conj().swapaxes(-1, -2) @ jones
 
 
 def check_passive(jones: np.ndarray) -> np.ndarray:
-    """Effect J^dagger J of ``jones`` (one matrix or a stack), checked
-    by :func:`passive_effect`: the squared largest singular value of
-    each matrix may not exceed 1 + ``EFFECT_TOL``."""
-    return passive_effect((np.asarray(jones, dtype=complex),), "Jones matrix")
+    """Effect J^dagger J of ``jones`` (one matrix or a stack), checked.
+
+    Raises ``ValueError`` if a matrix is not finite or if the effect
+    amplifies light: its largest eigenvalue (the squared largest
+    singular value of J), over a stack too, exceeds 1 + ``EFFECT_TOL``.
+    """
+    jones = np.asarray(jones, dtype=complex)
+    # Checked before any product: inf * 0 would warn inside matmul.
+    if not np.isfinite(jones).all():
+        raise ValueError("Jones matrix must be finite")
+    e = effect(jones)
+    eigmax = np.max(np.linalg.eigvalsh(e)[..., -1], initial=0.0)
+    if eigmax > 1.0 + EFFECT_TOL:
+        raise ValueError(f"non-passive Jones matrix, largest effect eigenvalue {eigmax}")
+    return e
 
 
 def jones_to_mueller(jones: np.ndarray) -> np.ndarray:

@@ -143,23 +143,6 @@ def metrics(rho: TwoQubitDensity) -> StateMetrics:
     )
 
 
-def partial_trace(rho: TwoQubitDensity, over: str) -> np.ndarray:
-    """Reduced 2x2 state after tracing out one photon.
-
-    Parameters
-    ----------
-    over : str
-        ``"signal"`` traces out the first factor, ``"idler"`` the
-        second.
-    """
-    m = rho.matrix.reshape(2, 2, 2, 2)
-    if over == "signal":
-        return np.trace(m, axis1=0, axis2=2)
-    if over == "idler":
-        return np.trace(m, axis1=1, axis2=3)
-    raise ValueError("over must be 'signal' or 'idler'")
-
-
 def save_density_csv(rho: TwoQubitDensity, path: str) -> None:
     """Write a density matrix as CSV rows of interleaved re, im pairs."""
     header = ",".join(f"re{c},im{c}" for c in range(4))

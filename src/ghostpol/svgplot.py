@@ -105,13 +105,10 @@ class _Axes:
         lo, hi = self.ylim
         return self.y0 + self.h - (y - lo) / (hi - lo) * self.h
 
-    def frame(self, xlabel: str, ylabel: str,
-              xticks: list[float] | None = None) -> None:
+    def frame(self, xlabel: str, ylabel: str, xticks: list[float]) -> None:
         c = self.canvas
         c.line(self.x0, self.y0 + self.h, self.x0 + self.w, self.y0 + self.h)
         c.line(self.x0, self.y0, self.x0, self.y0 + self.h)
-        if xticks is None:
-            xticks = _nice_ticks(*self.xlim)
         for t in xticks:
             x = self.px(t)
             c.line(x, self.y0 + self.h, x, self.y0 + self.h + 4.0)

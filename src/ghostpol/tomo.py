@@ -99,10 +99,6 @@ class ReconstructionResult:
     gradient_norm: float
 
 
-def canonical_projections() -> list[tuple[str, str]]:
-    return list(CANONICAL_PAIRS)
-
-
 def pair_vector(basis_a: str, basis_b: str) -> np.ndarray:
     return np.kron(ANALYSIS_STATES[basis_a], ANALYSIS_STATES[basis_b])
 

@@ -17,8 +17,7 @@ from ghostpol.ghost import (
     sweep_family,
 )
 from ghostpol.polcalc import (
-    EFFECT_TOL, PolElement, check_passive, compose, element_jones,
-    passive_effect,
+    EFFECT_TOL, PolElement, check_passive, compose, effect, element_jones,
 )
 from ghostpol.qstate import TwoQubitDensity, bell_psi_plus, werner
 
@@ -114,7 +113,8 @@ def random_channel():
 
 
 def signal_effect(kraus):
-    return passive_effect(kraus, "Kraus operators")
+    """E = sum_k K_k^dagger K_k of a Kraus set, formed by the caller."""
+    return sum(k.conj().T @ k for k in kraus)
 
 
 def test_engine_matches_kron_loop_reference():
@@ -169,22 +169,13 @@ def test_stacked_engine_matches_kron_loop_reference():
     with pytest.raises(ValueError):
         check_passive(bad)
     with pytest.raises(ValueError):
-        signal_effect((bad,))
-    with pytest.raises(ValueError):
         check_passive(1.5 * idlers)
 
 
 def test_probe_transform_validation():
-    # The probe arm's transform is bounded on its effect, summed over
-    # its Kraus operators.
-    with pytest.raises(ValueError, match="non-passive Kraus operators"):
-        signal_effect((np.diag([1.5, 0.0]),))
-    with pytest.raises(ValueError, match="non-passive Kraus operators"):
-        signal_effect((np.diag([0.8, 0.0]), np.diag([0.8, 0.0])))
-    # Two balanced branches of a depolarizing-style map stay admissible.
-    npt.assert_allclose(
-        signal_effect((np.diag([0.7, 0.0]), np.diag([0.0, 0.7]))),
-        np.diag([0.49, 0.49]), atol=1e-15)
+    # The probe arm's transform is bounded on its effect.
+    with pytest.raises(ValueError, match="non-passive Jones matrix"):
+        check_passive(np.diag([1.5, 0.0]))
 
 
 NON_FINITE = [np.diag([np.nan, 1.0]), np.diag([np.inf, 0.5]),
@@ -196,13 +187,11 @@ NON_FINITE = [np.diag([np.nan, 1.0]), np.diag([np.inf, 0.5]),
 def test_non_finite_signal_operator_is_a_value_error(op):
     # eigvalsh of a NaN effect returns finite values, so the effect bound
     # alone would accept it and every probability would be NaN.  The
-    # operators are checked before any product: inf * 0 warns in matmul.
+    # matrix is checked before any product: inf * 0 warns in matmul.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="Kraus operators must be finite"):
-            signal_effect((op,))
-        with pytest.raises(ValueError, match="Kraus operators must be finite"):
-            signal_effect((np.zeros_like(op), op))
+        with pytest.raises(ValueError, match="Jones matrix must be finite"):
+            check_passive(op)
 
 
 @pytest.mark.parametrize("op", NON_FINITE)
@@ -215,8 +204,6 @@ def test_non_finite_idler_projector_is_a_value_error(op):
         with pytest.raises(ValueError, match="Jones matrix must be finite"):
             sweep_family(bell_psi_plus(), "LP", projectors,
                          thetas=np.array([0.0, 30.0]))
-        with pytest.raises(ValueError, match="Jones matrix must be finite"):
-            check_passive(op)
 
 
 def test_sweep_refuses_an_amplifying_idler_projector():
@@ -231,31 +218,36 @@ def test_sweep_refuses_an_amplifying_idler_projector():
 def test_both_arms_bound_the_effect(excess):
     # The bound is on lambda_max(J^dagger J) = sigma_max^2 in both arms:
     # sigma_max = sqrt(1 + 1.1e-9) ~ 1 + 5.5e-10 amplifies by 1.1e-9.
+    # A QWP sample is unitary, so the signal chain keeps that sigma_max.
     jones = np.diag([np.sqrt(1.0 + excess), 0.0])
-    if excess > EFFECT_TOL:
-        with pytest.raises(ValueError, match="non-passive Jones matrix"):
-            check_passive(jones)
-        with pytest.raises(ValueError, match="non-passive Kraus operators"):
-            signal_effect((jones,))
-    else:
-        npt.assert_array_equal(check_passive(jones), signal_effect((jones,)))
+    thetas = np.array([0.0, 30.0])
+    signal = dict(projectors=[np.eye(2)], probe_elements=[jones])
+    idler = dict(projectors=[jones])
+    for arm in (signal, idler):
+        if excess > EFFECT_TOL:
+            with pytest.raises(ValueError, match="non-passive Jones matrix"):
+                sweep_family(bell_psi_plus(), "QWP", thetas=thetas, **arm)
+        else:
+            sweep_family(bell_psi_plus(), "QWP", thetas=thetas, **arm)
+    if excess <= EFFECT_TOL:
+        npt.assert_array_equal(check_passive(jones), effect(jones))
 
 
 def test_both_arms_reach_one_passivity_check(monkeypatch):
     checked = []
-    passive_effect = polcalc.passive_effect
+    check = polcalc.check_passive
 
-    def spy(ops, what):
-        checked.append(what)
-        return passive_effect(ops, what)
+    def spy(jones):
+        checked.append(np.shape(jones))
+        return check(jones)
 
-    monkeypatch.setattr(polcalc, "passive_effect", spy)
+    monkeypatch.setattr(polcalc, "check_passive", spy)
     # The engine checks neither effect; a sweep checks each arm once.
     coincidence_probability(bell_psi_plus(), np.eye(2), np.eye(2))
     assert checked == []
     sweep_family(bell_psi_plus(), "LP", [element_jones(lp(a)) for a in (0.0, 45.0)],
                  probe_elements=[qwp(62.0)], conditional=True)
-    assert checked == ["Jones matrix", "Jones matrix"]
+    assert checked == [(180, 2, 2), (2, 2, 2)]
 
 
 def test_heralded_idler_anticorrelation():
@@ -267,14 +259,20 @@ def test_heralded_idler_anticorrelation():
 
 
 def test_heralded_idler_matches_direct_oracle():
-    rho = werner(0.92)
-    k = element_jones(lp(37.0))
-    reduced, herald = heralded_idler(rho, check_passive(k))
-    big = np.kron(k, np.eye(2))
-    joint = big @ rho.matrix @ big.conj().T
-    expected = joint.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
-    npt.assert_allclose(reduced, expected, atol=1e-12)
-    assert abs(herald - np.trace(expected).real) < 1e-12
+    # With k = I the idler state is the partial trace over the signal:
+    # I/2 for the Bell state, heralded with probability 1.
+    cases = [(werner(0.92), element_jones(lp(37.0)), None),
+             (bell_psi_plus(), np.eye(2), (np.eye(2) / 2.0, 1.0))]
+    for rho, k, known in cases:
+        reduced, herald = heralded_idler(rho, check_passive(k))
+        big = np.kron(k, np.eye(2))
+        joint = big @ rho.matrix @ big.conj().T
+        expected = joint.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
+        npt.assert_allclose(reduced, expected, atol=1e-12)
+        assert abs(herald - np.trace(expected).real) < 1e-12
+        if known is not None:
+            npt.assert_allclose(reduced, known[0], atol=1e-12)
+            assert abs(herald - known[1]) < 1e-12
 
 
 def test_coincidences_of_crossed_and_parallel_analyzers():
@@ -349,26 +347,22 @@ def test_reduction_consistency():
         assert abs(p - np.trace(j @ reduced @ j.conj().T).real) < 1e-12
 
 
-def test_kraus_mixing_invariance():
-    # A unitary remix of the Kraus set describes the same map.
-    k1 = 0.6 * random_passive_jones()
-    k2 = 0.6 * random_passive_jones()
-    u = np.linalg.qr(RNG.normal(size=(2, 2)) + 1.0j * RNG.normal(size=(2, 2)))[0]
-    mixed = (
-        u[0, 0] * k1 + u[0, 1] * k2,
-        u[1, 0] * k1 + u[1, 1] * k2,
-    )
-    rho = random_density()
-    a = signal_effect((k1, k2))
-    b = signal_effect(mixed)
-    j = check_passive(random_passive_jones())
-    assert abs(
-        coincidence_probability(rho, a, j) - coincidence_probability(rho, b, j)
-    ) < 1e-12
-    ra, ha = heralded_idler(rho, a)
-    rb, hb = heralded_idler(rho, b)
-    npt.assert_allclose(ra, rb, atol=1e-12)
-    assert abs(ha - hb) < 1e-12
+def test_engine_is_linear_in_the_signal_effect():
+    # A mixed signal arm w E1 + (1 - w) E2 gives the mix of the two
+    # responses, so a Kraus set needs nothing beyond its summed effect.
+    for _ in range(50):
+        rho = random_density()
+        e1, e2 = check_passive(random_chain()), check_passive(random_chain())
+        f = check_passive(random_passive_jones())
+        w = float(RNG.uniform())
+        mixed = w * e1 + (1.0 - w) * e2
+        p1, p2 = (coincidence_probability(rho, e, f) for e in (e1, e2))
+        assert abs(coincidence_probability(rho, mixed, f)
+                   - (w * p1 + (1.0 - w) * p2)) <= 1e-15
+        (r1, h1), (r2, h2) = heralded_idler(rho, e1), heralded_idler(rho, e2)
+        reduced, herald = heralded_idler(rho, mixed)
+        assert np.max(np.abs(reduced - (w * r1 + (1.0 - w) * r2))) <= 1e-15
+        assert abs(herald - (w * h1 + (1.0 - w) * h2)) <= 1e-15
 
 
 def test_default_grid_covers_half_turn():

@@ -29,7 +29,7 @@ from ghostpol.optproj import (
 from ghostpol.ghost import coincidence_probability
 from ghostpol.polcalc import (
     QWP, STOKES_OPS, PolElement, check_passive, compose, element_jones,
-    oriented_jones, passive_effect, rotation_jones,
+    oriented_jones, rotation_jones,
 )
 from ghostpol.qstate import TwoQubitDensity, bell_psi_plus, werner
 
@@ -198,8 +198,7 @@ def test_response_points_equal_the_checked_path():
         probe = jones[0] if n_probe else None
         pts = response_points(rho, samples, probe, jones[n_probe:])
         checked = coincidence_probability(
-            rho, passive_effect((samples if probe is None else probe @ samples,),
-                                "Kraus operators"),
+            rho, check_passive(samples if probe is None else probe @ samples),
             check_passive(jones[n_probe:]))
         assert pts.shape == (samples.shape[0], len(projectors))
         assert pts.tobytes() == checked.tobytes()

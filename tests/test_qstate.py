@@ -11,7 +11,6 @@ from ghostpol.qstate import (
     linear_entropy,
     load_density_csv,
     metrics,
-    partial_trace,
     psi_plus_vector,
     save_density_csv,
     werner,
@@ -142,22 +141,6 @@ def test_purity_range():
     for _ in range(10):
         rho = random_density()
         assert 0.25 - 1e-12 <= rho.purity() <= 1.0 + 1e-12
-
-
-def test_partial_trace_product_state():
-    a = np.array([0.7, 0.3])
-    b = np.array([0.2, 0.8])
-    rho = TwoQubitDensity(np.kron(np.diag(a), np.diag(b)).astype(complex))
-    npt.assert_allclose(partial_trace(rho, "signal"), np.diag(b), atol=1e-12)
-    npt.assert_allclose(partial_trace(rho, "idler"), np.diag(a), atol=1e-12)
-    with pytest.raises(ValueError):
-        partial_trace(rho, "both")
-
-
-def test_partial_trace_of_bell_is_maximally_mixed():
-    npt.assert_allclose(
-        partial_trace(bell_psi_plus(), "signal"), np.eye(2) / 2.0, atol=1e-12
-    )
 
 
 def test_density_csv_roundtrip(tmp_path):

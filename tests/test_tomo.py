@@ -14,7 +14,6 @@ from ghostpol.tomo import (
     TomographyRecord,
     _params_from_t,
     _t_matrix,
-    canonical_projections,
     expected_records,
     pair_vector,
     projection_probability,
@@ -50,10 +49,10 @@ def test_analysis_states_are_unit_and_paired():
 
 
 def test_canonical_pairs_structure():
-    pairs = canonical_projections()
-    assert len(pairs) == 16
-    assert len(set(pairs)) == 16
-    assert pairs[:4] == [("H", "H"), ("H", "V"), ("V", "V"), ("V", "H")]
+    assert len(CANONICAL_PAIRS) == 16
+    assert len(set(CANONICAL_PAIRS)) == 16
+    assert CANONICAL_PAIRS[:4] == (("H", "H"), ("H", "V"), ("V", "V"),
+                                   ("V", "H"))
 
 
 def test_rectilinear_block_sums_to_total():
