@@ -13,8 +13,21 @@ statistics and regions are ``(n_thetas, n_axes)`` arrays, row t for
 orientation t, floored once when built.  The greedy sweep tests a
 block of candidate rows against the kept rows and each other in one
 call, then admits the block's rows in order, as a row-by-row sweep
-would; the cross-family exclusions test every kept pair of two
-families in one call.
+would; the cross-family exclusions test a block of one family's kept
+rows against the other's in one call.
+
+Both skip the kept rows outside an axis-0 window.  A region's support
+half-width along any unit vector is at most its radius r, the norm of
+its semi-axes, and the center distance is at least |dc0|, the distance
+along axis 0; so two rows with |dc0| > (r_a + r_b)(1 + 1e-9) are
+separable, also under ``separable``'s rounding, which the 1e-9 covers.
+A block is tested only against the kept rows whose axis-0 centers lie
+within the block's, widened on each side by that reach for its widest
+row and the widest kept row.  The decisions are those of testing every
+kept row, and the work and memory per block grow with the window, not
+with the kept set.  The window does not help when one kept row is
+wide, or not finite: it is then the whole kept set, at the cost of
+testing every kept row plus one bisection per block.
 
 The 95% Student t quantiles for 2..64 runs are a frozen table of
 ``scipy.special.stdtrit(n - 1, 0.975)``, equal to it bit for bit;
@@ -25,6 +38,7 @@ close enough.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -33,8 +47,11 @@ import numpy as np
 
 SEMI_AXIS_FLOOR = 1e-12
 ANGLE_PERIOD_DEG = 180.0
-# Candidate rows the greedy sweep tests per separable call.
+# Candidate rows the greedy sweep, and rows of one family the
+# exclusions, test per separable call.
 _BLOCK = 32
+# Relative slack of the axis-0 window (see module docstring).
+_WINDOW_SLACK = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -107,14 +124,16 @@ def summarize(points: np.ndarray) -> SampleStats:
     """Per-axis mean, sample std and 95% CI half-width of one cloud.
 
     ``points`` has shape (n_runs, n_axes); the half-width uses the
-    Student t quantile with n_runs - 1 degrees of freedom.
+    Student t quantile with n_runs - 1 degrees of freedom.  The std
+    reuses the mean: the ufuncs that ``mean`` and ``std(ddof=1)`` run,
+    in their order, so the bits are theirs.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise ValueError("need at least two runs to summarize")
     n = pts.shape[0]
-    mean = pts.mean(axis=0)
-    std = pts.std(axis=0, ddof=1)
+    mean = np.add.reduce(pts, 0) / n
+    std = np.sqrt(np.add.reduce(np.square(pts - mean), 0) / (n - 1))
     ci95 = t975(n) * std / np.sqrt(n)
     return SampleStats(mean=mean, std=std, ci95=ci95, n_runs=n)
 
@@ -223,27 +242,61 @@ def separation_margin(a: EllipsoidRegion, b: EllipsoidRegion) -> float | np.ndar
     return dist - half_a - half_b
 
 
+def _window_keys(regions: EllipsoidRegion) -> tuple[list[float], list[float]]:
+    """Axis-0 centers and radii of a region stack's rows.
+
+    A row with a number that is not finite gets radius inf, so that any
+    window that it widens is the whole kept set; the semi-axis floor
+    makes a row's semi-axes not finite when its center is not.
+    """
+    semi = regions.semi_axes
+    radius = np.sqrt(np.vecdot(semi, semi))
+    radius[np.isnan(radius)] = np.inf
+    return regions.center[:, 0].tolist(), radius.tolist()
+
+
+def _window(keys: list[float], key: list[float], reach: float) -> slice:
+    """Positions of the sorted ``keys`` within ``reach`` of ``key``'s span."""
+    if not reach < math.inf:
+        return slice(None)
+    return slice(bisect.bisect_left(keys, min(key) - reach),
+                 bisect.bisect_right(keys, max(key) + reach))
+
+
 def max_distinguishable_subset(regions: EllipsoidRegion) -> list[int]:
     """Greedy subset of mutually separable rows of a region stack.
 
     Sweeps the orientation-ordered rows starting at index 0 and keeps
     a sample iff it is separable from every sample kept so far.
     Every kept pair was tested on admission: no wrap-around re-check.
+    Each block of rows is tested against itself and the kept rows in
+    its axis-0 window (see module docstring), kept sorted by axis-0
+    center along with the largest kept radius.
     """
+    key, radius = _window_keys(regions)
     kept: list[int] = []
-    n = len(regions.center)
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        k = len(kept)
-        # ok[r, c]: block row r (as a) against kept row c, then block
-        # row c - k (as b); a kept row r rules out the rows ~ok[:, k + r].
+    keys: list[float] = []   # kept axis-0 centers, sorted
+    order: list[int] = []    # the kept rows, in that order
+    widest = 0.0
+    for start in range(0, len(key), _BLOCK):
+        stop = min(start + _BLOCK, len(key))
+        reach = (widest + max(radius[start:stop])) * _WINDOW_SLACK
+        window = order[_window(keys, key[start:stop], reach)]
+        w = len(window)
+        # ok[r, c]: block row r (as a) against window row c, then block
+        # row c - w (as b); a kept row r rules out the rows ~ok[:, w + r].
         ok = separable(regions[start:stop, None],
-                       regions[kept + list(range(start, stop))])
-        alive = ok[:, :k].all(axis=1)
+                       regions[window + list(range(start, stop))])
+        alive = ok[:, :w].all(axis=1)
         for r in range(stop - start):
             if alive[r]:
-                kept.append(start + r)
-                alive &= ok[:, k + r]
+                i = start + r
+                kept.append(i)
+                at = bisect.bisect_right(keys, key[i])
+                keys.insert(at, key[i])
+                order.insert(at, i)
+                widest = max(widest, radius[i])
+                alive &= ok[:, w + r]
     return kept
 
 
@@ -255,26 +308,41 @@ def cross_family_exclusions(
     Conflicts of still-kept pairs go in row-major order over kept_a x
     kept_b; each drops the sample with the larger maximum semi-axis,
     ties from the second.  Returns (family, theta, other, other_theta).
+    Each block of kept_a rows is tested against the kept_b rows in its
+    axis-0 window only (see module docstring); every conflict lies in
+    it, so each row still walks its conflicts in ascending column order.
     """
     rows, cols = list(outcome_a.kept), list(outcome_b.kept)
     if not rows or not cols:
         return []
-    conflict = ~separable(outcome_a.regions[rows, None], outcome_b.regions[cols])
-    width_a = np.max(outcome_a.regions.semi_axes[rows], axis=-1)
-    width_b = np.max(outcome_b.regions.semi_axes[cols], axis=-1)
+    kept_a, kept_b = outcome_a.regions[rows], outcome_b.regions[cols]
+    key_a, radius_a = _window_keys(kept_a)
+    key_b, radius_b = _window_keys(kept_b)
+    by_key = np.argsort(key_b)
+    keys, widest = [key_b[c] for c in by_key], max(radius_b)
+    width_a = np.max(kept_a.semi_axes, axis=-1)
+    width_b = np.max(kept_b.semi_axes, axis=-1)
+    dropped = np.zeros(len(cols), dtype=bool)
     exclusions: list[tuple[str, float, str, float]] = []
-    for r, i in enumerate(rows):
-        for c in np.flatnonzero(conflict[r]):
-            pair = [(outcome_a, i), (outcome_b, cols[c])]
-            a_loses = width_a[r] > width_b[c]
-            (loser, t), (other, o) = pair if a_loses else pair[::-1]
-            loser.kept.remove(t)
-            loser.cross_excluded.append(t)
-            exclusions.append((loser.family, float(loser.thetas[t]),
-                               other.family, float(other.thetas[o])))
-            if a_loses:
-                break
-            conflict[:, c] = False
+    for start in range(0, len(rows), _BLOCK):
+        stop = min(start + _BLOCK, len(rows))
+        reach = (widest + max(radius_a[start:stop])) * _WINDOW_SLACK
+        window = np.sort(by_key[_window(keys, key_a[start:stop], reach)])
+        conflict = ~separable(kept_a[start:stop, None], kept_b[window])
+        for r, i in enumerate(rows[start:stop], start):
+            for c in window[conflict[r - start]].tolist():
+                if dropped[c]:
+                    continue
+                pair = [(outcome_a, i), (outcome_b, cols[c])]
+                a_loses = width_a[r] > width_b[c]
+                (loser, t), (other, o) = pair if a_loses else pair[::-1]
+                loser.kept.remove(t)
+                loser.cross_excluded.append(t)
+                exclusions.append((loser.family, float(loser.thetas[t]),
+                                   other.family, float(other.thetas[o])))
+                if a_loses:
+                    break
+                dropped[c] = True
     return exclusions
 
 
@@ -343,13 +411,18 @@ def report_to_csv(report: DistinguishabilityReport, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for o in report.families:
-            row = "%s,%.6g,%d,%d" + ",%.9g" * (3 * o.stats.mean.shape[1]) + "\n"
-            flags = np.zeros((2, o.thetas.size), dtype=int)
+            # One % per family over a repeated row template.
+            n, width = o.thetas.size, 4 + 3 * o.stats.mean.shape[1]
+            flags = np.zeros((2, n), dtype=int)
             flags[0, o.kept] = 1
             flags[1, o.cross_excluded] = 1
-            values = np.hstack([o.stats.mean, o.stats.std, o.stats.ci95])
-            rows = zip(o.thetas.tolist(), *flags.tolist(), values.tolist())
-            fh.write("".join([row % (o.family, t, k, x, *v) for t, k, x, v in rows]))
+            values: list = [o.family] * (width * n)
+            values[1::width] = o.thetas.tolist()
+            columns = np.hstack([o.stats.mean, o.stats.std, o.stats.ci95])
+            for k, column in enumerate([*flags.tolist(), *columns.T.tolist()], 2):
+                values[k::width] = column
+            fh.write(("%s,%.6g,%d,%d" + ",%.9g" * (width - 4) + "\n") * n
+                     % tuple(values))
 
 
 def summary_text(report: DistinguishabilityReport) -> str:

@@ -488,3 +488,261 @@ def test_report_csv_matches_row_by_row_reference(tmp_path):
     report_to_csv(empty, str(tmp_path / "empty.csv"))
     header = (tmp_path / "empty.csv").read_text()
     assert header == "family,theta_deg,kept,cross_excluded\n"
+
+
+@pytest.mark.parametrize("n_runs", [2, 3, 8, 65, 1000])
+def test_summarize_is_bit_equal_to_numpy_mean_and_std(n_runs):
+    rng = np.random.default_rng(n_runs)
+    for n_axes in (1, 2, 3, 4):
+        # Offsets far above the spread, so that the summation order shows.
+        runs = (rng.uniform(-1e3, 1e3, (1, 5, n_axes))
+                + rng.normal(size=(n_runs, 5, n_axes)) * 10.0 ** rng.uniform(-6, 1))
+        clouds = [runs[:, 2, :], np.ascontiguousarray(runs.transpose(1, 0, 2))[2]]
+        nan_cloud = runs[:, 3, :].copy()
+        nan_cloud[n_runs // 2, 0] = np.nan
+        for cloud in clouds + [nan_cloud]:
+            s = summarize(cloud)
+            std = np.std(cloud, axis=0, ddof=1)
+            assert s.mean.tobytes() == np.mean(cloud, axis=0).tobytes()
+            assert s.std.tobytes() == std.tobytes()
+            assert s.ci95.tobytes() == (discern.t975(n_runs) * std
+                                        / np.sqrt(n_runs)).tobytes()
+        assert np.isnan(s.mean[0]) and np.isnan(s.std[0]) and np.isnan(s.ci95[0])
+        assert np.isfinite(s.mean[1:]).all()
+
+
+# References: the greedy and the exclusions as they were before the
+# axis-0 window, testing every kept row.  The windowed code must give
+# the same kept lists, exclusion rows and dropped rows.
+
+def unpruned_greedy(regions):
+    kept = []
+    n = len(regions.center)
+    for start in range(0, n, 32):
+        stop = min(start + 32, n)
+        k = len(kept)
+        ok = separable(regions[start:stop, None],
+                       regions[kept + list(range(start, stop))])
+        alive = ok[:, :k].all(axis=1)
+        for r in range(stop - start):
+            if alive[r]:
+                kept.append(start + r)
+                alive &= ok[:, k + r]
+    return kept
+
+
+def unpruned_exclusions(outcome_a, outcome_b):
+    rows, cols = list(outcome_a.kept), list(outcome_b.kept)
+    if not rows or not cols:
+        return []
+    conflict = ~separable(outcome_a.regions[rows, None], outcome_b.regions[cols])
+    width_a = np.max(outcome_a.regions.semi_axes[rows], axis=-1)
+    width_b = np.max(outcome_b.regions.semi_axes[cols], axis=-1)
+    exclusions = []
+    for r, i in enumerate(rows):
+        for c in np.flatnonzero(conflict[r]):
+            pair = [(outcome_a, i), (outcome_b, cols[c])]
+            a_loses = width_a[r] > width_b[c]
+            (loser, t), (other, o) = pair if a_loses else pair[::-1]
+            loser.kept.remove(t)
+            loser.cross_excluded.append(t)
+            exclusions.append((loser.family, float(loser.thetas[t]),
+                               other.family, float(other.thetas[o])))
+            if a_loses:
+                break
+            conflict[:, c] = False
+    return exclusions
+
+
+def mixed_stack(rng, n, d, wide=False, nonfinite=None):
+    """Mixed radii over five decades, repeated centers, one wide row or
+    rows with a NaN or inf center or semi-axis."""
+    centers = rng.uniform(0.0, rng.uniform(0.05, 2.0), (n, d))
+    centers[rng.integers(0, n, n // 4)] = centers[rng.integers(0, n, n // 4)]
+    centers[:, 0] = np.round(centers[:, 0], int(rng.integers(1, 4)))
+    semis = 10.0 ** rng.uniform(-6.0, -1.0, (n, d))
+    if wide:
+        semis[rng.integers(0, n)] = 0.5
+    if nonfinite is not None:
+        for row in rng.integers(0, n, 2):
+            target = centers if rng.random() < 0.5 else semis
+            target[row, rng.integers(0, d)] = nonfinite
+    return EllipsoidRegion(centers, semis)
+
+
+def assert_same_exclusions(outcomes):
+    expected = copy.deepcopy(outcomes)
+    want = []
+    for i in range(len(outcomes)):
+        for j in range(i + 1, len(outcomes)):
+            want += unpruned_exclusions(expected[i], expected[j])
+    assert analyze_families(outcomes).exclusions == want
+    for got, ref in zip(outcomes, expected):
+        assert got.kept == ref.kept
+        assert got.cross_excluded == ref.cross_excluded
+    return want
+
+
+def test_windowed_greedy_and_exclusions_match_unpruned_references():
+    rng = np.random.default_rng(15)
+    seen_exclusions = 0
+    for trial in range(120):
+        d = 1 + trial % 3
+        wide = trial % 4 == 1
+        nonfinite = (None, None, np.nan, np.inf, -np.inf)[trial % 5]
+        outcomes = []
+        for name in ("LP", "QWP"):
+            regions = mixed_stack(rng, int(rng.integers(1, 200)), d, wide, nonfinite)
+            with np.errstate(all="ignore"):
+                kept = max_distinguishable_subset(regions)
+                assert kept == unpruned_greedy(regions), trial
+            outcomes.append(FamilyOutcome(
+                name, np.arange(len(regions.center), dtype=float), None,
+                regions, kept))
+        with np.errstate(all="ignore"):
+            seen_exclusions += len(assert_same_exclusions(outcomes))
+    assert seen_exclusions > 50
+
+
+def test_window_reaches_touching_rows_and_wide_block_rows():
+    # 1-D rows whose center distance equals their summed semi-axes touch,
+    # so they are not separable: the window of row 32's block must still
+    # hold row 0.
+    center = np.concatenate([[0.0], 100.0 + 10.0 * np.arange(31), [2.0]])[:, None]
+    semi = np.concatenate([[1.0], np.full(31, 0.1), [1.0]])[:, None]
+    touching = EllipsoidRegion(center, semi)
+    assert max_distinguishable_subset(touching) == list(range(32))
+    # A wide block row must widen the window beyond the kept rows' reach.
+    center = np.append(np.arange(32.0) * 0.1, 1.0 + 31 * 0.1)[:, None]
+    semi = np.append(np.full(32, 0.01), 1.0)[:, None]
+    regions = EllipsoidRegion(center, semi)
+    assert max_distinguishable_subset(regions) == unpruned_greedy(regions)
+    assert max_distinguishable_subset(regions) == list(range(32))
+
+
+def test_nonfinite_rows_are_tested_against_every_kept_row():
+    # A row with a number that is not finite separates from nothing.  It
+    # comes first in its block and lies far from every kept row on
+    # axis 0, so an axis-0 window would hold no kept row.
+    finite = np.column_stack([np.arange(64.0) * 10.0, np.zeros(64)])
+    cases = [([5000.0, np.inf], [0.1, 0.1]), ([5000.0, -np.inf], [0.1, 0.1]),
+             ([5000.0, np.nan], [0.1, 0.1]), ([np.nan, 0.0], [0.1, 0.1]),
+             ([5000.0, 0.0], [0.1, np.nan]), ([5000.0, 0.0], [np.inf, 0.1])]
+    for bad_center, bad_semi in cases:
+        center = np.vstack([finite, [bad_center], finite[:31] + 9000.0])
+        semi = np.vstack([np.full((64, 2), 0.1), [bad_semi], np.full((31, 2), 0.1)])
+        regions = EllipsoidRegion(center, semi)
+        with np.errstate(all="ignore"):
+            kept = max_distinguishable_subset(regions)
+            assert kept == unpruned_greedy(regions), bad_center
+            assert 64 not in kept and len(kept) == 95
+            # The same row kept first: nothing after it is admitted.
+            first = regions[[64] + list(range(64))]
+            assert max_distinguishable_subset(first) == unpruned_greedy(first) == [0]
+            # A kept row of one family that is not finite collides with
+            # every kept row of the other, near or not.
+            outcomes = [FamilyOutcome(name, np.arange(65.0), None, rows,
+                                      list(range(len(rows.center))))
+                        for name, rows in (("LP", first), ("QWP", regions[:64]))]
+            assert len(assert_same_exclusions(outcomes)) >= 1
+
+
+DENSE = """
+seed: 1
+runs: {runs}
+probe: {{elements: [{{kind: retarder, angle_deg: 62.0, retardance_rad: 1.5707963267948966}},
+                   {{kind: partial_polarizer, angle_deg: 90.0, extinction: 3.7}}]}}
+projectors: [{{elements: [{{kind: retarder, angle_deg: 18.0, retardance_rad: 1.5707963267948966}},
+                         {{kind: ideal_polarizer, angle_deg: 110.0}}]}}]
+samples: [{samples}]
+counting: {{pair_rate: {rate}, integration_time: 1.0}}
+"""
+
+
+def dense_outcomes(families, step, runs, rate):
+    """The families of the one-projector ``dense`` config at another size."""
+    from ghostpol import cli, configio, ghost
+
+    samples = ", ".join(f"{{family: {f}, thetas: {{start: 0, stop: 180, step: {step}}}}}"
+                        for f in families)
+    cfg = configio.parse_config_text(DENSE.format(runs=runs, samples=samples, rate=rate))
+    curves = cli._sweep_curves(cfg)
+    corrected = [corr for _, corr in cli._measure(cfg, curves)]
+    scale = ghost.dataset_scale(c.mean(axis=0) for c in corrected)
+    return [analyze_family(curve.family, curve.thetas, corr / scale)
+            for curve, corr in zip(curves, corrected)]
+
+
+@pytest.mark.parametrize("families, step, runs, rate, n_exclusions", [
+    (["LP"], 0.1, 111, 1.0e14, 0),            # dense, 1,800 of 18,000 rows
+    (["LP", "QWP"], 0.2, 30, 1.0e9, 40),      # dense-2, 900 of 9,000 rows
+    (["LP", "QWP"], 0.4, 8, 1.0e8, 57),
+])
+def test_dense_configs_at_reduced_size_match_unpruned_references(
+        families, step, runs, rate, n_exclusions):
+    outcomes = dense_outcomes(families, step, runs, rate)
+    for o in outcomes:
+        assert o.kept == unpruned_greedy(o.regions)
+        assert len(o.kept) > 100
+    assert len(assert_same_exclusions(outcomes)) == n_exclusions
+
+
+def test_cross_family_exclusions_memory_is_bounded_by_the_window():
+    import tracemalloc
+
+    # Two families of 3,000 kept rows along one curve; the second is
+    # shifted so that some of its rows collide with the first.  Testing
+    # every pair at once would take about 9M pairs x 46 bytes.
+    x = np.linspace(0.0, 10.0, 3000)
+    outcomes = []
+    for name, shift in (("LP", 0.0), ("QWP", 0.0021)):
+        center = np.column_stack([x + shift, np.sin(x)])
+        semi = np.full(center.shape, 1e-3)
+        semi[::7] = 2e-3
+        outcomes.append(FamilyOutcome(name, x, None, EllipsoidRegion(center, semi),
+                                      list(range(3000))))
+    tracemalloc.start()
+    try:
+        exclusions = cross_family_exclusions(*outcomes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(exclusions) > 100
+    assert peak < 8 * 2 ** 20, peak
+
+
+def per_row_report_to_csv(report, path):
+    """The writer that formatted one row per % before the one-% form."""
+    n_axes = report.families[0].stats.mean.shape[1] if report.families else 0
+    header = ["family", "theta_deg", "kept", "cross_excluded"]
+    header += [f"{name}{k + 1}" for name in ("mean", "std", "ci95_")
+               for k in range(n_axes)]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for o in report.families:
+            row = "%s,%.6g,%d,%d" + ",%.9g" * (3 * o.stats.mean.shape[1]) + "\n"
+            flags = np.zeros((2, o.thetas.size), dtype=int)
+            flags[0, o.kept] = 1
+            flags[1, o.cross_excluded] = 1
+            values = np.hstack([o.stats.mean, o.stats.std, o.stats.ci95])
+            rows = zip(o.thetas.tolist(), *flags.tolist(), values.tolist())
+            fh.write("".join([row % (o.family, t, k, x, *v) for t, k, x, v in rows]))
+
+
+def test_report_csv_matches_one_format_per_row_writer(tmp_path):
+    rng = np.random.default_rng(16)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    for trial in range(40):
+        report = random_report(rng, d=1 + trial % 4)
+        report.families[0].family = "%s%%d"
+        if trial % 5 == 0:
+            d = report.families[0].stats.mean.shape[1]
+            empty = np.zeros((0, d))
+            report.families.append(FamilyOutcome(
+                "none", np.zeros(0), SampleStats(empty, empty, empty, 8),
+                EllipsoidRegion(empty, empty), []))
+        report_to_csv(report, str(got))
+        per_row_report_to_csv(report, str(want))
+        assert got.read_bytes() == want.read_bytes()
+        ref_report_to_csv(report, str(want))
+        assert got.read_bytes() == want.read_bytes()
