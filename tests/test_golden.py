@@ -36,6 +36,17 @@ def one_restart(cfg):
     cfg["optimize"].update(restarts=1, max_evals=1500)
 
 
+def noiseless(cfg):
+    del cfg["counting"]
+
+
+def bright(cfg):
+    # Raw counts straddle 1e9 in both families, so the runs CSV prints
+    # some in exponent form.  Set here: PyYAML reads 3.0e9 without a
+    # sign in the exponent as a string.
+    cfg["counting"]["pair_rate"] = 3.0e9
+
+
 # id -> (command, shipped config, edit, --seed or None, digests).
 # Frozen from the code before discern held stacked regions; every
 # discriminate and sweep digest equals the one listed in CHANGES.md
@@ -98,6 +109,36 @@ CASES = {
                 "991bc5d416c8dbebb6aeed3210e2f7be1b8678d4258f25a48155c05f4e45a54d",
             "sweep_QWP.svg":
                 "7bd57c197dc51732994f39af4d1c969cd9cf538d6288c8e3b07e5c76da5f7f2f",
+        }),
+    # Exact probabilities: no counting section, so no runs and no bands.
+    "sweep-noiseless": (
+        "sweep", "three_projection", noiseless, None, {
+            "stdout":
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "sweep_LP.csv":
+                "2d69564b3d5beb549009e7d22eaedc89a3717c49828ce32987f8b856e4daf59c",
+            "sweep_LP.svg":
+                "088908791b4fe4c7fcdfcebd5df2f4f96d8c55785933e4557e23cf5ada6aed1c",
+            "sweep_QWP.csv":
+                "fd8aca4131c35a2627b1f71414720643e62d78044bb2d4133dce88cf844f5295",
+            "sweep_QWP.svg":
+                "27a39b3c7f7a69b18df6813478ed3a3eaacb264538ca0642609b27693c832585",
+        }),
+    # 95 LP and 793 QWP of 2,160 raw counts are >= 1e9.
+    "discriminate-bright": (
+        "discriminate", "three_projection", bright, None, {
+            "regions.svg":
+                "a25fd2ed3660a6f2cbbbe404f12e55285b3c7f3eef9af3e9adad3f28762d2e59",
+            "report.csv":
+                "16b6edc0351856e4623411b99ed9feae8bc45903535d729245942bda887daddc",
+            "runs_LP.csv":
+                "af16993f41e7bf2db34a4f71994924fa8ebe336d87d085cfd8b67bb85aa1ee65",
+            "runs_QWP.csv":
+                "f023cf13cdec9a774e6797b1beb03f517f43cb336f6bfdffdf26eecbce72a547",
+            "stdout":
+                "98cd2219780067f27fb08c427f121dce15a48caea7c940ea7850cb495bb767cc",
+            "summary.txt":
+                "98cd2219780067f27fb08c427f121dce15a48caea7c940ea7850cb495bb767cc",
         }),
     # rho.csv, metrics.txt and stdout frozen from the BFGS fit, which
     # gives the same bytes under every BLAS kernel.
