@@ -18,8 +18,7 @@ from .ghost import (ResponseCurve, coincidence_probability, dataset_scale,
                     heralded_idler, sweep_family)
 from .optproj import (OptimizationConfig, OptimizationResult, ProjectorParam,
                       nearest_feasible, objective_min_separation, optimize)
-from .polcalc import (PolElement, compose, element_jones, jones_to_mueller,
-                      rotation_jones)
+from .polcalc import PolElement, compose, element_jones, jones_to_mueller
 from .qstate import (StateMetrics, TwoQubitDensity, bell_psi_plus, concurrence,
                      fidelity, linear_entropy, metrics, werner)
 from .tomo import (ReconstructionResult, TomographyRecord, reconstruct_mle,

@@ -35,11 +35,19 @@ def _sweep_curves(cfg: ExperimentConfig) -> list[ghost.ResponseCurve]:
     if not cfg.projectors:
         raise ConfigError("a projectors section is required")
     idler = [polcalc.compose(chain) for chain in cfg.projectors]
-    return [ghost.sweep_family(cfg.state, spec.family, idler,
-                               probe_elements=cfg.probe_elements,
-                               thetas=spec.thetas, template=spec.template,
-                               conditional=cfg.conditional)
-            for spec in cfg.samples]
+    curves = []
+    for spec in cfg.samples:
+        try:
+            curves.append(ghost.sweep_family(
+                cfg.state, spec.family, idler, probe_elements=cfg.probe_elements,
+                thetas=spec.thetas, template=spec.template,
+                conditional=cfg.conditional))
+        except ghost.UnheraldableError:
+            raise ConfigError(
+                f"'conditional': family {spec.family} has zero herald probability "
+                f"at some orientation, so its conditional response is undefined"
+            ) from None
+    return curves
 
 
 def _measure(cfg: ExperimentConfig, curves: list[ghost.ResponseCurve],

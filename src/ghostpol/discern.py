@@ -45,6 +45,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .textio import block
+
 SEMI_AXIS_FLOOR = 1e-12
 ANGLE_PERIOD_DEG = 180.0
 # Candidate rows the greedy sweep, and rows of one family the
@@ -411,18 +413,14 @@ def report_to_csv(report: DistinguishabilityReport, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for o in report.families:
-            # One % per family over a repeated row template.
-            n, width = o.thetas.size, 4 + 3 * o.stats.mean.shape[1]
-            flags = np.zeros((2, n), dtype=int)
+            # One % per family, its name baked into the row template.
+            flags = np.zeros((2, o.thetas.size), dtype=int)
             flags[0, o.kept] = 1
             flags[1, o.cross_excluded] = 1
-            values: list = [o.family] * (width * n)
-            values[1::width] = o.thetas.tolist()
-            columns = np.hstack([o.stats.mean, o.stats.std, o.stats.ci95])
-            for k, column in enumerate([*flags.tolist(), *columns.T.tolist()], 2):
-                values[k::width] = column
-            fh.write(("%s,%.6g,%d,%d" + ",%.9g" * (width - 4) + "\n") * n
-                     % tuple(values))
+            stats = np.hstack([o.stats.mean, o.stats.std, o.stats.ci95])
+            row = o.family.replace("%", "%%") + ",%.6g,%d,%d" + ",%.9g" * stats.shape[1]
+            fh.write(block((row + "\n") * o.thetas.size,
+                           [o.thetas.tolist(), *flags.tolist(), *stats.T.tolist()]))
 
 
 def summary_text(report: DistinguishabilityReport) -> str:

@@ -25,6 +25,7 @@ import numpy as np
 from . import polcalc
 from .polcalc import PolElement
 from .qstate import TwoQubitDensity
+from .textio import block
 
 HERALD_EPS = 1e-15
 
@@ -172,13 +173,9 @@ def curve_to_csv(curve: ResponseCurve, scale: float, path: str) -> None:
     """Write one curve as CSV: theta, the coordinates divided by the
     dataset ``scale``, then the raw ones."""
     n = curve.raw.shape[1]
-    normalized = curve.raw / scale
-    lines = [",".join(["theta_deg", *[f"P{j + 1}" for j in range(n)],
-                       *[f"raw{j + 1}" for j in range(n)]])]
-    for t in range(curve.thetas.size):
-        cells = [f"{curve.thetas[t]:.6g}"]
-        cells += [f"{v:.9g}" for v in normalized[t]]
-        cells += [f"{v:.9g}" for v in curve.raw[t]]
-        lines.append(",".join(cells))
+    header = ",".join(["theta_deg", *[f"P{j + 1}" for j in range(n)],
+                       *[f"raw{j + 1}" for j in range(n)]])
+    columns = [c.tolist() for c in (curve.thetas, *(curve.raw / scale).T, *curve.raw.T)]
+    rows = ("%.6g" + ",%.9g" * 2 * n + "\n") * curve.thetas.size
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n" + block(rows, columns))

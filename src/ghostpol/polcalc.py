@@ -82,13 +82,6 @@ class PolElement:
 QWP = PolElement("retarder", 0.0, retardance_rad=np.pi / 2.0)
 
 
-def rotation_jones(theta_deg: float) -> np.ndarray:
-    """Jones rotation matrix for a frame rotation by ``theta_deg``."""
-    t = np.deg2rad(theta_deg)
-    c, s = np.cos(t), np.sin(t)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
 def element_jones(element: PolElement,
                   theta_deg: np.ndarray | None = None) -> np.ndarray:
     """Jones matrix of ``element`` at its orientation, or one per angle.

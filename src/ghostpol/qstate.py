@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .textio import block
+
 HERMITICITY_TOL = 1e-10
 EIGENVALUE_TOL = 1e-9
 
@@ -146,15 +148,10 @@ def metrics(rho: TwoQubitDensity) -> StateMetrics:
 def save_density_csv(rho: TwoQubitDensity, path: str) -> None:
     """Write a density matrix as CSV rows of interleaved re, im pairs."""
     header = ",".join(f"re{c},im{c}" for c in range(4))
-    lines = [header]
-    for row in rho.matrix:
-        cells: list[str] = []
-        for z in row:
-            cells.append(f"{z.real:.12g}")
-            cells.append(f"{z.imag:.12g}")
-        lines.append(",".join(cells))
+    rows = ",".join(["%.12g,%.12g"] * 4) + "\n"
+    columns = [rho.matrix.real.ravel().tolist(), rho.matrix.imag.ravel().tolist()]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n" + block(rows * 4, columns))
 
 
 def load_density_csv(path: str) -> TwoQubitDensity:

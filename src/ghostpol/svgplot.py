@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from .textio import block
+
 PALETTE = ("#1b6ca8", "#c0392b", "#27ae60", "#8e44ad", "#d68910", "#16a085")
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 56.0, 16.0, 28.0, 44.0
 CHART_W, CHART_H = 560.0, 360.0  # curve chart size
 PANEL = 300.0  # side of one square region panel
-# One confidence ellipse: cx, cy, rx, ry, fill ("none" when open), stroke.
-_ELLIPSE = ('<ellipse cx="%.2f" cy="%.2f" rx="%.2f" ry="%.2f" fill="%s" '
+# One confidence ellipse's row template, given its fill ("none" when
+# open) and stroke: cx, cy, rx, ry are left to fill.
+_ELLIPSE = ('<ellipse cx="%%.2f" cy="%%.2f" rx="%%.2f" ry="%%.2f" fill="%s" '
             'fill-opacity="0.35" stroke="%s" stroke-width="1.00"/>')
 
 
@@ -47,19 +50,10 @@ class _Canvas:
         self.height = height
         self.parts: list[str] = []
 
-    def polyline(self, pts: list[tuple[float, float]], color: str) -> None:
-        coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
-        self.parts.append(
-            f'<polyline fill="none" stroke="{color}" '
-            f'stroke-width="1.50" points="{coords}"/>'
-        )
-
-    def polygon(self, pts: list[tuple[float, float]], fill: str) -> None:
-        coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
-        self.parts.append(
-            f'<polygon fill="{fill}" fill-opacity="0.25" '
-            f'stroke="none" points="{coords}"/>'
-        )
+    def points(self, tag: str, style: str, x: np.ndarray, y: np.ndarray) -> None:
+        """A polyline or polygon through the points (x, y)."""
+        coords = block("%.2f,%.2f " * x.size, [x.tolist(), y.tolist()])[:-1]
+        self.parts.append(f'<{tag} {style} points="{coords}"/>')
 
     def line(self, x1: float, y1: float, x2: float, y2: float) -> None:
         self.parts.append(
@@ -97,11 +91,11 @@ class _Axes:
         self.xlim = xlim
         self.ylim = ylim
 
-    def px(self, x: float) -> float:
+    def px(self, x: float | np.ndarray) -> float | np.ndarray:
         lo, hi = self.xlim
         return self.x0 + (x - lo) / (hi - lo) * self.w
 
-    def py(self, y: float) -> float:
+    def py(self, y: float | np.ndarray) -> float | np.ndarray:
         lo, hi = self.ylim
         return self.y0 + self.h - (y - lo) / (hi - lo) * self.h
 
@@ -146,18 +140,17 @@ def curve_chart(
     axes.frame("orientation [deg]", "response",
                xticks=[0.0, 45.0, 90.0, 135.0, 180.0])
     canvas.text(CHART_W / 2.0, 16.0, title, size=13.0)
+    x = axes.px(np.asarray(thetas, dtype=float))
     for k in range(series.shape[1]):
         color = PALETTE[k % len(PALETTE)]
         if bands is not None:
-            upper = [(axes.px(t), axes.py(series[i, k] + bands[i, k]))
-                     for i, t in enumerate(thetas)]
-            lower = [(axes.px(thetas[i]), axes.py(series[i, k] - bands[i, k]))
-                     for i in range(len(thetas) - 1, -1, -1)]
-            canvas.polygon(upper + lower, fill=color)
-        canvas.polyline(
-            [(axes.px(t), axes.py(series[i, k])) for i, t in enumerate(thetas)],
-            color=color,
-        )
+            # The upper edge left to right, then the lower one back.
+            edges = np.concatenate([series[:, k] + bands[:, k],
+                                    (series[:, k] - bands[:, k])[::-1]])
+            canvas.points("polygon", f'fill="{color}" fill-opacity="0.25" stroke="none"',
+                          np.concatenate([x, x[::-1]]), axes.py(edges))
+        canvas.points("polyline", f'fill="none" stroke="{color}" stroke-width="1.50"',
+                      x, axes.py(series[:, k]))
         canvas.text(MARGIN_L + 8.0 + 90.0 * k, MARGIN_T - 6.0, labels[k],
                     size=10.0, anchor="start", color=color)
     return canvas.to_string()
@@ -178,6 +171,15 @@ def region_panels(
     width = MARGIN_L + len(axis_pairs) * (PANEL + 24.0)
     canvas = _Canvas(width, PANEL + MARGIN_T + MARGIN_B)
     canvas.text(width / 2.0, 16.0, title, size=13.0)
+    # Each family's ellipse rows, fills and stroke baked in: the same
+    # in every panel.
+    rows = []
+    for f, fam in enumerate(families):
+        color = PALETTE[f % len(PALETTE)]
+        row = [_ELLIPSE % ("none", color)] * fam["centers"].shape[0]
+        for i in fam["kept"]:
+            row[i] = _ELLIPSE % (color, color)
+        rows.append("\n".join(row))
     for p, (ix, iy) in enumerate(axis_pairs):
         box_x = MARGIN_L + p * (PANEL + 24.0)
         axes = _Axes(canvas, (box_x, MARGIN_T, PANEL, PANEL),
@@ -189,16 +191,10 @@ def region_panels(
             centers = fam["centers"]
             rx, ry = (np.maximum(fam["semi_axes"][:, k] / 1.1 * PANEL, 1.0)
                       for k in (ix, iy))
-            fill = ["none"] * centers.shape[0]
-            for i in fam["kept"]:
-                fill[i] = color
-            canvas.parts.extend([
-                _ELLIPSE % (cx, cy, w, h, fc, color)
-                for cx, cy, w, h, fc in zip(
-                    axes.px(centers[:, ix]).tolist(),
-                    axes.py(centers[:, iy]).tolist(), rx.tolist(), ry.tolist(),
-                    fill)
-            ])
+            if rows[f]:
+                canvas.parts.append(block(rows[f], [
+                    axes.px(centers[:, ix]).tolist(), axes.py(centers[:, iy]).tolist(),
+                    rx.tolist(), ry.tolist()]))
             canvas.text(box_x + 8.0, MARGIN_T - 6.0 + 12.0 * f,
                         fam["label"], size=10.0, anchor="start", color=color)
     return canvas.to_string()

@@ -18,6 +18,7 @@ import numpy as np
 
 from .countsim import CountModel, simulate_counts
 from .qstate import TwoQubitDensity
+from .textio import block
 
 # The fit stops when max |gradient| <= GRADIENT_TOL x the total counts.
 GRADIENT_TOL = 1e-12
@@ -106,14 +107,6 @@ def pair_vector(basis_a: str, basis_b: str) -> np.ndarray:
 def projection_probability(rho: TwoQubitDensity, basis_a: str, basis_b: str) -> float:
     vec = pair_vector(basis_a, basis_b)
     return float(np.einsum("a,ab,b->", vec.conj(), rho.matrix, vec).real)
-
-
-def expected_records(rho: TwoQubitDensity, total_pairs: float) -> list[TomographyRecord]:
-    """Noise-free records with counts = flux times probability."""
-    return [
-        TomographyRecord(a, b, total_pairs * projection_probability(rho, a, b))
-        for a, b in CANONICAL_PAIRS
-    ]
 
 
 def simulate_tomography(
@@ -276,11 +269,11 @@ def reconstruct_mle(records: list[TomographyRecord]) -> ReconstructionResult:
 
 
 def records_to_csv(records: list[TomographyRecord], path: str) -> None:
-    lines = ["basis_a,basis_b,counts"]
-    for r in records:
-        lines.append(f"{r.basis_a},{r.basis_b},{r.counts:.9g}")
+    columns = [[getattr(r, name) for r in records]
+               for name in ("basis_a", "basis_b", "counts")]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("basis_a,basis_b,counts\n"
+                 + block("%s,%s,%.9g\n" * len(records), columns))
 
 
 def records_from_csv(path: str) -> list[TomographyRecord]:

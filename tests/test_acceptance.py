@@ -32,7 +32,6 @@ from ghostpol.polcalc import (
     compose,
     element_jones,
     jones_to_mueller,
-    rotation_jones,
 )
 from ghostpol.qstate import (
     TwoQubitDensity,
@@ -45,6 +44,7 @@ from ghostpol.qstate import (
     save_density_csv,
     werner,
 )
+from helpers import expected_records, rotation_jones
 
 # Reference probe transfer matrix of the three-projection setup
 # (quarter-wave plate at 62 deg after an ideal polarizer at 90 deg),
@@ -268,7 +268,7 @@ def test_criterion_05_half_turn_periodicity_and_closure():
 
 def test_criterion_06_tomography_recovery():
     t0 = time.perf_counter()
-    exact = tomo.reconstruct_mle(tomo.expected_records(bell_psi_plus(), 1e6))
+    exact = tomo.reconstruct_mle(expected_records(bell_psi_plus(), 1e6))
     fid = fidelity(exact.rho)
     assert fid >= 0.9999
 

@@ -11,6 +11,7 @@ import ghostpol
 from ghostpol import tomo
 from ghostpol.cli import build_parser, main
 from ghostpol.qstate import bell_psi_plus, save_density_csv, werner
+from helpers import expected_records
 from test_golden import (
     CASES, FROZEN_WITH, case_argv, installed_versions, output_digests,
 )
@@ -252,7 +253,7 @@ def test_foreign_element_parameter_is_a_config_error(tmp_path, capsys, kind,
 
 def test_tomography_integration_time_with_records_is_a_config_error(
         tmp_path, capsys):
-    tomo.records_to_csv(tomo.expected_records(bell_psi_plus(), 1e6),
+    tomo.records_to_csv(expected_records(bell_psi_plus(), 1e6),
                         str(tmp_path / "given.csv"))
     cfg = write_config(tmp_path, "tomography: {records_csv: given.csv, "
                                  "integration_time: 5.0}\n")
@@ -307,7 +308,7 @@ def test_missing_records_csv_is_a_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("count", ["nan", "inf", "1e400", "-5"])
 def test_bad_tomography_counts_fail_clearly(tmp_path, capsys, count):
-    records = tomo.expected_records(bell_psi_plus(), 1e6)
+    records = expected_records(bell_psi_plus(), 1e6)
     tomo.records_to_csv(records, str(tmp_path / "given.csv"))
     lines = (tmp_path / "given.csv").read_text().splitlines()
     lines[3] = lines[3].rsplit(",", 1)[0] + "," + count
@@ -328,7 +329,7 @@ def test_bad_tomography_counts_fail_clearly(tmp_path, capsys, count):
 ], ids=["two_fields", "non_numeric", "unknown_basis", "negative", "nan"])
 def test_malformed_tomography_row_names_file_and_line(tmp_path, capsys, row,
                                                       reason):
-    records = tomo.expected_records(bell_psi_plus(), 1e6)
+    records = expected_records(bell_psi_plus(), 1e6)
     tomo.records_to_csv(records, str(tmp_path / "given.csv"))
     lines = (tmp_path / "given.csv").read_text().splitlines()
     lines[3] = row
@@ -427,7 +428,7 @@ def test_tomo_simulation_outputs(tmp_path, capsys):
 
 
 def test_tomo_reads_records_csv(tmp_path):
-    records = tomo.expected_records(bell_psi_plus(), 1e6)
+    records = expected_records(bell_psi_plus(), 1e6)
     tomo.records_to_csv(records, str(tmp_path / "given.csv"))
     # The records path resolves relative to the config file.
     cfg = write_config(tmp_path, "tomography: {records_csv: given.csv}\n")
@@ -466,6 +467,24 @@ def test_optimize_refuses_conditional(tmp_path, capsys):
     assert not out.exists()
     cfg = write_config(tmp_path, OPTIMIZE_CONFIG + "conditional: false\n")
     assert run(["optimize", "--config", cfg, "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("command", ["sweep", "discriminate"])
+def test_blocked_herald_is_a_config_error(tmp_path, capsys, command):
+    # Crossed polarizers in the probe block every herald, so no
+    # conditional probability exists; the engine's error becomes exit 2.
+    blocked = SWEEP_CONFIG.replace(
+        "    - {kind: ideal_polarizer, angle_deg: 90.0}\n",
+        "    - {kind: ideal_polarizer, angle_deg: 90.0}\n"
+        "    - {kind: ideal_polarizer, angle_deg: 0.0}\n")
+    cfg = write_config(tmp_path, blocked + "conditional: true\n"
+                       "counting: {pair_rate: 1000, integration_time: 1.0}\n")
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: 'conditional': family LP has zero herald probability "
+        "at some orientation, so its conditional response is undefined\n")
+    assert not out.exists()
 
 
 def test_optimize_best_params_are_loadable(tmp_path):

@@ -29,9 +29,10 @@ from ghostpol.optproj import (
 from ghostpol.ghost import coincidence_probability
 from ghostpol.polcalc import (
     QWP, STOKES_OPS, PolElement, check_passive, compose, element_jones,
-    oriented_jones, rotation_jones,
+    oriented_jones,
 )
 from ghostpol.qstate import TwoQubitDensity, bell_psi_plus, werner
+from helpers import rotation_jones
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs")
 RNG = np.random.default_rng(8)

@@ -12,8 +12,8 @@ from ghostpol.polcalc import (
     element_jones,
     jones_to_mueller,
     oriented_jones,
-    rotation_jones,
 )
+from helpers import rotation_jones
 
 RNG = np.random.default_rng(20240814)
 

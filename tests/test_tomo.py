@@ -14,7 +14,6 @@ from ghostpol.tomo import (
     TomographyRecord,
     _params_from_t,
     _t_matrix,
-    expected_records,
     pair_vector,
     projection_probability,
     reconstruct_mle,
@@ -22,6 +21,7 @@ from ghostpol.tomo import (
     records_to_csv,
     simulate_tomography,
 )
+from helpers import expected_records
 
 RNG = np.random.default_rng(2024)
 
