@@ -40,13 +40,11 @@ def _sweep_curves(cfg: ExperimentConfig) -> list[ghost.ResponseCurve]:
         try:
             curves.append(ghost.sweep_family(
                 cfg.state, spec.family, idler, probe_elements=cfg.probe_elements,
-                thetas=spec.thetas, template=spec.template,
-                conditional=cfg.conditional))
+                thetas=spec.thetas, template=spec.template, conditional=cfg.conditional))
         except ghost.UnheraldableError:
-            raise ConfigError(
-                f"'conditional': family {spec.family} has zero herald probability "
-                f"at some orientation, so its conditional response is undefined"
-            ) from None
+            raise ConfigError(f"'conditional': family {spec.family} has zero herald "
+                              "probability at some orientation, so its conditional "
+                              "response is undefined") from None
     return curves
 
 

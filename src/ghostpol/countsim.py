@@ -177,16 +177,16 @@ def correct_counts(runs: RunSet, model: CountModel) -> np.ndarray:
 
 def runset_to_csv(runs: RunSet, corrected: np.ndarray, path: str) -> None:
     """Write raw and corrected counts, one row per cell and run."""
-    raw, cell = runs.counts, "%.9g"
-    # %d prints the bytes of %.9g for whole counts from 0 to 1e9 - 1, faster.
-    if np.all(~np.signbit(raw) & (raw < 1e9) & (raw == np.trunc(raw))):
-        raw, cell = raw.astype(np.int64), "%d"
-    # One grid's rows, each but its two counts baked into the template.
-    grid = "".join([f"\n{t:.6g},{p},{cell},%.9g"
-                    for t in runs.thetas.tolist() for p in range(raw.shape[2])])
+    cells = [f"{t:.6g},{p}," for t in runs.thetas.tolist()
+             for p in range(runs.counts.shape[2])]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("run,theta_deg,projector_index,raw,corrected\n")
         # One % per run keeps the formatted text to one grid's rows.
-        for r in range(raw.shape[0]):
-            fh.write(block(grid.replace("\n", f"\n{r},")[1:] + "\n",
-                           [raw[r].ravel().tolist(), corrected[r].ravel().tolist()]))
+        for r in range(runs.counts.shape[0]):
+            raw, tail = runs.counts[r].ravel(), "%.9g,%.9g"
+            # %d prints the bytes of %.9g for whole counts from 0 to 1e9 - 1, faster.
+            if np.all(~np.signbit(raw) & (raw < 1e9) & (raw == np.trunc(raw))):
+                raw, tail = raw.astype(np.int64), "%d,%.9g"
+            # Each row is "r,theta,projector," baked in, then the two counts.
+            rows = f"{r}," + f"{tail}\n{r},".join(cells) + tail + "\n"
+            fh.write(block(rows, [raw.tolist(), corrected[r].ravel().tolist()]))

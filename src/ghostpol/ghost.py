@@ -175,7 +175,11 @@ def curve_to_csv(curve: ResponseCurve, scale: float, path: str) -> None:
     n = curve.raw.shape[1]
     header = ",".join(["theta_deg", *[f"P{j + 1}" for j in range(n)],
                        *[f"raw{j + 1}" for j in range(n)]])
-    columns = [c.tolist() for c in (curve.thetas, *(curve.raw / scale).T, *curve.raw.T)]
-    rows = ("%.6g" + ",%.9g" * 2 * n + "\n") * curve.thetas.size
+    table = np.column_stack([curve.thetas, curve.raw / scale, curve.raw])
+    row = "%.6g" + ",%.9g" * 2 * n + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n" + block(rows, columns))
+        fh.write(header + "\n")
+        # One % per 2,048 rows bounds the formatted text and its values.
+        for start in range(0, len(table), 2048):
+            rows = table[start:start + 2048]
+            fh.write(block(row * len(rows), [c.tolist() for c in rows.T]))

@@ -171,8 +171,8 @@ def region_panels(
     width = MARGIN_L + len(axis_pairs) * (PANEL + 24.0)
     canvas = _Canvas(width, PANEL + MARGIN_T + MARGIN_B)
     canvas.text(width / 2.0, 16.0, title, size=13.0)
-    # Each family's ellipse rows, fills and stroke baked in: the same
-    # in every panel.
+    # Each family's ellipse rows, fills and stroke baked in, the same in
+    # every panel; an empty family draws no line.
     rows = []
     for f, fam in enumerate(families):
         color = PALETTE[f % len(PALETTE)]

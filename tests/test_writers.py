@@ -243,7 +243,8 @@ def test_runset_csv_odd_counts_match_reference(tmp_path):
                    RunSet(grid(4), bent), bent * 0.5)
 
 
-@pytest.mark.parametrize("n_theta,n_proj", [(1, 1), (1, 3), (7, 1), (90, 3)])
+# 4,500 rows span three of the writer's 2,048-row blocks.
+@pytest.mark.parametrize("n_theta,n_proj", [(1, 1), (1, 3), (7, 1), (90, 3), (4500, 2)])
 def test_curve_csv_matches_reference(tmp_path, n_theta, n_proj):
     for _ in range(5):
         raw = RNG.uniform(0.0, 1.0, (n_theta, n_proj)) * 10.0 ** RNG.uniform(-300, 12)
