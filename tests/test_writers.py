@@ -2,10 +2,12 @@
 
 The references below are the writers as they stood before each output
 block became one ``%`` over a template (``textio.block``), kept
-verbatim but for their names.  Random data covers the forks of the
-new writers: whole counts on both sides of 1e9, fractional, negative
-zero and NaN counts, zero and negative-zero band edges, and grids of
-one orientation, one run and one projector.
+verbatim but for their names; the canvas methods that drew each curve
+point by point are kept as the functions ``ref_polyline`` and
+``ref_polygon``.  Random data covers the forks of the new writers:
+whole counts on both sides of 1e9, fractional, negative-zero and NaN
+counts, zero and negative-zero band edges, and grids of one
+orientation, one run and one projector.
 """
 
 from types import SimpleNamespace
