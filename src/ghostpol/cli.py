@@ -17,6 +17,7 @@ import numpy as np
 from . import countsim, discern, ghost, polcalc, qstate, svgplot, tomo
 from .configio import ConfigError, ExperimentConfig, load_config, settings_fragment
 from .optproj import optimize
+from .textio import block
 
 
 def _out_path(out_dir: str, name: str) -> str:
@@ -81,13 +82,9 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
         ghost.curve_to_csv(curve, scale,
                            _out_path(out_dir, f"sweep_{curve.family}.csv"))
         band = bands_by_family.get(curve.family)
-        svg = svgplot.curve_chart(
-            curve.thetas,
-            curve.raw / scale,
-            [f"P{j + 1}" for j in range(curve.raw.shape[1])],
-            f"{curve.family} response",
-            bands=None if band is None else band / scale,
-        )
+        svg = svgplot.curve_chart(curve.thetas, curve.raw / scale,
+                                  f"{curve.family} response",
+                                  bands=None if band is None else band / scale)
         _write(out_dir, f"sweep_{curve.family}.svg", svg)
     return 0
 
@@ -111,15 +108,10 @@ def cmd_discriminate(cfg: ExperimentConfig, out_dir: str) -> int:
     discern.report_to_csv(report, _out_path(out_dir, "report.csv"))
     summary = discern.summary_text(report)
     _write(out_dir, "summary.txt", summary)
-    n_axes = corrected[0].shape[2]
-    pairs = [(i, j) for i in range(n_axes) for j in range(i + 1, n_axes)]
-    fams = [{"label": o.family, "centers": o.stats.mean,
-             "semi_axes": o.regions.semi_axes, "kept": o.kept}
-            for o in report.families]
-    svg = svgplot.region_panels(
-        fams, pairs, [f"P{k + 1}" for k in range(n_axes)],
-        "response regions",
-    )
+    svg = svgplot.region_panels([
+        {"label": o.family, "centers": o.stats.mean,
+         "semi_axes": o.regions.semi_axes, "kept": o.kept}
+        for o in report.families])
     _write(out_dir, "regions.svg", svg)
     print(summary, end="")
     return 0
@@ -167,13 +159,10 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: str) -> int:
     result = optimize(replace(cfg.optimize, state=cfg.state, seed=cfg.seed))
     _write(out_dir, "best_params.yaml",
            settings_fragment(result.probe, result.projectors))
-    lines = ["stage,restart,start_objective,final_objective,n_evals"]
-    for row in result.trace:
-        lines.append(
-            f"{row['stage']},{row['restart']},{row['start_objective']:.9g},"
-            f"{row['final_objective']:.9g},{row['n_evals']}"
-        )
-    _write(out_dir, "trace.csv", "\n".join(lines) + "\n")
+    header = "stage,restart,start_objective,final_objective,n_evals"
+    _write(out_dir, "trace.csv", header + "\n" + block(
+        "%s,%d,%.9g,%.9g,%d\n" * len(result.trace),
+        [[row[key] for row in result.trace] for key in header.split(",")]))
     print(
         f"best objective {result.objective:.6g} after {result.n_evals} "
         f"evaluations (converged: {result.converged})"
@@ -187,13 +176,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate and analyze nonlocal polarimetric discrimination",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("sweep", "response curves over an orientation grid"),
-        ("discriminate", "confidence-region distinguishability analysis"),
-        ("tomo", "simulate and reconstruct two-photon tomography"),
-        ("optimize", "search for well-separating measurement settings"),
+    for name, handler, help_text in (
+        ("sweep", cmd_sweep, "response curves over an orientation grid"),
+        ("discriminate", cmd_discriminate,
+         "confidence-region distinguishability analysis"),
+        ("tomo", cmd_tomo, "simulate and reconstruct two-photon tomography"),
+        ("optimize", cmd_optimize, "search for well-separating measurement settings"),
     ):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", required=True, help="YAML config file")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
@@ -203,19 +194,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "sweep": cmd_sweep,
-        "discriminate": cmd_discriminate,
-        "tomo": cmd_tomo,
-        "optimize": cmd_optimize,
-    }
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
             if args.seed < 0:
                 raise ConfigError("'--seed' must be >= 0")
             cfg.seed = args.seed
-        return handlers[args.command](cfg, args.out)
+        return args.handler(cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -107,15 +107,22 @@ def _kind_section(node, path: str, kinds: dict, fixed: tuple[str, ...] = (),
     return node, kind
 
 
-def _require_list(node, path: str) -> list:
+def _each(node, path: str, parse) -> list:
+    """``parse(item, item_path)`` of each item of the list ``node``."""
     if not isinstance(node, list):
         raise ConfigError(f"'{path}' must be a list")
-    return node
+    return [parse(item, f"{path}[{i}]") for i, item in enumerate(node)]
 
 
 def _number(node, path: str, finite: bool = False) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise ConfigError(f"'{path}' must be a number")
+        try:  # PyYAML reads 3.0e9 and 1e9 as strings.
+            numeric = isinstance(node, str) and math.isfinite(float(node))
+        except ValueError:
+            numeric = False
+        raise ConfigError(f"'{path}' must be a number" + (
+            f", not the string {node!r} (YAML reads a float only with a decimal "
+            "point and a signed exponent, e.g. 3.0e+9)" if numeric else ""))
     try:
         value = float(node)
     except OverflowError:
@@ -158,11 +165,10 @@ def element_to_dict(element: PolElement) -> dict:
 
 def _parse_element_chain(node, path: str) -> list[PolElement]:
     node = _section(node, path, {"elements"}, ("elements",))
-    items = _require_list(node["elements"], f"{path}.elements")
-    if not items:
+    elements = _each(node["elements"], f"{path}.elements", parse_element)
+    if not elements:
         raise ConfigError(f"'{path}.elements' must not be empty")
-    return [parse_element(el, f"{path}.elements[{i}]")
-            for i, el in enumerate(items)]
+    return elements
 
 
 def _parse_state(node, path: str, base_dir: str) -> TwoQubitDensity:
@@ -295,26 +301,23 @@ def _parse_projector_param(node, path: str) -> ProjectorParam:
         _boolean(node.get("qwp_first", True), f"{path}.qwp_first"))
 
 
+def _parse_setting_sample(node, path: str) -> PolElement:
+    node = _section(node, path, {"family", "theta_deg", "element"}, ("theta_deg",))
+    family, template = _sample_family(node, path)
+    theta = _number(node["theta_deg"], f"{path}.theta_deg", finite=True)
+    return sample_element(family, theta, template)
+
+
 def _parse_optimize(node, path: str) -> OptimizationConfig:
     node = _section(node, path, {
         "samples", "projectors", "probe", "mode", "restarts", "max_evals",
         "vary_probe", "vary_projectors", "vary_extinction",
     }, ("samples", "projectors"))
-    samples = []
-    for i, item in enumerate(_require_list(node["samples"], f"{path}.samples")):
-        where = f"{path}.samples[{i}]"
-        item = _section(item, where, {"family", "theta_deg", "element"},
-                        ("theta_deg",))
-        family, template = _sample_family(item, where)
-        theta = _number(item["theta_deg"], f"{where}.theta_deg", finite=True)
-        samples.append(sample_element(family, theta, template))
+    samples = _each(node["samples"], f"{path}.samples", _parse_setting_sample)
     if len(samples) < 2:
         raise ConfigError(f"'{path}.samples' needs at least two samples")
-    projectors = [
-        _parse_projector_param(p, f"{path}.projectors[{i}]")
-        for i, p in enumerate(_require_list(node["projectors"],
-                                            f"{path}.projectors"))
-    ]
+    projectors = _each(node["projectors"], f"{path}.projectors",
+                       _parse_projector_param)
     if not projectors:
         raise ConfigError(f"'{path}.projectors' must not be empty")
     options: dict = {}
@@ -373,16 +376,9 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
     if "probe" in data:
         cfg.probe_elements = _parse_element_chain(data["probe"], "probe")
     if "projectors" in data:
-        items = _require_list(data["projectors"], "projectors")
-        cfg.projectors = [
-            _parse_element_chain(p, f"projectors[{i}]")
-            for i, p in enumerate(items)
-        ]
+        cfg.projectors = _each(data["projectors"], "projectors", _parse_element_chain)
     if "samples" in data:
-        items = _require_list(data["samples"], "samples")
-        cfg.samples = [
-            _parse_sample(s, f"samples[{i}]") for i, s in enumerate(items)
-        ]
+        cfg.samples = _each(data["samples"], "samples", _parse_sample)
         families = [s.family for s in cfg.samples]
         for i, family in enumerate(families):
             if family in families[:i]:

@@ -56,8 +56,8 @@ class CountModel:
             raise ValueError("pair rate must be >= 0 and integration time > 0")
         for name in ("eff_signal", "eff_idler"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
+            if not 0.0 < v <= 1.0:
+                raise ValueError(f"{name} must lie in (0, 1]")
         if self.coincidence_window < 0.0 or self.singles_background < 0.0:
             raise ValueError("window and singles rate must be >= 0")
         if not 0.0 <= self.drift_amplitude < 1.0:
@@ -162,8 +162,6 @@ def correct_counts(runs: RunSet, model: CountModel) -> np.ndarray:
     efficiencies, clip negatives to zero; then rescale every run to
     the mean run total, removing common-mode drift.
     """
-    if model.eff_signal <= 0.0 or model.eff_idler <= 0.0:
-        raise ValueError("cannot correct with zero detection efficiency")
     corrected = runs.counts - model.accidental_mean()
     corrected /= model.eff_signal * model.eff_idler
     corrected = np.clip(corrected, 0.0, None)

@@ -9,7 +9,7 @@ orientation angles of the probe-side and idler-side projectors.
 The search runs on one settings table: a ``(3, k)`` array with rows
 ``qwp_deg`` (NaN for a bare polarizer), ``lp_deg`` and ``extinction``,
 one column per setting (the probe, if any, first), plus ``(k,)``
-``qwp_first`` flags; :func:`settings_jones` builds its Jones stack.
+``qwp_first`` flags; :func:`settings_builder` builds its Jones stack.
 Every table is passive by construction (waveplates are unitary, and
 :func:`point_table` floors extinctions at 1, so no polarizer's axis
 factor 1/sqrt(extinction) exceeds 1): :func:`optimize` checks the
@@ -231,9 +231,10 @@ def table_params(table: np.ndarray,
 
 def settings_builder(table: np.ndarray, qwp_first: np.ndarray,
                      coords: tuple[np.ndarray, np.ndarray] | None = None):
-    """Prepared :func:`settings_jones`: ``build(x)`` gives the stack of
-    ``point_table(table, coords, x)`` for a ``(3, k)`` table, ``build(None)``
-    that of ``table``.  One :func:`polcalc.oriented_jones` pass builds all
+    """Prepared Jones stacks of a settings table: ``build(x)`` gives the
+    stack of ``point_table(table, coords, x)`` for a ``(3, k)`` table,
+    ``build(None)`` the ``table.shape[1:] + (2, 2)`` stack of ``table``, any
+    mix of layouts.  One :func:`polcalc.oriented_jones` pass builds all
     elements; a bare polarizer's waveplate, factor 1 at angle 0, is the
     exact identity.  Complex polarizer factors can give -0 imaginary parts
     where real ones give +0; the stack's bytes are the same (see tests)."""
@@ -254,15 +255,9 @@ def settings_builder(table: np.ndarray, qwp_first: np.ndarray,
     return build
 
 
-def settings_jones(table: np.ndarray, qwp_first: np.ndarray) -> np.ndarray:
-    """``table.shape[1:] + (2, 2)`` Jones stack of a settings table, any
-    mix of layouts: :func:`settings_builder` used once."""
-    return settings_builder(table, qwp_first)(None)
-
-
 def projector_jones(params: tuple[ProjectorParam, ...]) -> np.ndarray:
     """(m, 2, 2) Jones stack of projector settings."""
-    return settings_jones(*settings_table(params))
+    return settings_builder(*settings_table(params))(None)
 
 
 def sample_jones(samples: tuple[PolElement, ...]) -> np.ndarray:
@@ -438,7 +433,7 @@ def nearest_feasible(
     def distance(x: np.ndarray) -> np.ndarray:  # angle pairs, (2, ...)
         qwp_deg, lp_deg = np.asarray(x) % 180.0
         table = np.array([qwp_deg, lp_deg, np.full_like(qwp_deg, extinction)])
-        jones = settings_jones(table, np.full(qwp_deg.shape, qwp_first))
+        jones = settings_builder(table, np.full(qwp_deg.shape, qwp_first))(None)
         d = polcalc.jones_to_mueller(jones) - target
         d = d.reshape(d.shape[:-2] + (16,))
         # sqrt(vecdot) rounds like np.linalg.norm of each 4x4 difference.

@@ -118,14 +118,13 @@ class _Axes:
 def curve_chart(
     thetas: np.ndarray,
     series: np.ndarray,
-    labels: list[str],
     title: str,
     bands: np.ndarray | None = None,
 ) -> str:
     """Response-versus-orientation chart, one polyline per projector.
 
-    ``series`` is (n_theta, n_series); ``bands`` gives optional CI
-    half-widths of the same shape, drawn as shaded strips.
+    ``series`` is (n_theta, n_series), labelled P1..Pn; ``bands`` gives
+    optional CI half-widths of the same shape, drawn as shaded strips.
     """
     canvas = _Canvas(CHART_W, CHART_H)
     top = np.max(series + (bands if bands is not None else 0.0))
@@ -151,26 +150,23 @@ def curve_chart(
                           np.concatenate([x, x[::-1]]), axes.py(edges))
         canvas.points("polyline", f'fill="none" stroke="{color}" stroke-width="1.50"',
                       x, axes.py(series[:, k]))
-        canvas.text(MARGIN_L + 8.0 + 90.0 * k, MARGIN_T - 6.0, labels[k],
+        canvas.text(MARGIN_L + 8.0 + 90.0 * k, MARGIN_T - 6.0, f"P{k + 1}",
                     size=10.0, anchor="start", color=color)
     return canvas.to_string()
 
 
-def region_panels(
-    families: list[dict],
-    axis_pairs: list[tuple[int, int]],
-    axis_names: list[str],
-    title: str,
-) -> str:
+def region_panels(families: list[dict]) -> str:
     """Response-space scatter with confidence ellipses.
 
-    ``families`` entries hold ``label``, ``centers`` (n, k),
+    ``families`` entries (at least one) hold ``label``, ``centers`` (n, k),
     ``semi_axes`` (n, k) and ``kept`` index list; one panel is drawn
-    per requested coordinate pair.
+    per coordinate pair i < j, with axes P1..Pk.
     """
+    n_axes = families[0]["centers"].shape[1]
+    axis_pairs = [(i, j) for i in range(n_axes) for j in range(i + 1, n_axes)]
     width = MARGIN_L + len(axis_pairs) * (PANEL + 24.0)
     canvas = _Canvas(width, PANEL + MARGIN_T + MARGIN_B)
-    canvas.text(width / 2.0, 16.0, title, size=13.0)
+    canvas.text(width / 2.0, 16.0, "response regions", size=13.0)
     # Each family's ellipse rows, fills and stroke baked in, the same in
     # every panel; an empty family draws no line.
     rows = []
@@ -184,8 +180,7 @@ def region_panels(
         box_x = MARGIN_L + p * (PANEL + 24.0)
         axes = _Axes(canvas, (box_x, MARGIN_T, PANEL, PANEL),
                      (-0.05, 1.05), (-0.05, 1.05))
-        axes.frame(axis_names[ix], axis_names[iy],
-                   xticks=[0.0, 0.5, 1.0])
+        axes.frame(f"P{ix + 1}", f"P{iy + 1}", xticks=[0.0, 0.5, 1.0])
         for f, fam in enumerate(families):
             color = PALETTE[f % len(PALETTE)]
             centers = fam["centers"]

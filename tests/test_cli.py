@@ -487,6 +487,20 @@ def test_blocked_herald_is_a_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["eff_signal", "eff_idler"])
+@pytest.mark.parametrize("command", ["sweep", "discriminate", "tomo"])
+def test_zero_detection_efficiency_is_a_config_error(tmp_path, capsys, command,
+                                                      key):
+    text = TOMO_CONFIG if command == "tomo" else DISCRIMINATE_CONFIG
+    cfg = write_config(tmp_path, text.replace("  pair_rate:",
+                                              f"  {key}: 0\n  pair_rate:"))
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: 'counting': {key} must lie in (0, 1]\n")
+    assert not out.exists()
+
+
 def test_optimize_best_params_are_loadable(tmp_path):
     cfg = write_config(tmp_path, OPTIMIZE_CONFIG)
     out = tmp_path / "opt2"

@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 from ghostpol import configio
+from ghostpol.cli import main
 from ghostpol.configio import (
     ConfigError,
     element_to_dict,
@@ -258,6 +259,55 @@ def test_counting_rules():
         )
 
 
+@pytest.mark.parametrize("key", ["eff_signal", "eff_idler"])
+@pytest.mark.parametrize("value", ["0", "0.0", "-0.5", "1.2"])
+def test_detection_efficiencies_lie_in_the_unit_interval(key, value):
+    text = "counting: {pair_rate: 100, integration_time: 1, %s: %s}"
+    with pytest.raises(ConfigError,
+                       match=f"^'counting': {key} must lie in \\(0, 1\\]$"):
+        parse_config_text(text % (key, value))
+    assert getattr(parse_config_text(text % (key, "1.0e-3")).counting, key) == 1e-3
+
+
+@pytest.mark.parametrize("value", ["3.0e9", "1e-9", "1e9", "1.5E3"])
+def test_a_number_read_as_a_string_names_the_yaml_cause(value):
+    with pytest.raises(ConfigError, match="^" + re.escape(
+            f"'counting.pair_rate' must be a number, not the string '{value}' "
+            "(YAML reads a float only with a decimal point and a signed "
+            "exponent, e.g. 3.0e+9)") + "$"):
+        parse_config_text(f"counting: {{pair_rate: {value}, integration_time: 1}}")
+
+
+@pytest.mark.parametrize("value", ["true", "fast", "nan", "'inf'", "'1e999'", "[1]"])
+def test_other_non_numbers_keep_the_plain_message(value):
+    # Booleans, words and strings that are not finite numbers; .inf is a float.
+    with pytest.raises(ConfigError, match="^'counting.pair_rate' must be a number$"):
+        parse_config_text(f"counting: {{pair_rate: {value}, integration_time: 1}}")
+
+
+OPTIMIZE_LISTS = ("optimize: {samples: [{family: LP, theta_deg: 0}, "
+                  "{family: LP, theta_deg: 45}], projectors: [{lp_deg: 20}]}")
+
+
+@pytest.mark.parametrize("text, path", [
+    ("probe: {elements: {kind: ideal_polarizer, angle_deg: 0}}", "probe.elements"),
+    ("projectors: {elements: []}", "projectors"),
+    ("samples: LP", "samples"),
+    (OPTIMIZE_LISTS.replace("samples: [{family: LP, theta_deg: 0}, "
+                            "{family: LP, theta_deg: 45}]", "samples: 2"),
+     "optimize.samples"),
+    (OPTIMIZE_LISTS.replace("[{lp_deg: 20}]", "{lp_deg: 20}"), "optimize.projectors"),
+], ids=["elements", "projectors", "samples", "optimize.samples",
+        "optimize.projectors"])
+def test_each_list_key_refuses_a_non_list(tmp_path, capsys, text, path):
+    config = tmp_path / "exp.yaml"
+    config.write_text(text + "\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: '{path}' must be a list\n"
+    assert not out.exists()
+
+
 def test_projector_param_rules():
     with pytest.raises(ConfigError, match="needs lp_deg"):
         parse_config_text(
@@ -436,7 +486,7 @@ def test_counting_means_are_bounded():
     assert parse_config_text(base).counting.pair_rate == 1e14
     with pytest.raises(ConfigError, match=r"'counting\.pair_rate' is out of range"):
         parse_config_text(base.replace("1.0e+14", "1" + "0" * 400))
-    # pair_rate * integration_time overflows to inf, and inf * 0 is NaN.
-    with pytest.raises(ConfigError, match=r"'counting\.pair_rate': mean count nan"):
+    # pair_rate * integration_time overflows to inf.
+    with pytest.raises(ConfigError, match=r"'counting\.pair_rate': mean count inf"):
         parse_config_text("counting: {pair_rate: 1.0e+300, integration_time: "
-                          "1.0e+300, eff_signal: 0}")
+                          "1.0e+300}")

@@ -231,9 +231,9 @@ def test_correction_removes_drift():
 
 def test_correction_error_cases():
     runs = RunSet(thetas=np.array([0.0]), counts=np.array([[[4.0]]]))
-    dead = CountModel(pair_rate=1.0, integration_time=1.0, eff_signal=0.0)
-    with pytest.raises(ValueError):
-        correct_counts(runs, dead)
+    # A zero efficiency cannot be corrected for, so no model holds one.
+    with pytest.raises(ValueError, match=r"eff_signal must lie in \(0, 1\]"):
+        CountModel(pair_rate=1.0, integration_time=1.0, eff_signal=0.0)
     swamped = CountModel(
         pair_rate=1.0,
         integration_time=1.0,

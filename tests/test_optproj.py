@@ -22,7 +22,6 @@ from ghostpol.optproj import (
     response_points,
     sample_jones,
     settings_builder,
-    settings_jones,
     settings_table,
     table_params,
 )
@@ -195,7 +194,7 @@ def test_response_points_equal_the_checked_path():
         coords = np.nonzero(np.isfinite(table))
         x = np.where(coords[0] == 2, RNG.uniform(0.2, 10.0, size=coords[0].size),
                      RNG.uniform(-360.0, 540.0, size=coords[0].size))
-        jones = settings_jones(point_table(table, coords, x), qwp_first)
+        jones = settings_builder(point_table(table, coords, x), qwp_first)(None)
         probe = jones[0] if n_probe else None
         pts = response_points(rho, samples, probe, jones[n_probe:])
         checked = coincidence_probability(
@@ -405,9 +404,9 @@ def test_settings_jones_equals_reference_bytes_on_grids(shape, extinction,
         qwp_deg = np.where(rng.random(shape) < 0.3, 45.0 * 3, qwp_deg)
         table = np.array([qwp_deg, lp_deg, np.full_like(qwp_deg, extinction)])
         flags = np.full(shape, qwp_first)
-        assert settings_jones(table, flags).shape == shape + (2, 2)
-        assert settings_jones(table, flags).tobytes() == \
-            reference_settings_jones(table, flags).tobytes()
+        jones = settings_builder(table, flags)(None)
+        assert jones.shape == shape + (2, 2)
+        assert jones.tobytes() == reference_settings_jones(table, flags).tobytes()
 
 
 @pytest.mark.parametrize("entry", [(1, 0), (2, 1)], ids=["lp_deg", "extinction"])
@@ -418,7 +417,7 @@ def test_settings_jones_keeps_nan_outside_the_bare_waveplate(entry):
     table[entry] = math.nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        jones = settings_jones(table, qwp_first)
+        jones = settings_builder(table, qwp_first)(None)
     assert np.isnan(jones[entry[1]]).any()
     with pytest.raises(ValueError):
         check_passive(jones)

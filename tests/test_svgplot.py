@@ -1,4 +1,7 @@
+import re
+
 import numpy as np
+import pytest
 
 from ghostpol.svgplot import curve_chart, region_panels
 
@@ -10,29 +13,29 @@ SERIES = np.column_stack([
 
 
 def test_curve_chart_structure():
-    svg = curve_chart(THETAS, SERIES, ["P1", "P2"], "demo")
+    svg = curve_chart(THETAS, SERIES, "demo")
     assert svg.startswith("<svg")
     assert svg.rstrip().endswith("</svg>")
     assert svg.count("<polyline") >= 2
-    assert "demo" in svg and "P2" in svg
+    assert "demo" in svg and ">P2</text>" in svg and ">P3</text>" not in svg
     assert "<polygon" not in svg
 
 
 def test_curve_chart_bands_add_polygons():
     bands = np.full_like(SERIES, 0.05)
-    svg = curve_chart(THETAS, SERIES, ["P1", "P2"], "demo", bands=bands)
+    svg = curve_chart(THETAS, SERIES, "demo", bands=bands)
     assert svg.count("<polygon") == 2
 
 
 def test_curve_chart_is_deterministic():
-    a = curve_chart(THETAS, SERIES, ["P1", "P2"], "demo")
-    b = curve_chart(THETAS, SERIES, ["P1", "P2"], "demo")
+    a = curve_chart(THETAS, SERIES, "demo")
+    b = curve_chart(THETAS, SERIES, "demo")
     assert a == b
 
 
 def test_curve_chart_handles_flat_series():
     flat = np.zeros((THETAS.size, 1))
-    svg = curve_chart(THETAS, flat, ["P1"], "flat")
+    svg = curve_chart(THETAS, flat, "flat")
     assert svg.startswith("<svg")
 
 
@@ -51,11 +54,28 @@ def test_region_panels_draws_every_region():
             "kept": [],
         },
     ]
-    svg = region_panels(families, [(0, 1)], ["P1", "P2"], "regions")
+    svg = region_panels(families)
     assert svg.count("<ellipse") == 3
-    assert "LP" in svg and "QWP" in svg
-    two_panels = region_panels(families, [(0, 1), (1, 0)], ["P1", "P2"], "r")
-    assert two_panels.count("<ellipse") == 6
+    assert "LP" in svg and "QWP" in svg and ">response regions</text>" in svg
+    three_axes = [dict(fam, centers=fam["centers"][:, [0, 1, 0]],
+                       semi_axes=fam["semi_axes"][:, [0, 1, 0]])
+                  for fam in families]
+    assert region_panels(three_axes).count("<ellipse") == 3 * 3
+
+
+@pytest.mark.parametrize("n_axes, names", [
+    (1, []), (2, [("P1", "P2")]), (3, [("P1", "P2"), ("P1", "P3"), ("P2", "P3")]),
+], ids=["1-axis", "2-axis", "3-axis"])
+def test_region_panels_draw_each_axis_pair_once(n_axes, names):
+    # One panel per pair i < j of the family's axes, x axis first.
+    family = {"label": "LP", "centers": np.full((2, n_axes), 0.5),
+              "semi_axes": np.full((2, n_axes), 0.01), "kept": [1]}
+    svg = region_panels([family])
+    assert svg.count("<ellipse") == 2 * len(names)
+    assert svg.count(">0.5</text>") == 2 * len(names)
+    labels = re.findall(r'text-anchor="(middle|start)" fill="#222222">(P\d)<', svg)
+    assert labels == [label for pair in names
+                      for label in zip(("middle", "start"), pair)]
 
 
 def ref_region_panels(families, axis_pairs, axis_names, title, panel=300.0):
@@ -105,6 +125,6 @@ def test_region_panels_equal_per_ellipse_loop():
                              "centers": rng.uniform(-0.1, 1.1, (n, d)),
                              "semi_axes": semis * rng.uniform(0.5, 1.5, (n, d)),
                              "kept": kept})
-        pairs = [(i, j) for i in range(d) for j in range(d) if i != j] or [(0, 0)]
-        args = (families, pairs, [f"P{k + 1}" for k in range(d)], "regions")
-        assert region_panels(*args) == ref_region_panels(*args)
+        pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+        args = (families, pairs, [f"P{k + 1}" for k in range(d)], "response regions")
+        assert region_panels(families) == ref_region_panels(*args)

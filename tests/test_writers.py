@@ -292,16 +292,16 @@ def test_curve_chart_matches_reference(n_theta, n_series):
     series[::3] = 0.0
     series[1::5] = -0.0
     labels = [f"P{j + 1}" for j in range(n_series)]
-    args = (thetas, series, labels, "chart")
-    assert svgplot.curve_chart(*args) == ref_curve_chart(*args)
+    assert (svgplot.curve_chart(thetas, series, "chart")
+            == ref_curve_chart(thetas, series, labels, "chart"))
     # Band edges at 0.0 and -0.0: zero bands on zero and negative-zero
     # responses, and bands equal to the response.
     for bands in (np.zeros_like(series), np.full_like(series, -0.0),
                   np.abs(series), RNG.uniform(0.0, 0.1, series.shape)):
-        assert (svgplot.curve_chart(*args, bands=bands)
-                == ref_curve_chart(*args, bands=bands))
+        assert (svgplot.curve_chart(thetas, series, "chart", bands=bands)
+                == ref_curve_chart(thetas, series, labels, "chart", bands=bands))
     flat = np.zeros_like(series)
-    assert (svgplot.curve_chart(thetas, flat, labels, "flat", bands=flat)
+    assert (svgplot.curve_chart(thetas, flat, "flat", bands=flat)
             == ref_curve_chart(thetas, flat, labels, "flat", bands=flat))
 
 
@@ -318,6 +318,7 @@ def test_region_panels_match_reference():
                              "centers": RNG.uniform(-0.1, 1.1, (n, d)),
                              "semi_axes": RNG.choice([0.0, 1e-4, 0.02, 0.2], (n, d)),
                              "kept": kept})
-        pairs = [(i, j) for i in range(d) for j in range(d) if i != j] or [(0, 0)]
-        args = (families, pairs, [f"P{k + 1}" for k in range(d)], "regions")
-        assert svgplot.region_panels(*args) == ref_region_panels(*args)
+        # Every pair i < j of P1..Pd: 0, 1 and 3 panels.
+        pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+        args = (families, pairs, [f"P{k + 1}" for k in range(d)], "response regions")
+        assert svgplot.region_panels(families) == ref_region_panels(*args)
