@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -108,11 +107,7 @@ def cmd_discriminate(cfg: ExperimentConfig, out_dir: str) -> int:
     discern.report_to_csv(report, _out_path(out_dir, "report.csv"))
     summary = discern.summary_text(report)
     _write(out_dir, "summary.txt", summary)
-    svg = svgplot.region_panels([
-        {"label": o.family, "centers": o.stats.mean,
-         "semi_axes": o.regions.semi_axes, "kept": o.kept}
-        for o in report.families])
-    _write(out_dir, "regions.svg", svg)
+    _write(out_dir, "regions.svg", svgplot.region_panels(report.families))
     print(summary, end="")
     return 0
 
@@ -156,7 +151,7 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: str) -> int:
     if cfg.conditional:
         raise ConfigError("'conditional' is not supported by optimize, "
                           "which scores joint probabilities")
-    result = optimize(replace(cfg.optimize, state=cfg.state, seed=cfg.seed))
+    result = optimize(cfg.optimize, cfg.state, cfg.seed)
     _write(out_dir, "best_params.yaml",
            settings_fragment(result.probe, result.projectors))
     header = "stage,restart,start_objective,final_objective,n_evals"

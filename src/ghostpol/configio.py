@@ -14,7 +14,7 @@ import numpy as np
 import yaml
 
 from .countsim import MAX_MEAN, CountModel
-from .ghost import SAMPLE_FAMILIES, default_theta_grid, sample_element
+from .ghost import SAMPLE_FAMILIES, sample_element
 from .optproj import OptimizationConfig, ProjectorParam, search_stages
 from .polcalc import ELEMENT_KINDS, PolElement
 from .qstate import TwoQubitDensity, bell_psi_plus, load_density_csv, werner
@@ -185,15 +185,13 @@ def _parse_state(node, path: str, base_dir: str) -> TwoQubitDensity:
 
 
 def _parse_thetas(node, path: str) -> np.ndarray:
-    if node is None:
-        return default_theta_grid()
     if isinstance(node, list):
         if len(node) > MAX_THETAS:
             raise ConfigError(f"'{path}' has more than {MAX_THETAS} angles")
         grid = np.array([_number(v, f"{path}[{i}]", finite=True)
                          for i, v in enumerate(node)])
-    else:
-        node = _section(node, path, {"start", "stop", "step"})
+    else:  # Left out or null, the range defaults give 0, 1, ..., 179.
+        node = _section({} if node is None else node, path, {"start", "stop", "step"})
         start = _number(node.get("start", 0.0), f"{path}.start", finite=True)
         stop = _number(node.get("stop", 180.0), f"{path}.stop", finite=True)
         step = _number(node.get("step", 1.0), f"{path}.step", finite=True)
@@ -278,7 +276,10 @@ def _parse_tomography(node, path: str, base_dir: str,
         if "records_csv" in node:
             raise ConfigError(f"'{key}' is only valid without records_csv")
         if counting is not None:
-            spec.model = replace(counting, integration_time=integration_time)
+            try:  # A product that underflows to 0 would count only zeros.
+                spec.model = replace(counting, integration_time=integration_time)
+            except ValueError as exc:
+                raise ConfigError(f"'{key}': {exc}") from exc
             _check_means(spec.model, key)
     if "records_csv" in node:
         spec.records_csv = os.path.join(base_dir, str(node["records_csv"]))

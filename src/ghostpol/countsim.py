@@ -62,6 +62,9 @@ class CountModel:
             raise ValueError("window and singles rate must be >= 0")
         if not 0.0 <= self.drift_amplitude < 1.0:
             raise ValueError("drift amplitude must lie in [0, 1)")
+        if self.signal_mean(1.0) + self.accidental_mean() == 0.0:
+            raise ValueError("every count would be 0: the pair rate gives no "
+                             "signal and there are no accidentals")
 
     def accidental_mean(self) -> float:
         """Mean accidental coincidences per integration window: 0 without

@@ -113,7 +113,6 @@ class FamilyOutcome:
     regions: EllipsoidRegion
     kept: list[int]
     cross_excluded: list[int] = field(default_factory=list)
-    step: StepStats | None = None
 
 
 @dataclass
@@ -393,14 +392,11 @@ def analyze_family(
 def analyze_families(
     outcomes: list[FamilyOutcome],
 ) -> DistinguishabilityReport:
-    """Apply cross-family exclusions pairwise and finalize step stats."""
+    """Apply cross-family exclusions pairwise."""
     exclusions: list[tuple[str, float, str, float]] = []
     for i in range(len(outcomes)):
         for j in range(i + 1, len(outcomes)):
             exclusions.extend(cross_family_exclusions(outcomes[i], outcomes[j]))
-    for outcome in outcomes:
-        if outcome.kept:
-            outcome.step = step_stats(outcome.thetas[outcome.kept])
     return DistinguishabilityReport(families=outcomes, exclusions=exclusions)
 
 
@@ -430,11 +426,10 @@ def summary_text(report: DistinguishabilityReport) -> str:
         lines.append(
             f"family {outcome.family}: kept {len(outcome.kept)} of {total} orientations"
         )
-        if outcome.step is not None:
-            lines.append(
-                f"  angular step deg: median {outcome.step.median_deg:.4g}, "
-                f"max {outcome.step.max_deg:.4g}, min {outcome.step.min_deg:.4g}"
-            )
+        if outcome.kept:
+            step = step_stats(outcome.thetas[outcome.kept])
+            lines.append(f"  angular step deg: median {step.median_deg:.4g}, "
+                         f"max {step.max_deg:.4g}, min {step.min_deg:.4g}")
     if report.exclusions:
         lines.append("cross-family exclusions:")
         for fam, theta, other, other_theta in report.exclusions:

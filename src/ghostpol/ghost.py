@@ -106,10 +106,6 @@ class ResponseCurve:
             raise ValueError("theta grid must lie in [0, 180)")
 
 
-def default_theta_grid() -> np.ndarray:
-    return np.arange(0.0, 180.0, 1.0)
-
-
 # The element of each sample family; the custom family (None) rotates
 # a template element given with it instead.
 SAMPLE_FAMILIES = {
@@ -136,7 +132,8 @@ def sweep_family(
     family: str,
     projectors: list[np.ndarray],
     probe_elements: list[PolElement] | None = None,
-    thetas: np.ndarray | None = None,
+    *,
+    thetas: np.ndarray,
     template: PolElement | None = None,
     conditional: bool = False,
 ) -> ResponseCurve:
@@ -147,8 +144,6 @@ def sweep_family(
     projector contributes one response coordinate.  The chain stack and
     the projector stack each get one :func:`polcalc.check_passive`.
     """
-    if thetas is None:
-        thetas = default_theta_grid()
     thetas = np.asarray(thetas, dtype=float)
     chain = polcalc.element_jones(sample_element(family, 0.0, template), thetas)
     if probe_elements:

@@ -35,7 +35,7 @@ import numpy as np
 from . import polcalc
 from .ghost import coincidence_probability
 from .polcalc import QWP, PolElement
-from .qstate import TwoQubitDensity, bell_psi_plus
+from .qstate import TwoQubitDensity
 
 
 @dataclass(frozen=True)
@@ -81,23 +81,18 @@ class ProjectorParam:
 
 @dataclass
 class OptimizationConfig:
-    """Settings and search options of one :func:`optimize` run.
-
-    ``configio`` parses a config's ``optimize`` section into this; the
-    command line then fills ``state`` and ``seed`` from the whole config.
-    """
+    """Settings and search options of one :func:`optimize` run, as
+    ``configio`` parses them from a config's ``optimize`` section."""
 
     samples: tuple[PolElement, ...]
     projectors: tuple[ProjectorParam, ...]
     probe: ProjectorParam | None = None
-    state: TwoQubitDensity | None = None
     mode: str = "joint"
     vary_probe: bool = True
     vary_projectors: bool = True
     vary_extinction: bool = False
     restarts: int = 16
     max_evals: int = 4000
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if len(self.samples) < 2:
@@ -347,8 +342,10 @@ def search_stages(config: OptimizationConfig) -> tuple[np.ndarray, np.ndarray, l
                               for name, varied in stages if varied.any()]
 
 
-def optimize(config: OptimizationConfig) -> OptimizationResult:
-    """Multi-start maximization of the minimum pairwise separation.
+def optimize(config: OptimizationConfig, rho: TwoQubitDensity,
+             seed: int) -> OptimizationResult:
+    """Multi-start maximization of the minimum pairwise separation in
+    state ``rho``, its starts scrambled from ``seed``.
 
     Each stage of :func:`search_stages` runs in turn from the best
     settings of the one before.  The returned settings never score
@@ -360,7 +357,6 @@ def optimize(config: OptimizationConfig) -> OptimizationResult:
     share = max(1, max_evals // (stages * restarts)) evaluations, so a
     run scores at most stages * restarts * (1 + share) points.
     """
-    rho = config.state if config.state is not None else bell_psi_plus()
     n_probe = 0 if config.probe is None else 1
     table, qwp_first, stages = search_stages(config)
     samples = sample_jones(config.samples)
@@ -380,8 +376,7 @@ def optimize(config: OptimizationConfig) -> OptimizationResult:
             return -objective_min_separation(
                 response_points(rho, samples, probe, jones[n_probe:]))
 
-        starts = _start_points(coords[0], config.restarts, table[coords],
-                               config.seed)
+        starts = _start_points(coords[0], config.restarts, table[coords], seed)
         per_start = max(1, budget // config.restarts)
         best_x = None
         best_val = -math.inf

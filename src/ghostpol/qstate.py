@@ -122,17 +122,11 @@ def linear_entropy(rho: TwoQubitDensity) -> float:
     return float((4.0 / 3.0) * (1.0 - rho.purity()))
 
 
-def fidelity(rho: TwoQubitDensity, reference: np.ndarray | None = None) -> float:
-    """Overlap <psi|rho|psi> with a pure reference state vector.
-
-    The default reference is |Psi+>.
-    """
-    vec = psi_plus_vector() if reference is None else np.asarray(reference, dtype=complex)
-    vec = vec.reshape(4)
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
-        raise ValueError("reference state vector is zero")
-    vec = vec / norm
+def fidelity(rho: TwoQubitDensity) -> float:
+    """Overlap <Psi+|rho|Psi+>."""
+    vec = psi_plus_vector()
+    # Its computed norm is 0.9999999999999999, so normalize it in floats.
+    vec = vec / np.linalg.norm(vec)
     return float(np.real(vec.conj() @ rho.matrix @ vec))
 
 

@@ -155,14 +155,14 @@ def curve_chart(
     return canvas.to_string()
 
 
-def region_panels(families: list[dict]) -> str:
+def region_panels(outcomes: list) -> str:
     """Response-space scatter with confidence ellipses.
 
-    ``families`` entries (at least one) hold ``label``, ``centers`` (n, k),
-    ``semi_axes`` (n, k) and ``kept`` index list; one panel is drawn
-    per coordinate pair i < j, with axes P1..Pk.
+    ``outcomes`` (at least one) are :class:`discern.FamilyOutcome`
+    records: each draws its ``regions`` and marks its ``kept`` rows; one
+    panel is drawn per coordinate pair i < j, with axes P1..Pk.
     """
-    n_axes = families[0]["centers"].shape[1]
+    n_axes = outcomes[0].regions.center.shape[1]
     axis_pairs = [(i, j) for i in range(n_axes) for j in range(i + 1, n_axes)]
     width = MARGIN_L + len(axis_pairs) * (PANEL + 24.0)
     canvas = _Canvas(width, PANEL + MARGIN_T + MARGIN_B)
@@ -170,10 +170,10 @@ def region_panels(families: list[dict]) -> str:
     # Each family's ellipse rows, fills and stroke baked in, the same in
     # every panel; an empty family draws no line.
     rows = []
-    for f, fam in enumerate(families):
+    for f, o in enumerate(outcomes):
         color = PALETTE[f % len(PALETTE)]
-        row = [_ELLIPSE % ("none", color)] * fam["centers"].shape[0]
-        for i in fam["kept"]:
+        row = [_ELLIPSE % ("none", color)] * o.regions.center.shape[0]
+        for i in o.kept:
             row[i] = _ELLIPSE % (color, color)
         rows.append("\n".join(row))
     for p, (ix, iy) in enumerate(axis_pairs):
@@ -181,15 +181,15 @@ def region_panels(families: list[dict]) -> str:
         axes = _Axes(canvas, (box_x, MARGIN_T, PANEL, PANEL),
                      (-0.05, 1.05), (-0.05, 1.05))
         axes.frame(f"P{ix + 1}", f"P{iy + 1}", xticks=[0.0, 0.5, 1.0])
-        for f, fam in enumerate(families):
+        for f, o in enumerate(outcomes):
             color = PALETTE[f % len(PALETTE)]
-            centers = fam["centers"]
-            rx, ry = (np.maximum(fam["semi_axes"][:, k] / 1.1 * PANEL, 1.0)
+            centers = o.regions.center
+            rx, ry = (np.maximum(o.regions.semi_axes[:, k] / 1.1 * PANEL, 1.0)
                       for k in (ix, iy))
             if rows[f]:
                 canvas.parts.append(block(rows[f], [
                     axes.px(centers[:, ix]).tolist(), axes.py(centers[:, iy]).tolist(),
                     rx.tolist(), ry.tolist()]))
             canvas.text(box_x + 8.0, MARGIN_T - 6.0 + 12.0 * f,
-                        fam["label"], size=10.0, anchor="start", color=color)
+                        o.family, size=10.0, anchor="start", color=color)
     return canvas.to_string()

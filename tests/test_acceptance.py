@@ -393,9 +393,8 @@ def test_criterion_09_optimizer_sanity():
         probe=None,
         restarts=8,
         max_evals=800,
-        seed=3,
     )
-    result = optimize(config)
+    result = optimize(config, rho, seed=3)
     best = result.projectors[0].lp_deg % 180.0
     gap = min(
         min(abs(best - a), 180.0 - abs(best - a)) for a in argmaxes

@@ -501,6 +501,20 @@ def test_zero_detection_efficiency_is_a_config_error(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "discriminate", "tomo"])
+def test_zero_signal_counting_is_a_config_error(tmp_path, capsys, command):
+    # No pair rate and no coincidence window: every count would be 0.
+    text = (TOMO_CONFIG.replace("100000", "0") if command == "tomo" else
+            DISCRIMINATE_CONFIG.replace("200000", "0").replace("3.0e-9", "0"))
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: 'counting': every count would be 0: the pair rate gives "
+        "no signal and there are no accidentals\n")
+    assert not out.exists()
+
+
 def test_optimize_best_params_are_loadable(tmp_path):
     cfg = write_config(tmp_path, OPTIMIZE_CONFIG)
     out = tmp_path / "opt2"

@@ -250,6 +250,14 @@ def test_sample_family_rules():
         parse_config_text("samples: [{family: LP, thetas: {step: 0}}]")
 
 
+@pytest.mark.parametrize("thetas", ["", ", thetas: null", ", thetas: {}"],
+                         ids=["absent", "null", "empty"])
+def test_default_grid_is_one_degree_half_turn(thetas):
+    # The range defaults build the grid: the bits of np.arange(0, 180, 1).
+    cfg = parse_config_text(f"samples: [{{family: LP{thetas}}}]")
+    assert cfg.samples[0].thetas.tobytes() == np.arange(0.0, 180.0, 1.0).tobytes()
+
+
 def test_counting_rules():
     with pytest.raises(ConfigError, match="needs pair_rate and integration_time"):
         parse_config_text("counting: {pair_rate: 100}")
@@ -257,6 +265,11 @@ def test_counting_rules():
         parse_config_text(
             "counting: {pair_rate: 100, integration_time: 1, drift_amplitude: 1.5}"
         )
+    # A signal that underflows to 0 would count only zeros.
+    with pytest.raises(ConfigError,
+                       match="^'tomography.integration_time': every count would be 0"):
+        parse_config_text("counting: {pair_rate: 1.0e-200, integration_time: 1}\n"
+                          "tomography: {integration_time: 1.0e-200}")
 
 
 @pytest.mark.parametrize("key", ["eff_signal", "eff_idler"])

@@ -69,7 +69,11 @@ def reference_csv(runs, corrected):
 
 
 def test_model_validation():
-    CountModel(pair_rate=0.0, integration_time=1.0)
+    # A model that can only count zeros is refused; accidentals alone count.
+    with pytest.raises(ValueError, match="every count would be 0"):
+        CountModel(pair_rate=0.0, integration_time=1.0)
+    CountModel(pair_rate=0.0, integration_time=1.0, coincidence_window=1e-9,
+               singles_background=1e4)
     with pytest.raises(ValueError):
         CountModel(pair_rate=-1.0, integration_time=1.0)
     with pytest.raises(ValueError):

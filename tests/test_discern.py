@@ -246,7 +246,7 @@ def test_analyze_families_fills_steps_and_exclusions():
     b = cloud_family("QWP", [[1.0 + 1e-4, 1e-4], [0.0, 1.0]], sigma=0.08, seed=9)
     report = analyze_families([a, b])
     assert isinstance(report, DistinguishabilityReport)
-    assert a.step is not None and a.step.min_deg > 0.0
+    assert a.kept and step_stats(a.thetas[a.kept]).min_deg > 0.0
     assert len(report.exclusions) >= 1
     dropped = report.exclusions[0]
     assert dropped[0] == "QWP"

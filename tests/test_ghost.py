@@ -11,7 +11,6 @@ from ghostpol.ghost import (
     coincidence_probability,
     curve_to_csv,
     dataset_scale,
-    default_theta_grid,
     heralded_idler,
     sample_element,
     sweep_family,
@@ -246,7 +245,8 @@ def test_both_arms_reach_one_passivity_check(monkeypatch):
     coincidence_probability(bell_psi_plus(), np.eye(2), np.eye(2))
     assert checked == []
     sweep_family(bell_psi_plus(), "LP", [element_jones(lp(a)) for a in (0.0, 45.0)],
-                 probe_elements=[qwp(62.0)], conditional=True)
+                 probe_elements=[qwp(62.0)], thetas=np.arange(0.0, 180.0, 1.0),
+                 conditional=True)
     assert checked == [(180, 2, 2), (2, 2, 2)]
 
 
@@ -365,13 +365,6 @@ def test_engine_is_linear_in_the_signal_effect():
         assert abs(herald - (w * h1 + (1.0 - w) * h2)) <= 1e-15
 
 
-def test_default_grid_covers_half_turn():
-    grid = default_theta_grid()
-    assert grid.size == 180
-    assert grid[0] == 0.0
-    assert grid[-1] == 179.0
-
-
 def test_sweep_identity_sample_is_constant():
     template = PolElement("retarder", 0.0, retardance_rad=0.0)
     curve = sweep_family(
@@ -480,7 +473,8 @@ def test_normalize_rejects_all_zero():
 
 def test_curve_csv_layout(tmp_path):
     projs = [element_jones(lp(a)) for a in (7.5, 110.0, 34.0)]
-    curve = sweep_family(bell_psi_plus(), "LP", projs)
+    curve = sweep_family(bell_psi_plus(), "LP", projs,
+                         thetas=np.arange(0.0, 180.0, 1.0))
     scale = dataset_scale([curve.raw])
     path = str(tmp_path / "curve.csv")
     curve_to_csv(curve, scale, path)

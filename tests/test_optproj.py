@@ -33,6 +33,7 @@ from ghostpol.polcalc import (
 from ghostpol.qstate import TwoQubitDensity, bell_psi_plus, werner
 from helpers import rotation_jones
 
+PSI_PLUS, SEED = bell_psi_plus(), 3
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs")
 RNG = np.random.default_rng(8)
 
@@ -53,7 +54,6 @@ def toy_config(**kwargs):
         probe=None,
         restarts=8,
         max_evals=800,
-        seed=3,
     )
     defaults.update(kwargs)
     return OptimizationConfig(**defaults)
@@ -221,7 +221,7 @@ def test_optimize_checks_once_per_run_and_stage(monkeypatch, mode, probe, checks
 
     monkeypatch.setattr(polcalc, "check_passive", spy)
     result = optimize(toy_config(probe=probe, mode=mode, restarts=2,
-                                 max_evals=60))
+                                 max_evals=60), PSI_PLUS, SEED)
     assert result.n_evals > checks
     assert shapes == [(2, 2, 2)] + [(1 + (probe is not None), 2, 2)] * (checks - 1)
 
@@ -232,8 +232,8 @@ def test_shipped_first_restart_regression():
     # the objective that restart 0 reports in the trace.csv of the
     # shipped optimize run.
     cfg = load_config(os.path.join(CONFIGS, "optimize.yaml"))
-    result = optimize(replace(cfg.optimize, state=cfg.state, seed=cfg.seed,
-                              restarts=1, max_evals=1500))
+    result = optimize(replace(cfg.optimize, restarts=1, max_evals=1500),
+                      cfg.state, cfg.seed)
     assert result.n_evals == 1501
     assert f"{result.objective:.6g}" == "0.871092"
 
@@ -245,8 +245,8 @@ def test_max_evals_bounds_simplex_shares_not_scored_points(mode, stages,
     # Each restart of each stage scores its start point, then a simplex
     # on max(1, max_evals // (stages * restarts)) evaluations: here 1.
     cfg = load_config(os.path.join(CONFIGS, "optimize.yaml"))
-    result = optimize(replace(cfg.optimize, state=cfg.state, seed=cfg.seed,
-                              mode=mode, restarts=10, max_evals=10))
+    result = optimize(replace(cfg.optimize, mode=mode, restarts=10, max_evals=10),
+                      cfg.state, cfg.seed)
     assert result.n_evals == n_evals == stages * 10 * (1 + 1)
     assert [row["n_evals"] for row in result.trace] == [1] * (stages * 10)
 
@@ -293,7 +293,7 @@ optimize:
 ], ids=["sequential_partial", "probeless_joint"])
 def test_small_run_regression(text, n_evals, objective):
     cfg = parse_config_text(text)
-    result = optimize(replace(cfg.optimize, state=cfg.state, seed=cfg.seed))
+    result = optimize(cfg.optimize, cfg.state, cfg.seed)
     assert result.n_evals == n_evals
     assert f"{result.objective:.9g}" == objective
     assert [(p.qwp_deg is None, p.qwp_first, math.isinf(p.extinction))
@@ -522,7 +522,7 @@ def test_projector_param_validates_itself(kwargs, message):
 def test_optimize_finds_full_separation():
     # The one-parameter landscape sin^2(x), sin^2(x+45) has its best
     # normalized separation 1.0 at x = 0 and x = 135.
-    result = optimize(toy_config())
+    result = optimize(toy_config(), PSI_PLUS, SEED)
     assert result.objective > 0.999
     best = result.projectors[0].lp_deg % 180.0
     dist = min(
@@ -534,27 +534,27 @@ def test_optimize_finds_full_separation():
 
 
 def test_optimize_is_deterministic():
-    a = optimize(toy_config())
-    b = optimize(toy_config())
+    a = optimize(toy_config(), PSI_PLUS, SEED)
+    b = optimize(toy_config(), PSI_PLUS, SEED)
     assert a.objective == b.objective
     assert a.projectors == b.projectors
     assert a.n_evals == b.n_evals
 
 
 def test_optimize_never_scores_below_evaluated_starts():
-    result = optimize(toy_config(restarts=4, max_evals=40))
+    result = optimize(toy_config(restarts=4, max_evals=40), PSI_PLUS, SEED)
     start_scores = [row["start_objective"] for row in result.trace]
     assert result.objective >= max(start_scores) - 1e-12
 
 
 def test_optimize_angles_stay_in_range():
-    result = optimize(toy_config())
+    result = optimize(toy_config(), PSI_PLUS, SEED)
     for proj in result.projectors:
         assert 0.0 <= proj.lp_deg < 180.0
 
 
 def test_trace_rows_are_labeled():
-    result = optimize(toy_config(restarts=3, max_evals=120))
+    result = optimize(toy_config(restarts=3, max_evals=120), PSI_PLUS, SEED)
     assert len(result.trace) == 3
     for row in result.trace:
         assert row["stage"] == "joint"
@@ -570,29 +570,30 @@ def test_sequential_mode_stages():
         restarts=2,
         max_evals=120,
     )
-    result = optimize(config)
+    result = optimize(config, PSI_PLUS, SEED)
     stages = {row["stage"] for row in result.trace}
     assert stages == {"probe", "projectors"}
     assert result.probe is not None
-    joint = optimize(toy_config(restarts=2, max_evals=60))
+    joint = optimize(toy_config(restarts=2, max_evals=60), PSI_PLUS, SEED)
     assert {row["stage"] for row in joint.trace} == {"joint"}
 
 
 def test_optimize_with_nothing_to_vary():
     with pytest.raises(ValueError):
-        optimize(toy_config(vary_probe=False, vary_projectors=False))
+        optimize(toy_config(vary_probe=False, vary_projectors=False),
+                 PSI_PLUS, SEED)
     with pytest.raises(ValueError):
-        optimize(toy_config(mode="sequential", vary_projectors=False))
+        optimize(toy_config(mode="sequential", vary_projectors=False), PSI_PLUS, SEED)
 
 
 def test_extinction_varies_only_when_enabled():
     base = ProjectorParam(qwp_deg=None, lp_deg=40.0, extinction=3.7)
-    frozen = optimize(toy_config(projectors=(base,), restarts=2, max_evals=80))
+    frozen = optimize(toy_config(projectors=(base,), restarts=2, max_evals=80),
+                      PSI_PLUS, SEED)
     assert frozen.projectors[0].extinction == 3.7
     varied = optimize(
         toy_config(projectors=(base,), vary_extinction=True,
-                   restarts=2, max_evals=80)
-    )
+                   restarts=2, max_evals=80), PSI_PLUS, SEED)
     assert varied.projectors[0].extinction >= 1.0
 
 

@@ -124,8 +124,6 @@ def test_linear_entropy_mixture_value():
 def test_fidelity_convention():
     assert abs(fidelity(bell_psi_plus()) - 1.0) < 1e-12
     assert abs(fidelity(werner(0.92)) - 0.94) < 1e-12
-    other = np.array([1.0, 0.0, 0.0, 0.0])
-    assert abs(fidelity(bell_psi_plus(), other)) < 1e-12
 
 
 def test_metrics_of_bell_state():

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from ghostpol.discern import EllipsoidRegion, FamilyOutcome, SampleStats
 from ghostpol.svgplot import curve_chart, region_panels
 
 THETAS = np.arange(0.0, 180.0, 10.0)
@@ -39,27 +40,33 @@ def test_curve_chart_handles_flat_series():
     assert svg.startswith("<svg")
 
 
+def region_outcome(family, centers, semi_axes, kept):
+    """A family outcome holding what region_panels draws: the regions
+    of ``centers`` and ``semi_axes``, and the ``kept`` rows."""
+    regions = EllipsoidRegion(np.asarray(centers, dtype=float), semi_axes)
+    return FamilyOutcome(family, np.arange(float(len(regions.center))),
+                         SampleStats(regions.center, regions.semi_axes,
+                                     regions.semi_axes, 2), regions, list(kept))
+
+
+def panel_dict(outcome):
+    """An outcome as the dict of ref_region_panels."""
+    return {"label": outcome.family, "centers": outcome.stats.mean,
+            "semi_axes": outcome.regions.semi_axes, "kept": outcome.kept}
+
+
 def test_region_panels_draws_every_region():
     families = [
-        {
-            "label": "LP",
-            "centers": np.array([[0.1, 0.2], [0.7, 0.8]]),
-            "semi_axes": np.array([[0.01, 0.01], [0.02, 0.02]]),
-            "kept": [0],
-        },
-        {
-            "label": "QWP",
-            "centers": np.array([[0.4, 0.5]]),
-            "semi_axes": np.array([[0.05, 0.01]]),
-            "kept": [],
-        },
+        ("LP", np.array([[0.1, 0.2], [0.7, 0.8]]),
+         np.array([[0.01, 0.01], [0.02, 0.02]]), [0]),
+        ("QWP", np.array([[0.4, 0.5]]), np.array([[0.05, 0.01]]), []),
     ]
-    svg = region_panels(families)
+    svg = region_panels([region_outcome(*fam) for fam in families])
     assert svg.count("<ellipse") == 3
     assert "LP" in svg and "QWP" in svg and ">response regions</text>" in svg
-    three_axes = [dict(fam, centers=fam["centers"][:, [0, 1, 0]],
-                       semi_axes=fam["semi_axes"][:, [0, 1, 0]])
-                  for fam in families]
+    three_axes = [region_outcome(label, centers[:, [0, 1, 0]],
+                                 semi_axes[:, [0, 1, 0]], kept)
+                  for label, centers, semi_axes, kept in families]
     assert region_panels(three_axes).count("<ellipse") == 3 * 3
 
 
@@ -68,8 +75,8 @@ def test_region_panels_draws_every_region():
 ], ids=["1-axis", "2-axis", "3-axis"])
 def test_region_panels_draw_each_axis_pair_once(n_axes, names):
     # One panel per pair i < j of the family's axes, x axis first.
-    family = {"label": "LP", "centers": np.full((2, n_axes), 0.5),
-              "semi_axes": np.full((2, n_axes), 0.01), "kept": [1]}
+    family = region_outcome("LP", np.full((2, n_axes), 0.5),
+                            np.full((2, n_axes), 0.01), [1])
     svg = region_panels([family])
     assert svg.count("<ellipse") == 2 * len(names)
     assert svg.count(">0.5</text>") == 2 * len(names)
@@ -121,10 +128,10 @@ def test_region_panels_equal_per_ellipse_loop():
             semis = rng.choice([0.0, 1e-4, 3e-3, 0.02, 0.2], size=(n, d))
             kept = [[], list(range(n)),
                     sorted(rng.choice(n, n // 2, replace=False).tolist())][f % 3]
-            families.append({"label": f"F{f}",
-                             "centers": rng.uniform(-0.1, 1.1, (n, d)),
-                             "semi_axes": semis * rng.uniform(0.5, 1.5, (n, d)),
-                             "kept": kept})
+            families.append(region_outcome(
+                f"F{f}", rng.uniform(-0.1, 1.1, (n, d)),
+                semis * rng.uniform(0.5, 1.5, (n, d)), kept))
         pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-        args = (families, pairs, [f"P{k + 1}" for k in range(d)], "response regions")
+        args = ([panel_dict(o) for o in families], pairs,
+                [f"P{k + 1}" for k in range(d)], "response regions")
         assert region_panels(families) == ref_region_panels(*args)

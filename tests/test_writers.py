@@ -23,6 +23,7 @@ from ghostpol.svgplot import (CHART_H, CHART_W, MARGIN_B, MARGIN_L, MARGIN_R,
 from ghostpol.textio import block
 from ghostpol.tomo import CANONICAL_PAIRS, TomographyRecord
 from test_discern import random_report
+from test_svgplot import panel_dict, region_outcome
 
 RNG = np.random.default_rng(21)
 
@@ -314,11 +315,11 @@ def test_region_panels_match_reference():
             n = [1, 0, int(RNG.integers(2, 60))][(trial + f) % 3]
             kept = [[], list(range(n)),
                     sorted(RNG.choice(n, n // 2, replace=False).tolist())][f % 3]
-            families.append({"label": f"F{f}",
-                             "centers": RNG.uniform(-0.1, 1.1, (n, d)),
-                             "semi_axes": RNG.choice([0.0, 1e-4, 0.02, 0.2], (n, d)),
-                             "kept": kept})
+            families.append(region_outcome(
+                f"F{f}", RNG.uniform(-0.1, 1.1, (n, d)),
+                RNG.choice([0.0, 1e-4, 0.02, 0.2], (n, d)), kept))
         # Every pair i < j of P1..Pd: 0, 1 and 3 panels.
         pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-        args = (families, pairs, [f"P{k + 1}" for k in range(d)], "response regions")
+        args = ([panel_dict(o) for o in families], pairs,
+                [f"P{k + 1}" for k in range(d)], "response regions")
         assert svgplot.region_panels(families) == ref_region_panels(*args)
