@@ -2,12 +2,16 @@
 
 Exit codes: 0 on success, 2 on configuration errors, 1 on runtime
 failures.  All randomized outputs are reproducible from the pair
-(config file, seed).
+(config file, seed).  Importing this module registers ``gc.freeze`` to
+run at interpreter exit, so that the collections of the exit skip the
+objects the imports left behind; nothing changes before the exit.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import os
 import sys
 
@@ -17,6 +21,9 @@ from . import countsim, discern, ghost, polcalc, qstate, svgplot, tomo
 from .configio import ConfigError, ExperimentConfig, load_config, settings_fragment
 from .optproj import optimize
 from .textio import block
+
+# Frozen, the ~23,600 objects the imports made skip the exit's collections (30-40 ms).
+atexit.register(gc.freeze)
 
 
 def _out_path(out_dir: str, name: str) -> str:

@@ -278,9 +278,13 @@ def records_to_csv(records: list[TomographyRecord], path: str) -> None:
 
 def records_from_csv(path: str) -> list[TomographyRecord]:
     with open(path, "r", encoding="utf-8") as fh:
-        rows = [(n, line.strip()) for n, line in enumerate(fh, 1) if line.strip()]
+        try:
+            rows = [(n, line.strip()) for n, line in enumerate(fh, 1) if line.strip()]
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not rows or rows[0][1] != "basis_a,basis_b,counts":
-        raise ValueError("tomography CSV must start with basis_a,basis_b,counts")
+        raise ValueError(f"{path}, line {rows[0][0] if rows else 1}: tomography CSV "
+                         "must start with basis_a,basis_b,counts")
     records = []
     for n, line in rows[1:]:
         try:

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import platform
@@ -304,6 +305,30 @@ def test_missing_records_csv_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: 'tomography.records_csv'")
     assert "missing.csv" in err
+
+
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "exp.yaml"
+    path.write_bytes(b"seed: 1\n# \xff\n")
+    assert run(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config file {path}: ")
+    assert "'utf-8' codec can't decode byte 0xff" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"a,b,c\nH,H,1\n",
+     ", line 1: tomography CSV must start with basis_a,basis_b,counts\n"),
+    (b"basis_a,basis_b,counts\nH,H,\xff\n",
+     ": 'utf-8' codec can't decode byte 0xff"),
+], ids=["foreign_header", "not_utf8"])
+def test_unreadable_records_csv_names_the_file(tmp_path, capsys, content, message):
+    (tmp_path / "given.csv").write_bytes(content)
+    cfg = write_config(tmp_path, "tomography: {records_csv: given.csv}\n")
+    assert run(["tomo", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {tmp_path / 'given.csv'}{message}")
 
 
 @pytest.mark.parametrize("count", ["nan", "inf", "1e400", "-5"])
@@ -669,3 +694,28 @@ def test_tomo_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
         assert proc.returncode == 0, proc.stderr
         found[kernel] = output_digests(proc.stdout, out)
     assert found["Prescott"] == found[None]
+
+
+def test_exit_freezes_the_import_heap():
+    # atexit runs its handlers last in, first out, so a probe registered
+    # before ghostpol.cli is imported runs after the freeze that the
+    # import registers, and sees the heap the imports left.
+    src = os.path.dirname(os.path.dirname(ghostpol.__file__))
+    code = f"""
+import atexit, gc, sys
+atexit.register(lambda: print(gc.get_freeze_count()))
+sys.path.insert(0, {src!r})
+import ghostpol.cli
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 10_000
+
+
+def test_main_freezes_nothing(tmp_path):
+    # Only the exit freezes: an in-process caller keeps normal collection.
+    before = gc.get_freeze_count()
+    cfg = write_config(tmp_path, TOMO_CONFIG)
+    assert run(["tomo", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert gc.get_freeze_count() == before
