@@ -60,10 +60,12 @@ def _measure(cfg: ExperimentConfig, curves: list[ghost.ResponseCurve],
     """Simulated runs and their corrected counts, one pair per family."""
     measured = []
     for tag, curve in enumerate(curves):
-        runs = countsim.simulate_runs(
-            curve, cfg.counting, cfg.runs, cfg.seed, family_tag=tag
-        )
-        measured.append((runs, countsim.correct_counts(runs, cfg.counting)))
+        try:
+            runs = countsim.simulate_runs(curve, cfg.counting, cfg.runs, cfg.seed,
+                                          family_tag=tag)
+            measured.append((runs, countsim.correct_counts(runs, cfg.counting)))
+        except ValueError as exc:
+            raise ValueError(f"family {curve.family}: {exc}") from None
     return measured
 
 
@@ -120,21 +122,22 @@ def cmd_discriminate(cfg: ExperimentConfig, out_dir: str) -> int:
 
 
 def cmd_tomo(cfg: ExperimentConfig, out_dir: str) -> int:
-    spec = cfg.tomography
-    if spec is not None and spec.records_csv is not None:
+    path, model = cfg.tomography.records_csv, cfg.tomography.model
+    if path is not None:
         try:
-            records = tomo.records_from_csv(spec.records_csv)
+            records = tomo.records_from_csv(path)
         except OSError as exc:
             raise ConfigError(f"'tomography.records_csv': {exc}") from exc
+    elif model is None:
+        raise ConfigError("tomo needs a counting section or tomography.records_csv")
     else:
-        model = cfg.counting if spec is None else spec.model
-        if model is None:
-            raise ConfigError(
-                "tomo needs a counting section or tomography.records_csv"
-            )
         records = tomo.simulate_tomography(cfg.state, model, cfg.seed)
-        tomo.records_to_csv(records, _out_path(out_dir, "records.csv"))
-    result = tomo.reconstruct_mle(records)
+        path = _out_path(out_dir, "records.csv")
+        tomo.records_to_csv(records, path)
+    try:
+        result = tomo.reconstruct_mle(records)
+    except ValueError as exc:  # Name the file that holds the records.
+        raise ValueError(f"{path}: {exc}") from None
     qstate.save_density_csv(result.rho, _out_path(out_dir, "rho.csv"))
     m = qstate.metrics(result.rho)
     lines = [

@@ -65,7 +65,7 @@ class ExperimentConfig:
     projectors: list[list[PolElement]] = field(default_factory=list)
     samples: list[SampleSpec] = field(default_factory=list)
     counting: CountModel | None = None
-    tomography: TomographySpec | None = None
+    tomography: TomographySpec = field(default_factory=TomographySpec)
     optimize: OptimizationConfig | None = None
 
 
@@ -390,9 +390,8 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
                 )
     if "counting" in data:
         cfg.counting = _parse_counting(data["counting"], "counting")
-    if "tomography" in data:
-        cfg.tomography = _parse_tomography(data["tomography"], "tomography",
-                                           base_dir, cfg.counting)
+    cfg.tomography = _parse_tomography(data.get("tomography", {}), "tomography",
+                                       base_dir, cfg.counting)
     if "optimize" in data:
         cfg.optimize = _parse_optimize(data["optimize"], "optimize")
     n_points = sum(s.thetas.size for s in cfg.samples) * len(cfg.projectors)

@@ -22,10 +22,9 @@ import numpy.random  # noqa: F401
 from .ghost import ResponseCurve
 from .textio import block
 
-# Tags keeping per-purpose seed streams disjoint: the first spawn-key
-# entry of a single-count stream and of a repeated-run stream.
-_TAG_CELL = 1
-_TAG_RUN = 3
+# The first spawn-key entry of each ``stream``, one per purpose: single
+# counts (tomography cells), repeated runs, the optimizer's start points.
+TAG_CELL, TAG_RUN, TAG_START = 1, 3, 7
 
 # Largest Poisson mean a config may ask for, per term of a cell mean.
 # numpy's sampler refuses means above about 9.2e18, and counts stay
@@ -104,13 +103,13 @@ class RunSet:
             raise ValueError("counts must be (runs, thetas, projectors)")
         if self.counts.shape[0] < 1 or self.counts.shape[1] < 1:
             raise ValueError("RunSet needs at least one run and one theta")
-        totals = self.counts.sum(axis=(1, 2))
-        if np.any(totals <= 0.0):
-            raise ValueError("RunSet contains an all-zero run")
+        empty = self.counts.sum(axis=(1, 2)) <= 0.0
+        if np.any(empty):
+            raise ValueError(f"run {np.argmax(empty)} has all-zero counts")
 
 
-def _generator(master_seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=spawn_key)
+def stream(seed: int, key: tuple[int, ...]) -> np.random.Generator:
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return np.random.Generator(np.random.PCG64(seq))
 
 
@@ -125,7 +124,7 @@ def simulate_counts(
         raise ValueError("joint probability must lie in [0, 1]")
     mean = model.signal_mean(min(max(p_joint, 0.0), 1.0))
     mean += model.accidental_mean()
-    rng = _generator(seed, (_TAG_CELL, *spawn_key))
+    rng = stream(seed, (TAG_CELL, *spawn_key))
     return int(rng.poisson(mean))
 
 
@@ -138,7 +137,7 @@ def simulate_runs(
 ) -> RunSet:
     """Simulate repeated runs over a whole response curve.
 
-    Run ``r`` draws from the stream ``(_TAG_RUN, family_tag, r)`` in a
+    Run ``r`` draws from the stream ``(TAG_RUN, family_tag, r)`` in a
     fixed order: one uniform in [-1, 1) for its multiplicative drift
     factor 1 + a * u (drawn even when a = 0), then the whole
     (theta, projector) block of Poisson counts in C order.
@@ -152,7 +151,7 @@ def simulate_runs(
     accidental = model.accidental_mean()
     counts = np.empty((n_runs, *p.shape), dtype=float)
     for r in range(n_runs):
-        rng = _generator(seed, (_TAG_RUN, family_tag, r))
+        rng = stream(seed, (TAG_RUN, family_tag, r))
         drift = 1.0 + model.drift_amplitude * rng.uniform(-1.0, 1.0)
         counts[r] = rng.poisson(model.signal_mean(p, drift) + accidental)
     return RunSet(curve.thetas, counts)
@@ -170,7 +169,7 @@ def correct_counts(runs: RunSet, model: CountModel) -> np.ndarray:
     corrected = np.clip(corrected, 0.0, None)
     totals = corrected.sum(axis=(1, 2))
     if np.any(totals <= 0.0):
-        raise ValueError("a run has no counts left after corrections")
+        raise ValueError(f"run {np.argmin(totals)} is all zero after corrections")
     target = totals.mean()
     corrected *= (target / totals)[:, None, None]
     return corrected

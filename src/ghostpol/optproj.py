@@ -33,6 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import polcalc
+from .countsim import TAG_START, stream
 from .ghost import coincidence_probability
 from .polcalc import QWP, PolElement
 from .qstate import TwoQubitDensity
@@ -305,8 +306,7 @@ def _start_points(rows: np.ndarray, n_starts: int, x0: np.ndarray,
     """Deterministic spread of starts: x0 first, then a stratified
     scramble of the search box (angle torus, extinction in [1, 10]).
     ``rows`` gives the table row of each coordinate."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-        entropy=seed, spawn_key=(7,))))
+    rng = stream(seed, (TAG_START,))
     starts = np.empty((n_starts, len(rows)))
     starts[0] = x0
     extra = n_starts - 1

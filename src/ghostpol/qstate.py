@@ -16,8 +16,9 @@ from .textio import block
 HERMITICITY_TOL = 1e-10
 EIGENVALUE_TOL = 1e-9
 
-# Pauli y in the (H, V) basis, used by the spin-flip construction.
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+# I, sigma_x, sigma_y and sigma_z in the (H, V) basis.
+PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                   [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 class StateValidationError(ValueError):
@@ -49,8 +50,6 @@ def _validated(matrix: np.ndarray) -> np.ndarray:
         eigvals = np.clip(eigvals, 0.0, None)
         rho = eigvecs @ np.diag(eigvals) @ eigvecs.conj().T
     tr = np.real(np.trace(rho))
-    if tr <= 0.0:
-        raise StateValidationError("density matrix has non-positive trace")
     if abs(tr - 1.0) > 1e-8:
         raise StateValidationError(f"density matrix trace {tr} != 1")
     return rho / tr
@@ -109,7 +108,7 @@ def werner(p: float) -> TwoQubitDensity:
 def concurrence(rho: TwoQubitDensity) -> float:
     """Wootters concurrence via the spin-flip eigenvalue formula."""
     m = rho.matrix
-    flip = np.kron(_SIGMA_Y, _SIGMA_Y)
+    flip = np.kron(PAULIS[2], PAULIS[2])
     rho_tilde = flip @ m.conj() @ flip
     eigvals = np.linalg.eigvals(m @ rho_tilde)
     lam = np.sqrt(np.clip(np.real(eigvals), 0.0, None))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .countsim import CountModel, simulate_counts
-from .qstate import TwoQubitDensity
+from .qstate import PAULIS, TwoQubitDensity
 from .textio import block
 
 # The fit stops when max |gradient| <= GRADIENT_TOL x the total counts.
@@ -42,6 +42,7 @@ CANONICAL_PAIRS = (
     ("D", "R"), ("D", "D"), ("R", "D"), ("H", "D"),
     ("V", "D"), ("V", "L"), ("H", "L"), ("R", "L"),
 )
+_CSV_HEADER = "basis_a,basis_b,counts"  # the fields of a TomographyRecord
 
 # Index layout of the 16 real parameters in the lower-triangular T:
 # entry (_ROWS[s], _COLS[s]) has real part params[_RE[s]] and, off the
@@ -50,32 +51,6 @@ _ROWS = np.array([0, 1, 2, 3, 1, 2, 3, 2, 3, 3])
 _COLS = np.array([0, 1, 2, 3, 0, 1, 2, 0, 1, 0])
 _RE = np.array([0, 1, 2, 3, 4, 6, 8, 10, 12, 14])
 _IM = _RE[4:] + 1
-
-# Linear inversion: with Gamma_k = sigma_m (x) sigma_n / 2 (k = 4m + n),
-# the canonical probabilities are p_i = sum_k B_ik c_k for
-# rho = sum_k c_k Gamma_k.  B is invertible, and 2 B^-1 is this integer
-# matrix, so c = B^-1 p holds exactly.
-_INVERSION_X2 = np.array([
-    [1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-    [-1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 2, 2, 0, 0, 0],
-    [1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, -2, -2, 0],
-    [1, -1, -1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-    [-1, -1, -1, -1, 0, 0, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0],
-    [1, 1, 1, 1, 0, 0, -2, -2, 0, 4, 0, -2, -2, 0, 0, 0],
-    [-1, -1, -1, -1, 0, 0, -2, -2, 4, 0, 0, 0, 0, 2, 2, 0],
-    [-1, 1, 1, -1, 0, 0, -2, 2, 0, 0, 0, 0, 0, 0, 0, 0],
-    [-1, -1, -1, -1, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-    [1, 1, 1, 1, -2, -2, 0, 0, 0, 0, 4, -2, -2, 0, 0, 0],
-    [-1, -1, -1, -1, 2, 2, 0, 0, 0, 0, 0, 0, 0, 2, 2, -4],
-    [-1, 1, 1, -1, 2, -2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-    [1, 1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-    [-1, -1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 2, -2, 0, 0, 0],
-    [1, 1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, -2, 0],
-    [1, -1, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-])
-_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
-                    [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-_GAMMAS = 0.5 * np.einsum("mab,ncd->mnacbd", _PAULIS, _PAULIS).reshape(16, 4, 4)
 
 
 @dataclass(frozen=True)
@@ -136,6 +111,14 @@ def _params_from_t(t: np.ndarray) -> np.ndarray:
 
 
 _PAIR_VECS = np.array([pair_vector(a, b) for a, b in CANONICAL_PAIRS])
+# Linear inversion: with Gamma_k = sigma_m (x) sigma_n / 2 (k = 4m + n),
+# the canonical probabilities are p_i = sum_k B_ik c_k for
+# rho = sum_k c_k Gamma_k.  2 B^-1 is an integer matrix, computed within
+# 2e-15 of it, so rounding gives c = B^-1 p exactly.  B is inverted once,
+# at import: the fit calls no BLAS or LAPACK routine.
+_GAMMAS = 0.5 * np.einsum("mab,ncd->mnacbd", PAULIS, PAULIS).reshape(16, 4, 4)
+_INVERSION_X2 = np.rint(2.0 * np.linalg.inv(np.einsum(
+    "ia,kab,ib->ik", _PAIR_VECS.conj(), _GAMMAS, _PAIR_VECS).real)).astype(int)
 # rho = sum_i p_i _RHO_FROM_PROBS[i] inverts the probabilities exactly.
 _RHO_FROM_PROBS = np.einsum("ki,kab->iab", _INVERSION_X2 / 2.0, _GAMMAS)
 # |T v_i|^2 = x . _QUAD[i] . x for the parameters x of T.
@@ -248,10 +231,15 @@ def reconstruct_mle(records: list[TomographyRecord]) -> ReconstructionResult:
     sum(n log mu - mu) at the fitted mu, and ``gradient_norm`` is the
     final max |gradient|.
     """
-    by_pair = {(r.basis_a, r.basis_b): r.counts for r in records}
-    if len(records) != 16 or set(by_pair) != set(CANONICAL_PAIRS):
-        raise ValueError("need exactly the 16 canonical projection records")
-    counts = np.array([by_pair[p] for p in CANONICAL_PAIRS], dtype=float)
+    pairs = [f"{r.basis_a},{r.basis_b}" for r in records]
+    canonical = [",".join(p) for p in CANONICAL_PAIRS]
+    wrong = "; ".join(f"{what} {' '.join(dict.fromkeys(got))}" for what, got in (
+        ("missing", [p for p in canonical if p not in pairs]),
+        ("repeated", [p for i, p in enumerate(pairs) if p in pairs[:i]]),
+        ("not canonical", [p for p in pairs if p not in canonical])) if got)
+    if wrong:
+        raise ValueError(f"need exactly the 16 canonical projection records: {wrong}")
+    counts = np.array([records[pairs.index(p)].counts for p in canonical], dtype=float)
     total = float(counts.sum())
     if total <= 0.0:
         raise ValueError("all-zero counts cannot be reconstructed")
@@ -269,11 +257,9 @@ def reconstruct_mle(records: list[TomographyRecord]) -> ReconstructionResult:
 
 
 def records_to_csv(records: list[TomographyRecord], path: str) -> None:
-    columns = [[getattr(r, name) for r in records]
-               for name in ("basis_a", "basis_b", "counts")]
+    columns = [[getattr(r, name) for r in records] for name in _CSV_HEADER.split(",")]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("basis_a,basis_b,counts\n"
-                 + block("%s,%s,%.9g\n" * len(records), columns))
+        fh.write(_CSV_HEADER + "\n" + block("%s,%s,%.9g\n" * len(records), columns))
 
 
 def records_from_csv(path: str) -> list[TomographyRecord]:
@@ -282,15 +268,15 @@ def records_from_csv(path: str) -> list[TomographyRecord]:
             rows = [(n, line.strip()) for n, line in enumerate(fh, 1) if line.strip()]
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from None
-    if not rows or rows[0][1] != "basis_a,basis_b,counts":
+    if not rows or rows[0][1] != _CSV_HEADER:
         raise ValueError(f"{path}, line {rows[0][0] if rows else 1}: tomography CSV "
-                         "must start with basis_a,basis_b,counts")
+                         f"must start with {_CSV_HEADER}")
     records = []
     for n, line in rows[1:]:
         try:
             a, b, count = line.split(",")
             records.append(TomographyRecord(a, b, float(count)))
         except ValueError as exc:
-            raise ValueError(f"{path}, line {n}: bad basis_a,basis_b,counts "
+            raise ValueError(f"{path}, line {n}: bad {_CSV_HEADER} "
                              f"row {line!r}: {exc}") from None
     return records

@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 
@@ -14,7 +15,7 @@ from ghostpol.cli import build_parser, main
 from ghostpol.qstate import bell_psi_plus, save_density_csv, werner
 from helpers import expected_records
 from test_golden import (
-    CASES, FROZEN_WITH, case_argv, installed_versions, output_digests,
+    CASES, CONFIGS, FROZEN_WITH, case_argv, installed_versions, output_digests,
 )
 from test_polcalc import FOREIGN_PARAMETERS
 
@@ -299,6 +300,13 @@ def test_runtime_failure_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_all_zero_simulated_records_name_their_file(tmp_path, capsys):
+    cfg = write_config(tmp_path, "counting: {pair_rate: 1.0e-9, integration_time: 1.0}\n")
+    assert run(["tomo", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'o' / 'records.csv'}: "
+                                       "all-zero counts cannot be reconstructed\n")
+
+
 def test_missing_records_csv_is_a_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, "tomography: {records_csv: missing.csv}\n")
     assert run(["tomo", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -317,12 +325,22 @@ def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def records_csv(pairs, count):
+    return ("basis_a,basis_b,counts\n"
+            + "".join(f"{a},{b},{count}\n" for a, b in pairs)).encode()
+
+
 @pytest.mark.parametrize("content, message", [
     (b"a,b,c\nH,H,1\n",
      ", line 1: tomography CSV must start with basis_a,basis_b,counts\n"),
     (b"basis_a,basis_b,counts\nH,H,\xff\n",
      ": 'utf-8' codec can't decode byte 0xff"),
-], ids=["foreign_header", "not_utf8"])
+    (records_csv(tomo.CANONICAL_PAIRS[:15] + (("H", "H"),), 7),
+     ": need exactly the 16 canonical projection records: missing R,L; "
+     "repeated H,H\n"),
+    (records_csv(tomo.CANONICAL_PAIRS, 0),
+     ": all-zero counts cannot be reconstructed\n"),
+], ids=["foreign_header", "not_utf8", "repeated_pair", "all_zero"])
 def test_unreadable_records_csv_names_the_file(tmp_path, capsys, content, message):
     (tmp_path / "given.csv").write_bytes(content)
     cfg = write_config(tmp_path, "tomography: {records_csv: given.csv}\n")
@@ -364,6 +382,51 @@ def test_malformed_tomography_row_names_file_and_line(tmp_path, capsys, row,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "given.csv, line 4:" in err
     assert repr(row) in err and reason in err
+
+
+ONE_LP_SAMPLE = """
+projectors:
+  - elements: [{kind: ideal_polarizer, angle_deg: 0.0}]
+samples:
+  - {family: LP, thetas: [0.0, 90.0]}
+"""
+
+
+def test_all_zero_run_names_family_and_run(tmp_path, capsys):
+    # 1e-9 pairs per second: every run draws no count at all.
+    cfg = write_config(tmp_path, ONE_LP_SAMPLE + "runs: 3\ncounting: "
+                       "{pair_rate: 1.0e-9, integration_time: 1.0}\n")
+    assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: family LP: run 0 has all-zero counts\n"
+
+
+def test_run_without_counts_after_corrections_names_family_and_run(tmp_path,
+                                                                   capsys):
+    # Only accidentals, 100 per cell: about half of the cells draw at most
+    # 100 and correct to 0, so some of the 50 single-cell runs keep nothing.
+    cfg = write_config(tmp_path, ONE_LP_SAMPLE.replace("[0.0, 90.0]", "[0.0]")
+                       + "runs: 50\ncounting: {pair_rate: 0, integration_time: 1.0, "
+                       "coincidence_window: 1.0e-4, singles_background: 1000}\n")
+    assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: family LP: run (\d+) is all zero after "
+                        r"corrections\n", err)
+
+
+def test_tomo_records_round_trip(tmp_path, capsys):
+    # The records.csv of a simulated run, read back through
+    # tomography.records_csv, refits to the same rho.csv, metrics.txt and
+    # stdout bytes; the second run writes no records.csv of its own.
+    capsys.readouterr()
+    assert run(["tomo", "--config", os.path.join(CONFIGS, "tomography.yaml"),
+                "--out", str(tmp_path / "first")]) == 0
+    first = output_digests(capsys.readouterr().out, tmp_path / "first")
+    cfg = write_config(tmp_path, "tomography: {records_csv: first/records.csv}\n")
+    assert run(["tomo", "--config", cfg, "--out", str(tmp_path / "second")]) == 0
+    second = output_digests(capsys.readouterr().out, tmp_path / "second")
+    assert second == {name: d for name, d in first.items() if name != "records.csv"}
+    if installed_versions() == FROZEN_WITH:
+        assert first == CASES["tomo-tomography"][4]
 
 
 def test_sweep_outputs(tmp_path):

@@ -360,6 +360,7 @@ def test_tomography_model_is_the_counting_model_at_its_integration_time():
     counting = "counting: {pair_rate: 1000, integration_time: 1, drift_amplitude: 0.1}\n"
     base = parse_config_text(counting).counting
     for tomography, model in (
+            ("", base),  # Left out, the section parses as {}.
             ("tomography: {}", base),
             ("tomography: {records_csv: r.csv}", base),
             ("tomography: {integration_time: 3}", replace(base, integration_time=3.0))):

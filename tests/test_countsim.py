@@ -3,15 +3,16 @@ import numpy.testing as npt
 import pytest
 
 from ghostpol.countsim import (
-    _TAG_CELL,
-    _TAG_RUN,
+    TAG_CELL,
+    TAG_RUN,
+    TAG_START,
     CountModel,
     RunSet,
-    _generator,
     correct_counts,
     runset_to_csv,
     simulate_counts,
     simulate_runs,
+    stream,
 )
 from ghostpol.ghost import ResponseCurve
 
@@ -40,7 +41,7 @@ def reference_runs(curve, model, n_runs, seed, family_tag=0):
     counts = np.empty((n_runs, n_theta, n_proj))
     singles = np.empty((n_runs, 2))
     for r in range(n_runs):
-        rng = _generator(seed, (_TAG_RUN, family_tag, r))
+        rng = stream(seed, (TAG_RUN, family_tag, r))
         drift = 1.0 + model.drift_amplitude * rng.uniform(-1.0, 1.0)
         for t in range(n_theta):
             for j in range(n_proj):
@@ -182,9 +183,9 @@ def test_run_does_not_depend_on_run_count():
 
 
 def test_run_and_cell_streams_are_disjoint():
-    # Tomography cells use (_TAG_CELL, 3, idx), the same key length as a
-    # run's (_TAG_RUN, family_tag, r).
-    assert _TAG_RUN != _TAG_CELL
+    # Tomography cells use (TAG_CELL, 3, idx), the same key length as a
+    # run's (TAG_RUN, family_tag, r); the optimizer's starts use (TAG_START,).
+    assert len({TAG_CELL, TAG_RUN, TAG_START}) == 3
 
 
 @pytest.mark.parametrize("p", [1.5, -0.2, np.nan])
@@ -244,15 +245,23 @@ def test_correction_error_cases():
         coincidence_window=1e-6,
         singles_background=1e5,
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^run 0 is all zero after corrections$"):
         correct_counts(runs, swamped)
+    # 5 accidentals per cell: run 0 keeps 4 counts, runs 1 and 2 none.
+    runs = RunSet(np.array([0.0]), np.array([[[9.0]], [[4.0]], [[2.0]]]))
+    with pytest.raises(ValueError, match="^run 1 is all zero after corrections$"):
+        correct_counts(runs, CountModel(pair_rate=1.0, integration_time=5e-4,
+                                        coincidence_window=1e-6,
+                                        singles_background=1e5))
 
 
 def test_runset_validation():
     with pytest.raises(ValueError):
         RunSet(np.array([0.0]), np.zeros((2, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^run 0 has all-zero counts$"):
         RunSet(np.array([0.0]), np.zeros((2, 1, 1)))
+    with pytest.raises(ValueError, match="^run 1 has all-zero counts$"):
+        RunSet(np.array([0.0]), np.array([[[1.0]], [[0.0]], [[0.0]]]))
     ok = RunSet(np.array([0.0]), np.ones((2, 1, 1)))
     assert ok.counts.shape[0] == 2
 

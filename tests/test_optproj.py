@@ -442,6 +442,31 @@ def test_objective_of_one_point_is_inf():
     assert objective_min_separation(np.zeros((1, 3))) == 0.0
 
 
+def reference_start_points(rows, n_starts, x0, seed):
+    """The start points as drawn before countsim owned the streams: an
+    explicit SeedSequence with spawn key (7,), one pass per coordinate."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        entropy=seed, spawn_key=(7,))))
+    starts = np.empty((n_starts, len(rows)))
+    starts[0] = x0
+    extra = n_starts - 1
+    for d, row in enumerate(rows):
+        lo, hi = (1.0, 10.0) if row == 2 else (0.0, 180.0)
+        bins = np.arange(extra) + rng.uniform(0.0, 1.0, size=extra)
+        starts[1:, d] = lo + rng.permutation(bins) / extra * (hi - lo)
+    return starts
+
+
+@pytest.mark.parametrize("rows", [[1], [0, 1], [1, 2, 1], [0, 1, 2, 0, 1, 2]])
+def test_start_points_equal_the_explicit_stream(rows):
+    rows = np.array(rows)
+    for seed in (0, 3, 12345, 2**40):
+        for n_starts in (1, 2, 8):
+            x0 = RNG.uniform(0.0, 180.0, size=rows.size)
+            npt.assert_array_equal(optproj._start_points(rows, n_starts, x0, seed),
+                                   reference_start_points(rows, n_starts, x0, seed))
+
+
 def test_settings_table_round_trips():
     table, qwp_first = settings_table(EVERY_LAYOUT)
     assert table.shape == (3, 8) and qwp_first.shape == (8,)

@@ -77,8 +77,9 @@ def test_package_and_tomo_records_run_without_scipy(tmp_path):
     assert out["scipy"] == []
     assert len(out["counts"]) == 16 and out["back"] == out["counts"]
     assert out["errors"] == [
-        "need exactly the 16 canonical projection records",
-        "need exactly the 16 canonical projection records",
+        "need exactly the 16 canonical projection records: missing R,L",
+        "need exactly the 16 canonical projection records: missing R,L; "
+        "repeated H,H",
         "all-zero counts cannot be reconstructed",
     ]
     assert out["converged"]

@@ -57,6 +57,9 @@ def test_validation_rejects_negative_eigenvalue():
 def test_validation_rejects_wrong_trace():
     with pytest.raises(StateValidationError):
         TwoQubitDensity(np.eye(4, dtype=complex) / 2.0)
+    # A zero matrix passes every earlier check; the trace check stops it.
+    with pytest.raises(StateValidationError, match=r"trace 0\.0 != 1$"):
+        TwoQubitDensity(np.zeros((4, 4), dtype=complex))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)])

@@ -203,11 +203,52 @@ def test_records_csv_roundtrip(tmp_path):
     )
 
 
+def test_wrong_record_set_names_each_wrong_pair():
+    records = expected_records(werner(0.9), 1e5)
+    extra = [TomographyRecord("A", "A", 5.0)]
+    for bad, wrong in (
+            (records[:15], "missing R,L"),
+            (records[1:] + records[1:2], "missing H,H; repeated H,V"),
+            (records + extra, "not canonical A,A"),
+            (records[:14] + extra * 2, "missing H,L R,L; repeated A,A; "
+                                       "not canonical A,A")):
+        with pytest.raises(ValueError) as info:
+            reconstruct_mle(bad)
+        assert str(info.value) == (
+            f"need exactly the 16 canonical projection records: {wrong}")
+
+
 def test_records_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\nH,V,3\n")
     with pytest.raises(ValueError):
         records_from_csv(str(path))
+
+
+# 2 B^-1 as the literal it was before tomo derived it from the Paulis.
+INVERSION_X2 = np.array([
+    [1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [-1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 2, 2, 0, 0, 0],
+    [1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, -2, -2, 0],
+    [1, -1, -1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [-1, -1, -1, -1, 0, 0, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0],
+    [1, 1, 1, 1, 0, 0, -2, -2, 0, 4, 0, -2, -2, 0, 0, 0],
+    [-1, -1, -1, -1, 0, 0, -2, -2, 4, 0, 0, 0, 0, 2, 2, 0],
+    [-1, 1, 1, -1, 0, 0, -2, 2, 0, 0, 0, 0, 0, 0, 0, 0],
+    [-1, -1, -1, -1, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [1, 1, 1, 1, -2, -2, 0, 0, 0, 0, 4, -2, -2, 0, 0, 0],
+    [-1, -1, -1, -1, 2, 2, 0, 0, 0, 0, 0, 0, 0, 2, 2, -4],
+    [-1, 1, 1, -1, 2, -2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [1, 1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [-1, -1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 2, -2, 0, 0, 0],
+    [1, 1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, -2, 0],
+    [1, -1, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+])
+
+
+def test_derived_inversion_table_equals_the_literal():
+    assert np.issubdtype(tomo._INVERSION_X2.dtype, np.integer)
+    npt.assert_array_equal(tomo._INVERSION_X2, INVERSION_X2)
 
 
 def test_inversion_table_inverts_the_canonical_system():
