@@ -16,6 +16,7 @@ import pytest
 import yaml
 
 from ghostpol.cli import main
+from ghostpol.qstate import save_density_csv, werner
 
 FROZEN_WITH = {"numpy": "2.4.6"}
 
@@ -27,24 +28,67 @@ def installed_versions():
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs")
 
 
-def fine_grid(cfg):
+# Each edit changes the parsed config in place; ``where`` is the
+# directory the config is written to, for a file it names.
+def fine_grid(cfg, where):
     for spec in cfg["samples"]:
         spec["thetas"] = {"start": 0, "stop": 180, "step": 0.25}
 
 
-def one_restart(cfg):
+def one_restart(cfg, where):
     cfg["optimize"].update(restarts=1, max_evals=1500)
 
 
-def noiseless(cfg):
+def noiseless(cfg, where):
     del cfg["counting"]
 
 
-def bright(cfg):
+def bright(cfg, where):
     # Raw counts straddle 1e9 in both families, so the runs CSV prints
     # some in exponent form.  Set here: PyYAML reads 3.0e9 without a
     # sign in the exponent as a string.
     cfg["counting"]["pair_rate"] = 3.0e9
+
+
+def conditional(cfg, where):
+    cfg["conditional"] = True
+
+
+def custom_family(cfg, where):
+    # A custom retarder family beside LP, both on list-form thetas.
+    cfg["samples"] = [
+        {"family": family, **extra, "thetas": [0.0, 10.0, 47.5, 90.0, 133.0]}
+        for family, extra in (("LP", {}), ("custom", {"element": {
+            "kind": "retarder", "angle_deg": 0.0, "retardance_rad": 1.1}}))]
+
+
+def matrix_state(cfg, where):
+    # The state read from a density CSV beside the config.
+    save_density_csv(werner(0.9), str(where / "rho.csv"))
+    cfg["state"] = {"kind": "matrix_csv", "matrix_csv": "rho.csv"}
+
+
+def short_search(cfg, where):
+    cfg["optimize"].update(restarts=2, max_evals=400)
+
+
+def sequential_extinction(cfg, where):
+    # Bare-polarizer and polarizer-first projectors, extinctions varied.
+    short_search(cfg, where)
+    cfg["optimize"].update(mode="sequential", vary_extinction=True, projectors=[
+        {"lp_deg": 7.5, "extinction": 50.0},
+        {"qwp_deg": 18.0, "lp_deg": 110.0, "qwp_first": False},
+        {"qwp_deg": 45.0, "lp_deg": 34.0}])
+
+
+def no_probe(cfg, where):
+    short_search(cfg, where)
+    del cfg["optimize"]["probe"]
+
+
+def fixed_probe(cfg, where):
+    short_search(cfg, where)
+    cfg["optimize"]["vary_probe"] = False
 
 
 # id -> (command, shipped config, edit, --seed or None, digests).
@@ -162,6 +206,94 @@ CASES = {
             "trace.csv":
                 "a6a1c1030eae5e16992a9e39b8171932474373f2b011fb80fae7b4f5766e9fae",
         }),
+    # The cases below pin each config branch that no shipped config
+    # reaches; frozen under the default, Prescott and Haswell kernels.
+    # Herald-conditioned probabilities, with counting.
+    "sweep-conditional": (
+        "sweep", "three_projection", conditional, None, {
+            "stdout":
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "sweep_LP.csv":
+                "bc647f2cfd2eb069c595630071b2561e172b6c64b0f8dd92536aa93b61bd13a2",
+            "sweep_LP.svg":
+                "512063803f1e70212f6893c8afcd2be9ded49bb20163d16ce3b3d82f5b040fa3",
+            "sweep_QWP.csv":
+                "a955a4e374b4eb41170634820527ad6970ab593abe752358b91c4fed409a5813",
+            "sweep_QWP.svg":
+                "21cb151f9b55c227579f2093acb649aab9bad350dae899f625f33a5e2e12ab38",
+        }),
+    "discriminate-conditional": (
+        "discriminate", "three_projection", conditional, None, {
+            "regions.svg":
+                "7ee6e0a0bcb2a5e98fddc52d4f6708e3c86e23c3becb8d95d0f85d86f0b4a0fa",
+            "report.csv":
+                "b0d872335640972301b582d2a399108b4e0cc266323ade26ac26c02c807f275c",
+            "runs_LP.csv":
+                "9ffdb3deb61dee00e00748fb09349f8794e0c42247e9274f85c1746c72a7a4e6",
+            "runs_QWP.csv":
+                "98e125c9af45b8061535a2ee38ae1d8a4e3e0f2171b0b8fb47c60e12203c8322",
+            "stdout":
+                "d648c439d3406d9f7170b5c4ed7d610ca0579e87cfe48ecaa23ff3f1ec25c404",
+            "summary.txt":
+                "d648c439d3406d9f7170b5c4ed7d610ca0579e87cfe48ecaa23ff3f1ec25c404",
+        }),
+    "discriminate-custom": (
+        "discriminate", "three_projection", custom_family, None, {
+            "regions.svg":
+                "14494177fc16409df333dac2b581d9f20b148a99d730635b897b57dc599a09b8",
+            "report.csv":
+                "53a33a8ac21ece6b37637ede38752e346ca4e1200a7f464c4bd695ac37012b06",
+            "runs_LP.csv":
+                "d909d968fc5f1eb6ad663f3c9702b9819438f1a9a377264e6db40033698c1c6c",
+            "runs_custom.csv":
+                "7240176245d5aab5b83f98b83b1b73f9aec205bdc6a8a0d6d3cc342e3aceb05d",
+            "stdout":
+                "aa659bb6b8b17982ac494afaea25b3f0a1f7a4de487fabdaaae071f81eb6c597",
+            "summary.txt":
+                "aa659bb6b8b17982ac494afaea25b3f0a1f7a4de487fabdaaae071f81eb6c597",
+        }),
+    # The state read from a werner(0.9) density CSV.
+    "sweep-matrix_csv": (
+        "sweep", "two_projection_partial", matrix_state, None, {
+            "stdout":
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "sweep_LP.csv":
+                "8531c7e92f7b60d58963724515bcd39ee7b8ad064caa3c295c24dbbe52dbf85f",
+            "sweep_LP.svg":
+                "7d392f7542106a3ce1d1a35ac40b61bc8fa23ef05b7b82b4d7a4dc55d91f7b6d",
+            "sweep_QWP.csv":
+                "2ade25b4043a6960656af0d73d4e91a916a6816fa47df23016e09eaf6bf78a79",
+            "sweep_QWP.svg":
+                "96ff37801eb4c641820926fb30e4aafc5cab28c8b1cf88a8d2398ce53ecbc223",
+        }),
+    # Two restarts sharing 400 evaluations, as in the two cases below.
+    "optimize-sequential-extinction": (
+        "optimize", "optimize", sequential_extinction, None, {
+            "best_params.yaml":
+                "45fa9bd3f5a11841e33747dd4cc092f3f1fab89f951224899391a1e6878fba34",
+            "stdout":
+                "b8f7f94e8f35fe1b48dac5ca007f6e804ef305359be13ed30eb1212cdd4f9ab9",
+            "trace.csv":
+                "b3524fad4b777a024752ae5bba1136998d02a257d4729700d65ae802e12816ec",
+        }),
+    "optimize-no-probe": (
+        "optimize", "optimize", no_probe, None, {
+            "best_params.yaml":
+                "29d4c125880b5c56cb3fbe543b227bdffe0a7ccb5991a58590c4540ca49ae2ee",
+            "stdout":
+                "d63be3db4358b8e634a8318f2119b5ddf64872b42998325eb5dd329ce6b48335",
+            "trace.csv":
+                "2d8cd0c7c084ea4c763e4b0383dbda26bf5d0dba8c5f4f837e31984b38c51cd1",
+        }),
+    "optimize-fixed-probe": (
+        "optimize", "optimize", fixed_probe, None, {
+            "best_params.yaml":
+                "aa5ea6ad8b18045ca5b683dd31c9fd5763fc4a5b0bab0b95b1538a6b96eec22a",
+            "stdout":
+                "77d1f526066e22298f580365e2792b34ca1450c1923272eb582e5578eef0c7cf",
+            "trace.csv":
+                "f04c1cc3eb8cbde904b1dbc4b2eea5e5e5ddf10f9aff563d51c4b441b2cb0c3b",
+        }),
 }
 
 
@@ -172,7 +304,7 @@ def case_argv(case_id, tmp_path):
     with open(os.path.join(CONFIGS, f"{name}.yaml"), encoding="utf-8") as fh:
         cfg = yaml.safe_load(fh)
     if edit is not None:
-        edit(cfg)
+        edit(cfg, tmp_path)
     config = tmp_path / f"{name}.yaml"
     config.write_text(yaml.safe_dump(cfg, sort_keys=False))
     argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
