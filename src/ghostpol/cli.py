@@ -48,10 +48,10 @@ def _sweep_curves(cfg: ExperimentConfig) -> list[ghost.ResponseCurve]:
             curves.append(ghost.sweep_family(
                 cfg.state, spec.family, idler, probe_elements=cfg.probe_elements,
                 thetas=spec.thetas, template=spec.template, conditional=cfg.conditional))
-        except ghost.UnheraldableError:
+        except ghost.UnheraldableError as exc:
             raise ConfigError(f"'conditional': family {spec.family} has zero herald "
-                              "probability at some orientation, so its conditional "
-                              "response is undefined") from None
+                              f"probability at {spec.thetas[exc.row]:.6g} deg, so its "
+                              "conditional response is undefined") from None
     return curves
 
 
@@ -71,25 +71,20 @@ def _measure(cfg: ExperimentConfig, curves: list[ghost.ResponseCurve],
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
     curves = _sweep_curves(cfg)
-    bands_by_family: dict[str, np.ndarray] = {}
+    bands = [None] * len(curves)
     if cfg.counting is not None:
         # Noisy mode: the curve becomes the mean corrected counts over
         # repeated runs and the CI band accompanies the plot.
-        means = []
-        for curve, (_, corrected) in zip(curves, _measure(cfg, curves)):
-            means.append(ghost.ResponseCurve(curve.family, curve.thetas,
-                                             corrected.mean(axis=0)))
-            n = corrected.shape[0]
-            if n >= 2:
-                bands_by_family[curve.family] = (
-                    corrected.std(axis=0, ddof=1) / np.sqrt(n) * discern.t975(n)
-                )
-        curves = means
+        corrected = [corr for _, corr in _measure(cfg, curves)]
+        curves = [ghost.ResponseCurve(curve.family, curve.thetas, corr.mean(axis=0))
+                  for curve, corr in zip(curves, corrected)]
+        if cfg.runs >= 2:
+            bands = [corr.std(axis=0, ddof=1) / np.sqrt(cfg.runs)
+                     * discern.t975(cfg.runs) for corr in corrected]
     scale = ghost.dataset_scale(c.raw for c in curves)
-    for curve in curves:
+    for curve, band in zip(curves, bands):
         ghost.curve_to_csv(curve, scale,
                            _out_path(out_dir, f"sweep_{curve.family}.csv"))
-        band = bands_by_family.get(curve.family)
         svg = svgplot.curve_chart(curve.thetas, curve.raw / scale,
                                   f"{curve.family} response",
                                   bands=None if band is None else band / scale)

@@ -146,15 +146,20 @@ def _boolean(node, path: str) -> bool:
     return node
 
 
+def _built(key: str, make, /, *args, **kwargs):
+    """``make(*args, **kwargs)``, an OSError or ValueError a config error at ``key``."""
+    try:
+        return make(*args, **kwargs)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"'{key}': {exc}") from exc
+
+
 def parse_element(node, path: str) -> PolElement:
     node, kind = _kind_section(node, path, ELEMENT_KINDS, ("angle_deg",))
     # An extinction may be infinite: the partial polarizer is then ideal.
     values = {key: _number(node[key], f"{path}.{key}", finite=key != "extinction")
               for key in (*ELEMENT_KINDS[kind], "angle_deg")}
-    try:
-        return PolElement(kind, values.pop("angle_deg"), **values)
-    except ValueError as exc:
-        raise ConfigError(f"'{path}': {exc}") from exc
+    return _built(path, PolElement, kind, values.pop("angle_deg"), **values)
 
 
 def element_to_dict(element: PolElement) -> dict:
@@ -176,12 +181,9 @@ def _parse_state(node, path: str, base_dir: str) -> TwoQubitDensity:
     if kind == "bell_psi_plus":
         return bell_psi_plus()
     if kind == "werner":
-        p = _number(node["p"], f"{path}.p")
-    try:
-        return werner(p) if kind == "werner" else load_density_csv(
-            os.path.join(base_dir, str(node["matrix_csv"])))
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"'{path}.{STATE_KINDS[kind][0]}': {exc}") from exc
+        return _built(f"{path}.p", werner, _number(node["p"], f"{path}.p"))
+    return _built(f"{path}.matrix_csv", load_density_csv,
+                  os.path.join(base_dir, str(node["matrix_csv"])))
 
 
 def _parse_thetas(node, path: str) -> np.ndarray:
@@ -237,10 +239,7 @@ def _parse_counting(node, path: str) -> CountModel:
         "coincidence_window", "singles_background", "drift_amplitude",
     }, ("pair_rate", "integration_time"))
     kwargs = {k: _number(v, f"{path}.{k}", finite=True) for k, v in node.items()}
-    try:
-        model = CountModel(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"'{path}': {exc}") from exc
+    model = _built(path, CountModel, **kwargs)
     _check_means(model)
     return model
 
@@ -276,10 +275,9 @@ def _parse_tomography(node, path: str, base_dir: str,
         if "records_csv" in node:
             raise ConfigError(f"'{key}' is only valid without records_csv")
         if counting is not None:
-            try:  # A product that underflows to 0 would count only zeros.
-                spec.model = replace(counting, integration_time=integration_time)
-            except ValueError as exc:
-                raise ConfigError(f"'{key}': {exc}") from exc
+            # A product that underflows to 0 would count only zeros.
+            spec.model = _built(key, replace, counting,
+                                integration_time=integration_time)
             _check_means(spec.model, key)
     if "records_csv" in node:
         spec.records_csv = os.path.join(base_dir, str(node["records_csv"]))
@@ -339,11 +337,8 @@ def _parse_optimize(node, path: str) -> OptimizationConfig:
     for flag in ("vary_probe", "vary_projectors", "vary_extinction"):
         if flag in node:
             options[flag] = _boolean(node[flag], f"{path}.{flag}")
-    try:
-        config = OptimizationConfig(tuple(samples), tuple(projectors),
-                                    restarts=restarts, max_evals=max_evals, **options)
-    except ValueError as exc:
-        raise ConfigError(f"'{path}': {exc}") from exc
+    config = _built(path, OptimizationConfig, tuple(samples), tuple(projectors),
+                    restarts=restarts, max_evals=max_evals, **options)
     # The objective's pairwise differences, the largest stage's simplex and starts.
     n = max(rows.size for _, (rows, _) in search_stages(config)[2])
     for key, cells, what in (

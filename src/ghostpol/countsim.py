@@ -19,7 +19,7 @@ import numpy as np
 # numpy loads numpy.random on first use; load it with this module.
 import numpy.random  # noqa: F401
 
-from .ghost import ResponseCurve
+from .ghost import ROUNDOFF, ResponseCurve
 from .textio import block
 
 # The first spawn-key entry of each ``stream``, one per purpose: single
@@ -120,7 +120,7 @@ def simulate_counts(
     spawn_key: tuple[int, ...] = (),
 ) -> int:
     """One Poisson coincidence count for one joint probability."""
-    if not -1e-12 <= p_joint <= 1.0 + 1e-12:
+    if not -ROUNDOFF <= p_joint <= 1.0 + ROUNDOFF:
         raise ValueError("joint probability must lie in [0, 1]")
     mean = model.signal_mean(min(max(p_joint, 0.0), 1.0))
     mean += model.accidental_mean()
@@ -145,7 +145,7 @@ def simulate_runs(
     if n_runs < 1:
         raise ValueError("need at least one run")
     p = curve.raw
-    if not np.all((p >= -1e-12) & (p <= 1.0 + 1e-12)):
+    if not np.all((p >= -ROUNDOFF) & (p <= 1.0 + ROUNDOFF)):
         raise ValueError("joint probability must lie in [0, 1]")
     p = np.clip(p, 0.0, 1.0)
     accidental = model.accidental_mean()

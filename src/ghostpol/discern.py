@@ -97,13 +97,6 @@ class EllipsoidRegion:
 
 
 @dataclass
-class StepStats:
-    median_deg: float
-    max_deg: float
-    min_deg: float
-
-
-@dataclass
 class FamilyOutcome:
     """One family's stacked stats and regions, kept and excluded rows."""
 
@@ -257,7 +250,8 @@ def _window_keys(regions: EllipsoidRegion) -> tuple[list[float], list[float]]:
 
 
 def _window(keys: list[float], key: list[float], reach: float) -> slice:
-    """Positions of the sorted ``keys`` within ``reach`` of ``key``'s span."""
+    """Positions of the sorted ``keys`` within ``reach`` x slack of ``key``'s span."""
+    reach *= _WINDOW_SLACK
     if not reach < math.inf:
         return slice(None)
     return slice(bisect.bisect_left(keys, min(key) - reach),
@@ -281,8 +275,7 @@ def max_distinguishable_subset(regions: EllipsoidRegion) -> list[int]:
     widest = 0.0
     for start in range(0, len(key), _BLOCK):
         stop = min(start + _BLOCK, len(key))
-        reach = (widest + max(radius[start:stop])) * _WINDOW_SLACK
-        window = order[_window(keys, key[start:stop], reach)]
+        window = order[_window(keys, key[start:stop], widest + max(radius[start:stop]))]
         w = len(window)
         # ok[r, c]: block row r (as a) against window row c, then block
         # row c - w (as b); a kept row r rules out the rows ~ok[:, w + r].
@@ -327,7 +320,7 @@ def cross_family_exclusions(
     exclusions: list[tuple[str, float, str, float]] = []
     for start in range(0, len(rows), _BLOCK):
         stop = min(start + _BLOCK, len(rows))
-        reach = (widest + max(radius_a[start:stop])) * _WINDOW_SLACK
+        reach = widest + max(radius_a[start:stop])
         window = np.sort(by_key[_window(keys, key_a[start:stop], reach)])
         conflict = ~separable(kept_a[start:stop, None], kept_b[window])
         for r, i in enumerate(rows[start:stop], start):
@@ -347,7 +340,7 @@ def cross_family_exclusions(
     return exclusions
 
 
-def step_stats(kept_thetas: np.ndarray) -> StepStats:
+def step_stats(kept_thetas: np.ndarray) -> tuple[float, float, float]:
     """Median, max and min angular gap between kept orientations.
 
     The gap set includes the wrap-around gap across the period.
@@ -356,17 +349,13 @@ def step_stats(kept_thetas: np.ndarray) -> StepStats:
     if thetas.size == 0:
         raise ValueError("no kept orientations")
     if thetas.size == 1:
-        return StepStats(ANGLE_PERIOD_DEG, ANGLE_PERIOD_DEG, ANGLE_PERIOD_DEG)
+        return ANGLE_PERIOD_DEG, ANGLE_PERIOD_DEG, ANGLE_PERIOD_DEG
     gaps = np.sort(np.append(np.diff(thetas),
                              ANGLE_PERIOD_DEG - thetas[-1] + thetas[0]))
     # The median as np.median takes it, without loading numpy.ma.
     mid = gaps.size // 2
     median = gaps[mid] if gaps.size % 2 else (gaps[mid - 1] + gaps[mid]) / 2.0
-    return StepStats(
-        median_deg=float(median),
-        max_deg=float(gaps[-1]),
-        min_deg=float(gaps[0]),
-    )
+    return float(median), float(gaps[-1]), float(gaps[0])
 
 
 def analyze_family(
@@ -427,9 +416,8 @@ def summary_text(report: DistinguishabilityReport) -> str:
             f"family {outcome.family}: kept {len(outcome.kept)} of {total} orientations"
         )
         if outcome.kept:
-            step = step_stats(outcome.thetas[outcome.kept])
-            lines.append(f"  angular step deg: median {step.median_deg:.4g}, "
-                         f"max {step.max_deg:.4g}, min {step.min_deg:.4g}")
+            lines.append("  angular step deg: median %.4g, max %.4g, min %.4g"
+                         % step_stats(outcome.thetas[outcome.kept]))
     if report.exclusions:
         lines.append("cross-family exclusions:")
         for fam, theta, other, other_theta in report.exclusions:

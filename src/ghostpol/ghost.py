@@ -28,10 +28,17 @@ from .qstate import TwoQubitDensity
 from .textio import block
 
 HERALD_EPS = 1e-15
+# The engine's round-off bound: a probability may leave [0, 1] by this
+# much, and a response no larger than it is not signal.
+ROUNDOFF = 1e-12
 
 
 class UnheraldableError(ZeroDivisionError):
-    """Conditioning on a herald that never fires."""
+    """Conditioning on a herald that never fires, first at effect row ``row``."""
+
+    def __init__(self, row: int) -> None:
+        super().__init__("herald probability is zero")
+        self.row = row
 
 
 def heralded_idler(
@@ -77,7 +84,7 @@ def coincidence_probability(
         _, herald = heralded_idler(rho, e)
         herald = np.reshape(herald, (-1, 1))
         if np.any(herald <= HERALD_EPS):
-            raise UnheraldableError("herald probability is zero")
+            raise UnheraldableError(int(np.argmax(herald <= HERALD_EPS)))
         p = p / herald
     p = p.reshape(e.shape[:-2] + f.shape[:-2])
     return float(p) if p.ndim == 0 else p
@@ -157,9 +164,10 @@ def sweep_family(
 
 def dataset_scale(responses) -> float:
     """Largest response of a dataset: the one scale that all of its
-    response points are divided by, so that families stay comparable."""
+    response points are divided by, so that families stay comparable.
+    A largest response at or below ``ROUNDOFF`` is round-off, not signal."""
     scale = max(float(np.max(r)) for r in responses)
-    if scale <= 0.0:
+    if scale <= ROUNDOFF:
         raise ValueError("cannot normalize an all-zero dataset")
     return scale
 

@@ -23,15 +23,14 @@ import numpy as np
 # Tolerance of the passivity check.
 EFFECT_TOL = 1e-9
 
-# Operators sigma_i with S_i = tr(sigma_i C) for a coherency matrix C,
-# in the vertical-referenced Stokes frame described in the module
-# docstring, as one (4, 2, 2) stack in the order S0, S1, S2, S3.
-STOKES_OPS = np.array([
-    np.eye(2),
-    [[-1.0, 0.0], [0.0, 1.0]],
-    [[0.0, -1.0], [-1.0, 0.0]],
-    [[0.0, -1.0j], [1.0j, 0.0]],
-], dtype=complex)
+# I, sigma_x, sigma_y and sigma_z in the (H, V) basis.
+PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                   [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+# Operators sigma_i with S_i = tr(sigma_i C) for a coherency matrix C in
+# the Stokes frame of the module docstring, S0..S3: I, -sigma_z, -sigma_x
+# and sigma_y, as one (4, 2, 2) stack; 0 - x keeps the zeros of x +0.
+STOKES_OPS = np.array([PAULIS[0], 0 - PAULIS[3], 0 - PAULIS[1], PAULIS[2]])
 
 # The start of every chain product in compose(), read-only.
 IDENTITY = np.eye(2, dtype=complex)

@@ -11,14 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .polcalc import PAULIS
 from .textio import block
 
 HERMITICITY_TOL = 1e-10
 EIGENVALUE_TOL = 1e-9
-
-# I, sigma_x, sigma_y and sigma_z in the (H, V) basis.
-PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
-                   [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 class StateValidationError(ValueError):

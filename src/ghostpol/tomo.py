@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .countsim import CountModel, simulate_counts
-from .qstate import PAULIS, TwoQubitDensity
+from .polcalc import PAULIS
+from .qstate import TwoQubitDensity
 from .textio import block
 
 # The fit stops when max |gradient| <= GRADIENT_TOL x the total counts.

@@ -342,7 +342,7 @@ def test_criterion_08_discrimination_trends():
     assert kept_counts[0] <= kept_counts[1] <= kept_counts[2]
 
     rich = _discrimination_outcome(curve, thetas, 10.0, 0)
-    min_step = discern.step_stats(thetas[rich.kept]).min_deg
+    min_step = discern.step_stats(thetas[rich.kept])[2]
     assert min_step <= 2.0 + 1e-9
 
     violations = 0

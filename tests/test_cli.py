@@ -557,22 +557,52 @@ def test_optimize_refuses_conditional(tmp_path, capsys):
     assert run(["optimize", "--config", cfg, "--out", str(out)]) == 0
 
 
+# A polarizer at 0 deg as the whole probe, and one projector.
+POLARIZER_PROBE = """
+probe: {elements: [{kind: ideal_polarizer, angle_deg: 0.0}]}
+projectors: [{elements: [{kind: ideal_polarizer, angle_deg: 0.0}]}]
+"""
+
+
 @pytest.mark.parametrize("command", ["sweep", "discriminate"])
 def test_blocked_herald_is_a_config_error(tmp_path, capsys, command):
     # Crossed polarizers in the probe block every herald, so no
-    # conditional probability exists; the engine's error becomes exit 2.
-    blocked = SWEEP_CONFIG.replace(
+    # conditional probability exists; the engine's error becomes exit 2,
+    # naming the first blocked orientation.  A lone polarizer at 0 deg
+    # blocks the LP herald only at 90 deg, where it is 1.9e-33.
+    crossed = SWEEP_CONFIG.replace(
         "    - {kind: ideal_polarizer, angle_deg: 90.0}\n",
         "    - {kind: ideal_polarizer, angle_deg: 90.0}\n"
         "    - {kind: ideal_polarizer, angle_deg: 0.0}\n")
-    cfg = write_config(tmp_path, blocked + "conditional: true\n"
-                       "counting: {pair_rate: 1000, integration_time: 1.0}\n")
+    one = POLARIZER_PROBE + "samples: [{family: LP, thetas: [0, 45, 90, 135]}]\n"
+    for text, theta in ((crossed, "0"), (one, "90")):
+        cfg = write_config(tmp_path, text + "conditional: true\n"
+                           "counting: {pair_rate: 1000, integration_time: 1.0}\n")
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: 'conditional': family LP has zero herald probability "
+            f"at {theta} deg, so its conditional response is undefined\n")
+        assert not out.exists()
+
+
+def test_round_off_is_not_signal(tmp_path, capsys):
+    # Noiseless, LP at 90 deg behind a polarizer at 0 deg responds only
+    # round-off (1.9e-33), and at 0 deg exactly 0: an all-zero dataset
+    # either way.  With LP at 45 deg, the dataset has a signal and the
+    # round-off point prints as it is.
     out = tmp_path / "out"
-    assert run([command, "--config", cfg, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        "config error: 'conditional': family LP has zero herald probability "
-        "at some orientation, so its conditional response is undefined\n")
-    assert not out.exists()
+    for thetas in ("[90.0]", "[0.0, 90.0]", "[45.0, 90.0]"):
+        cfg = write_config(tmp_path, POLARIZER_PROBE
+                           + f"samples: [{{family: LP, thetas: {thetas}}}]\n")
+        if thetas != "[45.0, 90.0]":
+            assert run(["sweep", "--config", cfg, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                "error: cannot normalize an all-zero dataset\n")
+            assert not out.exists()
+    assert run(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "sweep_LP.csv").read_text().splitlines()[1:] == [
+        "45,1,0.125", "90,1.49975978e-32,1.87469973e-33"]
 
 
 @pytest.mark.parametrize("key", ["eff_signal", "eff_idler"])

@@ -19,7 +19,8 @@ from ghostpol.configio import (
 )
 from ghostpol.optproj import OptimizationConfig, ProjectorParam
 from ghostpol.polcalc import ELEMENT_KINDS, PolElement
-from ghostpol.qstate import bell_psi_plus, save_density_csv, werner
+from ghostpol.qstate import (StateValidationError, bell_psi_plus, save_density_csv,
+                             werner)
 from test_polcalc import FOREIGN_PARAMETERS
 
 FULL_CONFIG = """
@@ -318,6 +319,55 @@ def test_each_list_key_refuses_a_non_list(tmp_path, capsys, text, path):
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: '{path}' must be a list\n"
+    assert not out.exists()
+
+
+# A value that a domain constructor refuses: the config text, the
+# config error, and the type of the domain error it is raised from.
+DOMAIN_ERRORS = {
+    "element": ("probe: {elements: [{kind: partial_polarizer, angle_deg: 0, "
+                "extinction: 0.5}]}",
+                "'probe.elements[0]': partial_polarizer needs extinction >= 1",
+                ValueError),
+    "state.p": ("state: {kind: werner, p: 1.5}",
+                "'state.p': mixing parameter must lie in [0, 1]", ValueError),
+    "state.matrix_csv-absent": (
+        "state: {kind: matrix_csv, matrix_csv: absent.csv}",
+        "'state.matrix_csv': [Errno 2] No such file or directory: '{dir}/absent.csv'",
+        FileNotFoundError),
+    "state.matrix_csv-malformed": (
+        "state: {kind: matrix_csv, matrix_csv: rho.csv}",
+        "'state.matrix_csv': density CSV must have a header and 4 rows",
+        StateValidationError),
+    "counting": ("counting: {pair_rate: 100, integration_time: 1, "
+                 "drift_amplitude: 1.5}",
+                 "'counting': drift amplitude must lie in [0, 1)", ValueError),
+    "tomography.integration_time": (
+        "counting: {pair_rate: 1.0e-200, integration_time: 1}\n"
+        "tomography: {integration_time: 1.0e-200}",
+        "'tomography.integration_time': every count would be 0: the pair rate "
+        "gives no signal and there are no accidentals", ValueError),
+    "optimize": (OPTIMIZE_LISTS[:-1] + ", vary_projectors: false}",
+                 "'optimize': nothing to vary: needs vary_projectors, or a probe "
+                 "with vary_probe", ValueError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DOMAIN_ERRORS))
+def test_domain_errors_are_config_errors_at_their_key(tmp_path, capsys, case):
+    text, message, domain = DOMAIN_ERRORS[case]
+    message = message.replace("{dir}", str(tmp_path))
+    (tmp_path / "rho.csv").write_text("re0,im0\n")
+    config = tmp_path / "exp.yaml"
+    config.write_text(text + "\n")
+    with pytest.raises(ConfigError) as caught:
+        load_config(str(config))
+    assert str(caught.value) == message
+    cause = caught.value.__cause__
+    assert type(cause) is domain and message.endswith(f"': {cause}")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
 

@@ -170,15 +170,15 @@ def test_cross_family_leaves_separated_pairs_alone():
 
 
 def test_step_stats_oracle():
-    s = step_stats(np.array([0.0, 30.0, 90.0]))
-    assert s.median_deg == 60.0
-    assert s.max_deg == 90.0
-    assert s.min_deg == 30.0
+    median, largest, smallest = step_stats(np.array([0.0, 30.0, 90.0]))
+    assert median == 60.0
+    assert largest == 90.0
+    assert smallest == 30.0
+    assert all(type(v) is float for v in (median, largest, smallest))
 
 
 def test_step_stats_degenerate_cases():
-    s = step_stats(np.array([40.0]))
-    assert (s.median_deg, s.max_deg, s.min_deg) == (180.0, 180.0, 180.0)
+    assert step_stats(np.array([40.0])) == (180.0, 180.0, 180.0)
     with pytest.raises(ValueError):
         step_stats(np.array([]))
 
@@ -191,8 +191,8 @@ def test_step_stats_median_equals_numpy_median():
             # Uniform grids: equal gaps, so the two middle values tie.
             thetas = np.arange(size) * (180.0 / size) + RNG.uniform(0.0, 1.0)
         gaps = np.append(np.diff(thetas), 180.0 - thetas[-1] + thetas[0])
-        assert step_stats(RNG.permutation(thetas)).median_deg == float(
-            np.median(gaps))
+        median, _, _ = step_stats(RNG.permutation(thetas))
+        assert median == float(np.median(gaps))
 
 
 def test_t975_table_equals_stdtrit():
@@ -246,7 +246,7 @@ def test_analyze_families_fills_steps_and_exclusions():
     b = cloud_family("QWP", [[1.0 + 1e-4, 1e-4], [0.0, 1.0]], sigma=0.08, seed=9)
     report = analyze_families([a, b])
     assert isinstance(report, DistinguishabilityReport)
-    assert a.kept and step_stats(a.thetas[a.kept]).min_deg > 0.0
+    assert a.kept and step_stats(a.thetas[a.kept])[2] > 0.0
     assert len(report.exclusions) >= 1
     dropped = report.exclusions[0]
     assert dropped[0] == "QWP"

@@ -302,8 +302,10 @@ def test_conditioning_on_dead_herald_raises():
             bell_psi_plus(), np.zeros((2, 2)), f, conditional=True
         )
     stacked = np.stack([np.eye(2), np.zeros((2, 2))])
-    with pytest.raises(UnheraldableError):
+    with pytest.raises(UnheraldableError) as blocked:
         coincidence_probability(bell_psi_plus(), stacked, f, conditional=True)
+    assert blocked.value.row == 1
+    assert str(blocked.value) == "herald probability is zero"
 
 
 def test_identity_probe_gives_half_for_any_polarizer():
@@ -469,6 +471,11 @@ def test_normalize_rejects_all_zero():
     c = ResponseCurve("LP", np.array([0.0]), np.zeros((1, 2)))
     with pytest.raises(ValueError):
         dataset_scale([c.raw])
+    # A largest response within the round-off bound is no signal either.
+    for top in (1.9e-33, ghost.ROUNDOFF):
+        with pytest.raises(ValueError, match="^cannot normalize an all-zero dataset$"):
+            dataset_scale([np.array([[0.0, top]])])
+    assert dataset_scale([np.array([[0.0, 2.0 * ghost.ROUNDOFF]])]) == 2e-12
 
 
 def test_curve_csv_layout(tmp_path):

@@ -2,8 +2,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from ghostpol import qstate, tomo
 from ghostpol.polcalc import (
     ELEMENT_KINDS,
+    PAULIS,
     QWP,
     STOKES_OPS,
     PolElement,
@@ -245,6 +247,20 @@ def test_passivity_of_generated_elements():
     with pytest.raises(ValueError):
         check_passive(stack)
     check_passive(np.zeros((0, 2, 2)))
+
+
+def test_stokes_operators_are_the_signed_paulis():
+    # The typed table that STOKES_OPS replaced: the derived one has its
+    # bytes, signed zeros included.
+    typed = np.array([
+        np.eye(2),
+        [[-1.0, 0.0], [0.0, 1.0]],
+        [[0.0, -1.0], [-1.0, 0.0]],
+        [[0.0, -1.0j], [1.0j, 0.0]],
+    ], dtype=complex)
+    assert STOKES_OPS.dtype == typed.dtype and STOKES_OPS.shape == typed.shape
+    assert STOKES_OPS.tobytes() == typed.tobytes()
+    assert qstate.PAULIS is PAULIS and tomo.PAULIS is PAULIS
 
 
 def test_mueller_of_vertical_polarizer_total_transmission():
