@@ -11,16 +11,16 @@ The package needs numpy and PyYAML; no part of it imports scipy.
 from types import ModuleType as _ModuleType
 
 from .countsim import CountModel, RunSet, correct_counts, simulate_counts, simulate_runs
-from .discern import (DistinguishabilityReport, EllipsoidRegion, SampleStats,
-                      analyze_families, analyze_family, max_distinguishable_subset,
-                      separable, step_stats, summarize)
+from .discern import (DistinguishabilityReport, EllipsoidRegion, analyze_families,
+                      analyze_family, max_distinguishable_subset, separable,
+                      step_stats, summarize)
 from .ghost import (ResponseCurve, coincidence_probability, dataset_scale,
                     heralded_idler, sweep_family)
 from .optproj import (OptimizationConfig, OptimizationResult, ProjectorParam,
                       nearest_feasible, objective_min_separation, optimize)
 from .polcalc import PolElement, compose, element_jones, jones_to_mueller
-from .qstate import (StateMetrics, TwoQubitDensity, bell_psi_plus, concurrence,
-                     fidelity, linear_entropy, metrics, werner)
+from .qstate import (TwoQubitDensity, bell_psi_plus, concurrence, fidelity,
+                     linear_entropy, metrics, werner)
 from .tomo import (ReconstructionResult, TomographyRecord, reconstruct_mle,
                    simulate_tomography)
 

@@ -117,7 +117,7 @@ def cmd_discriminate(cfg: ExperimentConfig, out_dir: str) -> int:
 
 
 def cmd_tomo(cfg: ExperimentConfig, out_dir: str) -> int:
-    path, model = cfg.tomography.records_csv, cfg.tomography.model
+    path, model = cfg.records_csv, cfg.tomography_model
     if path is not None:
         try:
             records = tomo.records_from_csv(path)
@@ -134,19 +134,13 @@ def cmd_tomo(cfg: ExperimentConfig, out_dir: str) -> int:
     except ValueError as exc:  # Name the file that holds the records.
         raise ValueError(f"{path}: {exc}") from None
     qstate.save_density_csv(result.rho, _out_path(out_dir, "rho.csv"))
-    m = qstate.metrics(result.rho)
-    lines = [
-        f"concurrence: {m.concurrence:.6f}",
-        f"linear_entropy: {m.linear_entropy:.6f}",
-        f"fidelity_psi_plus: {m.fidelity:.6f}",
-        f"purity: {m.purity:.6f}",
-        f"log_likelihood: {result.log_likelihood:.6g}",
-        f"iterations: {result.iterations}",
-        f"gradient_norm: {result.gradient_norm:.6g}",
-        f"converged: {result.converged}",
-    ]
-    _write(out_dir, "metrics.txt", "\n".join(lines) + "\n")
-    print("\n".join(lines))
+    text = ("concurrence: %.6f\nlinear_entropy: %.6f\nfidelity_psi_plus: %.6f\n"
+            "purity: %.6f\nlog_likelihood: %.6g\niterations: %d\n"
+            "gradient_norm: %.6g\nconverged: %s\n") % (
+        *qstate.metrics(result.rho), result.log_likelihood, result.iterations,
+        result.gradient_norm, result.converged)
+    _write(out_dir, "metrics.txt", text)
+    print(text, end="")
     return 0
 
 

@@ -40,22 +40,14 @@ MAX_EVALS = 100_000
 STATE_KINDS = {"bell_psi_plus": (), "werner": ("p",), "matrix_csv": ("matrix_csv",)}
 
 
-@dataclass
+@dataclass(eq=False)
 class SampleSpec:
     family: str
     thetas: np.ndarray
     template: PolElement | None = None
 
 
-@dataclass
-class TomographySpec:
-    records_csv: str | None = None
-    # The counting model with tomography.integration_time applied; None
-    # without a counting section.
-    model: CountModel | None = None
-
-
-@dataclass
+@dataclass(eq=False)
 class ExperimentConfig:
     seed: int = 0
     runs: int = 8
@@ -65,7 +57,9 @@ class ExperimentConfig:
     projectors: list[list[PolElement]] = field(default_factory=list)
     samples: list[SampleSpec] = field(default_factory=list)
     counting: CountModel | None = None
-    tomography: TomographySpec = field(default_factory=TomographySpec)
+    records_csv: str | None = None
+    # The counting model with tomography.integration_time applied.
+    tomography_model: CountModel | None = None
     optimize: OptimizationConfig | None = None
 
 
@@ -263,10 +257,10 @@ def _check_means(model: CountModel, key: str | None = None) -> None:
             )
 
 
-def _parse_tomography(node, path: str, base_dir: str,
-                      counting: CountModel | None) -> TomographySpec:
+def _parse_tomography(node, path: str, base_dir: str, counting: CountModel | None,
+                      ) -> tuple[str | None, CountModel | None]:
+    """``records_csv`` and the tomography counting model."""
     node = _section(node, path, {"integration_time", "records_csv"})
-    spec = TomographySpec(model=counting)
     if "integration_time" in node:
         key = f"{path}.integration_time"
         integration_time = _number(node["integration_time"], key, finite=True)
@@ -276,12 +270,11 @@ def _parse_tomography(node, path: str, base_dir: str,
             raise ConfigError(f"'{key}' is only valid without records_csv")
         if counting is not None:
             # A product that underflows to 0 would count only zeros.
-            spec.model = _built(key, replace, counting,
-                                integration_time=integration_time)
-            _check_means(spec.model, key)
+            counting = _built(key, replace, counting, integration_time=integration_time)
+            _check_means(counting, key)
     if "records_csv" in node:
-        spec.records_csv = os.path.join(base_dir, str(node["records_csv"]))
-    return spec
+        return os.path.join(base_dir, str(node["records_csv"])), counting
+    return None, counting
 
 
 def _parse_projector_param(node, path: str) -> ProjectorParam:
@@ -385,8 +378,8 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
                 )
     if "counting" in data:
         cfg.counting = _parse_counting(data["counting"], "counting")
-    cfg.tomography = _parse_tomography(data.get("tomography", {}), "tomography",
-                                       base_dir, cfg.counting)
+    cfg.records_csv, cfg.tomography_model = _parse_tomography(
+        data.get("tomography", {}), "tomography", base_dir, cfg.counting)
     if "optimize" in data:
         cfg.optimize = _parse_optimize(data["optimize"], "optimize")
     n_points = sum(s.thetas.size for s in cfg.samples) * len(cfg.projectors)

@@ -90,7 +90,7 @@ class CountModel:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class RunSet:
     """Repeated coincidence measurements over a (theta, projector) grid."""
 

@@ -8,13 +8,14 @@ ellipsoids are strictly separated along the line joining the centers
 
 The criterion is one symmetric, broadcasting predicate, ``separable``:
 a region holds one ellipsoid, ``(d,)`` center and semi-axes, or a
-stack of them, ``(m, d)``.  A family's analysis holds one stack: its
-statistics and regions are ``(n_thetas, n_axes)`` arrays, row t for
-orientation t, floored once when built.  The greedy sweep tests a
-block of candidate rows against the kept rows and each other in one
-call, then admits the block's rows in order, as a row-by-row sweep
-would; the cross-family exclusions test a block of one family's kept
-rows against the other's in one call.
+stack of them, ``(m, d)``.  A family's analysis holds one stack, row t
+for orientation t: its statistics, mean, std and ci95, are one
+``(3, n_thetas, n_axes)`` array, and its regions are built from the
+mean and ci95 and floored once.  The greedy sweep tests a block of
+candidate rows against the kept rows and each other in one call, then
+admits the block's rows in order, as a row-by-row sweep would; the
+cross-family exclusions test a block of one family's kept rows against
+the other's in one call.
 
 Both skip the kept rows outside an axis-0 window.  A region's support
 half-width along any unit vector is at most its radius r, the norm of
@@ -56,19 +57,7 @@ _BLOCK = 32
 _WINDOW_SLACK = 1.0 + 1e-9
 
 
-@dataclass(frozen=True)
-class SampleStats:
-    """Per-axis mean, sample std and 95% CI half-width over ``n_runs``:
-    ``(n_axes,)`` for one cloud, ``(n_thetas, n_axes)`` for a family.
-    """
-
-    mean: np.ndarray
-    std: np.ndarray
-    ci95: np.ndarray
-    n_runs: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EllipsoidRegion:
     """Axis-aligned ellipsoid, or an (m, d) stack of them; see module.
 
@@ -96,26 +85,27 @@ class EllipsoidRegion:
         return rows
 
 
-@dataclass
+@dataclass(eq=False)
 class FamilyOutcome:
-    """One family's stacked stats and regions, kept and excluded rows."""
+    """One family's regions, kept and excluded rows, and its ``stats``:
+    mean, std and ci95, stacked as a ``(3, n_thetas, n_axes)`` array."""
 
     family: str
     thetas: np.ndarray
-    stats: SampleStats
+    stats: np.ndarray
     regions: EllipsoidRegion
     kept: list[int]
     cross_excluded: list[int] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(eq=False)
 class DistinguishabilityReport:
     families: list[FamilyOutcome]
     exclusions: list[tuple[str, float, str, float]]
 
 
-def summarize(points: np.ndarray) -> SampleStats:
-    """Per-axis mean, sample std and 95% CI half-width of one cloud.
+def summarize(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-axis ``(mean, std, ci95)`` of one cloud, ci95 the 95% CI half-width.
 
     ``points`` has shape (n_runs, n_axes); the half-width uses the
     Student t quantile with n_runs - 1 degrees of freedom.  The std
@@ -128,8 +118,7 @@ def summarize(points: np.ndarray) -> SampleStats:
     n = pts.shape[0]
     mean = np.add.reduce(pts, 0) / n
     std = np.sqrt(np.add.reduce(np.square(pts - mean), 0) / (n - 1))
-    ci95 = t975(n) * std / np.sqrt(n)
-    return SampleStats(mean=mean, std=std, ci95=ci95, n_runs=n)
+    return mean, std, t975(n) * std / np.sqrt(n)
 
 
 # t975(n) for n = 2..64, from scipy.special.stdtrit(n - 1, 0.975).
@@ -367,14 +356,11 @@ def analyze_family(
     response coordinates; each orientation is summarized on its own.
     """
     pts = np.asarray(run_points, dtype=float)
-    n_runs, n_thetas, n_axes = pts.shape
-    mean, std, ci95 = (np.empty((n_thetas, n_axes)) for _ in range(3))
-    for t in range(n_thetas):
-        s = summarize(pts[:, t, :])
-        mean[t], std[t], ci95[t] = s.mean, s.std, s.ci95
-    regions = EllipsoidRegion(center=mean, semi_axes=ci95)
-    return FamilyOutcome(family, np.asarray(thetas, dtype=float),
-                         SampleStats(mean, std, ci95, n_runs), regions,
+    stats = np.empty((3, *pts.shape[1:]))
+    for t in range(pts.shape[1]):
+        stats[:, t] = summarize(pts[:, t, :])
+    regions = EllipsoidRegion(center=stats[0], semi_axes=stats[2])
+    return FamilyOutcome(family, np.asarray(thetas, dtype=float), stats, regions,
                          kept=max_distinguishable_subset(regions))
 
 
@@ -391,7 +377,7 @@ def analyze_families(
 
 def report_to_csv(report: DistinguishabilityReport, path: str) -> None:
     """One row per analyzed orientation with stats and kept flags."""
-    n_axes = report.families[0].stats.mean.shape[1] if report.families else 0
+    n_axes = report.families[0].stats.shape[2] if report.families else 0
     header = ["family", "theta_deg", "kept", "cross_excluded"]
     header += [f"{name}{k + 1}" for name in ("mean", "std", "ci95_")
                for k in range(n_axes)]
@@ -402,7 +388,7 @@ def report_to_csv(report: DistinguishabilityReport, path: str) -> None:
             flags = np.zeros((2, o.thetas.size), dtype=int)
             flags[0, o.kept] = 1
             flags[1, o.cross_excluded] = 1
-            stats = np.hstack([o.stats.mean, o.stats.std, o.stats.ci95])
+            stats = np.hstack(o.stats)
             row = o.family.replace("%", "%%") + ",%.6g,%d,%d" + ",%.9g" * stats.shape[1]
             fh.write(block((row + "\n") * o.thetas.size,
                            [o.thetas.tolist(), *flags.tolist(), *stats.T.tolist()]))

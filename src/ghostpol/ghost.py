@@ -90,7 +90,7 @@ def coincidence_probability(
     return float(p) if p.ndim == 0 else p
 
 
-@dataclass
+@dataclass(eq=False)
 class ResponseCurve:
     """Responses of one sample family over an orientation grid.
 

@@ -119,7 +119,7 @@ class OptimizationResult:
     trace: list[dict] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimplexResult:
     """Best point of a :func:`minimize` run, its value and call count."""
 

@@ -52,7 +52,7 @@ def _validated(matrix: np.ndarray) -> np.ndarray:
     return rho / tr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoQubitDensity:
     """Validated 4x4 density matrix in the (HH, HV, VH, VV) basis."""
 
@@ -72,14 +72,6 @@ class TwoQubitDensity:
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
-
-
-@dataclass(frozen=True)
-class StateMetrics:
-    concurrence: float
-    linear_entropy: float
-    fidelity: float
-    purity: float
 
 
 def bell_psi_plus() -> TwoQubitDensity:
@@ -126,13 +118,9 @@ def fidelity(rho: TwoQubitDensity) -> float:
     return float(np.real(vec.conj() @ rho.matrix @ vec))
 
 
-def metrics(rho: TwoQubitDensity) -> StateMetrics:
-    return StateMetrics(
-        concurrence=concurrence(rho),
-        linear_entropy=linear_entropy(rho),
-        fidelity=fidelity(rho),
-        purity=rho.purity(),
-    )
+def metrics(rho: TwoQubitDensity) -> tuple[float, float, float, float]:
+    """Concurrence, linear entropy, fidelity and purity, in metrics.txt order."""
+    return concurrence(rho), linear_entropy(rho), fidelity(rho), rho.purity()
 
 
 def save_density_csv(rho: TwoQubitDensity, path: str) -> None:

@@ -67,7 +67,7 @@ class TomographyRecord:
             raise ValueError("counts must be finite and >= 0")
 
 
-@dataclass
+@dataclass(eq=False)
 class ReconstructionResult:
     rho: TwoQubitDensity
     log_likelihood: float

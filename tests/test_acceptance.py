@@ -154,24 +154,24 @@ def test_criterion_03_entanglement_metrics(tmp_path):
     assert abs(c - oracle) <= 1e-12
 
     bell = metrics(bell_psi_plus())
-    assert abs(bell.concurrence - 1.0) <= 1e-12
-    assert abs(bell.linear_entropy) <= 1e-12
-    assert abs(bell.fidelity - 1.0) <= 1e-12
+    assert abs(bell[0] - 1.0) <= 1e-12
+    assert abs(bell[1]) <= 1e-12
+    assert abs(bell[2] - 1.0) <= 1e-12
 
     path = str(tmp_path / "fixture_rho.csv")
     save_density_csv(TwoQubitDensity(FIXTURE_RHO.astype(complex)), path)
     loaded = load_density_csv(path)
     got = metrics(loaded)
-    assert abs(got.concurrence - FIXTURE_METRICS["concurrence"]) <= 1e-6
-    assert abs(got.linear_entropy - FIXTURE_METRICS["linear_entropy"]) <= 1e-6
-    assert abs(got.fidelity - FIXTURE_METRICS["fidelity"]) <= 1e-6
+    assert abs(got[0] - FIXTURE_METRICS["concurrence"]) <= 1e-6
+    assert abs(got[1] - FIXTURE_METRICS["linear_entropy"]) <= 1e-6
+    assert abs(got[2] - FIXTURE_METRICS["fidelity"]) <= 1e-6
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     _report(
         3,
         elapsed,
         f"concurrence(0.92) = {c:.6f}, loaded-matrix triple "
-        f"({got.concurrence:.4f}, {got.linear_entropy:.4f}, {got.fidelity:.4f})",
+        f"({got[0]:.4f}, {got[1]:.4f}, {got[2]:.4f})",
     )
 
 

@@ -91,8 +91,8 @@ def test_full_config_parses():
     assert cfg.samples[2].thetas.size == 180
     assert cfg.samples[2].template.retardance_rad == 0.5
     assert cfg.counting.pair_rate == 5000.0
-    assert cfg.tomography.model.integration_time == 10.0
-    assert cfg.tomography.model == replace(cfg.counting, integration_time=10.0)
+    assert cfg.tomography_model.integration_time == 10.0
+    assert cfg.tomography_model == replace(cfg.counting, integration_time=10.0)
     opt = cfg.optimize
     assert isinstance(opt, OptimizationConfig)
     assert opt.mode == "sequential" and opt.restarts == 4
@@ -414,13 +414,13 @@ def test_tomography_model_is_the_counting_model_at_its_integration_time():
             ("tomography: {}", base),
             ("tomography: {records_csv: r.csv}", base),
             ("tomography: {integration_time: 3}", replace(base, integration_time=3.0))):
-        assert parse_config_text(counting + tomography).tomography.model == model
-        assert parse_config_text(tomography).tomography.model is None
+        assert parse_config_text(counting + tomography).tomography_model == model
+        assert parse_config_text(tomography).tomography_model is None
 
 
 def test_tomography_integration_time_needs_simulated_records():
     assert parse_config_text(
-        "tomography: {records_csv: r.csv}").tomography.model is None
+        "tomography: {records_csv: r.csv}").tomography_model is None
     with pytest.raises(ConfigError, match=re.escape(
             "'tomography.integration_time' is only valid without records_csv")):
         parse_config_text("tomography: {records_csv: r.csv, integration_time: 2}")

@@ -9,7 +9,6 @@ from ghostpol.discern import (
     DistinguishabilityReport,
     EllipsoidRegion,
     FamilyOutcome,
-    SampleStats,
     analyze_families,
     analyze_family,
     cross_family_exclusions,
@@ -50,11 +49,10 @@ def stack(regions):
 
 
 def test_summarize_matches_hand_computation():
-    s = summarize(EIGHT_POINT_CLOUD[:, None])
-    assert s.n_runs == 8
-    assert abs(s.mean[0]) < 1e-12
-    assert abs(s.std[0] - EXPECTED_STD) < 1e-12
-    assert abs(s.ci95[0] - EXPECTED_CI95) < 1e-4
+    mean, std, ci95 = summarize(EIGHT_POINT_CLOUD[:, None])
+    assert abs(mean[0]) < 1e-12
+    assert abs(std[0] - EXPECTED_STD) < 1e-12
+    assert abs(ci95[0] - EXPECTED_CI95) < 1e-4
 
 
 def test_summarize_needs_two_runs():
@@ -63,8 +61,8 @@ def test_summarize_needs_two_runs():
 
 
 def test_region_floors_zero_width_axes():
-    s = summarize(np.array([[1.0, 5.0], [1.0, 5.0], [1.0, 5.0]]))
-    region = EllipsoidRegion(s.mean, s.ci95)
+    mean, _, ci95 = summarize(np.array([[1.0, 5.0], [1.0, 5.0], [1.0, 5.0]]))
+    region = EllipsoidRegion(mean, ci95)
     assert np.all(region.semi_axes > 0.0)
 
 
@@ -231,7 +229,7 @@ def test_analyze_family_keeps_well_separated_clouds():
     centers = [[0.0, 0.0], [0.4, 0.1], [0.8, 0.3], [0.2, 0.9]]
     outcome = cloud_family("LP", centers, sigma=0.002, seed=6)
     assert outcome.kept == [0, 1, 2, 3]
-    assert outcome.stats.mean.shape == outcome.stats.ci95.shape == (4, 2)
+    assert outcome.stats.shape == (3, 4, 2)
     assert outcome.regions.center.shape == outcome.regions.semi_axes.shape == (4, 2)
 
 
@@ -426,7 +424,7 @@ def test_cross_family_exclusions_match_scalar_reference():
 
 def ref_report_to_csv(report, path):
     """The row-by-row writer that the one-pass report_to_csv replaced."""
-    n_axes = report.families[0].stats.mean.shape[1] if report.families else 0
+    n_axes = report.families[0].stats.shape[2] if report.families else 0
     header = ["family", "theta_deg", "kept", "cross_excluded"]
     header += [f"mean{k + 1}" for k in range(n_axes)]
     header += [f"std{k + 1}" for k in range(n_axes)]
@@ -442,9 +440,8 @@ def ref_report_to_csv(report, path):
                 "1" if t in kept else "0",
                 "1" if t in crossed else "0",
             ]
-            cells += [f"{v:.9g}" for v in outcome.stats.mean[t]]
-            cells += [f"{v:.9g}" for v in outcome.stats.std[t]]
-            cells += [f"{v:.9g}" for v in outcome.stats.ci95[t]]
+            for stat in outcome.stats:  # mean, std, ci95
+                cells += [f"{v:.9g}" for v in stat[t]]
             lines.append(",".join(cells))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -464,7 +461,7 @@ def random_report(rng, d):
         families.append(FamilyOutcome(
             family=name,
             thetas=np.sort(rng.uniform(0.0, 180.0, n)),
-            stats=SampleStats(mean, std, ci95, 8),
+            stats=np.array([mean, std, ci95]),
             regions=EllipsoidRegion(mean, ci95),
             kept=sorted(order[:n_kept].tolist()),
             cross_excluded=order[n_kept:n_kept + n_crossed].tolist(),
@@ -501,14 +498,14 @@ def test_summarize_is_bit_equal_to_numpy_mean_and_std(n_runs):
         nan_cloud = runs[:, 3, :].copy()
         nan_cloud[n_runs // 2, 0] = np.nan
         for cloud in clouds + [nan_cloud]:
-            s = summarize(cloud)
-            std = np.std(cloud, axis=0, ddof=1)
-            assert s.mean.tobytes() == np.mean(cloud, axis=0).tobytes()
-            assert s.std.tobytes() == std.tobytes()
-            assert s.ci95.tobytes() == (discern.t975(n_runs) * std
-                                        / np.sqrt(n_runs)).tobytes()
-        assert np.isnan(s.mean[0]) and np.isnan(s.std[0]) and np.isnan(s.ci95[0])
-        assert np.isfinite(s.mean[1:]).all()
+            mean, std, ci95 = summarize(cloud)
+            want = np.std(cloud, axis=0, ddof=1)
+            assert mean.tobytes() == np.mean(cloud, axis=0).tobytes()
+            assert std.tobytes() == want.tobytes()
+            assert ci95.tobytes() == (discern.t975(n_runs) * want
+                                      / np.sqrt(n_runs)).tobytes()
+        assert np.isnan(mean[0]) and np.isnan(std[0]) and np.isnan(ci95[0])
+        assert np.isfinite(mean[1:]).all()
 
 
 # References: the greedy and the exclusions as they were before the
@@ -713,18 +710,18 @@ def test_cross_family_exclusions_memory_is_bounded_by_the_window():
 
 def per_row_report_to_csv(report, path):
     """The writer that formatted one row per % before the one-% form."""
-    n_axes = report.families[0].stats.mean.shape[1] if report.families else 0
+    n_axes = report.families[0].stats.shape[2] if report.families else 0
     header = ["family", "theta_deg", "kept", "cross_excluded"]
     header += [f"{name}{k + 1}" for name in ("mean", "std", "ci95_")
                for k in range(n_axes)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for o in report.families:
-            row = "%s,%.6g,%d,%d" + ",%.9g" * (3 * o.stats.mean.shape[1]) + "\n"
+            row = "%s,%.6g,%d,%d" + ",%.9g" * (3 * o.stats.shape[2]) + "\n"
             flags = np.zeros((2, o.thetas.size), dtype=int)
             flags[0, o.kept] = 1
             flags[1, o.cross_excluded] = 1
-            values = np.hstack([o.stats.mean, o.stats.std, o.stats.ci95])
+            values = np.hstack([o.stats[0], o.stats[1], o.stats[2]])
             rows = zip(o.thetas.tolist(), *flags.tolist(), values.tolist())
             fh.write("".join([row % (o.family, t, k, x, *v) for t, k, x, v in rows]))
 
@@ -736,10 +733,10 @@ def test_report_csv_matches_one_format_per_row_writer(tmp_path):
         report = random_report(rng, d=1 + trial % 4)
         report.families[0].family = "%s%%d"
         if trial % 5 == 0:
-            d = report.families[0].stats.mean.shape[1]
+            d = report.families[0].stats.shape[2]
             empty = np.zeros((0, d))
             report.families.append(FamilyOutcome(
-                "none", np.zeros(0), SampleStats(empty, empty, empty, 8),
+                "none", np.zeros(0), np.zeros((3, 0, d)),
                 EllipsoidRegion(empty, empty), []))
         report_to_csv(report, str(got))
         per_row_report_to_csv(report, str(want))

@@ -6,11 +6,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+
 import ghostpol
 
 EXPORTS = {
     "countsim": "CountModel RunSet correct_counts simulate_counts simulate_runs",
-    "discern": "DistinguishabilityReport EllipsoidRegion SampleStats "
+    "discern": "DistinguishabilityReport EllipsoidRegion "
                "analyze_families analyze_family max_distinguishable_subset "
                "separable step_stats summarize",
     "ghost": "ResponseCurve coincidence_probability dataset_scale "
@@ -18,7 +20,7 @@ EXPORTS = {
     "optproj": "OptimizationConfig OptimizationResult ProjectorParam "
                "nearest_feasible objective_min_separation optimize",
     "polcalc": "PolElement compose element_jones jones_to_mueller",
-    "qstate": "StateMetrics TwoQubitDensity bell_psi_plus concurrence fidelity "
+    "qstate": "TwoQubitDensity bell_psi_plus concurrence fidelity "
               "linear_entropy metrics werner",
     "tomo": "ReconstructionResult TomographyRecord reconstruct_mle "
             "simulate_tomography",
@@ -27,7 +29,7 @@ EXPORTS = {
 
 def test_exports_are_the_submodule_objects():
     names = [name for names in EXPORTS.values() for name in names.split()]
-    assert len(names) == 41
+    assert len(names) == 39
     assert ghostpol.__all__ == sorted(names)
     for module, names in EXPORTS.items():
         module = importlib.import_module(f"ghostpol.{module}")
@@ -83,3 +85,20 @@ def test_package_and_tomo_records_run_without_scipy(tmp_path):
         "all-zero counts cannot be reconstructed",
     ]
     assert out["converged"]
+
+
+
+def test_array_records_compare_by_identity_and_hash():
+    # Generated array-field __eq__ raised ValueError (an array's truth
+    # value is ambiguous), and a frozen record's __hash__ TypeError.
+    thetas, raw = np.arange(3.0), np.ones((3, 2))
+    for make in (lambda: ghostpol.ResponseCurve("LP", thetas, raw),
+                 lambda: ghostpol.RunSet(thetas, np.ones((2, 3, 2))),
+                 lambda: ghostpol.EllipsoidRegion(raw, raw),
+                 ghostpol.bell_psi_plus):
+        a, b = make(), make()
+        assert a == a and a != b
+        assert len({a, b}) == 2
+    # Records of scalars still compare by value.
+    assert ghostpol.PolElement("ideal_polarizer", 10.0) == \
+        ghostpol.PolElement("ideal_polarizer", 190.0)

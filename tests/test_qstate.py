@@ -130,9 +130,8 @@ def test_fidelity_convention():
 
 
 def test_metrics_of_bell_state():
-    m = metrics(bell_psi_plus())
     npt.assert_allclose(
-        [m.concurrence, m.linear_entropy, m.fidelity, m.purity],
+        metrics(bell_psi_plus()),
         [1.0, 0.0, 1.0, 1.0],
         atol=1e-12,
     )

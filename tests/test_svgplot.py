@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from ghostpol.discern import EllipsoidRegion, FamilyOutcome, SampleStats
+from ghostpol.discern import EllipsoidRegion, FamilyOutcome
 from ghostpol.svgplot import curve_chart, region_panels
 
 THETAS = np.arange(0.0, 180.0, 10.0)
@@ -45,13 +45,13 @@ def region_outcome(family, centers, semi_axes, kept):
     of ``centers`` and ``semi_axes``, and the ``kept`` rows."""
     regions = EllipsoidRegion(np.asarray(centers, dtype=float), semi_axes)
     return FamilyOutcome(family, np.arange(float(len(regions.center))),
-                         SampleStats(regions.center, regions.semi_axes,
-                                     regions.semi_axes, 2), regions, list(kept))
+                         np.array([regions.center, regions.semi_axes,
+                                   regions.semi_axes]), regions, list(kept))
 
 
 def panel_dict(outcome):
     """An outcome as the dict of ref_region_panels."""
-    return {"label": outcome.family, "centers": outcome.stats.mean,
+    return {"label": outcome.family, "centers": outcome.stats[0],
             "semi_axes": outcome.regions.semi_axes, "kept": outcome.kept}
 
 

@@ -63,7 +63,7 @@ def ref_curve_to_csv(curve, scale, path):
 
 def ref_report_to_csv(report, path):
     """One row per analyzed orientation with stats and kept flags."""
-    n_axes = report.families[0].stats.mean.shape[1] if report.families else 0
+    n_axes = report.families[0].stats.shape[2] if report.families else 0
     header = ["family", "theta_deg", "kept", "cross_excluded"]
     header += [f"{name}{k + 1}" for name in ("mean", "std", "ci95_")
                for k in range(n_axes)]
@@ -71,13 +71,13 @@ def ref_report_to_csv(report, path):
         fh.write(",".join(header) + "\n")
         for o in report.families:
             # One % per family over a repeated row template.
-            n, width = o.thetas.size, 4 + 3 * o.stats.mean.shape[1]
+            n, width = o.thetas.size, 4 + 3 * o.stats.shape[2]
             flags = np.zeros((2, n), dtype=int)
             flags[0, o.kept] = 1
             flags[1, o.cross_excluded] = 1
             values: list = [o.family] * (width * n)
             values[1::width] = o.thetas.tolist()
-            columns = np.hstack([o.stats.mean, o.stats.std, o.stats.ci95])
+            columns = np.hstack([o.stats[0], o.stats[1], o.stats[2]])
             for k, column in enumerate([*flags.tolist(), *columns.T.tolist()], 2):
                 values[k::width] = column
             fh.write(("%s,%.6g,%d,%d" + ",%.9g" * (width - 4) + "\n") * n
