@@ -20,7 +20,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .ghost import ROUNDOFF, ResponseCurve
-from .textio import block
+from .textio import block, count_column
 
 # The first spawn-key entry of each ``stream``, one per purpose: single
 # counts (tomography cells), repeated runs, the optimizer's start points.
@@ -183,10 +183,8 @@ def runset_to_csv(runs: RunSet, corrected: np.ndarray, path: str) -> None:
         fh.write("run,theta_deg,projector_index,raw,corrected\n")
         # One % per run keeps the formatted text to one grid's rows.
         for r in range(runs.counts.shape[0]):
-            raw, tail = runs.counts[r].ravel(), "%.9g,%.9g"
-            # %d prints the bytes of %.9g for whole counts from 0 to 1e9 - 1, faster.
-            if np.all(~np.signbit(raw) & (raw < 1e9) & (raw == np.trunc(raw))):
-                raw, tail = raw.astype(np.int64), "%d,%.9g"
+            raw, fmt = count_column(runs.counts[r].ravel())
             # Each row is "r,theta,projector," baked in, then the two counts.
+            tail = fmt + ",%.9g"
             rows = f"{r}," + f"{tail}\n{r},".join(cells) + tail + "\n"
-            fh.write(block(rows, [raw.tolist(), corrected[r].ravel().tolist()]))
+            fh.write(block(rows, [raw, corrected[r].ravel().tolist()]))

@@ -19,7 +19,7 @@ import numpy as np
 from .countsim import CountModel, simulate_counts
 from .polcalc import PAULIS
 from .qstate import TwoQubitDensity
-from .textio import block
+from .textio import block, count_column
 
 # The fit stops when max |gradient| <= GRADIENT_TOL x the total counts.
 GRADIENT_TOL = 1e-12
@@ -258,9 +258,10 @@ def reconstruct_mle(records: list[TomographyRecord]) -> ReconstructionResult:
 
 
 def records_to_csv(records: list[TomographyRecord], path: str) -> None:
-    columns = [[getattr(r, name) for r in records] for name in _CSV_HEADER.split(",")]
+    counts, fmt = count_column([r.counts for r in records])
+    columns = [[r.basis_a for r in records], [r.basis_b for r in records], counts]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_CSV_HEADER + "\n" + block("%s,%s,%.9g\n" * len(records), columns))
+        fh.write(_CSV_HEADER + "\n" + block(f"%s,%s,{fmt}\n" * len(records), columns))
 
 
 def records_from_csv(path: str) -> list[TomographyRecord]:

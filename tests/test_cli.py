@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import ghostpol
-from ghostpol import tomo
+from ghostpol import cli, tomo
 from ghostpol.cli import build_parser, main
+from ghostpol.configio import load_config
 from ghostpol.qstate import bell_psi_plus, save_density_csv, werner
 from helpers import expected_records
 from test_golden import (
@@ -427,6 +428,37 @@ def test_tomo_records_round_trip(tmp_path, capsys):
     assert second == {name: d for name, d in first.items() if name != "records.csv"}
     if installed_versions() == FROZEN_WITH:
         assert first == CASES["tomo-tomography"][4]
+
+
+
+def test_bright_runs_csv_reads_back_every_count(tmp_path, capsys):
+    # Raw counts at and above 1e9 print as integers, where %.9g would
+    # drop digits: every raw cell parses back to the count drawn.
+    argv = case_argv("discriminate-bright", tmp_path)
+    assert run(argv) == 0
+    capsys.readouterr()
+    cfg = load_config(argv[2])
+    curves = cli._sweep_curves(cfg)
+    for curve, (runs, _) in zip(curves, cli._measure(cfg, curves)):
+        text = (tmp_path / "out" / f"runs_{curve.family}.csv").read_text()
+        raw = [int(row.split(",")[3]) for row in text.splitlines()[1:]]
+        assert raw == runs.counts.ravel().tolist()
+        assert max(raw) >= 10 ** 9
+
+
+def test_bright_tomo_records_round_trip(tmp_path, capsys):
+    # Counts above 1e9 in records.csv read back exactly, so the refit
+    # writes the same rho.csv, metrics.txt and stdout.
+    argv = case_argv("tomo-bright", tmp_path)
+    capsys.readouterr()
+    assert run(argv) == 0
+    first = output_digests(capsys.readouterr().out, tmp_path / "out")
+    cfg = write_config(tmp_path, "tomography: {records_csv: out/records.csv}\n")
+    assert run(["tomo", "--config", cfg, "--out", str(tmp_path / "second")]) == 0
+    second = output_digests(capsys.readouterr().out, tmp_path / "second")
+    assert second == {name: d for name, d in first.items() if name != "records.csv"}
+    text = (tmp_path / "out" / "records.csv").read_text()
+    assert max(int(row.split(",")[2]) for row in text.splitlines()[1:]) >= 10 ** 9
 
 
 def test_sweep_outputs(tmp_path):

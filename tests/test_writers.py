@@ -2,13 +2,16 @@
 
 The references below are the writers as they stood before each output
 block became one ``%`` over a template (``textio.block``), kept
-verbatim but for their names; the canvas methods that drew each curve
-point by point are kept as the functions ``ref_polyline`` and
-``ref_polygon``.  Random data covers the forks of the new writers:
-whole counts on both sides of 1e9, fractional, negative-zero and NaN
-counts, zero and negative-zero band edges, and grids of one
-orientation, one run and one projector.
+verbatim but for their names and one rule: the runs and records
+references print a column of raw counts exactly (``exact_cells``).  The
+canvas methods that drew each curve point by point are kept as the
+functions ``ref_polyline`` and ``ref_polygon``.  Random data covers the
+forks of the new writers: whole counts on both sides of 1e9 and of
+2**53, fractional, negative-zero and NaN counts, zero and negative-zero
+band edges, and grids of one orientation, one run and one projector.
 """
+
+import math
 
 from types import SimpleNamespace
 
@@ -28,11 +31,20 @@ from test_svgplot import panel_dict, region_outcome
 RNG = np.random.default_rng(21)
 
 
+def exact_cells(counts):
+    """A column of counts as text: as integers when every count is whole,
+    not negative and below 2**53, so that each reads back; else %.9g."""
+    if all(math.isfinite(c) and math.copysign(1.0, c) > 0.0 and c < 2.0 ** 53
+           and c == int(c) for c in counts):
+        return [str(int(c)) for c in counts]
+    return [f"{c:.9g}" for c in counts]
+
+
 def ref_runset_to_csv(runs, corrected, path):
     """Write raw and corrected counts, one row per cell and run."""
     n_proj = runs.counts.shape[2]
     cells = [f"{t:.6g},{p}," for t in runs.thetas.tolist() for p in range(n_proj)]
-    template = "%d,%s%.9g,%.9g\n" * len(cells)
+    template = "%d,%s%s,%.9g\n" * len(cells)
     values = [None] * (4 * len(cells))
     values[1::4] = cells
     with open(path, "w", encoding="utf-8") as fh:
@@ -40,7 +52,7 @@ def ref_runset_to_csv(runs, corrected, path):
         # One % per run keeps the formatted text to one grid's rows.
         for r in range(runs.counts.shape[0]):
             values[0::4] = [r] * len(cells)
-            values[2::4] = runs.counts[r].ravel().tolist()
+            values[2::4] = exact_cells(runs.counts[r].ravel().tolist())
             values[3::4] = corrected[r].ravel().tolist()
             fh.write(template % tuple(values))
 
@@ -86,8 +98,9 @@ def ref_report_to_csv(report, path):
 
 def ref_records_to_csv(records, path):
     lines = ["basis_a,basis_b,counts"]
-    for r in records:
-        lines.append(f"{r.basis_a},{r.basis_b},{r.counts:.9g}")
+    cells = exact_cells([r.counts for r in records])
+    for r, cell in zip(records, cells):
+        lines.append(f"{r.basis_a},{r.basis_b},{cell}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -211,14 +224,16 @@ def test_block_interleaves_columns_row_by_row():
     assert block("x%%%.1f\n" * 2, [[0.25, -0.0]]) == "x%0.2\nx%-0.0\n"
 
 
-# Whole counts just below, at and far above the %d cut-off, one block
-# that straddles it, and counts %d must not print: fractional, negative
-# zero, negative and NaN.
+# Whole counts just below, at and far above 1e9, where %.9g stops
+# printing every digit, blocks that straddle 1e9 and the 2**53 cut-off,
+# and counts that print with %.9g: fractional, negative zero, negative
+# and NaN.
 COUNTS = {
     "below": lambda shape: RNG.integers(0, 10, shape) + (1e9 - 10),
     "at": lambda shape: np.full(shape, 1e9),
     "far_above": lambda shape: RNG.integers(0, 10, shape) + 1e15,
     "straddling": lambda shape: RNG.integers(-5, 5, shape) + 1e9,
+    "straddling_2_53": lambda shape: RNG.integers(-8, 8, shape) + 2.0 ** 53,
     "small": lambda shape: RNG.poisson(30.0, shape).astype(float),
     "lognormal": lambda shape: RNG.poisson(RNG.lognormal(5.0, 6.0, shape)).astype(float),
     "fractional": lambda shape: RNG.poisson(30.0, shape) + 0.5,
@@ -267,11 +282,14 @@ def test_report_csv_matches_reference(tmp_path):
 def test_records_csv_matches_reference(tmp_path):
     for n in (0, 1, 16):
         counts = RNG.poisson(RNG.lognormal(5.0, 8.0, n)).astype(float)
+        whole = counts.copy()  # printed as integers, some above 1e9
+        whole[:3] = [1e9 + 7.0, 2400028767.0, 2.0 ** 53 - 1.0][:n]
         odd = [0.0, -0.0, 0.5, 1e9, 1e15, 123456789.25]
         counts[:6] = odd[:min(n, 6)]
-        records = [TomographyRecord(a, b, c)
-                   for (a, b), c in zip(CANONICAL_PAIRS * 2, counts)]
-        same_bytes(tmp_path, tomo.records_to_csv, ref_records_to_csv, records)
+        for column in (counts, whole):
+            records = [TomographyRecord(a, b, c)
+                       for (a, b), c in zip(CANONICAL_PAIRS * 2, column)]
+            same_bytes(tmp_path, tomo.records_to_csv, ref_records_to_csv, records)
 
 
 def test_density_csv_matches_reference(tmp_path):
