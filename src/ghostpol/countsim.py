@@ -184,7 +184,7 @@ def runset_to_csv(runs: RunSet, corrected: np.ndarray, path: str) -> None:
         # One % per run keeps the formatted text to one grid's rows.
         for r in range(runs.counts.shape[0]):
             raw, fmt = count_column(runs.counts[r].ravel())
-            # Each row is "r,theta,projector," baked in, then the two counts.
             tail = fmt + ",%.9g"
+            # Each row is "r,theta,projector," baked in, then the two counts.
             rows = f"{r}," + f"{tail}\n{r},".join(cells) + tail + "\n"
             fh.write(block(rows, [raw, corrected[r].ravel().tolist()]))
