@@ -140,6 +140,13 @@ def _boolean(node, path: str) -> bool:
     return node
 
 
+def _file_path(node, key: str, base_dir: str) -> str:
+    """``node``, a file path relative to the config's ``base_dir``."""
+    if not isinstance(node, str) or not node:
+        raise ConfigError(f"'{key}' must be a file path")
+    return os.path.join(base_dir, node)
+
+
 def _built(key: str, make, /, *args, **kwargs):
     """``make(*args, **kwargs)``, an OSError or ValueError a config error at ``key``."""
     try:
@@ -176,8 +183,8 @@ def _parse_state(node, path: str, base_dir: str) -> TwoQubitDensity:
         return bell_psi_plus()
     if kind == "werner":
         return _built(f"{path}.p", werner, _number(node["p"], f"{path}.p"))
-    return _built(f"{path}.matrix_csv", load_density_csv,
-                  os.path.join(base_dir, str(node["matrix_csv"])))
+    key = f"{path}.matrix_csv"
+    return _built(key, load_density_csv, _file_path(node["matrix_csv"], key, base_dir))
 
 
 def _parse_thetas(node, path: str) -> np.ndarray:
@@ -273,7 +280,8 @@ def _parse_tomography(node, path: str, base_dir: str, counting: CountModel | Non
             counting = _built(key, replace, counting, integration_time=integration_time)
             _check_means(counting, key)
     if "records_csv" in node:
-        return os.path.join(base_dir, str(node["records_csv"])), counting
+        return _file_path(node["records_csv"], f"{path}.records_csv",
+                          base_dir), counting
     return None, counting
 
 

@@ -118,7 +118,7 @@ def summarize(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n = pts.shape[0]
     mean = np.add.reduce(pts, 0) / n
     std = np.sqrt(np.add.reduce(np.square(pts - mean), 0) / (n - 1))
-    return mean, std, t975(n) * std / np.sqrt(n)
+    return mean, std, t975(n) * std / math.sqrt(n)
 
 
 # t975(n) for n = 2..64, from scipy.special.stdtrit(n - 1, 0.975).
@@ -357,8 +357,9 @@ def analyze_family(
     """
     pts = np.asarray(run_points, dtype=float)
     stats = np.empty((3, *pts.shape[1:]))
+    mean, std, ci95 = stats
     for t in range(pts.shape[1]):
-        stats[:, t] = summarize(pts[:, t, :])
+        mean[t], std[t], ci95[t] = summarize(pts[:, t])
     regions = EllipsoidRegion(center=stats[0], semi_axes=stats[2])
     return FamilyOutcome(family, np.asarray(thetas, dtype=float), stats, regions,
                          kept=max_distinguishable_subset(regions))

@@ -134,8 +134,8 @@ class _OutOfBudget(Exception):
 
 
 def _by_value(sim: np.ndarray, fsim: np.ndarray):
-    ind = np.argsort(fsim)
-    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    ind = fsim.argsort()
+    return sim.take(ind, 0), fsim.take(ind, 0)
 
 
 def minimize(fun, x0: np.ndarray, maxfev: int, xatol: float,
@@ -159,7 +159,7 @@ def minimize(fun, x0: np.ndarray, maxfev: int, xatol: float,
         if nfev >= maxfev:
             raise _OutOfBudget
         nfev += 1
-        return fun(np.copy(x))
+        return fun(x.copy())
 
     try:
         for k in range(n + 1):
@@ -171,31 +171,32 @@ def minimize(fun, x0: np.ndarray, maxfev: int, xatol: float,
     sim, fsim = _by_value(*_by_value(sim, fsim))
     while nfev < maxfev:
         try:
-            # The f-spread first: it is cheaper, and rarely passes.
-            f0, *rest = fsim.tolist()
+            # The f-spread first: it is cheaper, and rarely passes.  The
+            # comparisons below read these values too, before fsim changes.
+            f0, *rest = values = fsim.tolist()
             if (all(abs(f0 - f) <= fatol for f in rest)
                     and np.max(np.abs(sim[1:] - sim[0])) <= xatol):
                 break
             xbar = np.add.reduce(sim[:-1], 0) / n
             xr = 2 * xbar - sim[-1]
             fxr = f(xr)
-            if fxr < fsim[0]:
+            if fxr < f0:
                 xe = 3 * xbar - 2 * sim[-1]
                 fxe = f(xe)
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
+            elif fxr < values[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:
                 # Outside contraction if the reflection improved on the
                 # worst point, inside otherwise; shrink if it fails.
-                if fxr < fsim[-1]:
+                if fxr < values[-1]:
                     xc = 1.5 * xbar - 0.5 * sim[-1]
                     fxc = f(xc)
                     shrink = not fxc <= fxr
                 else:
                     xc = 0.5 * xbar + 0.5 * sim[-1]
                     fxc = f(xc)
-                    shrink = not fxc < fsim[-1]
+                    shrink = not fxc < values[-1]
                 if not shrink:
                     sim[-1], fsim[-1] = xc, fxc
                 else:
@@ -233,7 +234,9 @@ def settings_builder(table: np.ndarray, qwp_first: np.ndarray,
     mix of layouts.  One :func:`polcalc.oriented_jones` pass builds all
     elements; a bare polarizer's waveplate, factor 1 at angle 0, is the
     exact identity.  Complex polarizer factors can give -0 imaginary parts
-    where real ones give +0; the stack's bytes are the same (see tests)."""
+    where real ones give +0; the stack's bytes are the same (see tests).
+    What a stage fixes is prepared once: the flat indices of the searched
+    entries and, unless an extinction is searched, the axis factors."""
     bare = np.isnan(table[0])
     base = table.copy()
     base[0] = np.where(bare, 0.0, table[0])
@@ -241,10 +244,21 @@ def settings_builder(table: np.ndarray, qwp_first: np.ndarray,
     # Flat indices of each setting's two elements, in crossing order.
     order = np.arange(2 * bare.size).reshape((2,) + bare.shape)
     crossed = np.where(qwp_first, order, order[::-1])
+    flat = None if coords is None else np.ravel_multi_index(coords, base.shape)
+    floored = None if coords is None or 2 not in coords[0] else coords[0] == 2
+
+    def factors(t: np.ndarray) -> np.ndarray:
+        return np.array([wave, 1.0 / np.sqrt(t[2])])
+
+    fixed = factors(base) if floored is None else None
 
     def build(x: np.ndarray | None) -> np.ndarray:
-        t = base if x is None else point_table(base, coords, x)
-        a = np.array([wave, 1.0 / np.sqrt(t[2])])
+        t = base
+        if x is not None:
+            t = base.copy()
+            t.flat[flat] = _point_values(x, floored)
+        a = factors(t) if fixed is None else fixed
+        # A tiny negative x % 180 is 180.0; the second % maps it to 0.
         return polcalc.compose(polcalc.oriented_jones(a, t[:2] % 180.0)
                                .reshape(-1, 2, 2).take(crossed, 0))
 
@@ -269,8 +283,9 @@ def response_points(rho: TwoQubitDensity, samples: np.ndarray,
     ``(m, 2, 2)`` projector Jones stack, one row per sample."""
     if probe is not None:
         samples = probe @ samples
-    return coincidence_probability(rho, polcalc.effect(samples),
-                                   polcalc.effect(projectors))
+    # One effect pass over both arms; matmul works matrix by matrix.
+    e = polcalc.effect(np.concatenate((samples, projectors)))
+    return coincidence_probability(rho, e[:len(samples)], e[len(samples):])
 
 
 _pairs = functools.cache(np.triu_indices)
@@ -288,7 +303,13 @@ def objective_min_separation(points: np.ndarray) -> float:
     d = pts.take(i, 0) - pts.take(j, 0)
     # vecdot rounds like np.linalg.norm of each difference vector;
     # norm(axis=-1) can differ in the last bit.
-    return float(np.sqrt(np.vecdot(d, d).min(initial=np.inf)))
+    return math.sqrt(np.vecdot(d, d).min(initial=np.inf))
+
+
+def _point_values(x: np.ndarray, floored: np.ndarray | None) -> np.ndarray:
+    """Angles modulo 180; extinctions, where ``floored`` (None: nowhere), floored at 1."""
+    angles = x % 180.0
+    return angles if floored is None else np.where(floored, np.maximum(x, 1.0), angles)
 
 
 def point_table(table: np.ndarray, coords: tuple[np.ndarray, np.ndarray],
@@ -297,7 +318,7 @@ def point_table(table: np.ndarray, coords: tuple[np.ndarray, np.ndarray],
     indices) set to ``x``: angles modulo 180, extinctions floored at 1."""
     rows, cols = coords
     out = table.copy()
-    out[rows, cols] = np.where(rows == 2, np.maximum(x, 1.0), x % 180.0)
+    out[rows, cols] = _point_values(x, rows == 2)
     return out
 
 

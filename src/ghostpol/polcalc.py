@@ -121,7 +121,10 @@ def oriented_jones(a, theta_deg) -> np.ndarray:
     ``theta_deg.shape + (2, 2)``.
     """
     t = np.deg2rad(theta_deg)
-    trig = np.array([np.cos(t), np.sin(t)])
+    # One (2, ...) buffer; the [0, ...] views stay arrays for a scalar t.
+    trig = np.empty((2,) + np.shape(t))
+    np.cos(t, out=trig[0, ...])
+    np.sin(t, out=trig[1, ...])
     sq = trig * trig  # c^2 and s^2: both diagonal entries in one pass
     out = np.empty(np.shape(t) + (2, 2), dtype=complex)
     out[..., 0, 0], out[..., 1, 1] = sq * a + sq[::-1]

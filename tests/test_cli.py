@@ -316,6 +316,37 @@ def test_missing_records_csv_is_a_config_error(tmp_path, capsys):
     assert "missing.csv" in err
 
 
+PATH_KEYS = [
+    ("sweep", SWEEP_CONFIG + "state: {kind: matrix_csv, matrix_csv: VALUE}\n",
+     "state.matrix_csv"),
+    ("tomo", "tomography: {records_csv: VALUE}\n", "tomography.records_csv"),
+]
+
+
+@pytest.mark.parametrize("value", ["null", "3", "[rho.csv]", "''"],
+                         ids=["null", "number", "list", "empty"])
+@pytest.mark.parametrize("command, text, key", PATH_KEYS,
+                         ids=["matrix_csv", "records_csv"])
+def test_path_key_that_is_not_a_string_is_a_config_error(tmp_path, capsys,
+                                                         command, text, key,
+                                                         value):
+    # Only a non-empty string names a file.
+    cfg = write_config(tmp_path, text.replace("VALUE", value))
+    out = tmp_path / "o"
+    assert run([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: '{key}' must be a file path\n"
+    assert not out.exists()
+
+
+def test_path_keys_resolve_relative_to_the_config(tmp_path):
+    save_density_csv(werner(0.5), str(tmp_path / "rho.csv"))
+    cfg = load_config(write_config(
+        tmp_path, "state: {kind: matrix_csv, matrix_csv: rho.csv}\n"
+                  "tomography: {records_csv: given.csv}\n"))
+    assert np.array_equal(cfg.state.matrix, werner(0.5).matrix)
+    assert cfg.records_csv == str(tmp_path / "given.csv")
+
+
 def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
     path = tmp_path / "exp.yaml"
     path.write_bytes(b"seed: 1\n# \xff\n")

@@ -178,9 +178,10 @@ def test_response_points_match_kron_loop_reference():
 
 
 def test_response_points_equal_the_checked_path():
-    # Evaluations give the engine unchecked effects.  A settings table
-    # is passive by construction, so checking every one, as each
-    # evaluation once did, gives the same bits.
+    # Evaluations give the engine unchecked effects, from one effect pass
+    # over both arms' stacked Jones matrices.  A settings table is passive
+    # by construction, so one checked pass per arm, as each evaluation
+    # once ran, gives the same bits, with a probe and without one.
     for case in range(60):
         rho = werner(float(RNG.uniform())) if case % 2 else bell_psi_plus()
         samples = sample_jones(tuple(
@@ -340,8 +341,12 @@ def test_oriented_jones_equals_reference_bytes():
         ref = reference_oriented_jones(a, theta)
         assert oriented_jones(a, theta).tobytes() == ref.tobytes()
         if np.ndim(a) == 0:
-            assert oriented_jones(a, theta[0, 1]).tobytes() == \
-                reference_oriented_jones(a, theta[0, 1]).tobytes()
+            # A scalar angle still gives one (2, 2) matrix.
+            for scalar in (theta[0, 1], float(theta[0, 1])):
+                jones = oriented_jones(a, scalar)
+                assert jones.shape == (2, 2)
+                assert jones.tobytes() == \
+                    reference_oriented_jones(a, scalar).tobytes()
 
 
 def reference_min_separation_matrix(points):
@@ -389,6 +394,62 @@ def test_settings_builder_equals_reference_bytes():
             ref = reference_settings_jones(point_table(table, coords, x),
                                            qwp_first)
             assert jones.tobytes() == ref.tobytes(), case
+
+
+def unprepared_build(table, qwp_first, coords, x):
+    """build(x) with nothing prepared: the point table, its axis factors,
+    one oriented_jones pass and compose, all redone from the table."""
+    t = point_table(table, coords, x)
+    bare = np.isnan(t[0])
+    a = np.array([np.where(bare, 1.0, polcalc.axis_factor(QWP)),
+                  1.0 / np.sqrt(t[2])])
+    angles = np.array([np.where(bare, 0.0, t[0]), t[1]]) % 180.0
+    wave, lp = oriented_jones(a, angles)
+    first = qwp_first[:, None, None]
+    return compose([np.where(first, wave, lp), np.where(first, lp, wave)])
+
+
+STAGE_CONFIGS = {
+    "joint": dict(probe=ProjectorParam(qwp_deg=62.0, lp_deg=90.0),
+                  projectors=(ProjectorParam(qwp_deg=170.0, lp_deg=7.5),
+                              bare_lp(110.0))),
+    "sequential": dict(probe=ProjectorParam(qwp_deg=62.0, lp_deg=90.0),
+                       projectors=(ProjectorParam(qwp_deg=18.0, lp_deg=34.0),),
+                       mode="sequential"),
+    "bare_polarizers": dict(projectors=(bare_lp(20.0), bare_lp(110.0))),
+    "qwp_last": dict(projectors=(
+        ProjectorParam(qwp_deg=30.0, lp_deg=10.0, qwp_first=False),
+        ProjectorParam(qwp_deg=45.0, lp_deg=95.0, extinction=3.7))),
+    "vary_extinction": dict(
+        probe=ProjectorParam(qwp_deg=None, lp_deg=90.0, extinction=2.0),
+        projectors=(ProjectorParam(qwp_deg=30.0, lp_deg=10.0, extinction=3.7,
+                                   qwp_first=False), bare_lp(50.0)),
+        mode="sequential", vary_extinction=True),
+}
+
+
+@pytest.mark.parametrize("name", STAGE_CONFIGS)
+def test_prepared_build_equals_the_unprepared_reference(name):
+    # settings_builder fixes a stage's indices and, without a searched
+    # extinction, its axis factors; every point still gives the bytes of
+    # the whole computation.  Angles include negatives, values >= 180 and
+    # tiny negatives, whose x % 180 is 180.0 until the second % 180.
+    rng = np.random.default_rng(29)
+    table, qwp_first, stages = optproj.search_stages(
+        toy_config(**STAGE_CONFIGS[name]))
+    assert len(stages) == (2 if "mode" in STAGE_CONFIGS[name] else 1)
+    floored = [(coords[0] == 2).any() for _, coords in stages]
+    assert any(floored) == (name == "vary_extinction")
+    for _, coords in stages:
+        build = settings_builder(table, qwp_first, coords)
+        rows = coords[0]
+        for _ in range(50):
+            x = rng.uniform(-400.0, 400.0, size=rows.size)
+            x[rng.random(rows.size) < 0.3] = -1e-14
+            x = np.where(rows == 2, rng.uniform(0.2, 10.0, size=rows.size), x)
+            assert build(x).tobytes() == \
+                unprepared_build(table, qwp_first, coords, x).tobytes()
+        table = point_table(table, coords, x)
 
 
 @pytest.mark.parametrize("shape", [(), (7,)], ids=["scalar", "grid"])
