@@ -147,6 +147,11 @@ def _file_path(node, key: str, base_dir: str) -> str:
     return os.path.join(base_dir, node)
 
 
+def _cap(key: str, cells: int, what: str) -> None:
+    if cells > MAX_CELLS:
+        raise ConfigError(f"'{key}': {cells} {what} exceed {MAX_CELLS}")
+
+
 def _built(key: str, make, /, *args, **kwargs):
     """``make(*args, **kwargs)``, an OSError or ValueError a config error at ``key``."""
     try:
@@ -342,20 +347,40 @@ def _parse_optimize(node, path: str) -> OptimizationConfig:
                     restarts=restarts, max_evals=max_evals, **options)
     # The objective's pairwise differences, the largest stage's simplex and starts.
     n = max(rows.size for _, (rows, _) in search_stages(config)[2])
-    for key, cells, what in (
-            ("samples", len(samples) ** 2 * len(projectors),
-             "pairwise cells (samples^2 x projectors)"),
-            ("projectors", (n + 1) * n,
-             "simplex cells ((coordinates + 1) x coordinates)"),
-            ("restarts", restarts * n, "start cells (restarts x coordinates)")):
-        if cells > MAX_CELLS:
-            raise ConfigError(f"'{path}.{key}': {cells} {what} exceed {MAX_CELLS}")
+    _cap(f"{path}.samples", len(samples) ** 2 * len(projectors),
+         "pairwise cells (samples^2 x projectors)")
+    _cap(f"{path}.projectors", (n + 1) * n,
+         "simplex cells ((coordinates + 1) x coordinates)")
+    _cap(f"{path}.restarts", restarts * n, "start cells (restarts x coordinates)")
     return config
 
 
+def _check_keys(node, path: str, seen: set) -> None:
+    """Refuse a key repeated in a mapping of the composed YAML ``node``;
+    a node that aliases reach again is not walked again."""
+    if not isinstance(node, yaml.CollectionNode) or id(node) in seen:
+        return
+    seen.add(id(node))
+    names = set()
+    for i, item in enumerate(node.value):  # a mapping's items are (key, value)
+        if isinstance(node, yaml.SequenceNode):
+            _check_keys(item, f"{path}[{i}]", seen)
+        elif isinstance(item[0], yaml.ScalarNode):  # other keys fail construction
+            name = f"{path}.{item[0].value}" if path else item[0].value
+            if name in names:
+                raise ConfigError(f"duplicate key '{name}'")
+            names.add(name)
+            _check_keys(item[1], name, seen)
+
+
 def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
-    try:
-        data = yaml.safe_load(text)
+    try:  # yaml.safe_load's compose and construct, with the key check between.
+        loader = yaml.SafeLoader(text)
+        node = loader.get_single_node()
+        _check_keys(node, "", set())
+        data = None if node is None else loader.construct_document(node)
+    except ConfigError:
+        raise
     except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise ConfigError(f"malformed YAML: {exc}") from exc
     if data is None:
@@ -391,15 +416,11 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
     if "optimize" in data:
         cfg.optimize = _parse_optimize(data["optimize"], "optimize")
     n_points = sum(s.thetas.size for s in cfg.samples) * len(cfg.projectors)
-    if cfg.counting is None and n_points > MAX_CELLS:
-        raise ConfigError(f"'projectors': {n_points} response points "
-                          f"(orientations x projectors) exceed {MAX_CELLS}")
-    if cfg.counting is not None:
-        if cfg.runs * n_points > MAX_CELLS:
-            raise ConfigError(
-                f"'runs': {cfg.runs * n_points} count cells (runs x "
-                f"orientations x projectors) exceed {MAX_CELLS}"
-            )
+    if cfg.counting is None:
+        _cap("projectors", n_points, "response points (orientations x projectors)")
+    else:
+        _cap("runs", cfg.runs * n_points,
+             "count cells (runs x orientations x projectors)")
     return cfg
 
 

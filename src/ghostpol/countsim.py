@@ -6,8 +6,8 @@ simulation uses one stream per (family, run): its drift, then its
 whole (theta, projector) block of counts.  A run therefore does not
 depend on how many runs are simulated or on which families are
 simulated with it, but it does depend on the whole theta grid and
-projector set of its family.  Single counts (``simulate_counts``, used
-by tomography) draw one stream per cell.  No singles counts are
+projector set of its family.  Each run, and each tomography cell, is
+one ``simulate_counts`` draw from its own stream.  No singles counts are
 drawn: ``singles_background`` enters only through the accidental mean.
 """
 
@@ -114,18 +114,17 @@ def stream(seed: int, key: tuple[int, ...]) -> np.random.Generator:
 
 
 def simulate_counts(
-    p_joint: float,
+    p_joint: float | np.ndarray,
     model: CountModel,
-    seed: int,
-    spawn_key: tuple[int, ...] = (),
-) -> int:
-    """One Poisson coincidence count for one joint probability."""
-    if not -ROUNDOFF <= p_joint <= 1.0 + ROUNDOFF:
+    rng: np.random.Generator,
+    drift_factor: float = 1.0,
+) -> int | np.ndarray:
+    """Poisson coincidence counts drawn from ``rng`` for one joint
+    probability or an array of them, in C order."""
+    if not np.all((p_joint >= -ROUNDOFF) & (p_joint <= 1.0 + ROUNDOFF)):
         raise ValueError("joint probability must lie in [0, 1]")
-    mean = model.signal_mean(min(max(p_joint, 0.0), 1.0))
-    mean += model.accidental_mean()
-    rng = stream(seed, (TAG_CELL, *spawn_key))
-    return int(rng.poisson(mean))
+    p = np.clip(p_joint, 0.0, 1.0)
+    return rng.poisson(model.signal_mean(p, drift_factor) + model.accidental_mean())
 
 
 def simulate_runs(
@@ -144,16 +143,11 @@ def simulate_runs(
     """
     if n_runs < 1:
         raise ValueError("need at least one run")
-    p = curve.raw
-    if not np.all((p >= -ROUNDOFF) & (p <= 1.0 + ROUNDOFF)):
-        raise ValueError("joint probability must lie in [0, 1]")
-    p = np.clip(p, 0.0, 1.0)
-    accidental = model.accidental_mean()
-    counts = np.empty((n_runs, *p.shape), dtype=float)
+    counts = np.empty((n_runs, *curve.raw.shape), dtype=float)
     for r in range(n_runs):
         rng = stream(seed, (TAG_RUN, family_tag, r))
         drift = 1.0 + model.drift_amplitude * rng.uniform(-1.0, 1.0)
-        counts[r] = rng.poisson(model.signal_mean(p, drift) + accidental)
+        counts[r] = simulate_counts(curve.raw, model, rng, drift)
     return RunSet(curve.thetas, counts)
 
 

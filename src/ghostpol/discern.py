@@ -200,16 +200,16 @@ def t975(n_runs: int) -> float:
 def _center_line(a: EllipsoidRegion, b: EllipsoidRegion):
     """Center distance and both support half-widths along the center line.
 
-    Zero-distance rows use the first axis.  ``vecdot`` rounds exactly
-    as ``np.linalg.norm`` does for a single difference vector.
+    Zero-distance rows use the first axis.
     """
     delta = b.center - a.center
-    dist = np.sqrt(np.vecdot(delta, delta))
+    dist = np.sqrt(np.add.reduce(delta * delta, -1))
     u = np.zeros_like(delta)
     u[..., 0] = 1.0
     np.divide(delta, dist[..., None], out=u, where=dist[..., None] > 0.0)
-    return (dist, np.sqrt(np.sum((a.semi_axes * u) ** 2, axis=-1)),
-            np.sqrt(np.sum((b.semi_axes * u) ** 2, axis=-1)))
+    ua, ub = a.semi_axes * u, b.semi_axes * u
+    return (dist, np.sqrt(np.add.reduce(ua * ua, -1)),
+            np.sqrt(np.add.reduce(ub * ub, -1)))
 
 
 def separable(a: EllipsoidRegion, b: EllipsoidRegion) -> bool | np.ndarray:
@@ -233,7 +233,7 @@ def _window_keys(regions: EllipsoidRegion) -> tuple[list[float], list[float]]:
     makes a row's semi-axes not finite when its center is not.
     """
     semi = regions.semi_axes
-    radius = np.sqrt(np.vecdot(semi, semi))
+    radius = np.sqrt(np.add.reduce(semi * semi, -1))
     radius[np.isnan(radius)] = np.inf
     return regions.center[:, 0].tolist(), radius.tolist()
 

@@ -283,9 +283,8 @@ def response_points(rho: TwoQubitDensity, samples: np.ndarray,
     ``(m, 2, 2)`` projector Jones stack, one row per sample."""
     if probe is not None:
         samples = probe @ samples
-    # One effect pass over both arms; matmul works matrix by matrix.
-    e = polcalc.effect(np.concatenate((samples, projectors)))
-    return coincidence_probability(rho, e[:len(samples)], e[len(samples):])
+    return coincidence_probability(rho, polcalc.effect(samples),
+                                   polcalc.effect(projectors))
 
 
 _pairs = functools.cache(np.triu_indices)
@@ -301,9 +300,7 @@ def objective_min_separation(points: np.ndarray) -> float:
     pts = points / peak
     i, j = _pairs(len(pts), 1)
     d = pts.take(i, 0) - pts.take(j, 0)
-    # vecdot rounds like np.linalg.norm of each difference vector;
-    # norm(axis=-1) can differ in the last bit.
-    return math.sqrt(np.vecdot(d, d).min(initial=np.inf))
+    return math.sqrt(np.add.reduce(d * d, -1).min(initial=np.inf))
 
 
 def _point_values(x: np.ndarray, floored: np.ndarray | None) -> np.ndarray:
@@ -452,8 +449,7 @@ def nearest_feasible(
         jones = settings_builder(table, np.full(qwp_deg.shape, qwp_first))(None)
         d = polcalc.jones_to_mueller(jones) - target
         d = d.reshape(d.shape[:-2] + (16,))
-        # sqrt(vecdot) rounds like np.linalg.norm of each 4x4 difference.
-        return np.sqrt(np.vecdot(d, d))
+        return np.sqrt(np.add.reduce(d * d, -1))
 
     angles = np.arange(0.0, 180.0, 7.5)
     grid = np.array(np.meshgrid(angles, angles, indexing="ij")).reshape(2, -1)

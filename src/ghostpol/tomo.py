@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .countsim import CountModel, simulate_counts
+from .countsim import TAG_CELL, CountModel, simulate_counts, stream
 from .polcalc import PAULIS
 from .qstate import TwoQubitDensity
 from .textio import block, count_column
@@ -24,6 +24,9 @@ from .textio import block, count_column
 # The fit stops when max |gradient| <= GRADIENT_TOL x the total counts.
 GRADIENT_TOL = 1e-12
 MAX_ITERATIONS = 10_000
+# Cell i draws from stream(seed, (TAG_CELL, CELL_KEY, i)); any other
+# key changes every simulated record.
+CELL_KEY = 3
 
 _SQ = 1.0 / np.sqrt(2.0)
 ANALYSIS_STATES = {
@@ -89,12 +92,10 @@ def simulate_tomography(
     rho: TwoQubitDensity, model: CountModel, seed: int
 ) -> list[TomographyRecord]:
     """Poisson-sampled coincidence counts for the 16 canonical pairs."""
-    records = []
-    for idx, (a, b) in enumerate(CANONICAL_PAIRS):
-        p = projection_probability(rho, a, b)
-        n = simulate_counts(p, model, seed, spawn_key=(3, idx))
-        records.append(TomographyRecord(a, b, float(n)))
-    return records
+    return [TomographyRecord(a, b, float(simulate_counts(
+                projection_probability(rho, a, b), model,
+                stream(seed, (TAG_CELL, CELL_KEY, i)))))
+            for i, (a, b) in enumerate(CANONICAL_PAIRS)]
 
 
 def _t_matrix(params: np.ndarray) -> np.ndarray:

@@ -338,6 +338,13 @@ def test_path_key_that_is_not_a_string_is_a_config_error(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_repeated_key_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, SWEEP_CONFIG + "runs: 8\nruns: 3\n")
+    assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: duplicate key 'runs'\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_path_keys_resolve_relative_to_the_config(tmp_path):
     save_density_csv(werner(0.5), str(tmp_path / "rho.csv"))
     cfg = load_config(write_config(

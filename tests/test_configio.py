@@ -114,6 +114,37 @@ def test_unknown_keys_report_their_path():
         )
 
 
+@pytest.mark.parametrize("text, path", [
+    ("runs: 8\nruns: 3\n", "runs"),
+    ("counting: {pair_rate: 5000, integration_time: 1.0, pair_rate: 9}\n",
+     "counting.pair_rate"),
+    ("projectors:\n  - elements: [{kind: ideal_polarizer, angle_deg: 0.0}]\n"
+     "    elements: [{kind: ideal_polarizer, angle_deg: 90.0}]\n",
+     "projectors[0].elements"),
+])
+def test_a_repeated_key_reports_its_path(text, path):
+    with pytest.raises(ConfigError) as info:
+        parse_config_text(text)
+    assert str(info.value) == f"duplicate key '{path}'"
+
+
+def test_a_mapping_shared_through_an_alias_is_not_a_duplicate():
+    cfg = parse_config_text(
+        "projectors:\n  - &x {elements: [{kind: ideal_polarizer, angle_deg: 0.0}]}\n"
+        "  - *x\n")
+    assert [p[0].theta_deg for p in cfg.projectors] == [0.0, 0.0]
+
+
+def test_aliases_do_not_multiply_the_key_walk():
+    # Each list holds the one before twice, so 40 levels reach the first
+    # mapping 2**40 times; the walk visits each node once and is done at
+    # once, and the first key is then refused as unknown.
+    text = "l0: &l0 {k: 1}\n" + "".join(
+        f"l{i}: &l{i} [*l{i - 1}, *l{i - 1}]\n" for i in range(1, 41))
+    with pytest.raises(ConfigError, match="^unknown key 'l0'$"):
+        parse_config_text(text)
+
+
 def test_type_errors():
     with pytest.raises(ConfigError, match="'seed' must be an integer"):
         parse_config_text("seed: fast")

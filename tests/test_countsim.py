@@ -107,11 +107,11 @@ def test_signal_mean_composition():
 
 def test_simulate_counts_is_deterministic():
     model = CountModel(pair_rate=1e4, integration_time=1.0)
-    a = simulate_counts(0.3, model, seed=11, spawn_key=(0, 1, 2, 3))
-    b = simulate_counts(0.3, model, seed=11, spawn_key=(0, 1, 2, 3))
+    a = simulate_counts(0.3, model, stream(11, (0, 1, 2, 3)))
+    b = simulate_counts(0.3, model, stream(11, (0, 1, 2, 3)))
     assert a == b
-    c = simulate_counts(0.3, model, seed=11, spawn_key=(0, 1, 2, 4))
-    d = simulate_counts(0.3, model, seed=12, spawn_key=(0, 1, 2, 3))
+    c = simulate_counts(0.3, model, stream(11, (0, 1, 2, 4)))
+    d = simulate_counts(0.3, model, stream(12, (0, 1, 2, 3)))
     assert isinstance(a, int)
     # Distinct streams are overwhelmingly unlikely to collide at this mean.
     assert (a != c) or (a != d)
@@ -119,16 +119,15 @@ def test_simulate_counts_is_deterministic():
 
 def test_simulate_counts_rejects_bad_probability():
     model = CountModel(pair_rate=1e4, integration_time=1.0)
-    with pytest.raises(ValueError):
-        simulate_counts(1.5, model, seed=0)
-    with pytest.raises(ValueError):
-        simulate_counts(-0.2, model, seed=0)
+    for p in (1.5, -0.2, np.nan):
+        with pytest.raises(ValueError):
+            simulate_counts(p, model, stream(0, ()))
 
 
 def test_zero_probability_zero_background_gives_zero():
     model = CountModel(pair_rate=1e6, integration_time=1.0)
     for key in range(20):
-        assert simulate_counts(0.0, model, seed=3, spawn_key=(key,)) == 0
+        assert simulate_counts(0.0, model, stream(3, (TAG_CELL, key))) == 0
 
 
 def test_poisson_mean_and_variance():

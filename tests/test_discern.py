@@ -276,7 +276,7 @@ def ref_support(region, u):
 
 def ref_separable(a, b):
     delta = b.center - a.center
-    dist = float(np.linalg.norm(delta))
+    dist = float(np.sqrt(np.add.reduce(delta * delta)))
     if dist <= 0.0:
         return False
     u = delta / dist
@@ -285,7 +285,7 @@ def ref_separable(a, b):
 
 def ref_margin(a, b):
     delta = b.center - a.center
-    dist = float(np.linalg.norm(delta))
+    dist = float(np.sqrt(np.add.reduce(delta * delta)))
     if dist <= 0.0:
         u = np.zeros(a.center.shape)
         u[0] = 1.0

@@ -121,7 +121,7 @@ def reference_response_points(rho, samples, probe, projectors):
 
 def reference_min_separation(pts):
     pts = pts / float(np.max(pts))
-    return min(float(np.linalg.norm(pts[i] - pts[j]))
+    return min(float(np.sqrt(np.add.reduce((pts[i] - pts[j]) ** 2)))
                for i in range(len(pts)) for j in range(i + 1, len(pts)))
 
 
@@ -178,10 +178,9 @@ def test_response_points_match_kron_loop_reference():
 
 
 def test_response_points_equal_the_checked_path():
-    # Evaluations give the engine unchecked effects, from one effect pass
-    # over both arms' stacked Jones matrices.  A settings table is passive
-    # by construction, so one checked pass per arm, as each evaluation
-    # once ran, gives the same bits, with a probe and without one.
+    # Evaluations give the engine unchecked effects, formed per arm.  A
+    # settings table is passive by construction, so the checked effects
+    # of each arm give the same bits, with a probe and without one.
     for case in range(60):
         rho = werner(float(RNG.uniform())) if case % 2 else bell_psi_plus()
         samples = sample_jones(tuple(
@@ -357,7 +356,7 @@ def reference_min_separation_matrix(points):
         return 0.0
     pts = points / peak
     d = pts[:, None] - pts
-    sq = np.vecdot(d, d)
+    sq = np.add.reduce(d * d, -1)
     np.fill_diagonal(sq, np.inf)
     return float(np.sqrt(np.min(sq)))
 
@@ -719,8 +718,8 @@ def loop_nearest_feasible(target, extinction, qwp_first, grid_step_deg=7.5):
     def distance(x):
         param = ProjectorParam(float(x[0]) % 180.0, float(x[1]) % 180.0,
                                extinction, qwp_first)
-        return float(np.linalg.norm(
-            loop_mueller(compose(param.elements())) - target))
+        d = (loop_mueller(compose(param.elements())) - target).ravel()
+        return float(np.sqrt(np.add.reduce(d * d)))
 
     angles = np.arange(0.0, 180.0, grid_step_deg)
     best_x, best_d = None, math.inf

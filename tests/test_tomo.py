@@ -35,8 +35,8 @@ except ImportError:
 needs_scipy = pytest.mark.skipif(not HAVE_SCIPY, reason="the oracle is scipy")
 
 
-def random_density():
-    g = RNG.normal(size=(4, 4)) + 1.0j * RNG.normal(size=(4, 4))
+def random_density(rng=RNG):
+    g = rng.normal(size=(4, 4)) + 1.0j * rng.normal(size=(4, 4))
     rho = g @ g.conj().T
     return TwoQubitDensity(rho / np.trace(rho))
 
@@ -102,6 +102,32 @@ def test_simulate_tomography_deterministic():
     assert [r.counts for r in a] == [r.counts for r in b]
     c = simulate_tomography(werner(0.9), model, seed=5)
     assert [r.counts for r in a] != [r.counts for r in c]
+
+
+def reference_tomography(rho, model, seed):
+    """simulate_tomography as it was: cell i draws one Poisson count
+    from its own stream, spawn key (1, 3, i)."""
+    records = []
+    for i, (a, b) in enumerate(CANONICAL_PAIRS):
+        p = projection_probability(rho, a, b)
+        mean = model.signal_mean(min(max(p, 0.0), 1.0)) + model.accidental_mean()
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=(1, 3, i))
+        count = np.random.Generator(np.random.PCG64(seq)).poisson(mean)
+        records.append((a, b, float(count)))
+    return records
+
+
+@pytest.mark.parametrize("pair_rate", [1e5, 5.0e9])
+@pytest.mark.parametrize("accidentals", [False, True], ids=["clean", "accidentals"])
+def test_simulate_tomography_matches_per_cell_stream_reference(pair_rate, accidentals):
+    model = CountModel(pair_rate=pair_rate, integration_time=1.0, eff_signal=0.9,
+                       eff_idler=0.7, coincidence_window=3e-9 if accidentals else 0.0,
+                       singles_background=2e4)
+    for rho in (bell_psi_plus(), werner(0.8), random_density(np.random.default_rng(3))):
+        for seed in (0, 41):
+            records = simulate_tomography(rho, model, seed)
+            assert [(r.basis_a, r.basis_b, r.counts) for r in records] == \
+                reference_tomography(rho, model, seed)
 
 
 def test_mle_recovers_bell_state_from_clean_counts():
