@@ -154,7 +154,7 @@ def sweep_family(
     thetas = np.asarray(thetas, dtype=float)
     chain = polcalc.element_jones(sample_element(family, 0.0, template), thetas)
     if probe_elements:
-        chain = polcalc.compose(probe_elements) @ chain
+        chain = polcalc.compose([chain, *probe_elements])
     raw = coincidence_probability(
         rho, polcalc.check_passive(chain),
         polcalc.check_passive(np.stack(projectors)), conditional=conditional,

@@ -282,7 +282,7 @@ def response_points(rho: TwoQubitDensity, samples: np.ndarray,
     stack seen through a 2x2 probe Jones matrix (or None) and an
     ``(m, 2, 2)`` projector Jones stack, one row per sample."""
     if probe is not None:
-        samples = probe @ samples
+        samples = polcalc.compose((samples, probe))
     return coincidence_probability(rho, polcalc.effect(samples),
                                    polcalc.effect(projectors))
 

@@ -32,10 +32,6 @@ PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
 # and sigma_y, as one (4, 2, 2) stack; 0 - x keeps the zeros of x +0.
 STOKES_OPS = np.array([PAULIS[0], 0 - PAULIS[3], 0 - PAULIS[1], PAULIS[2]])
 
-# The start of every chain product in compose(), read-only.
-IDENTITY = np.eye(2, dtype=complex)
-IDENTITY.flags.writeable = False
-
 # The parameters each element kind takes.  An element gives every
 # parameter of its kind and leaves every other one None.
 ELEMENT_KINDS = {"ideal_polarizer": (), "partial_polarizer": ("extinction",),
@@ -133,44 +129,44 @@ def oriented_jones(a, theta_deg) -> np.ndarray:
 
 
 def compose(elements: list | tuple) -> np.ndarray:
-    """Jones matrix of a chain of elements.
+    """Jones matrix of a chain of elements, as a new array.
 
     ``elements`` is given in the traversal order of the photon; the
     returned matrix is the product in reverse order (last element
     leftmost), so it applies to a Jones vector by left multiplication.
-    An item is a :class:`PolElement` or a Jones matrix; a stack of
-    shape (n, 2, 2) broadcasts, so the chain becomes n chains.
+    An item is a :class:`PolElement` or a Jones matrix, or an (n, 2, 2)
+    stack of n chains.  Each product is an ``np.einsum``: no BLAS.
     """
     if len(elements) == 0:
         raise ValueError("compose() needs at least one element")
-    total = IDENTITY
+    total = None
     for el in elements:
-        if isinstance(el, PolElement):
-            el = element_jones(el)
-        total = np.asarray(el, dtype=complex) @ total
+        el = np.asarray(element_jones(el) if isinstance(el, PolElement) else el, complex)
+        total = el.copy() if total is None else np.einsum("...ij,...jk->...ik", el, total)
     return total
 
 
 def effect(jones: np.ndarray) -> np.ndarray:
     """Effect J^dagger J of ``jones`` (one matrix or a stack), unchecked:
     for Jones matrices that are passive by construction."""
-    return jones.conj().swapaxes(-1, -2) @ jones
+    return np.einsum("...ji,...jk->...ik", jones.conj(), jones)
 
 
 def check_passive(jones: np.ndarray) -> np.ndarray:
     """Effect J^dagger J of ``jones`` (one matrix or a stack), checked.
 
-    Raises ``ValueError`` if a matrix is not finite or if the effect
-    amplifies light: its largest eigenvalue (the squared largest
-    singular value of J), over a stack too, exceeds 1 + ``EFFECT_TOL``.
+    Raises ``ValueError`` if a matrix is not finite or if an effect
+    [[a, b], [b*, d]] amplifies light: its largest eigenvalue, in closed
+    form (a + d)/2 + sqrt(((a - d)/2)^2 + |b|^2), exceeds 1 + ``EFFECT_TOL``.
     """
     jones = np.asarray(jones, dtype=complex)
-    # Checked before any product: inf * 0 would warn inside matmul.
+    # Checked first: a NaN effect passes the bound below, and inf - inf warns in it.
     if not np.isfinite(jones).all():
         raise ValueError("Jones matrix must be finite")
     e = effect(jones)
-    eigmax = np.max(np.linalg.eigvalsh(e)[..., -1], initial=0.0)
-    if eigmax > 1.0 + EFFECT_TOL:
+    a, d, b = e[..., 0, 0].real, e[..., 1, 1].real, e[..., 0, 1]
+    eig = 0.5 * (a + d) + np.sqrt(0.25 * (a - d) ** 2 + b.real * b.real + b.imag * b.imag)
+    if (eigmax := np.max(eig, initial=0.0)) > 1.0 + EFFECT_TOL:
         raise ValueError(f"non-passive Jones matrix, largest effect eigenvalue {eigmax}")
     return e
 

@@ -184,9 +184,10 @@ NON_FINITE = [np.diag([np.nan, 1.0]), np.diag([np.inf, 0.5]),
 
 @pytest.mark.parametrize("op", NON_FINITE)
 def test_non_finite_signal_operator_is_a_value_error(op):
-    # eigvalsh of a NaN effect returns finite values, so the effect bound
-    # alone would accept it and every probability would be NaN.  The
-    # matrix is checked before any product: inf * 0 warns in matmul.
+    # The largest eigenvalue of a NaN effect is NaN, which compares false
+    # against the bound, so the bound alone would accept it and every
+    # probability would be NaN.  The matrix is checked before the bound:
+    # inf - inf warns in its closed form.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="Jones matrix must be finite"):

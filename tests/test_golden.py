@@ -16,6 +16,7 @@ import pytest
 import yaml
 
 from ghostpol.cli import main
+from ghostpol.polcalc import compose, effect
 from ghostpol.qstate import save_density_csv, werner
 
 FROZEN_WITH = {"numpy": "2.4.6"}
@@ -354,3 +355,29 @@ def test_outputs_match_frozen_digests(case_id, tmp_path, capsys):
         pytest.skip(f"digests frozen with numpy {FROZEN_WITH['numpy']}; "
                     f"this is numpy {versions['numpy']}")
     assert run_case(case_id, tmp_path, capsys) == CASES[case_id][4]
+
+
+def product_stack(rng, shape):
+    """Random complex entries of ``shape``; about a fifth of the real and
+    imaginary parts are 0.0 or -0.0, whose signs a product may keep."""
+    parts = rng.normal(size=(2,) + shape)
+    zero = rng.random(parts.shape) < 0.2
+    parts[zero] = np.copysign(0.0, rng.random(np.count_nonzero(zero)) - 0.5)
+    out = np.empty(shape, dtype=complex)
+    out.real, out.imag = parts
+    return out
+
+
+def test_products_match_frozen_digest():
+    # compose and effect give the same bits under every OpenBLAS kernel:
+    # no 2x2 product goes through BLAS.  CI runs this under several.
+    versions = installed_versions()
+    if versions != FROZEN_WITH:
+        pytest.skip(f"digest frozen with numpy {FROZEN_WITH['numpy']}; "
+                    f"this is numpy {versions['numpy']}")
+    rng = np.random.default_rng(31)
+    a, b, c = (product_stack(rng, (1000, 2, 2)) for _ in range(3))
+    single = product_stack(rng, (2, 2))
+    outputs = [compose([a, b]), compose([a, single]), compose([a, b, c]), effect(a)]
+    digest = hashlib.sha256(b"".join(x.tobytes() for x in outputs)).hexdigest()
+    assert digest == "0f253f4bb00cab340d0d05388b149497233fd867e1fd8e145cdd5b2294bbef3a"

@@ -198,7 +198,8 @@ def test_response_points_equal_the_checked_path():
         probe = jones[0] if n_probe else None
         pts = response_points(rho, samples, probe, jones[n_probe:])
         checked = coincidence_probability(
-            rho, check_passive(samples if probe is None else probe @ samples),
+            rho, check_passive(samples if probe is None else
+                               np.einsum("...ij,...jk->...ik", probe, samples)),
             check_passive(jones[n_probe:]))
         assert pts.shape == (samples.shape[0], len(projectors))
         assert pts.tobytes() == checked.tobytes()
@@ -317,16 +318,16 @@ def reference_oriented_jones(a, theta_deg):
 
 def reference_settings_jones(table, qwp_first):
     """settings_jones as it was before the prepared builder: separate
-    waveplate and polarizer stacks, ordered by np.where, multiplied
-    onto a fresh identity as compose did."""
+    waveplate and polarizer stacks, ordered by np.where, multiplied by
+    one BLAS-free einsum with no identity, as compose does."""
     qwp_deg, lp_deg, extinction = table
     qwp = np.where(np.isnan(qwp_deg)[..., None, None], np.eye(2),
                    reference_oriented_jones(np.exp(1.0j * QWP.retardance_rad),
                                             np.asarray(qwp_deg) % 180.0))
     lp = reference_oriented_jones(1.0 / np.sqrt(extinction), lp_deg % 180.0)
     first = np.asarray(qwp_first)[..., None, None]
-    return np.where(first, lp, qwp) @ (
-        np.where(first, qwp, lp) @ np.eye(2, dtype=complex))
+    return np.einsum("...ij,...jk->...ik", np.where(first, lp, qwp),
+                     np.where(first, qwp, lp))
 
 
 def test_oriented_jones_equals_reference_bytes():

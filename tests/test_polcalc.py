@@ -4,6 +4,7 @@ import pytest
 
 from ghostpol import qstate, tomo
 from ghostpol.polcalc import (
+    EFFECT_TOL,
     ELEMENT_KINDS,
     PAULIS,
     QWP,
@@ -11,6 +12,7 @@ from ghostpol.polcalc import (
     PolElement,
     check_passive,
     compose,
+    effect,
     element_jones,
     jones_to_mueller,
     oriented_jones,
@@ -247,6 +249,50 @@ def test_passivity_of_generated_elements():
     with pytest.raises(ValueError):
         check_passive(stack)
     check_passive(np.zeros((0, 2, 2)))
+
+
+def random_unitaries(rng, n):
+    z = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    return np.linalg.qr(z)[0]
+
+
+def jones_with_top_effect(rng, n, top):
+    """(n, 2, 2) Jones stack whose largest effect eigenvalue is ``top``
+    on one random member and below 1 on the others."""
+    s = np.sqrt(rng.uniform(0.0, 1.0, size=(n, 2)))
+    s[rng.integers(n), 0] = np.sqrt(top)
+    return random_unitaries(rng, n) * s[:, None, :] @ random_unitaries(rng, n)
+
+
+def test_passivity_bound_matches_eigvalsh():
+    # The bound's closed-form eigenvalue, read from the refusal, against
+    # LAPACK's on amplifying stacks.
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        jones = jones_with_top_effect(rng, int(rng.integers(1, 9)), rng.uniform(1.1, 4.0))
+        reference = np.linalg.eigvalsh(effect(jones))[:, -1].max()
+        with pytest.raises(ValueError, match="largest effect eigenvalue") as info:
+            check_passive(jones)
+        closed = float(str(info.value).rsplit(" ", 1)[1])
+        assert abs(closed - reference) <= 2e-15 * reference
+
+
+def test_passivity_bound_sits_at_its_tolerance():
+    rng = np.random.default_rng(32)
+    for _ in range(20):
+        n = int(rng.integers(1, 9))
+        check_passive(random_unitaries(rng, n))
+        check_passive(jones_with_top_effect(rng, n, 1.0 + 0.5 * EFFECT_TOL))
+        with pytest.raises(ValueError, match="non-passive Jones matrix"):
+            check_passive(jones_with_top_effect(rng, n, 1.0 + 2.0 * EFFECT_TOL))
+
+
+def test_compose_returns_a_new_array():
+    m = element_jones(qwp(30.0))
+    for chain in ([m], m[None]):
+        out = compose(chain)
+        out[...] = 0.0
+        npt.assert_array_equal(m, element_jones(qwp(30.0)))
 
 
 def test_stokes_operators_are_the_signed_paulis():
