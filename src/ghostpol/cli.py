@@ -81,6 +81,9 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
         if cfg.runs >= 2:
             bands = [corr.std(axis=0, ddof=1) / np.sqrt(cfg.runs)
                      * discern.t975(cfg.runs) for corr in corrected]
+    else:  # Noiseless: a response at or below ROUNDOFF is not signal; print 0.
+        for curve in curves:
+            curve.raw[curve.raw <= ghost.ROUNDOFF] = 0.0
     scale = ghost.dataset_scale(c.raw for c in curves)
     for curve, band in zip(curves, bands):
         ghost.curve_to_csv(curve, scale,

@@ -660,7 +660,7 @@ def test_round_off_is_not_signal(tmp_path, capsys):
     # Noiseless, LP at 90 deg behind a polarizer at 0 deg responds only
     # round-off (1.9e-33), and at 0 deg exactly 0: an all-zero dataset
     # either way.  With LP at 45 deg, the dataset has a signal and the
-    # round-off point prints as it is.
+    # round-off point prints as 0.
     out = tmp_path / "out"
     for thetas in ("[90.0]", "[0.0, 90.0]", "[45.0, 90.0]"):
         cfg = write_config(tmp_path, POLARIZER_PROBE
@@ -672,7 +672,7 @@ def test_round_off_is_not_signal(tmp_path, capsys):
             assert not out.exists()
     assert run(["sweep", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "sweep_LP.csv").read_text().splitlines()[1:] == [
-        "45,1,0.125", "90,1.49975978e-32,1.87469973e-33"]
+        "45,1,0.125", "90,0,0"]
 
 
 @pytest.mark.parametrize("key", ["eff_signal", "eff_idler"])
