@@ -5,7 +5,8 @@ edit of one) and compares digests frozen from the code.  Poisson
 sampling and BLAS rounding may differ between numpy builds, so the
 test runs only on the numpy the digests were frozen with and skips
 elsewhere; no output depends on scipy, which need not be installed.  An intended byte change updates the digest here and
-says so in CHANGES.md; a refactor never does.
+says so in CHANGES.md; a refactor never does.  One more digest pins
+the bits of the 2x2 products that every output is built from.
 """
 
 import hashlib
