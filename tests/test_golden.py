@@ -1,16 +1,19 @@
 """Byte contract: the SHA-256 of every ``--out`` file and of stdout.
 
 Each case runs one command in process on a shipped config (or a small
-edit of one) and compares digests frozen from the code.  Poisson
-sampling and BLAS rounding may differ between numpy builds, so the
-test runs only on the numpy the digests were frozen with and skips
-elsewhere; no output depends on scipy, which need not be installed.  An intended byte change updates the digest here and
+edit of one) and compares digests frozen from the code.  This file is
+the one home of every frozen output digest: CI checks output bytes only
+by running it.  Poisson sampling and BLAS rounding may differ between
+numpy builds, so the test runs only on the numpy the digests were
+frozen with and skips elsewhere; no output depends on scipy, which need
+not be installed.  An intended byte change updates the digest here and
 says so in CHANGES.md; a refactor never does.  One more digest pins
 the bits of the 2x2 products that every output is built from.
 """
 
 import hashlib
 import os
+import re
 
 import numpy as np
 import pytest
@@ -161,6 +164,19 @@ CASES = {
             "sweep_QWP.svg":
                 "7bd57c197dc51732994f39af4d1c969cd9cf538d6288c8e3b07e5c76da5f7f2f",
         }),
+    "sweep-two_projection_partial": (
+        "sweep", "two_projection_partial", None, None, {
+            "stdout":
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "sweep_LP.csv":
+                "b164eff936709313d4c2cd7e05787603a97759fd74fd9a5cd4894a04d7b94087",
+            "sweep_LP.svg":
+                "63422421e7f1205477c2165e09b83b91a2452054d1ee9c720d3cbdb397fe43b6",
+            "sweep_QWP.csv":
+                "53a2bee0e33e4165f42e755c7aa952736badf73ff05ce3d8a222aac70f3cf6b3",
+            "sweep_QWP.svg":
+                "1bd0eae03668fbe492850803499386170b1f90c168cd9c8facfcdeda18e9b599",
+        }),
     # Exact probabilities: no counting section, so no runs and no bands.
     "sweep-noiseless": (
         "sweep", "three_projection", noiseless, None, {
@@ -217,6 +233,16 @@ CASES = {
                 "27941ebefc029ae4abdd0d0788320d0a233d15244028cab5e2206339273d3d69",
             "stdout":
                 "648e9c652dead706f0f2308bd2cd62ffc1cfe74e2b423d8cd9172428d3b578d8",
+        }),
+    # The full shipped search: all 8 restarts.
+    "optimize-optimize": (
+        "optimize", "optimize", None, None, {
+            "best_params.yaml":
+                "2fe39c795e15a1b89f555950f865c63c8eb660d7268b70e151fc5d59e90947db",
+            "stdout":
+                "e98eb875de268e1dde64ced0240bd901aa8d063f923d9b25b382a3c71ea1f3d7",
+            "trace.csv":
+                "0dedd120cc41ba1e38e23c687c94defe19d8e18bf2d24e9415381a60bf9a5a0a",
         }),
     "optimize-one-restart": (
         "optimize", "optimize", one_restart, None, {
@@ -356,6 +382,26 @@ def test_outputs_match_frozen_digests(case_id, tmp_path, capsys):
         pytest.skip(f"digests frozen with numpy {FROZEN_WITH['numpy']}; "
                     f"this is numpy {versions['numpy']}")
     assert run_case(case_id, tmp_path, capsys) == CASES[case_id][4]
+
+
+# (command, shipped config) of each run in the console-script step of
+# the workflow's no-scipy job, which checks no byte itself.
+SHIPPED_RUNS = {
+    ("sweep", "three_projection"), ("sweep", "two_projection_partial"),
+    ("discriminate", "three_projection"),
+    ("discriminate", "two_projection_partial"),
+    ("tomo", "tomography"), ("optimize", "optimize"),
+}
+
+
+def test_every_shipped_run_has_an_unedited_case():
+    unedited = {(command, name)
+                for command, name, edit, _, _ in CASES.values() if edit is None}
+    assert SHIPPED_RUNS - unedited == set()
+    workflow = os.path.join(os.path.dirname(CONFIGS), ".github", "workflows",
+                            "tests.yml")
+    with open(workflow, encoding="utf-8") as fh:
+        assert re.search(r"\b[0-9a-f]{64}\b", fh.read()) is None
 
 
 def product_stack(rng, shape):
