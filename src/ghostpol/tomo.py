@@ -112,14 +112,29 @@ def _params_from_t(t: np.ndarray) -> np.ndarray:
     return params
 
 
+def _inverse(a: np.ndarray) -> np.ndarray:
+    """Inverse of a square matrix by Gauss-Jordan elimination with
+    partial pivoting, in numpy broadcasting alone (no LAPACK)."""
+    n = len(a)
+    m = np.hstack((a, np.eye(n)))
+    for j in range(n):
+        p = j + np.argmax(np.abs(m[j:, j]))
+        m[[j, p]] = m[[p, j]]
+        m[j] /= m[j, j]
+        factors = m[:, j].copy()
+        factors[j] = 0.0
+        m -= factors[:, None] * m[j]
+    return m[:, n:]
+
+
 _PAIR_VECS = np.array([pair_vector(a, b) for a, b in CANONICAL_PAIRS])
 # Linear inversion: with Gamma_k = sigma_m (x) sigma_n / 2 (k = 4m + n),
 # the canonical probabilities are p_i = sum_k B_ik c_k for
 # rho = sum_k c_k Gamma_k.  2 B^-1 is an integer matrix, computed within
 # 2e-15 of it, so rounding gives c = B^-1 p exactly.  B is inverted once,
-# at import: the fit calls no BLAS or LAPACK routine.
+# at import: neither the import nor the fit calls a BLAS or LAPACK routine.
 _GAMMAS = 0.5 * np.einsum("mab,ncd->mnacbd", PAULIS, PAULIS).reshape(16, 4, 4)
-_INVERSION_X2 = np.rint(2.0 * np.linalg.inv(np.einsum(
+_INVERSION_X2 = np.rint(2.0 * _inverse(np.einsum(
     "ia,kab,ib->ik", _PAIR_VECS.conj(), _GAMMAS, _PAIR_VECS).real)).astype(int)
 # rho = sum_i p_i _RHO_FROM_PROBS[i] inverts the probabilities exactly.
 _RHO_FROM_PROBS = np.einsum("ki,kab->iab", _INVERSION_X2 / 2.0, _GAMMAS)

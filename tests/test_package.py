@@ -102,3 +102,27 @@ def test_array_records_compare_by_identity_and_hash():
     # Records of scalars still compare by value.
     assert ghostpol.PolElement("ideal_polarizer", 10.0) == \
         ghostpol.PolElement("ideal_polarizer", 190.0)
+
+
+# Run in a fresh interpreter in which every public numpy.linalg function
+# (not the LinAlgError class) raises: importing the command line module
+# calls none of them.
+NO_LINALG = """
+import sys
+import numpy.linalg as la
+def refuse(*args, **kwargs):
+    raise AssertionError("numpy.linalg called")
+for name in dir(la):
+    value = getattr(la, name)
+    if not name.startswith("_") and callable(value) and not isinstance(value, type):
+        setattr(la, name, refuse)
+sys.path.insert(0, sys.argv[1])
+import ghostpol.cli
+"""
+
+
+def test_cli_import_calls_no_numpy_linalg():
+    src = os.path.dirname(os.path.dirname(ghostpol.__file__))
+    proc = subprocess.run([sys.executable, "-c", NO_LINALG, src],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
