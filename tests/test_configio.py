@@ -160,6 +160,18 @@ def test_type_errors():
         parse_config_text("samples: [unclosed\n")
 
 
+def test_malformed_yaml_quotes_the_line_with_a_caret_at_the_column():
+    # The pure-Python loader's message; libyaml's CSafeLoader drops the
+    # quoted line and the caret, and rewords the cause.
+    with pytest.raises(ConfigError) as info:
+        parse_config_text("seed: 1\nruns: 2: 3\n")
+    assert str(info.value) == (
+        "malformed YAML: mapping values are not allowed here\n"
+        '  in "<unicode string>", line 2, column 8:\n'
+        "    runs: 2: 3\n"
+        "           ^")
+
+
 def test_element_parsing_and_errors():
     el = parse_element(
         {"kind": "partial_polarizer", "angle_deg": 90.0, "extinction": 3.7},
