@@ -231,36 +231,42 @@ def settings_builder(table: np.ndarray, qwp_first: np.ndarray,
     """Prepared Jones stacks of a settings table: ``build(x)`` gives the
     stack of ``point_table(table, coords, x)`` for a ``(3, k)`` table,
     ``build(None)`` the ``table.shape[1:] + (2, 2)`` stack of ``table``, any
-    mix of layouts.  One :func:`polcalc.oriented_jones` pass builds all
-    elements; a bare polarizer's waveplate, factor 1 at angle 0, is the
-    exact identity.  Complex polarizer factors can give -0 imaginary parts
-    where real ones give +0; the stack's bytes are the same (see tests).
-    What a stage fixes is prepared once: the flat indices of the searched
-    entries and, unless an extinction is searched, the axis factors."""
+    mix of layouts; each call returns a new array.  One
+    :func:`polcalc.jones_filler` pass builds all elements; a bare
+    polarizer's waveplate, factor 1 at angle 0, is the exact identity.
+    Complex polarizer factors can give -0 imaginary parts where real ones
+    give +0; the stack's bytes are the same (see tests).
+
+    What a stage fixes is prepared once: a copy of the table that each
+    point is written into, its angle rows in crossing order (each
+    setting's first element in row 0), the flat indices of the searched
+    entries in it, the angle buffer and, unless an extinction is searched,
+    the filler of the axis factors with its trig and element buffers."""
     bare = np.isnan(table[0])
+    wave = np.where(bare, 1.0, polcalc.axis_factor(QWP))
+    # Flat indices into the table: each setting's two angles in crossing
+    # order, then its extinction.  Its inverse places the searched entries.
+    layout = np.arange(table.size).reshape(table.shape)
+    layout[:2] = np.where(qwp_first, layout[:2], layout[1::-1])
     base = table.copy()
     base[0] = np.where(bare, 0.0, table[0])
-    wave = np.where(bare, 1.0, polcalc.axis_factor(QWP))
-    # Flat indices of each setting's two elements, in crossing order.
-    order = np.arange(2 * bare.size).reshape((2,) + bare.shape)
-    crossed = np.where(qwp_first, order, order[::-1])
-    flat = None if coords is None else np.ravel_multi_index(coords, base.shape)
+    base = base.take(layout)
+    flat = np.argsort(layout, None)[np.ravel_multi_index(coords, table.shape)] \
+        if coords else np.empty(0, int)
     floored = None if coords is None or 2 not in coords[0] else coords[0] == 2
+    t, angles = base.copy(), np.empty(base[:2].shape)
 
-    def factors(t: np.ndarray) -> np.ndarray:
-        return np.array([wave, 1.0 / np.sqrt(t[2])])
+    def filler(extinction: np.ndarray):
+        a = np.array([wave, 1.0 / np.sqrt(extinction)]).take(layout[:2])
+        return polcalc.jones_filler(a, angles.shape)
 
-    fixed = factors(base) if floored is None else None
+    fixed = filler(base[2]) if floored is None else None
 
     def build(x: np.ndarray | None) -> np.ndarray:
-        t = base
-        if x is not None:
-            t = base.copy()
-            t.flat[flat] = _point_values(x, floored)
-        a = factors(t) if fixed is None else fixed
+        t.flat[flat] = base.flat[flat] if x is None else _point_values(x, floored)
         # A tiny negative x % 180 is 180.0; the second % maps it to 0.
-        return polcalc.compose(polcalc.oriented_jones(a, t[:2] % 180.0)
-                               .reshape(-1, 2, 2).take(crossed, 0))
+        np.remainder(t[:2], 180.0, out=angles)
+        return polcalc.compose((fixed or filler(t[2]))(angles))
 
     return build
 
@@ -280,11 +286,15 @@ def response_points(rho: TwoQubitDensity, samples: np.ndarray,
                     projectors: np.ndarray) -> np.ndarray:
     """``(n, m)`` raw response coordinates of a :func:`sample_jones`
     stack seen through a 2x2 probe Jones matrix (or None) and an
-    ``(m, 2, 2)`` projector Jones stack, one row per sample."""
-    if probe is not None:
-        samples = polcalc.compose((samples, probe))
-    return coincidence_probability(rho, polcalc.effect(samples),
-                                   polcalc.effect(projectors))
+    ``(m, 2, 2)`` projector Jones stack, one row per sample.  Both arms'
+    chains share one stack, so one :func:`polcalc.effect` pass forms
+    every effect."""
+    n = len(samples)
+    chains = np.empty((n + len(projectors), 2, 2), complex)
+    polcalc.compose((samples,) if probe is None else (samples, probe), out=chains[:n])
+    chains[n:] = projectors
+    e = polcalc.effect(chains)
+    return coincidence_probability(rho, e[:n], e[n:])
 
 
 _pairs = functools.cache(np.triu_indices)
@@ -443,19 +453,26 @@ def nearest_feasible(
     if target.shape != (4, 4):
         raise ValueError("target must be a 4x4 Mueller matrix")
 
-    def distance(x: np.ndarray) -> np.ndarray:  # angle pairs, (2, ...)
-        qwp_deg, lp_deg = np.asarray(x) % 180.0
-        table = np.array([qwp_deg, lp_deg, np.full_like(qwp_deg, extinction)])
-        jones = settings_builder(table, np.full(qwp_deg.shape, qwp_first))(None)
-        d = polcalc.jones_to_mueller(jones) - target
-        d = d.reshape(d.shape[:-2] + (16,))
-        return np.sqrt(np.add.reduce(d * d, -1))
+    def distance_of(shape: tuple):
+        """Distance from the target of each angle pair, (2,) + shape."""
+        table = np.zeros((3,) + shape)
+        table[2] = extinction
+        build = settings_builder(table, np.full(shape, qwp_first),
+                                 np.nonzero(np.ones((2,) + shape)))  # the angle rows
+
+        def distance(x: np.ndarray) -> np.ndarray:
+            d = polcalc.jones_to_mueller(build(np.ravel(x))) - target
+            d = d.reshape(d.shape[:-2] + (16,))
+            return np.sqrt(np.add.reduce(d * d, -1))
+
+        return distance
 
     angles = np.arange(0.0, 180.0, 7.5)
     grid = np.array(np.meshgrid(angles, angles, indexing="ij")).reshape(2, -1)
-    seed_d = distance(grid)
+    seed_d = distance_of(grid.shape[1:])(grid)
     best = int(np.argmin(seed_d))
     best_x, best_d = grid[:, best], float(seed_d[best])
+    distance = distance_of(())
     res = minimize(lambda x: float(distance(x)), best_x, maxfev=4000,
                    xatol=1e-9, fatol=1e-14)
     x = res.x if res.fun <= best_d else best_x

@@ -114,22 +114,49 @@ def oriented_jones(a, theta_deg) -> np.ndarray:
     The axis factor ``a`` (real or complex) is one number or one per
     angle of ``theta_deg`` (in degrees, taken as given), so one call
     builds elements of mixed kinds; the result has shape
-    ``theta_deg.shape + (2, 2)``.
+    ``theta_deg.shape + (2, 2)``.  A caller that builds the same factors
+    at many angle sets prepares them once with :func:`jones_filler`.
     """
-    t = np.deg2rad(theta_deg)
-    # One (2, ...) buffer; the [0, ...] views stay arrays for a scalar t.
-    trig = np.empty((2,) + np.shape(t))
-    np.cos(t, out=trig[0, ...])
-    np.sin(t, out=trig[1, ...])
-    sq = trig * trig  # c^2 and s^2: both diagonal entries in one pass
-    out = np.empty(np.shape(t) + (2, 2), dtype=complex)
-    out[..., 0, 0], out[..., 1, 1] = sq * a + sq[::-1]
-    out[..., 0, 1] = out[..., 1, 0] = trig[0] * trig[1] * (a - 1.0)
-    return out
+    return jones_filler(a, np.shape(theta_deg))(theta_deg)
 
 
-def compose(elements: list | tuple) -> np.ndarray:
-    """Jones matrix of a chain of elements, as a new array.
+def jones_filler(a, shape: tuple):
+    """:func:`oriented_jones` of the factor(s) ``a``, prepared for angle
+    arrays of one ``shape``: ``fill(theta_deg)`` writes their stack into
+    one ``shape + (2, 2)`` buffer and returns it, the same array on every
+    call.  The entry factors [[a, a - 1], [a - 1, a]], the buffers and
+    the views of the stack's entries are made here, once.
+    """
+    factors = np.empty((2, 2) + shape, np.result_type(a, 1.0))
+    factors[0, 0] = factors[1, 1] = a
+    factors[0, 1] = factors[1, 0] = np.subtract(a, 1.0)
+    rad = np.empty(shape)
+    trig = np.empty((2,) + shape)  # c and s; [0, ...] stays an array for a scalar
+    products = np.empty((2, 2) + shape)  # [[c c, c s], [s c, s s]]
+    out = np.empty(shape + (2, 2), dtype=complex)
+    # Views with the (2, 2) entry index leading: the stack's entries and
+    # diagonal, and s^2 and c^2.
+    lead = (-2, -1) + tuple(range(len(shape)))
+    entries = out.transpose(lead)
+    diag = out.reshape(shape + (4,)).transpose(lead[1:])[::3]
+    antidiag = products.reshape((4,) + shape)[::-3]
+    column = trig[:, None]
+
+    def fill(theta_deg) -> np.ndarray:
+        np.deg2rad(theta_deg, out=rad)
+        np.cos(rad, out=trig[0, ...])
+        np.sin(rad, out=trig[1, ...])
+        np.multiply(column, trig, out=products)
+        np.multiply(products, factors, out=entries)
+        # c^2 a + s^2 and s^2 a + c^2: both diagonal entries in one pass.
+        np.add(diag, antidiag, out=diag)
+        return out
+
+    return fill
+
+
+def compose(elements: list | tuple, *, out: np.ndarray | None = None) -> np.ndarray:
+    """Jones matrix of a chain of elements, as a new array or in ``out``.
 
     ``elements`` is given in the traversal order of the photon; the
     returned matrix is the product in reverse order (last element
@@ -137,12 +164,19 @@ def compose(elements: list | tuple) -> np.ndarray:
     An item is a :class:`PolElement` or a Jones matrix, or an (n, 2, 2)
     stack of n chains.  Each product is an ``np.einsum``: no BLAS.
     """
-    if len(elements) == 0:
+    last = len(elements) - 1
+    if last < 0:
         raise ValueError("compose() needs at least one element")
     total = None
-    for el in elements:
+    for k, el in enumerate(elements):
         el = np.asarray(element_jones(el) if isinstance(el, PolElement) else el, complex)
-        total = el.copy() if total is None else np.einsum("...ij,...jk->...ik", el, total)
+        # The first item is copied only when no product follows: each
+        # einsum returns a new array, the last one in out, if given.
+        if total is None:
+            total = np.positive(el, out=out) if k == last else el
+        else:
+            total = np.einsum("...ij,...jk->...ik", el, total,
+                              out=out if k == last else None)
     return total
 
 

@@ -452,6 +452,38 @@ def test_prepared_build_equals_the_unprepared_reference(name):
         table = point_table(table, coords, x)
 
 
+@pytest.mark.parametrize("name", STAGE_CONFIGS)
+def test_builds_and_responses_share_no_memory(name):
+    # A stage writes every point into the same buffers, but each build and
+    # each response is a new array: an earlier one keeps its bytes.
+    rng = np.random.default_rng(33)
+    table, qwp_first, stages = optproj.search_stages(
+        toy_config(**STAGE_CONFIGS[name]))
+    n_probe = int(STAGE_CONFIGS[name].get("probe") is not None)
+    samples = sample_jones(LP_SAMPLES)
+    for _, coords in stages:
+        build = settings_builder(table, qwp_first, coords)
+        rows = coords[0]
+        x1, x2 = (np.where(rows == 2, rng.uniform(1.0, 10.0, rows.size),
+                           rng.uniform(-400.0, 400.0, rows.size)) for _ in range(2))
+        jones = [build(x1), build(x2), build(None)]
+        before = [j.tobytes() for j in jones]
+        points = [response_points(PSI_PLUS, samples, j[0] if n_probe else None,
+                                  j[n_probe:]) for j in jones]
+        for group in (jones, points):
+            for i, a in enumerate(group):
+                assert not any(np.shares_memory(a, b) for b in group[i + 1:])
+        assert [j.tobytes() for j in jones] == before
+        assert points[0].tobytes() == response_points(
+            PSI_PLUS, samples, jones[0][0] if n_probe else None,
+            jones[0][n_probe:]).tobytes()
+        # build(None) after a point gives the stack of the table itself.
+        assert before[2] == settings_builder(table, qwp_first)(None).tobytes()
+        assert before[0] == \
+            settings_builder(table, qwp_first, coords)(x1).tobytes()
+        table = point_table(table, coords, x2)
+
+
 @pytest.mark.parametrize("shape", [(), (7,)], ids=["scalar", "grid"])
 @pytest.mark.parametrize("extinction", [math.inf, 3.7])
 @pytest.mark.parametrize("qwp_first", [True, False])
