@@ -75,9 +75,9 @@ class TwoQubitDensity:
 
 
 def bell_psi_plus() -> TwoQubitDensity:
-    """|Psi+> = (|HV> + |VH>)/sqrt(2) as a density matrix."""
-    vec = psi_plus_vector()
-    return TwoQubitDensity(np.outer(vec, vec.conj()))
+    """|Psi+> = (|HV> + |VH>)/sqrt(2) as a density matrix: a pure state
+    by construction, so it is not validated, which would call LAPACK."""
+    return TwoQubitDensity.from_factor(psi_plus_vector()[None])
 
 
 def psi_plus_vector() -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 from dataclasses import replace
 
@@ -75,6 +76,29 @@ def test_empty_config_defaults():
     assert cfg.probe_elements == []
     assert cfg.projectors == []
     assert cfg.counting is None and cfg.optimize is None
+
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs")
+
+
+@pytest.mark.parametrize("name, calls", [
+    ("three_projection", 0), ("two_projection_partial", 0), ("tomography", 1),
+    ("optimize", 0),
+])
+def test_load_config_validates_only_the_state_it_names(monkeypatch, name, calls):
+    # Validating a state calls LAPACK eigh once.  The default Bell state and
+    # the Bell part of a Werner state are pure by construction and skip it,
+    # so only tomography.yaml's Werner mixture is validated.
+    eigh = np.linalg.eigh
+    seen = []
+
+    def spy(a, *args, **kwargs):
+        seen.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    load_config(os.path.join(CONFIGS, f"{name}.yaml"))
+    assert seen == [(4, 4)] * calls
 
 
 def test_full_config_parses():

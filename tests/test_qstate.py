@@ -41,6 +41,15 @@ def test_bell_state_entries():
     npt.assert_allclose(rho, expected, atol=1e-15)
 
 
+def test_bell_state_has_the_bytes_of_the_validated_projector():
+    # Built unvalidated, the Bell state keeps the bytes that validation
+    # gave |Psi+><Psi+|: its trace, 0.9999999999999998, divided out.
+    vec = psi_plus_vector()
+    validated = TwoQubitDensity(np.outer(vec, vec.conj())).matrix
+    assert bell_psi_plus().matrix.tobytes() == validated.tobytes()
+    assert np.all(validated[1:3, 1:3] == 0.5)
+
+
 def test_validation_rejects_non_hermitian():
     bad = np.eye(4, dtype=complex) / 4.0
     bad[0, 1] = 0.3
