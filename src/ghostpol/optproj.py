@@ -237,11 +237,12 @@ def settings_builder(table: np.ndarray, qwp_first: np.ndarray,
     Complex polarizer factors can give -0 imaginary parts where real ones
     give +0; the stack's bytes are the same (see tests).
 
-    What a stage fixes is prepared once: a copy of the table that each
-    point is written into, its angle rows in crossing order (each
-    setting's first element in row 0), the flat indices of the searched
-    entries in it, the angle buffer and, unless an extinction is searched,
-    the filler of the axis factors with its trig and element buffers."""
+    What a stage fixes is prepared once: its table with each setting's
+    angle rows in crossing order (each setting's first element in row 0),
+    a copy of it that each point is written into, the flat indices of the
+    searched entries in that copy, the angle buffer and the element filler
+    with its trig and element buffers; a stage that searches an
+    extinction rewrites the filler's axis factors on each call."""
     bare = np.isnan(table[0])
     wave = np.where(bare, 1.0, polcalc.axis_factor(QWP))
     # Flat indices into the table: each setting's two angles in crossing
@@ -251,22 +252,24 @@ def settings_builder(table: np.ndarray, qwp_first: np.ndarray,
     base = table.copy()
     base[0] = np.where(bare, 0.0, table[0])
     base = base.take(layout)
-    flat = np.argsort(layout, None)[np.ravel_multi_index(coords, table.shape)] \
-        if coords else np.empty(0, int)
+    flat = None if coords is None else \
+        np.argsort(layout, None)[np.ravel_multi_index(coords, table.shape)]
     floored = None if coords is None or 2 not in coords[0] else coords[0] == 2
     t, angles = base.copy(), np.empty(base[:2].shape)
 
-    def filler(extinction: np.ndarray):
-        a = np.array([wave, 1.0 / np.sqrt(extinction)]).take(layout[:2])
-        return polcalc.jones_filler(a, angles.shape)
+    def factors(extinction: np.ndarray) -> np.ndarray:
+        return np.array([wave, 1.0 / np.sqrt(extinction)]).take(layout[:2])
 
-    fixed = filler(base[2]) if floored is None else None
+    fill = polcalc.jones_filler(factors(base[2]), angles.shape)
 
     def build(x: np.ndarray | None) -> np.ndarray:
-        t.flat[flat] = base.flat[flat] if x is None else _point_values(x, floored)
+        s = base
+        if x is not None:
+            s = t
+            s.flat[flat] = _point_values(x, floored)
         # A tiny negative x % 180 is 180.0; the second % maps it to 0.
-        np.remainder(t[:2], 180.0, out=angles)
-        return polcalc.compose((fixed or filler(t[2]))(angles))
+        np.remainder(s[:2], 180.0, out=angles)
+        return polcalc.compose(fill(angles, None if floored is None else factors(s[2])))
 
     return build
 
@@ -289,11 +292,10 @@ def response_points(rho: TwoQubitDensity, samples: np.ndarray,
     ``(m, 2, 2)`` projector Jones stack, one row per sample.  Both arms'
     chains share one stack, so one :func:`polcalc.effect` pass forms
     every effect."""
+    if probe is not None:
+        samples = polcalc.compose((samples, probe))
+    e = polcalc.effect(np.concatenate((samples, projectors)))
     n = len(samples)
-    chains = np.empty((n + len(projectors), 2, 2), complex)
-    polcalc.compose((samples,) if probe is None else (samples, probe), out=chains[:n])
-    chains[n:] = projectors
-    e = polcalc.effect(chains)
     return coincidence_probability(rho, e[:n], e[n:])
 
 

@@ -124,12 +124,11 @@ def jones_filler(a, shape: tuple):
     """:func:`oriented_jones` of the factor(s) ``a``, prepared for angle
     arrays of one ``shape``: ``fill(theta_deg)`` writes their stack into
     one ``shape + (2, 2)`` buffer and returns it, the same array on every
-    call.  The entry factors [[a, a - 1], [a - 1, a]], the buffers and
-    the views of the stack's entries are made here, once.
+    call; ``fill(theta_deg, a)`` first rewrites the factors, which keep
+    their dtype.  The entry factors [[a, a - 1], [a - 1, a]], the buffers
+    and the views of the stack's entries are made here, once.
     """
-    factors = np.empty((2, 2) + shape, np.result_type(a, 1.0))
-    factors[0, 0] = factors[1, 1] = a
-    factors[0, 1] = factors[1, 0] = np.subtract(a, 1.0)
+    factors = np.empty((4,) + shape, np.result_type(a, 1.0))  # [[a, a - 1], [a - 1, a]]
     rad = np.empty(shape)
     trig = np.empty((2,) + shape)  # c and s; [0, ...] stays an array for a scalar
     products = np.empty((2, 2) + shape)  # [[c c, c s], [s c, s s]]
@@ -141,13 +140,22 @@ def jones_filler(a, shape: tuple):
     diag = out.reshape(shape + (4,)).transpose(lead[1:])[::3]
     antidiag = products.reshape((4,) + shape)[::-3]
     column = trig[:, None]
+    weights = factors.reshape((2, 2) + shape)
 
-    def fill(theta_deg) -> np.ndarray:
+    def refactor(a) -> None:
+        factors[::3] = a
+        np.subtract(a, 1.0, out=factors[1:3])
+
+    refactor(a)
+
+    def fill(theta_deg, a=None) -> np.ndarray:
+        if a is not None:
+            refactor(a)
         np.deg2rad(theta_deg, out=rad)
         np.cos(rad, out=trig[0, ...])
         np.sin(rad, out=trig[1, ...])
         np.multiply(column, trig, out=products)
-        np.multiply(products, factors, out=entries)
+        np.multiply(products, weights, out=entries)
         # c^2 a + s^2 and s^2 a + c^2: both diagonal entries in one pass.
         np.add(diag, antidiag, out=diag)
         return out
@@ -155,8 +163,8 @@ def jones_filler(a, shape: tuple):
     return fill
 
 
-def compose(elements: list | tuple, *, out: np.ndarray | None = None) -> np.ndarray:
-    """Jones matrix of a chain of elements, as a new array or in ``out``.
+def compose(elements: list | tuple) -> np.ndarray:
+    """Jones matrix of a chain of elements, as a new array.
 
     ``elements`` is given in the traversal order of the photon; the
     returned matrix is the product in reverse order (last element
@@ -164,20 +172,15 @@ def compose(elements: list | tuple, *, out: np.ndarray | None = None) -> np.ndar
     An item is a :class:`PolElement` or a Jones matrix, or an (n, 2, 2)
     stack of n chains.  Each product is an ``np.einsum``: no BLAS.
     """
-    last = len(elements) - 1
-    if last < 0:
+    if len(elements) == 0:
         raise ValueError("compose() needs at least one element")
     total = None
-    for k, el in enumerate(elements):
+    for el in elements:
         el = np.asarray(element_jones(el) if isinstance(el, PolElement) else el, complex)
-        # The first item is copied only when no product follows: each
-        # einsum returns a new array, the last one in out, if given.
-        if total is None:
-            total = np.positive(el, out=out) if k == last else el
-        else:
-            total = np.einsum("...ij,...jk->...ik", el, total,
-                              out=out if k == last else None)
-    return total
+        # Each einsum returns a new array, so the first item is copied
+        # only when no product follows.
+        total = el if total is None else np.einsum("...ij,...jk->...ik", el, total)
+    return total.copy() if len(elements) == 1 else total
 
 
 def effect(jones: np.ndarray) -> np.ndarray:

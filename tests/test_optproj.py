@@ -349,6 +349,28 @@ def test_oriented_jones_equals_reference_bytes():
                     reference_oriented_jones(a, scalar).tobytes()
 
 
+def test_jones_filler_with_new_factors_equals_reference_bytes():
+    # A stage that searches an extinction refills one filler with new
+    # factors on each call; every fill has the bytes of a fresh build
+    # from factors of the filler's dtype.
+    rng = np.random.default_rng(33)
+    theta = rng.uniform(0.0, 180.0, size=(3, 5))
+    for start, factors in (
+            (np.full((3, 5), 0.5), [0.0, 0.3, rng.uniform(size=(3, 5)), 1.0]),
+            (np.full((3, 5), 1.0j), [np.exp(1.0j * rng.uniform(0.0, 6.0, size=5)),
+                                     rng.uniform(size=(3, 5)) + 0.0j, 0.3])):
+        fill = polcalc.jones_filler(start, theta.shape)
+        assert fill(theta).tobytes() == reference_oriented_jones(start, theta).tobytes()
+        for a in factors:
+            theta = rng.uniform(-400.0, 400.0, size=(3, 5))
+            jones = fill(theta, a)
+            a = np.asarray(a, start.dtype)
+            assert jones.tobytes() == reference_oriented_jones(a, theta).tobytes()
+            # Without new factors, a fill keeps the last ones.
+            assert fill(theta[::-1]).tobytes() == \
+                reference_oriented_jones(a, theta[::-1]).tobytes()
+
+
 def reference_min_separation_matrix(points):
     """objective_min_separation as it was: the full n x n matrix of
     squared distances, its diagonal set to inf."""
@@ -482,6 +504,16 @@ def test_builds_and_responses_share_no_memory(name):
         assert before[0] == \
             settings_builder(table, qwp_first, coords)(x1).tobytes()
         table = point_table(table, coords, x2)
+
+
+def test_builder_without_coords_refuses_a_point():
+    table, qwp_first = settings_table(
+        (ProjectorParam(qwp_deg=30.0, lp_deg=10.0), bare_lp(50.0)))
+    build = settings_builder(table, qwp_first)
+    before = build(None).tobytes()
+    with pytest.raises(IndexError):
+        build(np.array([1.0, 2.0]))
+    assert build(None).tobytes() == before
 
 
 @pytest.mark.parametrize("shape", [(), (7,)], ids=["scalar", "grid"])

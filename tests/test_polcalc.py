@@ -295,18 +295,6 @@ def test_compose_returns_a_new_array():
         npt.assert_array_equal(m, element_jones(qwp(30.0)))
 
 
-def test_compose_fills_out_with_the_bytes_of_a_new_array():
-    stack = element_jones(PolElement("partial_polarizer", 0.0, extinction=3.0),
-                          np.linspace(0.0, 170.0, 5))
-    for chain in ([stack], [stack, qwp(30.0)],
-                  [qwp(10.0), stack, PolElement("ideal_polarizer", 80.0)]):
-        buf = np.full((7, 2, 2), np.nan, dtype=complex)
-        view = buf[1:6]
-        assert compose(chain, out=view) is view
-        assert buf[1:6].tobytes() == compose(chain).tobytes()
-        assert np.isnan(buf[[0, 6]]).all()
-
-
 def test_stokes_operators_are_the_signed_paulis():
     # The typed table that STOKES_OPS replaced: the derived one has its
     # bytes, signed zeros included.
