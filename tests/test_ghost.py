@@ -171,6 +171,36 @@ def test_stacked_engine_matches_kron_loop_reference():
         check_passive(1.5 * idlers)
 
 
+@pytest.mark.parametrize("conditional", [False, True])
+def test_engine_shapes_are_slices_of_the_stacked_grid(conditional):
+    # Whatever the arms' shapes, each result has the bytes of the matching
+    # slice of the one (n, m) grid over both flattened stacks: two 2x2
+    # effects give a float, and otherwise e.shape[:-2] + f.shape[:-2].
+    # Its own generator, so the draws of the other tests stay as they were.
+    rng = np.random.default_rng(41)
+    g = rng.normal(size=(10, 2, 2)) + 1.0j * rng.normal(size=(10, 2, 2))
+    jones = g / (np.linalg.svd(g, compute_uv=False)[:, :1, None] + 1e-12)
+    e = check_passive(jones[:6]).reshape(2, 3, 2, 2)
+    f = check_passive(jones[6:])
+    g = rng.normal(size=(4, 4)) + 1.0j * rng.normal(size=(4, 4))
+    g = g @ g.conj().T
+    for rho in (werner(0.92), TwoQubitDensity(g / np.trace(g))):
+        grid = coincidence_probability(rho, e.reshape(-1, 2, 2), f,
+                                       conditional=conditional)
+        assert grid.shape == (6, 4)
+        cases = [(e[0, 2], f[1], (), grid[2, 1]),
+                 (e[1], f[3], (3,), grid[3:, 3]),
+                 (e[0, 1], f, (4,), grid[1]),
+                 (e[1], f, (3, 4), grid[3:]),
+                 (e, f, (2, 3, 4), grid.reshape(2, 3, 4))]
+        for signal, idler, shape, expected in cases:
+            got = coincidence_probability(rho, signal, idler,
+                                          conditional=conditional)
+            assert isinstance(got, float) == (shape == ())
+            assert np.shape(got) == shape
+            assert np.asarray(got).tobytes() == expected.tobytes()
+
+
 def test_probe_transform_validation():
     # The probe arm's transform is bounded on its effect.
     with pytest.raises(ValueError, match="non-passive Jones matrix"):
