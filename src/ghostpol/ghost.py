@@ -77,15 +77,22 @@ def coincidence_probability(
     probability; conditioning on a herald of probability ~0 raises
     :class:`UnheraldableError`.
     """
+    # The contraction takes (n, 2, 2) stacks: only an arm of another shape
+    # is reshaped, and then the result.
     p = np.einsum("abcd,ica,jdb->ij", rho.matrix.reshape(2, 2, 2, 2),
-                  e.reshape(-1, 2, 2), f.reshape(-1, 2, 2))
-    p = np.maximum(p.real, 0.0)
+                  e if e.ndim == 3 else e.reshape(-1, 2, 2),
+                  f if f.ndim == 3 else f.reshape(-1, 2, 2))
+    # The clamp costs less on a contiguous copy than on the strided view.
+    p = p.real.copy()
+    np.maximum(p, 0.0, out=p)
     if conditional:
         _, herald = heralded_idler(rho, e)
         herald = np.reshape(herald, (-1, 1))
         if np.any(herald <= HERALD_EPS):
             raise UnheraldableError(int(np.argmax(herald <= HERALD_EPS)))
         p = p / herald
+    if e.ndim == 3 == f.ndim:
+        return p
     p = p.reshape(e.shape[:-2] + f.shape[:-2])
     return float(p) if p.ndim == 0 else p
 

@@ -239,10 +239,10 @@ def settings_builder(table: np.ndarray, qwp_first: np.ndarray,
 
     What a stage fixes is prepared once: its table with each setting's
     angle rows in crossing order (each setting's first element in row 0),
-    a copy of it that each point is written into, the flat indices of the
-    searched entries in that copy, the angle buffer and the element filler
-    with its trig and element buffers; a stage that searches an
-    extinction rewrites the filler's axis factors on each call."""
+    a copy of it that each point is written into by one ``put`` at the
+    flat indices of the searched entries, the angle buffer, and the filler
+    with its buffers and views of the two element stacks it fills; a stage
+    that searches an extinction rewrites the filler's factors each call."""
     bare = np.isnan(table[0])
     wave = np.where(bare, 1.0, polcalc.axis_factor(QWP))
     # Flat indices into the table: each setting's two angles in crossing
@@ -255,21 +255,24 @@ def settings_builder(table: np.ndarray, qwp_first: np.ndarray,
     flat = None if coords is None else \
         np.argsort(layout, None)[np.ravel_multi_index(coords, table.shape)]
     floored = None if coords is None or 2 not in coords[0] else coords[0] == 2
-    t, angles = base.copy(), np.empty(base[:2].shape)
+    t, angles = base.copy(), np.zeros(base[:2].shape)
 
     def factors(extinction: np.ndarray) -> np.ndarray:
         return np.array([wave, 1.0 / np.sqrt(extinction)]).take(layout[:2])
 
     fill = polcalc.jones_filler(factors(base[2]), angles.shape)
+    elements = tuple(fill(angles))  # views of the one buffer that fill rewrites
 
     def build(x: np.ndarray | None) -> np.ndarray:
-        s = base
         if x is not None:
-            s = t
-            s.flat[flat] = _point_values(x, floored)
+            if flat is None:
+                raise IndexError("a builder made without coords takes no point")
+            t.put(flat, _point_values(x, floored))
+        s = base if x is None else t
         # A tiny negative x % 180 is 180.0; the second % maps it to 0.
         np.remainder(s[:2], 180.0, out=angles)
-        return polcalc.compose(fill(angles, None if floored is None else factors(s[2])))
+        fill(angles, None if floored is None else factors(s[2]))
+        return polcalc.compose(elements)
 
     return build
 
@@ -299,20 +302,19 @@ def response_points(rho: TwoQubitDensity, samples: np.ndarray,
     return coincidence_probability(rho, e[:n], e[n:])
 
 
-_pairs = functools.cache(np.triu_indices)
+_pairs = functools.cache(lambda n: np.array(np.triu_indices(n, 1)))  # (2, P) rows
 
 
 def objective_min_separation(points: np.ndarray) -> float:
     """Smallest pairwise distance between ``(n, m)`` response points
     divided by their largest entry; an all-zero set (a fully blocking
     probe) scores 0, and a single point inf."""
-    peak = float(points.max())
+    peak = float(np.maximum.reduce(points, None))
     if peak <= 0.0:
         return 0.0
-    pts = points / peak
-    i, j = _pairs(len(pts), 1)
-    d = pts.take(i, 0) - pts.take(j, 0)
-    return math.sqrt(np.add.reduce(d * d, -1).min(initial=np.inf))
+    rows = (points / peak).take(_pairs(len(points)), 0)
+    d = rows[0] - rows[1]
+    return math.sqrt(np.minimum.reduce(np.add.reduce(d * d, -1), initial=np.inf))
 
 
 def _point_values(x: np.ndarray, floored: np.ndarray | None) -> np.ndarray:
@@ -392,8 +394,7 @@ def optimize(config: OptimizationConfig, rho: TwoQubitDensity,
     samples = sample_jones(config.samples)
     polcalc.check_passive(samples)
     budget = max(1, config.max_evals // len(stages))
-    total_evals = 0
-    any_converged = False
+    total_evals, any_converged = 0, False
     trace: list[dict] = []
 
     for stage_name, coords in stages:
@@ -408,8 +409,7 @@ def optimize(config: OptimizationConfig, rho: TwoQubitDensity,
 
         starts = _start_points(coords[0], config.restarts, table[coords], seed)
         per_start = max(1, budget // config.restarts)
-        best_x = None
-        best_val = -math.inf
+        best_val, best_x = -math.inf, None
         for s, start in enumerate(starts):
             start_val = -score(start)
             total_evals += 1

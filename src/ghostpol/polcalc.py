@@ -176,10 +176,13 @@ def compose(elements: list | tuple) -> np.ndarray:
         raise ValueError("compose() needs at least one element")
     total = None
     for el in elements:
-        el = np.asarray(element_jones(el) if isinstance(el, PolElement) else el, complex)
-        # Each einsum returns a new array, so the first item is copied
+        if isinstance(el, PolElement):
+            el = element_jones(el)
+        # Only the first item is made complex: each einsum casts to the
+        # common type and returns a new array, so the first item is copied
         # only when no product follows.
-        total = el if total is None else np.einsum("...ij,...jk->...ik", el, total)
+        total = np.asarray(el, complex) if total is None else \
+            np.einsum("...ij,...jk->...ik", el, total)
     return total.copy() if len(elements) == 1 else total
 
 

@@ -205,6 +205,51 @@ def test_response_points_equal_the_checked_path():
         assert pts.tobytes() == checked.tobytes()
 
 
+@pytest.mark.parametrize("name", ["joint", "vary_extinction", "qwp_last", "fixed_probe"])
+def test_prepared_scores_equal_the_unprepared_composition(monkeypatch, name):
+    # The score that optimize gives a point through the stage it prepares,
+    # against the point composed from scratch: each setting's elements by
+    # compose, one stack by np.concatenate, one effect pass and the engine.
+    # The four stage kinds: joint, sequential with a searched extinction,
+    # no probe, and a fixed probe.  Each stage's score is taken while the
+    # stage runs, in place of its simplex.
+    rng = np.random.default_rng(43)
+    samples = LP_SAMPLES + (PolElement("retarder", 30.0, retardance_rad=1.0),
+                            PolElement("partial_polarizer", 120.0, extinction=4.0))
+    config = toy_config(**STAGE_CONFIGS[name], samples=samples, restarts=1)
+    n_probe = int(config.probe is not None)
+    sample_stack = sample_jones(samples)
+    stages = []
+    builder = optproj.settings_builder
+
+    def spy_builder(table, qwp_first, coords=None):
+        stages.append((table, qwp_first, coords))
+        return builder(table, qwp_first, coords)
+
+    def check_scores(score, x0, maxfev, xatol, fatol):
+        table, qwp_first, coords = stages[-1]
+        rows = coords[0]
+        for _ in range(40):
+            x = rng.uniform(-400.0, 400.0, size=rows.size)
+            x[rng.random(rows.size) < 0.2] = -1e-14
+            x = np.where(rows == 2, rng.uniform(0.2, 10.0, size=rows.size), x)
+            jones = np.stack([compose(p.elements()) for p in
+                              table_params(point_table(table, coords, x), qwp_first)])
+            chain = compose((sample_stack, jones[0])) if n_probe else sample_stack
+            e = polcalc.effect(np.concatenate((chain, jones[n_probe:])))
+            n = len(chain)
+            expected = -objective_min_separation(coincidence_probability(rho, e[:n], e[n:]))
+            assert np.float64(score(x)).tobytes() == np.float64(expected).tobytes()
+        return optproj.SimplexResult(x0, score(x0), 1, True)
+
+    monkeypatch.setattr(optproj, "settings_builder", spy_builder)
+    monkeypatch.setattr(optproj, "minimize", check_scores)
+    for rho in (PSI_PLUS, werner(0.7)):
+        stages.clear()
+        optimize(config, rho, SEED)
+        assert len(stages) == (2 if name == "vary_extinction" else 1)
+
+
 @pytest.mark.parametrize("mode, probe, checks", [
     ("joint", None, 2),
     ("joint", ProjectorParam(qwp_deg=62.0, lp_deg=90.0), 2),
@@ -447,6 +492,9 @@ STAGE_CONFIGS = {
         projectors=(ProjectorParam(qwp_deg=30.0, lp_deg=10.0, extinction=3.7,
                                    qwp_first=False), bare_lp(50.0)),
         mode="sequential", vary_extinction=True),
+    "fixed_probe": dict(probe=ProjectorParam(qwp_deg=62.0, lp_deg=90.0), vary_probe=False,
+                        projectors=(ProjectorParam(qwp_deg=18.0, lp_deg=110.0),
+                                    bare_lp(34.0))),
 }
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import ghostpol
 
@@ -126,3 +127,37 @@ def test_cli_import_calls_no_numpy_linalg():
     proc = subprocess.run([sys.executable, "-c", NO_LINALG, src],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# Run in a fresh interpreter: import the package, or numpy alone, and
+# report the process's threads and the thread variables it then sees.
+THREADS = """
+import importlib, json, os, sys
+sys.path.insert(0, sys.argv[1])
+importlib.import_module(sys.argv[2])
+print(json.dumps({"threads": len(os.listdir("/proc/self/task")),
+                  "env": {k: os.environ.get(k) for k in sys.argv[3:]}}))
+"""
+THREAD_VARS = ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+@pytest.mark.parametrize("preset", [{}, {"OPENBLAS_NUM_THREADS": "2"}],
+                         ids=["unset", "preset"])
+def test_numpy_starts_with_one_blas_thread_unless_a_count_is_set(preset):
+    src = os.path.dirname(os.path.dirname(ghostpol.__file__))
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env.update(preset)
+
+    def run(module):
+        proc = subprocess.run([sys.executable, "-c", THREADS, src, module, *THREAD_VARS],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    package, numpy_alone = run("ghostpol"), run("numpy")
+    # The environment is the caller's again after the import.
+    assert package["env"] == {k: preset.get(k) for k in THREAD_VARS}
+    # One thread, or, with a count set, whatever numpy alone starts.
+    assert package["threads"] == (numpy_alone["threads"] if preset else 1)
+
