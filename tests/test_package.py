@@ -160,4 +160,3 @@ def test_numpy_starts_with_one_blas_thread_unless_a_count_is_set(preset):
     assert package["env"] == {k: preset.get(k) for k in THREAD_VARS}
     # One thread, or, with a count set, whatever numpy alone starts.
     assert package["threads"] == (numpy_alone["threads"] if preset else 1)
-
