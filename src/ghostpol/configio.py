@@ -216,7 +216,7 @@ def _parse_thetas(node, path: str) -> np.ndarray:
         raise ConfigError(
             f"'{path}' must be a non-empty, strictly increasing grid in [0, 180)"
         )
-    return grid
+    return grid + 0.0  # -0.0 passes the checks; + 0.0 makes it 0.0
 
 
 def _sample_family(node: dict, path: str) -> tuple[str, PolElement | None]:

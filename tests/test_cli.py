@@ -1,20 +1,22 @@
 import gc
+import importlib.metadata
 import json
 import os
 import platform
 import re
-import subprocess
+import shutil
 import sys
+import urllib.parse
+import urllib.request
 
 import numpy as np
 import pytest
 
-import ghostpol
 from ghostpol import cli, tomo
 from ghostpol.cli import build_parser, main
 from ghostpol.configio import load_config
 from ghostpol.qstate import bell_psi_plus, save_density_csv, werner
-from helpers import expected_records
+from helpers import BLOCK_SCIPY, expected_records, run_checked, run_python
 from test_golden import (
     CASES, CONFIGS, FROZEN_WITH, case_argv, installed_versions, output_digests,
 )
@@ -203,6 +205,12 @@ SWEEP_GRID = "thetas: {start: 0, stop: 180, step: 20}"
      "counting.pair_rate"),
     (SWEEP_CONFIG + COUNTING_BLOCK + "tomography: {integration_time: 1.0e+12}\n",
      "tomography.integration_time"),
+    (SWEEP_CONFIG + "tomography: {integration_time: 0}\n",
+     "'tomography.integration_time' must be > 0"),
+    (SWEEP_CONFIG.replace(
+        "    - {kind: retarder, angle_deg: 62.0, retardance_rad: 1.5707963267948966}\n"
+        "    - {kind: ideal_polarizer, angle_deg: 90.0}\n", "    []\n"),
+     "'probe.elements' must not be empty"),
     (SWEEP_CONFIG + "state: {kind: werner, p: 0.9, matrix_csv: nan_rho.csv}\n",
      "unknown key 'state.matrix_csv'"),
     (SWEEP_CONFIG + "state: {kind: matrix_csv, matrix_csv: nan_rho.csv, p: 0.3}\n",
@@ -215,8 +223,8 @@ SWEEP_GRID = "thetas: {start: 0, stop: 180, step: 20}"
         "nan_retardance", "nan_extinction", "missing_matrix_csv", "nan_matrix_csv", "tiny_step",
         "huge_runs", "nan_pair_rate", "nan_window", "infinite_pair_rate",
         "nan_integration_time", "huge_pair_rate",
-        "huge_tomo_integration", "werner_with_matrix_csv", "matrix_csv_with_p",
-        "custom_template_extinction"])
+        "huge_tomo_integration", "zero_tomo_integration", "empty_probe",
+        "werner_with_matrix_csv", "matrix_csv_with_p", "custom_template_extinction"])
 def test_bad_sweep_settings_are_config_errors(tmp_path, capsys, monkeypatch,
                                               text, key):
     # A grid cap that failed would reach np.arange: refuse such a grid
@@ -564,9 +572,41 @@ def test_singles_without_window_reach_no_output(tmp_path):
             assert (outs[0] / name).read_bytes() == (out / name).read_bytes()
 
 
-def test_discriminate_requires_counting(tmp_path):
-    cfg = write_config(tmp_path, SWEEP_CONFIG)
-    assert run(["discriminate", "--config", cfg, "--out", str(tmp_path)]) == 2
+@pytest.mark.parametrize("command, text, message", [
+    ("sweep", SWEEP_CONFIG.split("samples:")[0], "a samples section is required"),
+    ("sweep", SWEEP_CONFIG.split("projectors:")[0] + "samples:"
+     + SWEEP_CONFIG.split("samples:")[1], "a projectors section is required"),
+    ("discriminate", SWEEP_CONFIG, "discriminate needs a counting section"),
+    ("discriminate", DISCRIMINATE_CONFIG.replace("runs: 4", "runs: 1"),
+     "discriminate needs runs >= 2"),
+    ("tomo", "seed: 9\n", "tomo needs a counting section or tomography.records_csv"),
+    ("optimize", SWEEP_CONFIG, "an optimize section is required"),
+], ids=["no_samples", "no_projectors", "no_counting", "one_run", "tomo_no_counting",
+        "no_optimize"])
+def test_command_without_what_it_needs_is_a_config_error(tmp_path, capsys, command,
+                                                         text, message):
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["[-0.0, 20.0, 90.0]",
+                                  "{start: -0.0, stop: 180, step: 20}"],
+                         ids=["list", "range"])
+@pytest.mark.parametrize("command", ["sweep", "discriminate"])
+def test_grid_from_minus_zero_is_its_zero_twin(tmp_path, capsys, command, grid):
+    # -0.0 lies in [0, 180): it starts the grid of its 0.0 twin, and no
+    # output prints -0.
+    found = []
+    for start in ("-0.0", "0.0"):
+        cfg = write_config(tmp_path, DISCRIMINATE_CONFIG.replace(
+            SWEEP_GRID, "thetas: " + grid.replace("-0.0", start)))
+        out = tmp_path / start
+        assert run([command, "--config", cfg, "--out", str(out)]) == 0
+        found.append(output_digests(capsys.readouterr().out, out))
+    assert found[0] == found[1]
 
 
 def test_tomo_simulation_outputs(tmp_path, capsys):
@@ -743,25 +783,13 @@ def test_outputs_are_byte_reproducible(tmp_path):
 NO_SCIPY_CASES = ("sweep-three_projection", "discriminate-three_projection",
                   "optimize-one-restart")
 
-# A sys.meta_path finder that makes every scipy module unimportable.
-BLOCK_SCIPY = """
-class NoScipy:
-    def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == "scipy":
-            raise ModuleNotFoundError(f"scipy is blocked: {name}")
-sys.meta_path.insert(0, NoScipy())
-"""
-
-
 def run_fresh(jobs, prelude=""):
     """Run ``ghostpol.cli.main`` on each argv of ``jobs`` in one fresh
     interpreter.  Returns, per job, the exit code, the stdout and the
     scipy modules loaded when its config was parsed, plus the scipy
     modules loaded after import (key ``import``) and at the end."""
-    src = os.path.dirname(os.path.dirname(ghostpol.__file__))
     code = f"""
 import contextlib, io, json, sys
-sys.path.insert(0, {src!r})
 {prelude}
 scipy = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 from ghostpol import cli
@@ -780,10 +808,7 @@ for job, argv in {jobs!r}.items():
 out["end"] = scipy()
 print(json.dumps(out))
 """
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return json.loads(run_python("-c", code).stdout)
 
 
 def no_scipy_jobs(base):
@@ -835,6 +860,70 @@ def test_tomo_loads_no_scipy(tmp_path):
         assert result["import"] == result["end"] == []
 
 
+# What the console script that pip generates for an entry point runs.
+ENTRY_POINT_SCRIPT = """
+import sys
+from importlib.metadata import EntryPoint
+sys.exit(EntryPoint("ghostpol", sys.argv.pop(1), "console_scripts").load()())
+"""
+
+
+def installed_script():
+    """The ghostpol console script on PATH, where the installed ghostpol
+    distribution is an editable install of this checkout; else skip."""
+    try:
+        dist = importlib.metadata.distribution("ghostpol")
+    except importlib.metadata.PackageNotFoundError:
+        pytest.skip("no ghostpol distribution is installed")
+    origin = json.loads(dist.read_text("direct_url.json") or "{}")
+    url = urllib.parse.urlparse(origin.get("url", ""))
+    checkout = os.path.realpath(os.path.dirname(CONFIGS))
+    if not (origin.get("dir_info", {}).get("editable") and url.scheme == "file"
+            and os.path.realpath(urllib.request.url2pathname(url.path)) == checkout):
+        pytest.skip("the installed ghostpol is not an editable install of "
+                    "this checkout")
+    script = shutil.which("ghostpol")
+    if script is None:
+        pytest.skip("no ghostpol console script on PATH")
+    return script
+
+
+@pytest.mark.parametrize("launch", ["entry_point", "installed_script"])
+def test_console_script_exit_codes(tmp_path, capsys, launch):
+    # pyproject.toml maps the ghostpol script to cli.main, and the script
+    # runs sys.exit(main()): a run, a runtime failure and a config error
+    # exit 0, 1 and 2 through it, the run with the in-process bytes.
+    if sys.version_info < (3, 11):
+        pytest.skip("reading pyproject.toml needs tomllib, new in Python 3.11")
+    import tomllib
+
+    with open(os.path.join(os.path.dirname(CONFIGS), "pyproject.toml"), "rb") as fh:
+        entry = tomllib.load(fh)["project"]["scripts"]["ghostpol"]
+    assert entry == "ghostpol.cli:main"
+    if launch == "entry_point":
+        def ghostpol(returncode, *argv):
+            return run_python("-c", ENTRY_POINT_SCRIPT, entry, *argv,
+                              returncode=returncode)
+    else:
+        script = installed_script()
+
+        def ghostpol(returncode, *argv):
+            return run_checked([script, *argv], returncode)
+    tomography = os.path.join(CONFIGS, "tomography.yaml")
+    assert run(["tomo", "--config", tomography, "--out", str(tmp_path / "main")]) == 0
+    proc = ghostpol(0, "tomo", "--config", tomography, "--out", str(tmp_path / "tomo"))
+    assert output_digests(proc.stdout, tmp_path / "tomo") == \
+        output_digests(capsys.readouterr().out, tmp_path / "main")
+    round_off = write_config(tmp_path, POLARIZER_PROBE
+                             + "samples: [{family: LP, thetas: [90.0]}]\n")
+    proc = ghostpol(1, "sweep", "--config", round_off, "--out", str(tmp_path / "o"))
+    assert proc.stderr == "error: cannot normalize an all-zero dataset\n"
+    unknown = write_config(tmp_path, "seeed: 1\n", name="unknown.yaml")
+    proc = ghostpol(2, "sweep", "--config", unknown, "--out", str(tmp_path / "o"))
+    assert proc.stderr == "config error: unknown key 'seeed'\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_tomo_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
     # Every step from the records to rho.csv avoids BLAS and LAPACK, so
     # the kernel OpenBLAS picks (SSE3-only Prescott, which any x86-64
@@ -842,19 +931,14 @@ def test_tomo_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
     if platform.machine().lower() not in ("x86_64", "amd64"):
         pytest.skip("OPENBLAS_CORETYPE=Prescott names an x86-64 kernel")
     cfg = write_config(tmp_path, TOMO_CONFIG)
-    src = os.path.dirname(os.path.dirname(ghostpol.__file__))
     found = {}
     for kernel in (None, "Prescott"):
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
         if kernel is not None:
             env["OPENBLAS_CORETYPE"] = kernel
-        env["PYTHONPATH"] = src
         out = tmp_path / str(kernel)
-        proc = subprocess.run(
-            [sys.executable, "-m", "ghostpol.cli", "tomo", "--config", cfg,
-             "--out", str(out)], capture_output=True, text=True, env=env,
-            timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        proc = run_python("-m", "ghostpol.cli", "tomo", "--config", cfg,
+                          "--out", str(out), env=env)
         found[kernel] = output_digests(proc.stdout, out)
     assert found["Prescott"] == found[None]
 
@@ -863,17 +947,12 @@ def test_exit_freezes_the_import_heap():
     # atexit runs its handlers last in, first out, so a probe registered
     # before ghostpol.cli is imported runs after the freeze that the
     # import registers, and sees the heap the imports left.
-    src = os.path.dirname(os.path.dirname(ghostpol.__file__))
-    code = f"""
-import atexit, gc, sys
+    code = """
+import atexit, gc
 atexit.register(lambda: print(gc.get_freeze_count()))
-sys.path.insert(0, {src!r})
 import ghostpol.cli
 """
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) > 10_000
+    assert int(run_python("-c", code).stdout) > 10_000
 
 
 def test_main_freezes_nothing(tmp_path):

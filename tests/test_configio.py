@@ -305,6 +305,11 @@ def test_state_variants(tmp_path):
     npt.assert_allclose(cfg.state.matrix, werner(0.8).matrix, atol=1e-9)
 
 
+def test_explicit_bell_state_is_the_default():
+    explicit = parse_config_text("state: {kind: bell_psi_plus}").state
+    assert explicit.matrix.tobytes() == parse_config_text("").state.matrix.tobytes()
+
+
 def test_sample_family_rules():
     with pytest.raises(ConfigError, match="must be LP, QWP or custom"):
         parse_config_text("samples: [{family: HWP}]")

@@ -153,6 +153,8 @@ def test_runs_are_reproducible_and_schedule_independent():
     npt.assert_array_equal(c.counts[:3], a.counts)
     d = simulate_runs(curve, model, n_runs=3, seed=21, family_tag=1)
     assert np.any(d.counts != a.counts)
+    with pytest.raises(ValueError, match="^need at least one run$"):
+        simulate_runs(curve, model, n_runs=0, seed=21)
 
 
 @pytest.mark.parametrize("drift", [0.0, 0.1])
@@ -261,6 +263,10 @@ def test_runset_validation():
         RunSet(np.array([0.0]), np.zeros((2, 1, 1)))
     with pytest.raises(ValueError, match="^run 1 has all-zero counts$"):
         RunSet(np.array([0.0]), np.array([[[1.0]], [[0.0]], [[0.0]]]))
+    for shape in ((0, 1, 1), (2, 0, 1)):
+        with pytest.raises(ValueError, match="^RunSet needs at least one run and "
+                                             "one theta$"):
+            RunSet(np.zeros(shape[1]), np.ones(shape))
     ok = RunSet(np.array([0.0]), np.ones((2, 1, 1)))
     assert ok.counts.shape[0] == 2
 

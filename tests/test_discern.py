@@ -167,6 +167,15 @@ def test_cross_family_leaves_separated_pairs_alone():
     assert a.kept == [0, 1] and b.kept == [0, 1]
 
 
+def test_cross_family_with_nothing_kept_excludes_nothing():
+    a = cloud_family("LP", [[0.0, 0.0]], sigma=0.05, seed=3)
+    b = cloud_family("QWP", [[0.0, 0.0]], sigma=0.05, seed=3)
+    b.kept = []
+    for pair in ((a, b), (b, a)):
+        assert cross_family_exclusions(*pair) == []
+        assert a.kept == [0] and a.cross_excluded == b.cross_excluded == []
+
+
 def test_step_stats_oracle():
     median, largest, smallest = step_stats(np.array([0.0, 30.0, 90.0]))
     assert median == 60.0

@@ -384,8 +384,8 @@ def test_outputs_match_frozen_digests(case_id, tmp_path, capsys):
     assert run_case(case_id, tmp_path, capsys) == CASES[case_id][4]
 
 
-# (command, shipped config) of each run in the console-script step of
-# the workflow's no-scipy job, which checks no byte itself.
+# (command, shipped config) of every command on the shipped configs:
+# the suite checks their bytes, and the workflow checks none itself.
 SHIPPED_RUNS = {
     ("sweep", "three_projection"), ("sweep", "two_projection_partial"),
     ("discriminate", "three_projection"),

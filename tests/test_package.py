@@ -3,13 +3,12 @@
 import importlib
 import json
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 import ghostpol
+from helpers import BLOCK_SCIPY, run_python
 
 EXPORTS = {
     "countsim": "CountModel RunSet correct_counts simulate_counts simulate_runs",
@@ -40,21 +39,15 @@ def test_exports_are_the_submodule_objects():
 
 # Run in a fresh interpreter in which every scipy import fails: the
 # package, the command line module and all of tomo, the fit included.
-NO_SCIPY = """
-import json, sys
-class NoScipy:
-    def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == "scipy":
-            raise ModuleNotFoundError(f"scipy is blocked: {name}")
-sys.meta_path.insert(0, NoScipy())
-sys.path.insert(0, sys.argv[1])
+NO_SCIPY = BLOCK_SCIPY + """
+import json
 import ghostpol, ghostpol.cli
 from ghostpol import tomo
 from ghostpol.countsim import CountModel
 from ghostpol.qstate import werner
 records = tomo.simulate_tomography(werner(0.9), CountModel(1e5, 1.0), 4)
-tomo.records_to_csv(records, sys.argv[2])
-back = tomo.records_from_csv(sys.argv[2])
+tomo.records_to_csv(records, sys.argv[1])
+back = tomo.records_from_csv(sys.argv[1])
 errors = []
 for bad in (back[:15], back[:15] + back[:1], [tomo.TomographyRecord(a, b, 0.0)
                                               for a, b in tomo.CANONICAL_PAIRS]):
@@ -71,12 +64,7 @@ print(json.dumps({
 
 
 def test_package_and_tomo_records_run_without_scipy(tmp_path):
-    src = os.path.dirname(os.path.dirname(ghostpol.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY, src, str(tmp_path / "records.csv")],
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
+    out = json.loads(run_python("-c", NO_SCIPY, str(tmp_path / "records.csv")).stdout)
     assert out["scipy"] == []
     assert len(out["counts"]) == 16 and out["back"] == out["counts"]
     assert out["errors"] == [
@@ -86,7 +74,6 @@ def test_package_and_tomo_records_run_without_scipy(tmp_path):
         "all-zero counts cannot be reconstructed",
     ]
     assert out["converged"]
-
 
 
 def test_array_records_compare_by_identity_and_hash():
@@ -109,7 +96,6 @@ def test_array_records_compare_by_identity_and_hash():
 # (not the LinAlgError class) raises: importing the command line module
 # calls none of them.
 NO_LINALG = """
-import sys
 import numpy.linalg as la
 def refuse(*args, **kwargs):
     raise AssertionError("numpy.linalg called")
@@ -117,26 +103,21 @@ for name in dir(la):
     value = getattr(la, name)
     if not name.startswith("_") and callable(value) and not isinstance(value, type):
         setattr(la, name, refuse)
-sys.path.insert(0, sys.argv[1])
 import ghostpol.cli
 """
 
 
 def test_cli_import_calls_no_numpy_linalg():
-    src = os.path.dirname(os.path.dirname(ghostpol.__file__))
-    proc = subprocess.run([sys.executable, "-c", NO_LINALG, src],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    run_python("-c", NO_LINALG)
 
 
 # Run in a fresh interpreter: import the package, or numpy alone, and
 # report the process's threads and the thread variables it then sees.
 THREADS = """
 import importlib, json, os, sys
-sys.path.insert(0, sys.argv[1])
-importlib.import_module(sys.argv[2])
+importlib.import_module(sys.argv[1])
 print(json.dumps({"threads": len(os.listdir("/proc/self/task")),
-                  "env": {k: os.environ.get(k) for k in sys.argv[3:]}}))
+                  "env": {k: os.environ.get(k) for k in sys.argv[2:]}}))
 """
 THREAD_VARS = ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"]
 
@@ -145,15 +126,12 @@ THREAD_VARS = ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"]
 @pytest.mark.parametrize("preset", [{}, {"OPENBLAS_NUM_THREADS": "2"}],
                          ids=["unset", "preset"])
 def test_numpy_starts_with_one_blas_thread_unless_a_count_is_set(preset):
-    src = os.path.dirname(os.path.dirname(ghostpol.__file__))
     env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
     env.update(preset)
 
     def run(module):
-        proc = subprocess.run([sys.executable, "-c", THREADS, src, module, *THREAD_VARS],
-                              capture_output=True, text=True, timeout=120, env=env)
-        assert proc.returncode == 0, proc.stderr
-        return json.loads(proc.stdout)
+        return json.loads(run_python("-c", THREADS, module, *THREAD_VARS,
+                                     env=env).stdout)
 
     package, numpy_alone = run("ghostpol"), run("numpy")
     # The environment is the caller's again after the import.

@@ -50,6 +50,11 @@ def test_bell_state_has_the_bytes_of_the_validated_projector():
     assert np.all(validated[1:3, 1:3] == 0.5)
 
 
+def test_validation_rejects_a_matrix_that_is_not_4x4():
+    with pytest.raises(StateValidationError, match="^density matrix must be 4x4$"):
+        TwoQubitDensity(np.eye(3, dtype=complex) / 3.0)
+
+
 def test_validation_rejects_non_hermitian():
     bad = np.eye(4, dtype=complex) / 4.0
     bad[0, 1] = 0.3
@@ -158,3 +163,8 @@ def test_density_csv_roundtrip(tmp_path):
     save_density_csv(rho, path)
     back = load_density_csv(path)
     npt.assert_allclose(back.matrix, rho.matrix, atol=1e-10)
+    lines = (tmp_path / "state.csv").read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0]
+    (tmp_path / "state.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(StateValidationError, match="^density CSV rows need 8 numbers$"):
+        load_density_csv(path)
