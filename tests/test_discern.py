@@ -308,8 +308,9 @@ def ref_greedy(regions):
     for i, region in enumerate(regions):
         if all(ref_separable(region, regions[k]) for k in kept):
             kept.append(i)
-    if len(kept) >= 2 and not ref_separable(regions[kept[-1]], regions[kept[0]]):
-        kept.pop()
+    # Every kept pair was tested on admission and the predicate is
+    # symmetric, so the first and last kept rows are separable.
+    assert len(kept) < 2 or ref_separable(regions[kept[-1]], regions[kept[0]])
     return kept
 
 
@@ -368,25 +369,46 @@ def random_outcome(rng, family, n, d, spread):
     )
 
 
+# Axis counts of the scalar-reference tests: numpy sums 8 or more
+# contiguous terms pairwise, fewer in order, so both sides of 8 and a
+# count past 12.
+AXIS_COUNTS = (*range(1, 13), 16)
+
+
 def test_separable_broadcasts_like_scalar_reference():
     rng = np.random.default_rng(11)
-    for d in (1, 2, 3):
-        regions = random_regions(rng, 40, d, spread=0.3)
+    seen_zero_distance = 0
+    for d in AXIS_COUNTS:
+        regions = random_regions(rng, 24, d, spread=0.3 / np.sqrt(d))
         stacked = stack(regions)
-        for a in regions:
+        want = [[ref_separable(a, b) for b in regions] for a in regions]
+        want_margin = [[ref_margin(a, b) for b in regions] for a in regions]
+        for a, row, margin_row in zip(regions, want, want_margin):
             got = separable(a, stacked)
             margins = separation_margin(a, stacked)
-            assert got.dtype == bool and got.shape == (40,)
-            assert got.tolist() == [ref_separable(a, b) for b in regions]
-            assert margins.tolist() == [ref_margin(a, b) for b in regions]
-            assert separable(a, regions[0]) is ref_separable(a, regions[0])
+            assert got.dtype == bool and got.shape == (24,)
+            assert got.tolist() == row, d
+            assert margins.tolist() == margin_row, d
+            assert separable(a, regions[0]) is row[0]
+            assert separation_margin(a, regions[0]) == margin_row[0]
+        # Operands of unequal rank, either way round.
+        assert separable(stacked[:, None], stacked).tolist() == want
+        assert separation_margin(stacked[:, None], stacked).tolist() == want_margin
+        flipped = separation_margin(regions[3], stacked[:, None, None])
+        assert flipped.shape == (24, 1, 1)
+        assert flipped[:, 0, 0].tolist() == [ref_margin(regions[3], b) for b in regions]
+        # Zero-distance rows: the region against itself and repeated centers.
+        same = np.array([[(a.center == b.center).all() for b in regions] for a in regions])
+        assert not np.array(want)[same].any()
+        seen_zero_distance += int(same.sum()) - 24
+    assert seen_zero_distance > 0
 
 
 def test_greedy_subset_matches_scalar_reference():
     rng = np.random.default_rng(12)
-    for trial in range(60):
-        d = 1 + trial % 3
-        regions = random_regions(rng, 60, d, spread=rng.uniform(0.05, 1.0))
+    for trial in range(78):
+        d = AXIS_COUNTS[trial % len(AXIS_COUNTS)]
+        regions = random_regions(rng, 60, d, spread=rng.uniform(0.05, 1.0) / np.sqrt(d))
         assert max_distinguishable_subset(stack(regions)) == ref_greedy(regions)
     assert max_distinguishable_subset(
         EllipsoidRegion(np.zeros((0, 2)), np.zeros((0, 2)))) == []
@@ -394,9 +416,9 @@ def test_greedy_subset_matches_scalar_reference():
     # edge, a stack of one repeated center and floored zero-width
     # regions on a coarse lattice (many repeated centers).
     for n in (1, 31, 32, 33, 65, 300):
-        for d in (1, 2, 3):
+        for d in (1, 2, 3, 8, 16):
             cases = [
-                random_regions(rng, n, d, spread=rng.uniform(0.05, 1.0)),
+                random_regions(rng, n, d, spread=rng.uniform(0.05, 1.0) / np.sqrt(d)),
                 [EllipsoidRegion(np.full(d, 0.3), s)
                  for s in rng.choice([0.0, 0.01], size=(n, d))],
                 [EllipsoidRegion(c, np.zeros(d))
@@ -411,9 +433,9 @@ def test_greedy_subset_matches_scalar_reference():
 def test_cross_family_exclusions_match_scalar_reference():
     rng = np.random.default_rng(13)
     seen_a_drop = seen_b_drop = 0
-    for trial in range(30):
-        d = 1 + trial % 3
-        spread = rng.uniform(0.1, 0.6)
+    for trial in range(39):
+        d = AXIS_COUNTS[trial % len(AXIS_COUNTS)]
+        spread = rng.uniform(0.1, 0.6) / np.sqrt(d)
         families = [random_outcome(rng, name, 30, d, spread)
                     for name in ("LP", "QWP", "custom")]
         expected = copy.deepcopy(families)
