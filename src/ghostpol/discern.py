@@ -15,7 +15,13 @@ mean and ci95 and floored once.  The greedy sweep tests a block of
 candidate rows against the kept rows and each other in one call, then
 admits the block's rows in order, as a row-by-row sweep would; the
 cross-family exclusions test a block of one family's kept rows against
-the other's in one call.
+the other's in one call.  Each call works on axis-leading ``(d, ...)``
+planes, the operands' transposes at one rank, and both pass views of a
+stack's centers and semi-axes, copied once into contiguous ``(2, d, m)``
+planes: a sum over the d axes is then d - 1 adds of whole planes.  Each
+sum keeps the bits of a contiguous ``np.add.reduce(x, -1)``: numpy adds
+fewer than 8 terms in order, as the planes are added, and 8 or more
+pairwise, so from d = 8 on it reduces a contiguous ``(..., d)`` copy.
 
 Both skip the kept rows outside an axis-0 window.  A region's support
 half-width along any unit vector is at most its radius r, the norm of
@@ -79,10 +85,15 @@ class EllipsoidRegion:
         object.__setattr__(self, "semi_axes", semi)
 
     def __getitem__(self, index) -> EllipsoidRegion:
-        rows = object.__new__(EllipsoidRegion)
-        object.__setattr__(rows, "center", self.center[index])
-        object.__setattr__(rows, "semi_axes", self.semi_axes[index])
-        return rows
+        return _rows(self.center[index], self.semi_axes[index])
+
+
+def _rows(center: np.ndarray, semi_axes: np.ndarray) -> EllipsoidRegion:
+    """The region over floored arrays as they are: views stay views."""
+    rows = object.__new__(EllipsoidRegion)
+    object.__setattr__(rows, "center", center)
+    object.__setattr__(rows, "semi_axes", semi_axes)
+    return rows
 
 
 @dataclass(eq=False)
@@ -197,19 +208,28 @@ def t975(n_runs: int) -> float:
     return t
 
 
+def _axis_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis, in the order of a contiguous (..., d) reduce."""
+    if len(x) < 8:
+        return np.add.reduce(x, 0)
+    return np.add.reduce(np.moveaxis(x, 0, -1).copy(), -1)
+
+
 def _center_line(a: EllipsoidRegion, b: EllipsoidRegion):
     """Center distance and both support half-widths along the center line.
 
     Zero-distance rows use the first axis.
     """
-    delta = b.center - a.center
-    dist = np.sqrt(np.add.reduce(delta * delta, -1))
+    rank = max(a.center.ndim, b.center.ndim)
+    ca, sa, cb, sb = (x[(None,) * (rank - x.ndim)].T
+                      for x in (a.center, a.semi_axes, b.center, b.semi_axes))
+    delta = cb - ca
+    dist = np.sqrt(_axis_sum(delta * delta))
     u = np.zeros_like(delta)
-    u[..., 0] = 1.0
-    np.divide(delta, dist[..., None], out=u, where=dist[..., None] > 0.0)
-    ua, ub = a.semi_axes * u, b.semi_axes * u
-    return (dist, np.sqrt(np.add.reduce(ua * ua, -1)),
-            np.sqrt(np.add.reduce(ub * ub, -1)))
+    u[0] = 1.0
+    np.divide(delta, dist, out=u, where=dist > 0.0)
+    ua, ub = sa * u, sb * u
+    return dist.T, np.sqrt(_axis_sum(ua * ua)).T, np.sqrt(_axis_sum(ub * ub)).T
 
 
 def separable(a: EllipsoidRegion, b: EllipsoidRegion) -> bool | np.ndarray:
@@ -225,8 +245,8 @@ def separation_margin(a: EllipsoidRegion, b: EllipsoidRegion) -> float | np.ndar
     return dist - half_a - half_b
 
 
-def _window_keys(regions: EllipsoidRegion) -> tuple[list[float], list[float]]:
-    """Axis-0 centers and radii of a region stack's rows.
+def _window_keys(regions: EllipsoidRegion) -> tuple[list[float], list[float], np.ndarray]:
+    """Axis-0 centers, radii and (2, d, m) planes of a region stack's rows.
 
     A row with a number that is not finite gets radius inf, so that any
     window that it widens is the whole kept set; the semi-axis floor
@@ -235,7 +255,8 @@ def _window_keys(regions: EllipsoidRegion) -> tuple[list[float], list[float]]:
     semi = regions.semi_axes
     radius = np.sqrt(np.add.reduce(semi * semi, -1))
     radius[np.isnan(radius)] = np.inf
-    return regions.center[:, 0].tolist(), radius.tolist()
+    planes = np.array([regions.center.T, semi.T])
+    return regions.center[:, 0].tolist(), radius.tolist(), planes
 
 
 def _window(keys: list[float], key: list[float], reach: float) -> slice:
@@ -257,7 +278,7 @@ def max_distinguishable_subset(regions: EllipsoidRegion) -> list[int]:
     its axis-0 window (see module docstring), kept sorted by axis-0
     center along with the largest kept radius.
     """
-    key, radius = _window_keys(regions)
+    key, radius, planes = _window_keys(regions)
     kept: list[int] = []
     keys: list[float] = []   # kept axis-0 centers, sorted
     order: list[int] = []    # the kept rows, in that order
@@ -268,8 +289,9 @@ def max_distinguishable_subset(regions: EllipsoidRegion) -> list[int]:
         w = len(window)
         # ok[r, c]: block row r (as a) against window row c, then block
         # row c - w (as b); a kept row r rules out the rows ~ok[:, w + r].
-        ok = separable(regions[start:stop, None],
-                       regions[window + list(range(start, stop))])
+        rows = planes.take(window + list(range(start, stop)), -1)
+        ok = separable(_rows(*planes[:, :, None, start:stop].swapaxes(1, -1)),
+                       _rows(*rows.swapaxes(1, -1)))
         alive = ok[:, :w].all(axis=1)
         for r in range(stop - start):
             if alive[r]:
@@ -299,8 +321,8 @@ def cross_family_exclusions(
     if not rows or not cols:
         return []
     kept_a, kept_b = outcome_a.regions[rows], outcome_b.regions[cols]
-    key_a, radius_a = _window_keys(kept_a)
-    key_b, radius_b = _window_keys(kept_b)
+    key_a, radius_a, planes_a = _window_keys(kept_a)
+    key_b, radius_b, planes_b = _window_keys(kept_b)
     by_key = np.argsort(key_b)
     keys, widest = [key_b[c] for c in by_key], max(radius_b)
     width_a = np.max(kept_a.semi_axes, axis=-1)
@@ -311,7 +333,8 @@ def cross_family_exclusions(
         stop = min(start + _BLOCK, len(rows))
         reach = widest + max(radius_a[start:stop])
         window = np.sort(by_key[_window(keys, key_a[start:stop], reach)])
-        conflict = ~separable(kept_a[start:stop, None], kept_b[window])
+        conflict = ~separable(_rows(*planes_a[:, :, None, start:stop].swapaxes(1, -1)),
+                              _rows(*planes_b.take(window, -1).swapaxes(1, -1)))
         for r, i in enumerate(rows[start:stop], start):
             for c in window[conflict[r - start]].tolist():
                 if dropped[c]:

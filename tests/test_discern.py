@@ -404,6 +404,25 @@ def test_separable_broadcasts_like_scalar_reference():
     assert seen_zero_distance > 0
 
 
+def test_margins_do_not_depend_on_the_operands_memory_layout():
+    # From 8 axes on, numpy sums a contiguous last axis pairwise and a
+    # strided one in order.  The scalar references pin the contiguous
+    # order; a Fortran-ordered stack must give the same margins.
+    rng = np.random.default_rng(17)
+    for d in AXIS_COUNTS:
+        for nonfinite in (None, np.nan):
+            rows = mixed_stack(rng, 70, d, nonfinite=nonfinite)
+            fortran = EllipsoidRegion(np.asfortranarray(rows.center),
+                                      np.asfortranarray(rows.semi_axes))
+            pick = rng.integers(0, 70, 50)
+            for a, b in (((slice(0, 32), None), pick), (pick, 5),
+                         (3, (slice(None), None, None))):
+                with np.errstate(invalid="ignore"):
+                    want = separation_margin(rows[a], rows[b]).tobytes()
+                    assert separation_margin(fortran[a], fortran[b]).tobytes() == want, d
+                    assert separation_margin(fortran[a], rows[b]).tobytes() == want, d
+
+
 def test_greedy_subset_matches_scalar_reference():
     rng = np.random.default_rng(12)
     for trial in range(78):
