@@ -73,14 +73,13 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
     curves = _sweep_curves(cfg)
     bands = [None] * len(curves)
     if cfg.counting is not None:
-        # Noisy mode: the curve becomes the mean corrected counts over
-        # repeated runs and the CI band accompanies the plot.
-        corrected = [corr for _, corr in _measure(cfg, curves)]
-        curves = [ghost.ResponseCurve(curve.family, curve.thetas, corr.mean(axis=0))
-                  for curve, corr in zip(curves, corrected)]
-        if cfg.runs >= 2:
-            bands = [corr.std(axis=0, ddof=1) / np.sqrt(cfg.runs)
-                     * discern.t975(cfg.runs) for corr in corrected]
+        # Noisy mode: new curves of the mean corrected counts (the one run's
+        # for runs: 1) and, from two runs on, their CI band in the plot.
+        stats = [discern.run_stats(corr) if cfg.runs >= 2 else (corr[0], None, None)
+                 for _, corr in _measure(cfg, curves)]
+        curves = [ghost.ResponseCurve(curve.family, curve.thetas, mean)
+                  for curve, (mean, _, _) in zip(curves, stats)]
+        bands = [ci95 for _, _, ci95 in stats]
     else:  # Noiseless: a response at or below ROUNDOFF is not signal; print 0.
         for curve in curves:
             curve.raw[curve.raw <= ghost.ROUNDOFF] = 0.0
@@ -107,7 +106,7 @@ def cmd_discriminate(cfg: ExperimentConfig, out_dir: str) -> int:
             runs, corr, _out_path(out_dir, f"runs_{curve.family}.csv")
         )
         corrected.append(corr)
-    scale = ghost.dataset_scale(c.mean(axis=0) for c in corrected)
+    scale = ghost.dataset_scale(discern.run_stats(c)[0] for c in corrected)
     report = discern.analyze_families([
         discern.analyze_family(curve.family, curve.thetas, corr / scale)
         for curve, corr in zip(curves, corrected)])

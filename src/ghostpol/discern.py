@@ -115,21 +115,26 @@ class DistinguishabilityReport:
     exclusions: list[tuple[str, float, str, float]]
 
 
-def summarize(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-axis ``(mean, std, ci95)`` of one cloud, ci95 the 95% CI half-width.
+def run_stats(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(mean, std, ci95)`` over the leading axis of (n_runs >= 2, ...) ``points``.
 
-    ``points`` has shape (n_runs, n_axes); the half-width uses the
-    Student t quantile with n_runs - 1 degrees of freedom.  The std
-    reuses the mean: the ufuncs that ``mean`` and ``std(ddof=1)`` run,
-    in their order, so the bits are theirs.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 2:
-        raise ValueError("need at least two runs to summarize")
+    ci95 is the 95% CI half-width, from the t quantile at n_runs - 1 dof.
+    The bits are those of the ufuncs of ``mean`` and ``std(ddof=1)``, in
+    their order, over a C-ordered array: no bit depends on memory layout,
+    where numpy sums 8 or more runs pairwise if they are its inner loop."""
+    pts = np.asarray(points, dtype=float, order="C")
     n = pts.shape[0]
     mean = np.add.reduce(pts, 0) / n
     std = np.sqrt(np.add.reduce(np.square(pts - mean), 0) / (n - 1))
     return mean, std, t975(n) * std / math.sqrt(n)
+
+
+def summarize(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``run_stats`` of one cloud, ``points`` of shape (n_runs, n_axes)."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[0] < 2:
+        raise ValueError("need at least two runs to summarize")
+    return run_stats(pts)
 
 
 # t975(n) for n = 2..64, from scipy.special.stdtrit(n - 1, 0.975).
@@ -376,13 +381,13 @@ def analyze_family(
     """Stacked stats, regions and greedy subset for one family.
 
     ``run_points`` has shape (n_runs, n_thetas, n_axes) in normalized
-    response coordinates; each orientation is summarized on its own.
-    """
-    pts = np.asarray(run_points, dtype=float)
-    stats = np.empty((3, *pts.shape[1:]))
+    response coordinates; each orientation is summarized on its own, a
+    contiguous cloud of one (n_thetas, n_runs, n_axes) copy."""
+    clouds = np.asarray(run_points, dtype=float).transpose(1, 0, 2).copy()
+    stats = np.empty((3, len(clouds), clouds.shape[2]))
     mean, std, ci95 = stats
-    for t in range(pts.shape[1]):
-        mean[t], std[t], ci95[t] = summarize(pts[:, t])
+    for t, cloud in enumerate(clouds):
+        mean[t], std[t], ci95[t] = summarize(cloud)
     regions = EllipsoidRegion(center=stats[0], semi_axes=stats[2])
     return FamilyOutcome(family, np.asarray(thetas, dtype=float), stats, regions,
                          kept=max_distinguishable_subset(regions))

@@ -26,9 +26,7 @@ def _fmt(v: float) -> str:
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
-    """About five round-valued ticks covering [lo, hi]."""
-    if hi <= lo:
-        hi = lo + 1.0
+    """About five round-valued ticks covering [lo, hi], lo < hi."""
     raw = (hi - lo) / 5
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):

@@ -12,7 +12,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from ghostpol import cli, tomo
+from ghostpol import cli, countsim, discern, ghost, svgplot, tomo
 from ghostpol.cli import build_parser, main
 from ghostpol.configio import load_config
 from ghostpol.qstate import bell_psi_plus, save_density_csv, werner
@@ -525,6 +525,48 @@ def test_sweep_with_counting_adds_bands(tmp_path):
     assert run(["sweep", "--config", cfg, "--out", str(out)]) == 0
     svg = (out / "sweep_LP.svg").read_text()
     assert "<polygon" in svg
+
+
+@pytest.mark.parametrize("n_runs", [1, 3, 9])
+def test_noisy_sweep_curve_and_band_are_run_stats(tmp_path, monkeypatch, n_runs):
+    # Each curve is discern.run_stats's mean of the corrected counts and
+    # its band their ci95; one run gives its own counts and no band.  The
+    # curves that sweep_family returned keep the engine's responses.
+    swept = []
+    sweep_family = ghost.sweep_family
+
+    def kept_sweep_family(*args, **kwargs):
+        curve = sweep_family(*args, **kwargs)
+        swept.append((curve, curve.raw.copy()))
+        return curve
+
+    monkeypatch.setattr(cli.ghost, "sweep_family", kept_sweep_family)
+    text = SWEEP_CONFIG + "  - {family: QWP, thetas: {start: 5, stop: 180, step: 25}}\n"
+    cfg = write_config(tmp_path, text + COUNTING_BLOCK + f"runs: {n_runs}\n")
+    out = tmp_path / "noisy"
+    assert run(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    config = load_config(cfg)
+    stats = []
+    for tag, (curve, raw) in enumerate(swept):
+        assert curve.raw.tobytes() == raw.tobytes()
+        runs = countsim.simulate_runs(curve, config.counting, n_runs, config.seed,
+                                      family_tag=tag)
+        corr = countsim.correct_counts(runs, config.counting)
+        if n_runs == 1:
+            stats.append((corr[0], None))
+        else:
+            mean, _, ci95 = discern.run_stats(corr)
+            stats.append((mean, ci95))
+    scale = ghost.dataset_scale(mean for mean, _ in stats)
+    for (curve, _), (mean, band) in zip(swept, stats):
+        want = ghost.ResponseCurve(curve.family, curve.thetas, mean)
+        ghost.curve_to_csv(want, scale, str(tmp_path / "want.csv"))
+        name = f"sweep_{curve.family}"
+        assert (out / f"{name}.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        svg = (out / f"{name}.svg").read_text()
+        assert svg == svgplot.curve_chart(curve.thetas, mean / scale, f"{curve.family} response",
+                                          bands=None if band is None else band / scale)
+        assert ("<polygon" in svg) == (n_runs > 1)
 
 
 @pytest.mark.parametrize("counting", [False, True])

@@ -558,6 +558,29 @@ def test_summarize_is_bit_equal_to_numpy_mean_and_std(n_runs):
         assert np.isfinite(mean[1:]).all()
 
 
+@pytest.mark.parametrize("n_runs", [2, 3, 7, 8, 9, 16, 64, 129])
+def test_run_stats_bits_do_not_depend_on_memory_layout(n_runs):
+    # From 8 runs numpy sums a run axis that is its inner loop pairwise,
+    # as in a Fortran-ordered cloud; C order fixes the summation order.
+    rng = np.random.default_rng(n_runs)
+    for n_axes in range(1, 17):
+        runs = (rng.uniform(-1e3, 1e3, (1, 5, n_axes))
+                + rng.normal(size=(n_runs, 5, n_axes)) * 10.0 ** rng.uniform(-6, 1))
+        want = [x.tobytes() for x in discern.run_stats(runs[:, 2].copy())]
+        clouds = [runs[:, 2], np.asfortranarray(runs[:, 2]),
+                  np.ascontiguousarray(runs.transpose(1, 0, 2))[2]]
+        for cloud in clouds:
+            for stats in (summarize(cloud), discern.run_stats(cloud)):
+                assert [x.tobytes() for x in stats] == want
+        stack = [x.tobytes() for x in discern.run_stats(runs)]
+        assert [x.tobytes() for x in discern.run_stats(np.asfortranarray(runs))] == stack
+
+
+def test_analyze_family_takes_an_empty_grid():
+    outcome = analyze_family("LP", np.zeros(0), np.zeros((8, 0, 3)))
+    assert outcome.stats.shape == (3, 0, 3) and outcome.kept == []
+
+
 # References: the greedy and the exclusions as they were before the
 # axis-0 window, testing every kept row.  The windowed code must give
 # the same kept lists, exclusion rows and dropped rows.
