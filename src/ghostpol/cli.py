@@ -80,9 +80,9 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
         curves = [ghost.ResponseCurve(curve.family, curve.thetas, mean)
                   for curve, (mean, _, _) in zip(curves, stats)]
         bands = [ci95 for _, _, ci95 in stats]
-    else:  # Noiseless: a response at or below ROUNDOFF is not signal; print 0.
-        for curve in curves:
-            curve.raw[curve.raw <= ghost.ROUNDOFF] = 0.0
+    else:  # Noiseless: new curves in which a response at or below ROUNDOFF is 0.
+        curves = [ghost.ResponseCurve(c.family, c.thetas, np.where(
+            c.raw <= ghost.ROUNDOFF, 0.0, c.raw)) for c in curves]
     scale = ghost.dataset_scale(c.raw for c in curves)
     for curve, band in zip(curves, bands):
         ghost.curve_to_csv(curve, scale,

@@ -10,10 +10,9 @@ import math
 import time
 
 import numpy as np
-import numpy.testing as npt
 import pytest
 
-from ghostpol import countsim, discern, ghost, polcalc, tomo
+from ghostpol import countsim, discern, tomo
 from ghostpol.cli import main as cli_main
 from ghostpol.ghost import coincidence_probability, sweep_family
 from ghostpol.optproj import (
@@ -38,33 +37,14 @@ from ghostpol.qstate import (
     bell_psi_plus,
     concurrence,
     fidelity,
-    linear_entropy,
     load_density_csv,
     metrics,
     save_density_csv,
     werner,
 )
-from helpers import expected_records, rotation_jones
-
-# Reference probe transfer matrix of the three-projection setup
-# (quarter-wave plate at 62 deg after an ideal polarizer at 90 deg),
-# frozen from the published characterization the package calibrates
-# its sign conventions against.
-REF_PROBE_THREE = np.array([
-    [0.5000, -0.5000, 0.0, 0.0],
-    [-0.1563, 0.1563, 0.0, 0.0],
-    [0.2318, -0.2318, 0.0, 0.0],
-    [0.4145, -0.4145, 0.0, 0.0],
-])
-
-# Same setup with the ideal polarizer replaced by a partial polarizer
-# of extinction ratio 3.7.
-REF_PROBE_TWO = np.array([
-    [0.6351, -0.3649, 0.0, 0.0],
-    [-0.1141, 0.1986, -0.2410, 0.4310],
-    [0.1691, -0.2944, 0.3573, 0.2907],
-    [0.3025, -0.5266, -0.2907, 0.0],
-])
+from helpers import (REF_PROBE_THREE, REF_PROBE_TWO, expected_records,
+                     joint_probability_oracle, lp, qwp, random_density,
+                     random_passive_jones, rotation_jones)
 
 # Explicit density matrix whose metric triple sits at concurrence
 # 0.88, normalized linear entropy 0.13 and reference-state fidelity
@@ -81,17 +61,6 @@ FIXTURE_METRICS = {
     "linear_entropy": 0.129999874213,
     "fidelity": 0.900000000000,
 }
-
-QWP_RET = math.pi / 2.0
-
-
-def lp(theta):
-    return PolElement("ideal_polarizer", theta)
-
-
-def qwp(theta):
-    return PolElement("retarder", theta, retardance_rad=QWP_RET)
-
 
 PROBE_ELEMENTS = [qwp(62.0), lp(90.0)]
 PROJECTOR_JONES = [
@@ -175,11 +144,6 @@ def test_criterion_03_entanglement_metrics(tmp_path):
     )
 
 
-def _random_passive_jones(rng):
-    g = rng.normal(size=(2, 2)) + 1.0j * rng.normal(size=(2, 2))
-    return g / (np.linalg.svd(g, compute_uv=False)[0] + 1e-12)
-
-
 def _random_element(rng):
     kind = rng.choice(["ideal_polarizer", "partial_polarizer", "retarder"])
     theta = float(rng.uniform(0.0, 180.0))
@@ -191,39 +155,22 @@ def _random_element(rng):
     return PolElement(kind, theta)
 
 
-def _bruteforce_joint(rho, k, j):
-    big = [[0.0j] * 4 for _ in range(4)]
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                for d in range(2):
-                    big[2 * a + b][2 * c + d] = k[a, c] * j[b, d]
-    total = 0.0
-    for i in range(4):
-        for m in range(4):
-            for n in range(4):
-                total += (big[i][m] * rho[m, n] * np.conj(big[i][n])).real
-    return total
-
-
 def test_criterion_04_engine_matches_bruteforce():
     t0 = time.perf_counter()
     rng = np.random.default_rng(424242)
     worst = 0.0
     for _ in range(1000):
-        g = rng.normal(size=(4, 4)) + 1.0j * rng.normal(size=(4, 4))
-        dens = g @ g.conj().T
-        state = TwoQubitDensity(dens / np.trace(dens))
+        state = random_density(rng)
         sample = _random_element(rng)
         probe_chain = [
             _random_element(rng) for _ in range(int(rng.integers(1, 3)))
         ]
         k = compose([sample] + probe_chain)
         j = compose([_random_element(rng)]) if rng.uniform() < 0.5 else \
-            _random_passive_jones(rng)
+            random_passive_jones(rng)
         engine = coincidence_probability(state, check_passive(k),
                                          check_passive(j))
-        oracle = _bruteforce_joint(state.matrix, k, j)
+        oracle = joint_probability_oracle(state.matrix, k, j)
         worst = max(worst, abs(engine - oracle))
     assert worst <= 1e-12
     elapsed = time.perf_counter() - t0

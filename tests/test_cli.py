@@ -16,11 +16,10 @@ from ghostpol import cli, countsim, discern, ghost, svgplot, tomo
 from ghostpol.cli import build_parser, main
 from ghostpol.configio import load_config
 from ghostpol.qstate import bell_psi_plus, save_density_csv, werner
-from helpers import BLOCK_SCIPY, expected_records, run_checked, run_python
-from test_golden import (
-    CASES, CONFIGS, FROZEN_WITH, case_argv, installed_versions, output_digests,
+from helpers import (
+    BLOCK_SCIPY, CASES, CONFIGS, FOREIGN_PARAMETERS, FROZEN_WITH, case_argv,
+    expected_records, installed_versions, output_digests, run_checked, run_python,
 )
-from test_polcalc import FOREIGN_PARAMETERS
 
 SWEEP_CONFIG = """
 seed: 5
@@ -738,11 +737,18 @@ def test_blocked_herald_is_a_config_error(tmp_path, capsys, command):
         assert not out.exists()
 
 
-def test_round_off_is_not_signal(tmp_path, capsys):
+def test_round_off_is_not_signal(tmp_path, capsys, monkeypatch):
     # Noiseless, LP at 90 deg behind a polarizer at 0 deg responds only
     # round-off (1.9e-33), and at 0 deg exactly 0: an all-zero dataset
     # either way.  With LP at 45 deg, the dataset has a signal and the
-    # round-off point prints as 0.
+    # round-off point prints as 0, while the engine's curve keeps it.
+    curves, sweep_family = [], ghost.sweep_family
+
+    def spy(*args, **kwargs):
+        curves.append(sweep_family(*args, **kwargs))
+        return curves[-1]
+
+    monkeypatch.setattr(ghost, "sweep_family", spy)
     out = tmp_path / "out"
     for thetas in ("[90.0]", "[0.0, 90.0]", "[45.0, 90.0]"):
         cfg = write_config(tmp_path, POLARIZER_PROBE
@@ -755,6 +761,7 @@ def test_round_off_is_not_signal(tmp_path, capsys):
     assert run(["sweep", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "sweep_LP.csv").read_text().splitlines()[1:] == [
         "45,1,0.125", "90,0,0"]
+    assert 1e-33 < curves[-1].raw[1, 0] < 1e-32
 
 
 @pytest.mark.parametrize("key", ["eff_signal", "eff_idler"])

@@ -22,49 +22,7 @@ from ghostpol.optproj import OptimizationConfig, ProjectorParam
 from ghostpol.polcalc import ELEMENT_KINDS, PolElement
 from ghostpol.qstate import (StateValidationError, bell_psi_plus, save_density_csv,
                              werner)
-from test_polcalc import FOREIGN_PARAMETERS
-
-FULL_CONFIG = """
-seed: 11
-runs: 4
-conditional: true
-state: {kind: werner, p: 0.9}
-probe:
-  elements:
-    - {kind: retarder, angle_deg: 62.0, retardance_rad: 1.5707963267948966}
-    - {kind: ideal_polarizer, angle_deg: 90.0}
-projectors:
-  - elements:
-      - {kind: retarder, angle_deg: 170.0, retardance_rad: 1.5707963267948966}
-      - {kind: ideal_polarizer, angle_deg: 7.5}
-  - elements:
-      - {kind: partial_polarizer, angle_deg: 110.0, extinction: 3.7}
-samples:
-  - {family: LP, thetas: {start: 0, stop: 180, step: 30}}
-  - {family: QWP, thetas: [0, 45, 90]}
-  - family: custom
-    element: {kind: retarder, angle_deg: 0.0, retardance_rad: 0.5}
-counting:
-  pair_rate: 5000
-  integration_time: 1.0
-  coincidence_window: 3.0e-9
-  singles_background: 20000
-  drift_amplitude: 0.02
-tomography:
-  integration_time: 10.0
-optimize:
-  samples:
-    - {family: LP, theta_deg: 0.0}
-    - {family: LP, theta_deg: 45.0}
-  projectors:
-    - {qwp_deg: 170.0, lp_deg: 7.5}
-    - {qwp_deg: null, lp_deg: 34.0}
-  probe: {qwp_deg: 62.0, lp_deg: 90.0}
-  mode: sequential
-  restarts: 4
-  max_evals: 200
-  vary_extinction: false
-"""
+from helpers import CONFIGS, FOREIGN_PARAMETERS, FULL_CONFIG
 
 
 def test_empty_config_defaults():
@@ -76,9 +34,6 @@ def test_empty_config_defaults():
     assert cfg.probe_elements == []
     assert cfg.projectors == []
     assert cfg.counting is None and cfg.optimize is None
-
-
-CONFIGS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs")
 
 
 @pytest.mark.parametrize("name, calls", [

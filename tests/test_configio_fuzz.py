@@ -12,7 +12,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ghostpol.configio import ConfigError, parse_config_text  # noqa: E402
-from test_configio import FULL_CONFIG  # noqa: E402
+from helpers import FULL_CONFIG  # noqa: E402
 
 
 # Every key of the schema, so generated mappings reach nested parsers.

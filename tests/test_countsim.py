@@ -15,6 +15,7 @@ from ghostpol.countsim import (
     stream,
 )
 from ghostpol.ghost import ResponseCurve
+from helpers import ref_runset_to_csv
 
 # Hand-worked correction example, frozen before the implementation ran.
 # Model: accidentals 20000^2 * 3e-9 * 1 = 1.2 per cell, efficiency
@@ -53,20 +54,6 @@ def reference_runs(curve, model, n_runs, seed, family_tag=0):
                 model.singles_background * model.integration_time
             )
     return counts, singles
-
-
-def reference_csv(runs, corrected):
-    """The per-cell f-string writer the vectorised one replaced."""
-    lines = ["run,theta_deg,projector_index,raw,corrected"]
-    n_runs, n_theta, n_proj = runs.counts.shape
-    for r in range(n_runs):
-        for t in range(n_theta):
-            for j in range(n_proj):
-                lines.append(
-                    f"{r},{runs.thetas[t]:.6g},{j},"
-                    f"{runs.counts[r, t, j]:.9g},{corrected[r, t, j]:.9g}"
-                )
-    return "\n".join(lines) + "\n"
 
 
 def test_model_validation():
@@ -288,7 +275,7 @@ def test_runset_csv_layout(tmp_path):
 
 def test_runset_csv_matches_reference_writer(tmp_path):
     rng = np.random.default_rng(3)
-    path = str(tmp_path / "runs.csv")
+    path, want = str(tmp_path / "runs.csv"), str(tmp_path / "want.csv")
     for n_runs, n_theta, n_proj in [(1, 1, 1), (3, 7, 2), (8, 45, 3)]:
         thetas = np.sort(rng.uniform(0.0, 180.0, n_theta))
         thetas[0] = 0.0
@@ -299,5 +286,6 @@ def test_runset_csv_matches_reference_writer(tmp_path):
         corrected.flat[-1] = 1e-300
         runs = RunSet(thetas, counts)
         runset_to_csv(runs, corrected, path)
-        with open(path, encoding="utf-8") as fh:
-            assert fh.read() == reference_csv(runs, corrected)
+        ref_runset_to_csv(runs, corrected, want)
+        with open(path, encoding="utf-8") as fh, open(want, encoding="utf-8") as ref:
+            assert fh.read() == ref.read()

@@ -20,6 +20,7 @@ from ghostpol.discern import (
     summarize,
     summary_text,
 )
+from helpers import random_report, ref_report_to_csv
 
 RNG = np.random.default_rng(77)
 
@@ -472,53 +473,6 @@ def test_cross_family_exclusions_match_scalar_reference():
     assert seen_a_drop > 0 and seen_b_drop > 0
 
 
-def ref_report_to_csv(report, path):
-    """The row-by-row writer that the one-pass report_to_csv replaced."""
-    n_axes = report.families[0].stats.shape[2] if report.families else 0
-    header = ["family", "theta_deg", "kept", "cross_excluded"]
-    header += [f"mean{k + 1}" for k in range(n_axes)]
-    header += [f"std{k + 1}" for k in range(n_axes)]
-    header += [f"ci95_{k + 1}" for k in range(n_axes)]
-    lines = [",".join(header)]
-    for outcome in report.families:
-        kept = set(outcome.kept)
-        crossed = set(outcome.cross_excluded)
-        for t in range(outcome.thetas.size):
-            cells = [
-                outcome.family,
-                f"{outcome.thetas[t]:.6g}",
-                "1" if t in kept else "0",
-                "1" if t in crossed else "0",
-            ]
-            for stat in outcome.stats:  # mean, std, ci95
-                cells += [f"{v:.9g}" for v in stat[t]]
-            lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def random_report(rng, d):
-    """Families with stats over many magnitudes and random kept flags."""
-    families = []
-    for name in ("LP", "QWP", "custom")[:rng.integers(1, 4)]:
-        n = int(rng.integers(1, 40))
-        magnitude = 10.0 ** rng.uniform(-300.0, 10.0, (3, n, d))
-        mean, std, ci95 = np.where(rng.random((3, n, d)) < 0.1, 0.0, magnitude)
-        mean *= rng.choice([-1.0, 1.0], (n, d))
-        order = rng.permutation(n)
-        n_kept, n_crossed = rng.integers(0, n + 1, 2)
-        n_crossed = min(n_crossed, n - n_kept)
-        families.append(FamilyOutcome(
-            family=name,
-            thetas=np.sort(rng.uniform(0.0, 180.0, n)),
-            stats=np.array([mean, std, ci95]),
-            regions=EllipsoidRegion(mean, ci95),
-            kept=sorted(order[:n_kept].tolist()),
-            cross_excluded=order[n_kept:n_kept + n_crossed].tolist(),
-        ))
-    return DistinguishabilityReport(families=families, exclusions=[])
-
-
 def test_report_csv_matches_row_by_row_reference(tmp_path):
     rng = np.random.default_rng(14)
     seen_empty_kept = seen_crossed = 0
@@ -781,24 +735,6 @@ def test_cross_family_exclusions_memory_is_bounded_by_the_window():
     assert peak < 8 * 2 ** 20, peak
 
 
-def per_row_report_to_csv(report, path):
-    """The writer that formatted one row per % before the one-% form."""
-    n_axes = report.families[0].stats.shape[2] if report.families else 0
-    header = ["family", "theta_deg", "kept", "cross_excluded"]
-    header += [f"{name}{k + 1}" for name in ("mean", "std", "ci95_")
-               for k in range(n_axes)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for o in report.families:
-            row = "%s,%.6g,%d,%d" + ",%.9g" * (3 * o.stats.shape[2]) + "\n"
-            flags = np.zeros((2, o.thetas.size), dtype=int)
-            flags[0, o.kept] = 1
-            flags[1, o.cross_excluded] = 1
-            values = np.hstack([o.stats[0], o.stats[1], o.stats[2]])
-            rows = zip(o.thetas.tolist(), *flags.tolist(), values.tolist())
-            fh.write("".join([row % (o.family, t, k, x, *v) for t, k, x, v in rows]))
-
-
 def test_report_csv_matches_one_format_per_row_writer(tmp_path):
     rng = np.random.default_rng(16)
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
@@ -812,7 +748,5 @@ def test_report_csv_matches_one_format_per_row_writer(tmp_path):
                 "none", np.zeros(0), np.zeros((3, 0, d)),
                 EllipsoidRegion(empty, empty), []))
         report_to_csv(report, str(got))
-        per_row_report_to_csv(report, str(want))
-        assert got.read_bytes() == want.read_bytes()
         ref_report_to_csv(report, str(want))
         assert got.read_bytes() == want.read_bytes()

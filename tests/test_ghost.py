@@ -18,44 +18,11 @@ from ghostpol.ghost import (
 from ghostpol.polcalc import (
     EFFECT_TOL, PolElement, check_passive, compose, effect, element_jones,
 )
-from ghostpol.qstate import TwoQubitDensity, bell_psi_plus, werner
+from ghostpol.qstate import bell_psi_plus, werner
+from helpers import (joint_probability_oracle, lp, qwp, random_density,
+                     random_element, random_passive_jones)
 
 RNG = np.random.default_rng(31337)
-
-
-def lp(theta):
-    return PolElement("ideal_polarizer", theta)
-
-
-def qwp(theta):
-    return PolElement("retarder", theta, retardance_rad=np.pi / 2.0)
-
-
-def random_density():
-    g = RNG.normal(size=(4, 4)) + 1.0j * RNG.normal(size=(4, 4))
-    rho = g @ g.conj().T
-    return TwoQubitDensity(rho / np.trace(rho))
-
-
-def random_passive_jones():
-    g = RNG.normal(size=(2, 2)) + 1.0j * RNG.normal(size=(2, 2))
-    return g / (np.linalg.svd(g, compute_uv=False)[0] + 1e-12)
-
-
-def joint_probability_oracle(rho, k, j):
-    """tr[(K x J) rho (K x J)^dagger] by explicit index sums."""
-    big = [[0.0j] * 4 for _ in range(4)]
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                for d in range(2):
-                    big[2 * a + b][2 * c + d] = k[a, c] * j[b, d]
-    total = 0.0
-    for i in range(4):
-        for m in range(4):
-            for n in range(4):
-                total += (big[i][m] * rho[m, n] * np.conj(big[i][n])).real
-    return total
 
 
 def kron_loop_probability(rho, kraus, idler_jones, conditional=False):
@@ -84,23 +51,12 @@ def kron_loop_heralded_idler(rho, kraus):
     return out, float(np.real(np.trace(out)))
 
 
-def random_element():
-    kind = RNG.choice(["ideal_polarizer", "partial_polarizer", "retarder"])
-    theta = float(RNG.uniform(0.0, 180.0))
-    if kind == "partial_polarizer":
-        return PolElement(kind, theta, extinction=float(RNG.uniform(1.0, 20.0)))
-    if kind == "retarder":
-        return PolElement(kind, theta,
-                          retardance_rad=float(RNG.uniform(0.0, 2.0 * np.pi)))
-    return lp(theta)
-
-
 def random_chain():
-    return compose([random_element() for _ in range(int(RNG.integers(1, 4)))])
+    return compose([random_element(RNG) for _ in range(int(RNG.integers(1, 4)))])
 
 
 def random_state():
-    return werner(float(RNG.uniform())) if RNG.uniform() < 0.5 else random_density()
+    return werner(float(RNG.uniform())) if RNG.uniform() < 0.5 else random_density(RNG)
 
 
 def random_channel():
@@ -121,7 +77,7 @@ def test_engine_matches_kron_loop_reference():
         rho = random_state()
         kraus = random_channel() if case % 3 == 0 else (random_chain(),)
         e = signal_effect(kraus)
-        j = random_chain() if case % 2 else random_passive_jones()
+        j = random_chain() if case % 2 else random_passive_jones(RNG)
         for conditional in (False, True):
             new = coincidence_probability(rho, e, check_passive(j),
                                           conditional=conditional)
@@ -140,7 +96,7 @@ def test_stacked_engine_matches_kron_loop_reference():
     stacked = check_passive(chains)
     f = check_passive(idlers)
     assert stacked.shape == (7, 2, 2) and f.shape == (3, 2, 2)
-    for rho in (werner(0.92), random_density()):
+    for rho in (werner(0.92), random_density(RNG)):
         for conditional in (False, True):
             grid = coincidence_probability(rho, stacked, f,
                                            conditional=conditional)
@@ -182,9 +138,7 @@ def test_engine_shapes_are_slices_of_the_stacked_grid(conditional):
     jones = g / (np.linalg.svd(g, compute_uv=False)[:, :1, None] + 1e-12)
     e = check_passive(jones[:6]).reshape(2, 3, 2, 2)
     f = check_passive(jones[6:])
-    g = rng.normal(size=(4, 4)) + 1.0j * rng.normal(size=(4, 4))
-    g = g @ g.conj().T
-    for rho in (werner(0.92), TwoQubitDensity(g / np.trace(g))):
+    for rho in (werner(0.92), random_density(rng)):
         grid = coincidence_probability(rho, e.reshape(-1, 2, 2), f,
                                        conditional=conditional)
         assert grid.shape == (6, 4)
@@ -314,6 +268,13 @@ def test_coincidences_of_crossed_and_parallel_analyzers():
                                       check_passive(element_jones(lp(90.0))))
     assert abs(same) < 1e-12
     assert abs(crossed - 0.5) < 1e-12
+    # Polarizers at a and 180 - a deg block every coincidence; on 124 of
+    # these 360 angles the contraction rounds below 0, and the engine clamps.
+    thetas = np.arange(0.0, 180.0, 0.5)
+    grid = coincidence_probability(
+        rho, check_passive(element_jones(lp(0.0), thetas)),
+        check_passive(element_jones(lp(0.0), 180.0 - thetas)))
+    assert np.all(grid >= 0.0) and np.all(np.diag(grid) < 1e-12)
 
 
 def test_conditional_probability_normalizes_by_herald():
@@ -350,9 +311,9 @@ def test_identity_probe_gives_half_for_any_polarizer():
 
 def test_joint_probability_against_bruteforce_oracle():
     for _ in range(50):
-        rho = random_density()
-        k = random_passive_jones()
-        j = random_passive_jones()
+        rho = random_density(RNG)
+        k = random_passive_jones(RNG)
+        j = random_passive_jones(RNG)
         engine = coincidence_probability(rho, check_passive(k), check_passive(j))
         oracle = joint_probability_oracle(rho.matrix, k, j)
         assert abs(engine - oracle) < 1e-12
@@ -360,9 +321,9 @@ def test_joint_probability_against_bruteforce_oracle():
 
 def test_joint_never_exceeds_herald():
     for _ in range(20):
-        rho = random_density()
-        probe = check_passive(random_passive_jones())
-        j = random_passive_jones()
+        rho = random_density(RNG)
+        probe = check_passive(random_passive_jones(RNG))
+        j = random_passive_jones(RNG)
         p = coincidence_probability(rho, probe, check_passive(j))
         _, herald = heralded_idler(rho, probe)
         assert p <= herald + 1e-12
@@ -372,9 +333,9 @@ def test_reduction_consistency():
     # The joint probability equals tr[J rho_r J^dagger] on the heralded
     # reduced state.
     for _ in range(20):
-        rho = random_density()
-        probe = check_passive(random_passive_jones())
-        j = random_passive_jones()
+        rho = random_density(RNG)
+        probe = check_passive(random_passive_jones(RNG))
+        j = random_passive_jones(RNG)
         p = coincidence_probability(rho, probe, check_passive(j))
         reduced, _ = heralded_idler(rho, probe)
         assert abs(p - np.trace(j @ reduced @ j.conj().T).real) < 1e-12
@@ -384,9 +345,9 @@ def test_engine_is_linear_in_the_signal_effect():
     # A mixed signal arm w E1 + (1 - w) E2 gives the mix of the two
     # responses, so a Kraus set needs nothing beyond its summed effect.
     for _ in range(50):
-        rho = random_density()
+        rho = random_density(RNG)
         e1, e2 = check_passive(random_chain()), check_passive(random_chain())
-        f = check_passive(random_passive_jones())
+        f = check_passive(random_passive_jones(RNG))
         w = float(RNG.uniform())
         mixed = w * e1 + (1.0 - w) * e2
         p1, p2 = (coincidence_probability(rho, e, f) for e in (e1, e2))

@@ -1,12 +1,11 @@
 import math
+import os
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-
-import os
 
 from ghostpol import optproj, polcalc
 from ghostpol.configio import load_config, parse_config_text
@@ -27,14 +26,13 @@ from ghostpol.optproj import (
 )
 from ghostpol.ghost import coincidence_probability
 from ghostpol.polcalc import (
-    QWP, STOKES_OPS, PolElement, check_passive, compose, element_jones,
+    QWP, PolElement, check_passive, compose, element_jones,
     oriented_jones,
 )
 from ghostpol.qstate import TwoQubitDensity, bell_psi_plus, werner
-from helpers import rotation_jones
+from helpers import CONFIGS, loop_mueller, reference_jones
 
 PSI_PLUS, SEED = bell_psi_plus(), 3
-CONFIGS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs")
 RNG = np.random.default_rng(8)
 
 LP_SAMPLES = (
@@ -90,22 +88,6 @@ def test_response_points_match_malus_law():
     assert abs(pts[1, 0] - 0.5 * math.sin(math.radians(135.0)) ** 2) < 1e-12
 
 
-def reference_jones(elements):
-    """Chain Jones matrix as built before the stacks: R J0 R^dagger per
-    element by matrix products, multiplied up one element at a time."""
-    total = np.eye(2, dtype=complex)
-    for el in elements:
-        if el.kind == "ideal_polarizer":
-            j0 = np.diag([0.0, 1.0]).astype(complex)
-        elif el.kind == "partial_polarizer":
-            j0 = np.diag([1.0 / np.sqrt(el.extinction), 1.0]).astype(complex)
-        else:
-            j0 = np.diag([np.exp(1.0j * el.retardance_rad), 1.0])
-        r = rotation_jones(el.theta_deg)
-        total = r @ j0 @ r.conj().T @ total
-    return total
-
-
 def reference_response_points(rho, samples, probe, projectors):
     """The kron-loop response_points the batched engine replaced."""
     probe_jones = np.eye(2) if probe is None else reference_jones(probe.elements())
@@ -117,12 +99,6 @@ def reference_response_points(rho, samples, probe, projectors):
             pts[i, j] = max(0.0, float(np.real(
                 np.trace(big @ rho.matrix @ big.conj().T))))
     return pts
-
-
-def reference_min_separation(pts):
-    pts = pts / float(np.max(pts))
-    return min(float(np.sqrt(np.add.reduce((pts[i] - pts[j]) ** 2)))
-               for i in range(len(pts)) for j in range(i + 1, len(pts)))
 
 
 def random_param():
@@ -174,7 +150,7 @@ def test_response_points_match_kron_loop_reference():
         assert np.max(np.abs(pts - ref)) <= 1e-15
         if np.max(pts) > 0.0:
             # Same points in, bit-identical minimum out.
-            assert objective_min_separation(pts) == reference_min_separation(pts)
+            assert objective_min_separation(pts) == reference_min_separation_matrix(pts)
 
 
 def test_response_points_equal_the_checked_path():
@@ -673,7 +649,7 @@ def test_objective_scores_response_points():
     assert objective_min_separation(np.array([[0.5], [0.25]])) == 0.5
     assert objective_min_separation(np.zeros((3, 2))) == 0.0
     pts = np.random.default_rng(15).uniform(size=(7, 2))
-    assert objective_min_separation(pts) == reference_min_separation(pts)
+    assert objective_min_separation(pts) == reference_min_separation_matrix(pts)
 
 
 def test_objective_zero_for_dark_responses():
@@ -813,16 +789,6 @@ def test_nearest_feasible_passes_through_extinction():
 def test_nearest_feasible_validates_shape():
     with pytest.raises(ValueError):
         nearest_feasible(np.eye(3))
-
-
-def loop_mueller(j):
-    """The per-entry jones_to_mueller that the batched one replaced."""
-    m = np.empty((4, 4))
-    jd = j.conj().T
-    for i, si in enumerate(STOKES_OPS):
-        for k, sk in enumerate(STOKES_OPS):
-            m[i, k] = 0.5 * np.real(np.trace(si @ j @ sk @ jd))
-    return m
 
 
 def loop_nearest_feasible(target, extinction, qwp_first, grid_step_deg=7.5):

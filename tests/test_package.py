@@ -1,5 +1,7 @@
-"""The package namespace, and what runs without scipy."""
+"""The package namespace, what runs without scipy, and the layout of the
+tests."""
 
+import ast
 import importlib
 import json
 import os
@@ -138,3 +140,23 @@ def test_numpy_starts_with_one_blas_thread_unless_a_count_is_set(preset):
     assert package["env"] == {k: preset.get(k) for k in THREAD_VARS}
     # One thread, or, with a count set, whatever numpy alone starts.
     assert package["threads"] == (numpy_alone["threads"] if preset else 1)
+
+
+def test_no_test_module_imports_another_or_repeats_a_function():
+    # One oracle per behaviour and one home per fixture: helpers.py holds
+    # what several modules share, else the one module that uses it.
+    tests = os.path.dirname(os.path.abspath(__file__))
+    homes, imports = {}, []
+    for name in sorted(n for n in os.listdir(tests) if n.endswith(".py")):
+        with open(os.path.join(tests, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = ([node.module or ""] if isinstance(node, ast.ImportFrom)
+                           else [alias.name for alias in node.names])
+                imports += [(name, m) for m in modules if m.startswith("test_")]
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                homes.setdefault(node.name, []).append(name)
+    assert imports == []
+    assert {f: names for f, names in homes.items() if len(names) > 1} == {}

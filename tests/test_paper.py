@@ -24,8 +24,8 @@ import yaml
 
 from ghostpol import cli, configio, ghost
 from ghostpol.cli import main
+from helpers import CONFIGS
 
-CONFIGS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs")
 SEEDS = range(20)
 
 

@@ -17,7 +17,8 @@ from ghostpol.polcalc import (
     jones_to_mueller,
     oriented_jones,
 )
-from helpers import rotation_jones
+from helpers import (FOREIGN_PARAMETERS, REF_PROBE_THREE, REF_PROBE_TWO, loop_mueller,
+                     qwp, random_element, reference_jones, rotation_jones)
 
 RNG = np.random.default_rng(20240814)
 
@@ -34,45 +35,6 @@ def coherency_from_stokes(stokes: np.ndarray) -> np.ndarray:
     """Coherency matrix C with tr(sigma_i C) = S_i."""
     s = np.asarray(stokes, dtype=float).reshape(4)
     return 0.5 * np.tensordot(s, STOKES_OPS, 1)
-
-# Every (element kind, parameter the kind does not take) pair.
-FOREIGN_PARAMETERS = [
-    ("ideal_polarizer", "extinction"),
-    ("ideal_polarizer", "retardance_rad"),
-    ("partial_polarizer", "retardance_rad"),
-    ("retarder", "extinction"),
-]
-
-# Reference Mueller matrix of the standard probe settings: ideal
-# polarizer at 90 deg followed by a quarter-wave plate at 62 deg.
-REF_PROBE_THREE = np.array([
-    [0.5000, -0.5000, 0.0, 0.0],
-    [-0.1563, 0.1563, 0.0, 0.0],
-    [0.2318, -0.2318, 0.0, 0.0],
-    [0.4145, -0.4145, 0.0, 0.0],
-])
-
-# Same probe with the polarizer replaced by a 3.7:1 partial one.
-REF_PROBE_TWO = np.array([
-    [0.6351, -0.3649, 0.0, 0.0],
-    [-0.1141, 0.1986, -0.2410, 0.4310],
-    [0.1691, -0.2944, 0.3573, 0.2907],
-    [0.3025, -0.5266, -0.2907, 0.0],
-])
-
-
-def qwp(theta):
-    return PolElement("retarder", theta, retardance_rad=np.pi / 2.0)
-
-
-def random_element():
-    kind = RNG.choice(["ideal_polarizer", "partial_polarizer", "retarder"])
-    theta = float(RNG.uniform(0.0, 180.0))
-    if kind == "partial_polarizer":
-        return PolElement(kind, theta, extinction=float(RNG.uniform(1.0, 20.0)))
-    if kind == "retarder":
-        return PolElement(kind, theta, retardance_rad=float(RNG.uniform(0.0, 2.0 * np.pi)))
-    return PolElement(kind, theta)
 
 
 def test_rotation_quarter_turn():
@@ -124,7 +86,7 @@ def test_quarter_wave_at_45_matches_composition_oracle():
 
 def test_element_periodicity():
     for _ in range(20):
-        el = random_element()
+        el = random_element(RNG)
         shifted = PolElement(el.kind, el.theta_deg + 180.0,
                              extinction=el.extinction,
                              retardance_rad=el.retardance_rad)
@@ -132,23 +94,10 @@ def test_element_periodicity():
         assert 0.0 <= shifted.theta_deg < 180.0
 
 
-def matmul_element_jones(el):
-    """Element Jones matrix as built before the closed form: R J0 R^dagger
-    by two complex matrix products."""
-    if el.kind == "ideal_polarizer":
-        j0 = np.diag([0.0, 1.0]).astype(complex)
-    elif el.kind == "partial_polarizer":
-        j0 = np.diag([1.0 / np.sqrt(el.extinction), 1.0]).astype(complex)
-    else:
-        j0 = np.diag([np.exp(1.0j * el.retardance_rad), 1.0])
-    r = rotation_jones(el.theta_deg)
-    return r @ j0 @ r.conj().T
-
-
 def test_closed_form_matches_matrix_products():
     for _ in range(200):
-        el = random_element()
-        npt.assert_allclose(element_jones(el), matmul_element_jones(el),
+        el = random_element(RNG)
+        npt.assert_allclose(element_jones(el), reference_jones([el]),
                             rtol=0, atol=1e-15)
 
 
@@ -157,7 +106,7 @@ def test_element_stack_equals_elementwise_calls():
     thetas = np.concatenate([RNG.uniform(-400.0, 400.0, size=40),
                              [0.0, 45.0, 90.0, 180.0, -90.0]])
     for _ in range(6):
-        el = random_element()
+        el = random_element(RNG)
         stack = element_jones(el, thetas)
         assert stack.shape == (thetas.size, 2, 2)
         for t, theta in enumerate(thetas):
@@ -170,7 +119,7 @@ def test_element_stack_equals_elementwise_calls():
 
 def test_oriented_jones_takes_a_factor_per_angle():
     # One call over mixed kinds equals one element_jones call per element.
-    elements = [random_element() for _ in range(30)]
+    elements = [random_element(RNG) for _ in range(30)]
     factors = np.array([
         0.0 if el.kind == "ideal_polarizer" else
         1.0 / np.sqrt(el.extinction) if el.kind == "partial_polarizer" else
@@ -183,7 +132,7 @@ def test_oriented_jones_takes_a_factor_per_angle():
 
 
 def test_compose_broadcasts_stacks():
-    a = [random_element() for _ in range(3)]
+    a = [random_element(RNG) for _ in range(3)]
     thetas = RNG.uniform(0.0, 180.0, size=5)
     stack = compose([element_jones(a[0], thetas), a[1], element_jones(a[2])])
     assert stack.shape == (5, 2, 2)
@@ -239,11 +188,11 @@ def test_compose_order_last_element_leftmost():
 
 def test_passivity_of_generated_elements():
     for _ in range(30):
-        check_passive(element_jones(random_element()))
+        check_passive(element_jones(random_element(RNG)))
     with pytest.raises(ValueError):
         check_passive(np.diag([1.2, 0.0]))
     # One amplifying member fails a whole stack; an empty stack passes.
-    stack = np.stack([element_jones(random_element()) for _ in range(4)])
+    stack = np.stack([element_jones(random_element(RNG)) for _ in range(4)])
     check_passive(stack)
     stack[2] = np.diag([1.0 + 1e-6, 0.5])
     with pytest.raises(ValueError):
@@ -320,10 +269,7 @@ def test_mueller_stack_equals_entrywise_traces():
     muellers = jones_to_mueller(stack)
     assert muellers.shape == (3, 50, 4, 4)
     for j, m in zip(stack.reshape(-1, 2, 2), muellers.reshape(-1, 4, 4)):
-        jd = j.conj().T
-        for i, si in enumerate(STOKES_OPS):
-            for k, sk in enumerate(STOKES_OPS):
-                assert m[i, k] == 0.5 * np.real(np.trace(si @ j @ sk @ jd))
+        assert np.array_equal(m, loop_mueller(j))
         assert np.array_equal(jones_to_mueller(j), m)
     with pytest.raises(ValueError):
         jones_to_mueller(np.eye(3))
@@ -348,7 +294,7 @@ def test_mueller_action_matches_coherency_oracle():
     # Independent route: build a coherency matrix from a Stokes vector,
     # conjugate by the Jones matrix, read the Stokes vector back.
     for _ in range(40):
-        el = random_element()
+        el = random_element(RNG)
         j = element_jones(el)
         m = jones_to_mueller(j)
         s_in = np.concatenate([[1.0], RNG.uniform(-0.57, 0.57, size=3)])
@@ -360,8 +306,8 @@ def test_mueller_action_matches_coherency_oracle():
 
 def test_mueller_multiplicativity():
     for _ in range(20):
-        j1 = element_jones(random_element())
-        j2 = element_jones(random_element())
+        j1 = element_jones(random_element(RNG))
+        j2 = element_jones(random_element(RNG))
         npt.assert_allclose(
             jones_to_mueller(j1 @ j2),
             jones_to_mueller(j1) @ jones_to_mueller(j2),
@@ -371,7 +317,7 @@ def test_mueller_multiplicativity():
 
 def test_mueller_passivity_structure():
     for _ in range(20):
-        m = jones_to_mueller(element_jones(random_element()))
+        m = jones_to_mueller(element_jones(random_element(RNG)))
         assert m[0, 0] <= 1.0 + 1e-12
         assert np.all(np.abs(m) <= m[0, 0] + 1e-12)
 

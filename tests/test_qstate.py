@@ -15,14 +15,9 @@ from ghostpol.qstate import (
     save_density_csv,
     werner,
 )
+from helpers import random_density
 
 RNG = np.random.default_rng(77)
-
-
-def random_density():
-    g = RNG.normal(size=(4, 4)) + 1.0j * RNG.normal(size=(4, 4))
-    rho = g @ g.conj().T
-    return TwoQubitDensity(rho / np.trace(rho))
 
 
 def wootters_oracle(matrix):
@@ -115,7 +110,7 @@ def test_concurrence_reference_point():
 
 def test_concurrence_matches_independent_oracle_on_random_states():
     for _ in range(25):
-        rho = random_density()
+        rho = random_density(RNG)
         assert abs(concurrence(rho) - wootters_oracle(rho.matrix)) < 1e-9
 
 
@@ -153,12 +148,12 @@ def test_metrics_of_bell_state():
 
 def test_purity_range():
     for _ in range(10):
-        rho = random_density()
+        rho = random_density(RNG)
         assert 0.25 - 1e-12 <= rho.purity() <= 1.0 + 1e-12
 
 
 def test_density_csv_roundtrip(tmp_path):
-    rho = random_density()
+    rho = random_density(RNG)
     path = str(tmp_path / "state.csv")
     save_density_csv(rho, path)
     back = load_density_csv(path)

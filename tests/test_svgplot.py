@@ -3,8 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from ghostpol.discern import EllipsoidRegion, FamilyOutcome
 from ghostpol.svgplot import curve_chart, region_panels
+from helpers import panel_dict, ref_region_panels, region_outcome
 
 THETAS = np.arange(0.0, 180.0, 10.0)
 SERIES = np.column_stack([
@@ -40,21 +40,6 @@ def test_curve_chart_handles_flat_series():
     assert svg.startswith("<svg")
 
 
-def region_outcome(family, centers, semi_axes, kept):
-    """A family outcome holding what region_panels draws: the regions
-    of ``centers`` and ``semi_axes``, and the ``kept`` rows."""
-    regions = EllipsoidRegion(np.asarray(centers, dtype=float), semi_axes)
-    return FamilyOutcome(family, np.arange(float(len(regions.center))),
-                         np.array([regions.center, regions.semi_axes,
-                                   regions.semi_axes]), regions, list(kept))
-
-
-def panel_dict(outcome):
-    """An outcome as the dict of ref_region_panels."""
-    return {"label": outcome.family, "centers": outcome.stats[0],
-            "semi_axes": outcome.regions.semi_axes, "kept": outcome.kept}
-
-
 def test_region_panels_draws_every_region():
     families = [
         ("LP", np.array([[0.1, 0.2], [0.7, 0.8]]),
@@ -83,38 +68,6 @@ def test_region_panels_draw_each_axis_pair_once(n_axes, names):
     labels = re.findall(r'text-anchor="(middle|start)" fill="#222222">(P\d)<', svg)
     assert labels == [label for pair in names
                       for label in zip(("middle", "start"), pair)]
-
-
-def ref_region_panels(families, axis_pairs, axis_names, title, panel=300.0):
-    """The per-ellipse loop that region_panels replaced, kept verbatim."""
-    from ghostpol.svgplot import (MARGIN_B, MARGIN_L, MARGIN_T, PALETTE,
-                                  _Axes, _Canvas, _fmt)
-
-    width = MARGIN_L + len(axis_pairs) * (panel + 24.0)
-    canvas = _Canvas(width, panel + MARGIN_T + MARGIN_B)
-    canvas.text(width / 2.0, 16.0, title, size=13.0)
-    for p, (ix, iy) in enumerate(axis_pairs):
-        box_x = MARGIN_L + p * (panel + 24.0)
-        axes = _Axes(canvas, (box_x, MARGIN_T, panel, panel),
-                     (-0.05, 1.05), (-0.05, 1.05))
-        axes.frame(axis_names[ix], axis_names[iy], xticks=[0.0, 0.5, 1.0])
-        for f, fam in enumerate(families):
-            color = PALETTE[f % len(PALETTE)]
-            kept = set(fam["kept"])
-            centers, semis = fam["centers"], fam["semi_axes"]
-            for i in range(centers.shape[0]):
-                cx, cy = axes.px(centers[i, ix]), axes.py(centers[i, iy])
-                rx = max(semis[i, ix] / 1.1 * panel, 1.0)
-                ry = max(semis[i, iy] / 1.1 * panel, 1.0)
-                fill = color if i in kept else "none"
-                canvas.parts.append(
-                    f'<ellipse cx="{_fmt(cx)}" cy="{_fmt(cy)}" rx="{_fmt(rx)}" '
-                    f'ry="{_fmt(ry)}" fill="{fill}" fill-opacity="0.35" '
-                    f'stroke="{color}" stroke-width="1.00"/>'
-                )
-            canvas.text(box_x + 8.0, MARGIN_T - 6.0 + 12.0 * f,
-                        fam["label"], size=10.0, anchor="start", color=color)
-    return canvas.to_string()
 
 
 def test_region_panels_equal_per_ellipse_loop():

@@ -21,7 +21,7 @@ from ghostpol.tomo import (
     records_to_csv,
     simulate_tomography,
 )
-from helpers import expected_records
+from helpers import expected_records, random_density
 
 RNG = np.random.default_rng(2024)
 
@@ -33,12 +33,6 @@ except ImportError:
 # The package runs without scipy; only the tests that compare against it
 # need it.
 needs_scipy = pytest.mark.skipif(not HAVE_SCIPY, reason="the oracle is scipy")
-
-
-def random_density(rng=RNG):
-    g = rng.normal(size=(4, 4)) + 1.0j * rng.normal(size=(4, 4))
-    rho = g @ g.conj().T
-    return TwoQubitDensity(rho / np.trace(rho))
 
 
 def test_analysis_states_are_unit_and_paired():
@@ -57,7 +51,7 @@ def test_canonical_pairs_structure():
 
 def test_rectilinear_block_sums_to_total():
     for _ in range(10):
-        rho = random_density()
+        rho = random_density(RNG)
         total = sum(
             projection_probability(rho, a, b)
             for a, b in (("H", "H"), ("H", "V"), ("V", "H"), ("V", "V"))
@@ -287,7 +281,7 @@ def test_inversion_table_inverts_the_canonical_system():
 
 def test_linear_inversion_is_exact_on_clean_counts():
     for _ in range(5):
-        rho = random_density()
+        rho = random_density(RNG)
         counts = np.array([r.counts for r in expected_records(rho, 1e6)])
         est = np.einsum("i,iab->ab", counts / counts[:4].sum(), tomo._RHO_FROM_PROBS)
         npt.assert_allclose(est, rho.matrix, atol=1e-12)
@@ -295,7 +289,7 @@ def test_linear_inversion_is_exact_on_clean_counts():
 
 def test_cholesky_factor_is_lower_triangular_or_refused():
     for _ in range(5):
-        a = random_density().matrix + 1e-3 * np.eye(4)
+        a = random_density(RNG).matrix + 1e-3 * np.eye(4)
         t = tomo._cholesky(a)
         assert np.array_equal(t, np.tril(t))
         assert np.all(np.diag(t).real > 0.0) and np.all(np.diag(t).imag == 0.0)
@@ -320,6 +314,21 @@ def test_fit_is_converged_exactly_when_the_gradient_test_passes(monkeypatch):
     assert cut.iterations == 3 and not cut.converged
     assert cut.gradient_norm > GRADIENT_TOL * total
     assert cut.log_likelihood < done.log_likelihood
+
+
+def test_fit_stops_when_no_step_passes_the_armijo_test(monkeypatch):
+    # With the gradient's sign flipped every search direction climbs, so
+    # the line search runs out of step lengths before the first step.
+    deviance_and_grad = tomo._deviance_and_grad
+
+    def uphill(x, counts, total):
+        f, g = deviance_and_grad(x, counts, total)
+        return f, -g
+
+    monkeypatch.setattr(tomo, "_deviance_and_grad", uphill)
+    stalled = reconstruct_mle(simulate_tomography(werner(0.92), CountModel(1e6, 1.0), 1))
+    assert stalled.iterations == 0 and stalled.converged is False
+    assert np.all(np.isfinite(stalled.rho.matrix)) and stalled.gradient_norm > 0.0
 
 
 def _old_nll_and_grad(params, counts, pair_mat):
@@ -365,9 +374,7 @@ def oracle_record_sets():
     few, some = CountModel(1e3, 1.0), CountModel(1e5, 1.0)
     sets = [simulate_tomography(werner(0.92), shipped, seed) for seed in range(5)]
     for seed in range(4):
-        g = rng.normal(size=(4, 4)) + 1.0j * rng.normal(size=(4, 4))
-        rho = TwoQubitDensity(g @ g.conj().T / np.trace(g @ g.conj().T))
-        sets.append(simulate_tomography(rho, some, seed))
+        sets.append(simulate_tomography(random_density(rng), some, seed))
     sets += [simulate_tomography(werner(0.999), some, seed) for seed in range(4)]
     sets += [simulate_tomography(bell_psi_plus(), few, seed) for seed in range(4)]
     sets += [simulate_tomography(bell_psi_plus(), shipped, seed) for seed in range(3)]

@@ -1,17 +1,19 @@
-"""Every text writer, byte-compared with the writer it replaced.
+"""Every text writer, byte-compared with a reference writer.
 
-The references below are the writers as they stood before each output
-block became one ``%`` over a template (``textio.block``), kept
-verbatim but for their names and one rule: the runs and records
-references print a column of raw counts exactly (``exact_cells``).  The
-canvas methods that drew each curve point by point are kept as the
-functions ``ref_polyline`` and ``ref_polygon``.  Random data covers the
-forks of the new writers: whole counts on both sides of 1e9 and of
-2**53, fractional, negative-zero and NaN counts, zero and negative-zero
-band edges, and grids of one orientation, one run and one projector.
+The curve, records and density references below are the writers as
+they stood before each output block became one ``%`` over a template
+(``textio.block``), kept verbatim but for their names and one rule: the
+records reference prints a column of raw counts exactly
+(``exact_cells``).  The canvas methods that drew each curve point by
+point are kept as the functions ``ref_polyline`` and ``ref_polygon``.
+The runs, report and regions writers are checked against the suite's
+one oracle for each, in ``helpers``: the per-cell, row-by-row and
+per-ellipse writers that came before the template forms.  Random data
+covers the forks of the new writers: whole counts on both sides of 1e9
+and of 2**53, fractional, negative-zero and NaN counts, zero and
+negative-zero band edges, and grids of one orientation, one run and
+one projector.
 """
-
-import math
 
 from types import SimpleNamespace
 
@@ -22,39 +24,13 @@ from ghostpol import countsim, discern, ghost, qstate, svgplot, tomo
 from ghostpol.countsim import RunSet
 from ghostpol.ghost import ResponseCurve
 from ghostpol.svgplot import (CHART_H, CHART_W, MARGIN_B, MARGIN_L, MARGIN_R,
-                              MARGIN_T, PALETTE, PANEL, _Axes, _Canvas, _fmt)
+                              MARGIN_T, PALETTE, _Axes, _Canvas, _fmt)
 from ghostpol.textio import block
 from ghostpol.tomo import CANONICAL_PAIRS, TomographyRecord
-from test_discern import random_report
-from test_svgplot import panel_dict, region_outcome
+from helpers import (exact_cells, panel_dict, random_report, ref_region_panels,
+                     ref_report_to_csv, ref_runset_to_csv, region_outcome)
 
 RNG = np.random.default_rng(21)
-
-
-def exact_cells(counts):
-    """A column of counts as text: as integers when every count is whole,
-    not negative and below 2**53, so that each reads back; else %.9g."""
-    if all(math.isfinite(c) and math.copysign(1.0, c) > 0.0 and c < 2.0 ** 53
-           and c == int(c) for c in counts):
-        return [str(int(c)) for c in counts]
-    return [f"{c:.9g}" for c in counts]
-
-
-def ref_runset_to_csv(runs, corrected, path):
-    """Write raw and corrected counts, one row per cell and run."""
-    n_proj = runs.counts.shape[2]
-    cells = [f"{t:.6g},{p}," for t in runs.thetas.tolist() for p in range(n_proj)]
-    template = "%d,%s%s,%.9g\n" * len(cells)
-    values = [None] * (4 * len(cells))
-    values[1::4] = cells
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("run,theta_deg,projector_index,raw,corrected\n")
-        # One % per run keeps the formatted text to one grid's rows.
-        for r in range(runs.counts.shape[0]):
-            values[0::4] = [r] * len(cells)
-            values[2::4] = exact_cells(runs.counts[r].ravel().tolist())
-            values[3::4] = corrected[r].ravel().tolist()
-            fh.write(template % tuple(values))
 
 
 def ref_curve_to_csv(curve, scale, path):
@@ -71,29 +47,6 @@ def ref_curve_to_csv(curve, scale, path):
         lines.append(",".join(cells))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def ref_report_to_csv(report, path):
-    """One row per analyzed orientation with stats and kept flags."""
-    n_axes = report.families[0].stats.shape[2] if report.families else 0
-    header = ["family", "theta_deg", "kept", "cross_excluded"]
-    header += [f"{name}{k + 1}" for name in ("mean", "std", "ci95_")
-               for k in range(n_axes)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for o in report.families:
-            # One % per family over a repeated row template.
-            n, width = o.thetas.size, 4 + 3 * o.stats.shape[2]
-            flags = np.zeros((2, n), dtype=int)
-            flags[0, o.kept] = 1
-            flags[1, o.cross_excluded] = 1
-            values: list = [o.family] * (width * n)
-            values[1::width] = o.thetas.tolist()
-            columns = np.hstack([o.stats[0], o.stats[1], o.stats[2]])
-            for k, column in enumerate([*flags.tolist(), *columns.T.tolist()], 2):
-                values[k::width] = column
-            fh.write(("%s,%.6g,%d,%d" + ",%.9g" * (width - 4) + "\n") * n
-                     % tuple(values))
 
 
 def ref_records_to_csv(records, path):
@@ -166,41 +119,6 @@ def ref_curve_chart(thetas, series, labels, title, bands=None):
         )
         canvas.text(MARGIN_L + 8.0 + 90.0 * k, MARGIN_T - 6.0, labels[k],
                     size=10.0, anchor="start", color=color)
-    return canvas.to_string()
-
-
-_REF_ELLIPSE = ('<ellipse cx="%.2f" cy="%.2f" rx="%.2f" ry="%.2f" fill="%s" '
-                'fill-opacity="0.35" stroke="%s" stroke-width="1.00"/>')
-
-
-def ref_region_panels(families, axis_pairs, axis_names, title):
-    """Response-space scatter with confidence ellipses."""
-    width = MARGIN_L + len(axis_pairs) * (PANEL + 24.0)
-    canvas = _Canvas(width, PANEL + MARGIN_T + MARGIN_B)
-    canvas.text(width / 2.0, 16.0, title, size=13.0)
-    for p, (ix, iy) in enumerate(axis_pairs):
-        box_x = MARGIN_L + p * (PANEL + 24.0)
-        axes = _Axes(canvas, (box_x, MARGIN_T, PANEL, PANEL),
-                     (-0.05, 1.05), (-0.05, 1.05))
-        axes.frame(axis_names[ix], axis_names[iy],
-                   xticks=[0.0, 0.5, 1.0])
-        for f, fam in enumerate(families):
-            color = PALETTE[f % len(PALETTE)]
-            centers = fam["centers"]
-            rx, ry = (np.maximum(fam["semi_axes"][:, k] / 1.1 * PANEL, 1.0)
-                      for k in (ix, iy))
-            fill = ["none"] * centers.shape[0]
-            for i in fam["kept"]:
-                fill[i] = color
-            canvas.parts.extend([
-                _REF_ELLIPSE % (cx, cy, w, h, fc, color)
-                for cx, cy, w, h, fc in zip(
-                    axes.px(centers[:, ix]).tolist(),
-                    axes.py(centers[:, iy]).tolist(), rx.tolist(), ry.tolist(),
-                    fill)
-            ])
-            canvas.text(box_x + 8.0, MARGIN_T - 6.0 + 12.0 * f,
-                        fam["label"], size=10.0, anchor="start", color=color)
     return canvas.to_string()
 
 
