@@ -238,30 +238,29 @@ def settings_builder(table: np.ndarray, qwp_first: np.ndarray,
     give +0; the stack's bytes are the same (see tests).
 
     What a stage fixes is prepared once: its table with each setting's
-    angle rows in crossing order (each setting's first element in row 0),
-    a copy of it that each point is written into by one ``put`` at the
-    flat indices of the searched entries, the angle buffer, and the filler
-    with its buffers and views of the two element stacks it fills; a stage
-    that searches an extinction rewrites the filler's factors each call."""
+    angles reduced modulo 180 in crossing order (each setting's first element
+    in row 0), a copy of it that each point is written into by one ``put``
+    at the flat indices of the searched entries, and the filler with its
+    buffers and views of the two element stacks it fills; a stage that
+    searches an extinction rewrites the filler's factors each call."""
     bare = np.isnan(table[0])
     wave = np.where(bare, 1.0, polcalc.axis_factor(QWP))
     # Flat indices into the table: each setting's two angles in crossing
     # order, then its extinction.  Its inverse places the searched entries.
     layout = np.arange(table.size).reshape(table.shape)
     layout[:2] = np.where(qwp_first, layout[:2], layout[1::-1])
-    base = table.copy()
-    base[0] = np.where(bare, 0.0, table[0])
-    base = base.take(layout)
+    base = np.concatenate((np.where(bare, 0.0, table[:1]), table[1:])).take(layout)
+    base[:2] = base[:2] % 180.0 % 180.0  # as _point_values reduces a point
     flat = None if coords is None else \
         np.argsort(layout, None)[np.ravel_multi_index(coords, table.shape)]
     floored = None if coords is None or 2 not in coords[0] else coords[0] == 2
-    t, angles = base.copy(), np.zeros(base[:2].shape)
+    t = base.copy()
 
     def factors(extinction: np.ndarray) -> np.ndarray:
         return np.array([wave, 1.0 / np.sqrt(extinction)]).take(layout[:2])
 
-    fill = polcalc.jones_filler(factors(base[2]), angles.shape)
-    elements = tuple(fill(angles))  # views of the one buffer that fill rewrites
+    fill = polcalc.jones_filler(factors(base[2]), base[:2].shape)
+    elements = tuple(fill(base[:2]))  # views of the one buffer that fill rewrites
 
     def build(x: np.ndarray | None) -> np.ndarray:
         if x is not None:
@@ -269,9 +268,7 @@ def settings_builder(table: np.ndarray, qwp_first: np.ndarray,
                 raise IndexError("a builder made without coords takes no point")
             t.put(flat, _point_values(x, floored))
         s = base if x is None else t
-        # A tiny negative x % 180 is 180.0; the second % maps it to 0.
-        np.remainder(s[:2], 180.0, out=angles)
-        fill(angles, None if floored is None else factors(s[2]))
+        fill(s[:2], None if floored is None else factors(s[2]))
         return polcalc.compose(elements)
 
     return build
@@ -319,7 +316,7 @@ def objective_min_separation(points: np.ndarray) -> float:
 
 def _point_values(x: np.ndarray, floored: np.ndarray | None) -> np.ndarray:
     """Angles modulo 180; extinctions, where ``floored`` (None: nowhere), floored at 1."""
-    angles = x % 180.0
+    angles = x % 180.0 % 180.0  # a tiny negative x % 180 is 180.0
     return angles if floored is None else np.where(floored, np.maximum(x, 1.0), angles)
 
 
@@ -477,6 +474,6 @@ def nearest_feasible(
     distance = distance_of(())
     res = minimize(lambda x: float(distance(x)), best_x, maxfev=4000,
                    xatol=1e-9, fatol=1e-14)
-    x = res.x if res.fun <= best_d else best_x
-    return (ProjectorParam(float(x[0]) % 180.0, float(x[1]) % 180.0,
-                           extinction, qwp_first), float(min(res.fun, best_d)))
+    x = (res.x if res.fun <= best_d else best_x) % 180.0 % 180.0
+    return (ProjectorParam(float(x[0]), float(x[1]), extinction, qwp_first),
+            float(min(res.fun, best_d)))

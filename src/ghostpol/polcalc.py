@@ -70,7 +70,8 @@ class PolElement:
                                  else f"{self.kind} needs {name}")
         if self.kind == "partial_polarizer" and not self.extinction >= 1.0:
             raise ValueError("partial_polarizer needs extinction >= 1")
-        object.__setattr__(self, "theta_deg", float(self.theta_deg) % 180.0)
+        # A tiny negative angle % 180 rounds to 180.0; the second % maps it to 0.
+        object.__setattr__(self, "theta_deg", float(self.theta_deg) % 180.0 % 180.0)
 
 
 # The quarter-wave plate, axis vertical.
@@ -94,7 +95,7 @@ def element_jones(element: PolElement,
     ``theta_deg.shape + (2, 2)``.
     """
     theta = element.theta_deg if theta_deg is None else \
-        np.asarray(theta_deg, dtype=float) % 180.0
+        np.asarray(theta_deg, dtype=float) % 180.0 % 180.0
     return oriented_jones(axis_factor(element), theta)
 
 

@@ -3,7 +3,8 @@
 Each behaviour the suite checks has one oracle, and every module that
 checks the behaviour calls it: the references stand in for the code
 the package replaced (the ``ref_*`` writers, ``reference_jones``,
-``loop_mueller`` and ``joint_probability_oracle``).  The random
+``loop_mueller``, and ``kron_loop_probability`` with
+``kron_loop_heralded_idler`` for the engine).  The random
 fixtures take the caller's generator, so each test draws its own
 sequence.  Also here: runs of a fresh process, and the golden cases
 (``CASES``) that ``test_golden`` and ``test_cli`` both check.  No test
@@ -242,20 +243,32 @@ def loop_mueller(j):
     return m
 
 
-def joint_probability_oracle(rho, k, j):
-    """tr[(K x J) rho (K x J)^dagger] by explicit index sums."""
-    big = [[0.0j] * 4 for _ in range(4)]
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                for d in range(2):
-                    big[2 * a + b][2 * c + d] = k[a, c] * j[b, d]
-    total = 0.0
-    for i in range(4):
-        for m in range(4):
-            for n in range(4):
-                total += (big[i][m] * rho[m, n] * np.conj(big[i][n])).real
-    return total
+def kron_loop_probability(rho, kraus, idler_jones, conditional=False):
+    """The engine before the effect contraction: one 4x4 Kraus
+    conjugation per Kraus operator, herald from the explicit partial
+    trace of ``kron_loop_heralded_idler``."""
+    j = np.asarray(idler_jones, dtype=complex)
+    p = 0.0
+    for k in kraus:
+        big = np.kron(k, j)
+        p += float(np.real(np.trace(big @ rho.matrix @ big.conj().T)))
+    p = max(p, 0.0)
+    if not conditional:
+        return p
+    _, herald = kron_loop_heralded_idler(rho, kraus)
+    return p / herald
+
+
+def kron_loop_heralded_idler(rho, kraus):
+    """Idler state and herald probability of a Kraus set: the partial
+    trace over the signal of each Kraus conjugation, summed."""
+    out = np.zeros((2, 2), dtype=complex)
+    for k in kraus:
+        big = np.kron(k, np.eye(2, dtype=complex))
+        joint = big @ rho.matrix @ big.conj().T
+        out += np.trace(joint.reshape(2, 2, 2, 2), axis1=0, axis2=2)
+    out = 0.5 * (out + out.conj().T)
+    return out, float(np.real(np.trace(out)))
 
 
 def exact_cells(counts):

@@ -43,7 +43,7 @@ from ghostpol.qstate import (
     werner,
 )
 from helpers import (REF_PROBE_THREE, REF_PROBE_TWO, expected_records,
-                     joint_probability_oracle, lp, qwp, random_density,
+                     kron_loop_probability, lp, qwp, random_density,
                      random_passive_jones, rotation_jones)
 
 # Explicit density matrix whose metric triple sits at concurrence
@@ -170,7 +170,7 @@ def test_criterion_04_engine_matches_bruteforce():
             random_passive_jones(rng)
         engine = coincidence_probability(state, check_passive(k),
                                          check_passive(j))
-        oracle = joint_probability_oracle(state.matrix, k, j)
+        oracle = kron_loop_probability(state, (k,), j)
         worst = max(worst, abs(engine - oracle))
     assert worst <= 1e-12
     elapsed = time.perf_counter() - t0

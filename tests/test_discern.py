@@ -304,45 +304,45 @@ def ref_margin(a, b):
     return dist - ref_support(a, u) - ref_support(b, u)
 
 
-def ref_greedy(regions):
+def ref_apart(a, rows):
+    """ref_separable of region ``a`` against each row of a stack, in turn."""
+    return (ref_separable(a, rows[k]) for k in range(len(rows.center)))
+
+
+# The one reference greedy and exclusion walk, in the orders that the
+# package's docstrings state, over a predicate of one region against a
+# stack of rows.  The scalar-reference tests pass ref_apart.  The
+# windowed, non-finite and dense tests pass the package's separable,
+# which then tests each row against every kept row: no window and no
+# pruning, the "unpruned" references that those tests name.
+
+def ref_greedy(regions, apart):
     kept = []
-    for i, region in enumerate(regions):
-        if all(ref_separable(region, regions[k]) for k in kept):
+    for i in range(len(regions.center)):
+        if all(apart(regions[i], regions[kept])):
             kept.append(i)
     # Every kept pair was tested on admission and the predicate is
     # symmetric, so the first and last kept rows are separable.
-    assert len(kept) < 2 or ref_separable(regions[kept[-1]], regions[kept[0]])
+    assert len(kept) < 2 or all(apart(regions[kept[-1]], regions[kept[:1]]))
     return kept
 
 
-def ref_exclusions(outcome_a, outcome_b):
+def ref_exclusions(outcome_a, outcome_b, apart):
+    """Still-kept pairs in row-major order over kept_a x kept_b."""
     exclusions = []
-    changed = True
-    while changed:
-        changed = False
-        for i in list(outcome_a.kept):
-            for j in list(outcome_b.kept):
-                ra = outcome_a.regions[i]
-                rb = outcome_b.regions[j]
-                if ref_separable(ra, rb):
-                    continue
-                if float(np.max(ra.semi_axes)) > float(np.max(rb.semi_axes)):
-                    outcome_a.kept.remove(i)
-                    outcome_a.cross_excluded.append(i)
-                    exclusions.append(
-                        (outcome_a.family, float(outcome_a.thetas[i]),
-                         outcome_b.family, float(outcome_b.thetas[j]))
-                    )
-                else:
-                    outcome_b.kept.remove(j)
-                    outcome_b.cross_excluded.append(j)
-                    exclusions.append(
-                        (outcome_b.family, float(outcome_b.thetas[j]),
-                         outcome_a.family, float(outcome_a.thetas[i]))
-                    )
-                changed = True
-                break
-            if changed:
+    for i in list(outcome_a.kept):
+        ra, cols = outcome_a.regions[i], list(outcome_b.kept)
+        for j, ok in zip(cols, apart(ra, outcome_b.regions[cols])):
+            if ok:
+                continue
+            pair = [(outcome_a, i), (outcome_b, j)]
+            a_loses = np.max(ra.semi_axes) > np.max(outcome_b.regions[j].semi_axes)
+            (loser, t), (other, o) = pair if a_loses else pair[::-1]
+            loser.kept.remove(t)
+            loser.cross_excluded.append(t)
+            exclusions.append((loser.family, float(loser.thetas[t]),
+                               other.family, float(other.thetas[o])))
+            if a_loses:
                 break
     return exclusions
 
@@ -360,13 +360,13 @@ def random_regions(rng, n, d, spread=1.0):
 
 
 def random_outcome(rng, family, n, d, spread):
-    regions = random_regions(rng, n, d, spread)
+    regions = stack(random_regions(rng, n, d, spread))
     return FamilyOutcome(
         family=family,
         thetas=np.sort(rng.uniform(0.0, 180.0, n)),
         stats=None,
-        regions=stack(regions),
-        kept=ref_greedy(regions),
+        regions=regions,
+        kept=ref_greedy(regions, ref_apart),
     )
 
 
@@ -428,8 +428,9 @@ def test_greedy_subset_matches_scalar_reference():
     rng = np.random.default_rng(12)
     for trial in range(78):
         d = AXIS_COUNTS[trial % len(AXIS_COUNTS)]
-        regions = random_regions(rng, 60, d, spread=rng.uniform(0.05, 1.0) / np.sqrt(d))
-        assert max_distinguishable_subset(stack(regions)) == ref_greedy(regions)
+        spread = rng.uniform(0.05, 1.0) / np.sqrt(d)
+        regions = stack(random_regions(rng, 60, d, spread=spread))
+        assert max_distinguishable_subset(regions) == ref_greedy(regions, ref_apart)
     assert max_distinguishable_subset(
         EllipsoidRegion(np.zeros((0, 2)), np.zeros((0, 2)))) == []
     # The sweep admits rows 32 at a time: sizes on both sides of a block
@@ -444,9 +445,9 @@ def test_greedy_subset_matches_scalar_reference():
                 [EllipsoidRegion(c, np.zeros(d))
                  for c in np.round(rng.uniform(0.0, 1.0, (n, d)), 1)],
             ]
-            for regions in cases:
-                assert (max_distinguishable_subset(stack(regions))
-                        == ref_greedy(regions)), (n, d)
+            for regions in map(stack, cases):
+                assert (max_distinguishable_subset(regions)
+                        == ref_greedy(regions, ref_apart)), (n, d)
             assert max_distinguishable_subset(stack(cases[1])) == [0]
 
 
@@ -462,7 +463,7 @@ def test_cross_family_exclusions_match_scalar_reference():
         ref_rows = []
         for i in range(3):
             for j in range(i + 1, 3):
-                ref_rows += ref_exclusions(expected[i], expected[j])
+                ref_rows += ref_exclusions(expected[i], expected[j], ref_apart)
         report = analyze_families(families)
         assert report.exclusions == ref_rows
         for got, want in zip(families, expected):
@@ -535,49 +536,6 @@ def test_analyze_family_takes_an_empty_grid():
     assert outcome.stats.shape == (3, 0, 3) and outcome.kept == []
 
 
-# References: the greedy and the exclusions as they were before the
-# axis-0 window, testing every kept row.  The windowed code must give
-# the same kept lists, exclusion rows and dropped rows.
-
-def unpruned_greedy(regions):
-    kept = []
-    n = len(regions.center)
-    for start in range(0, n, 32):
-        stop = min(start + 32, n)
-        k = len(kept)
-        ok = separable(regions[start:stop, None],
-                       regions[kept + list(range(start, stop))])
-        alive = ok[:, :k].all(axis=1)
-        for r in range(stop - start):
-            if alive[r]:
-                kept.append(start + r)
-                alive &= ok[:, k + r]
-    return kept
-
-
-def unpruned_exclusions(outcome_a, outcome_b):
-    rows, cols = list(outcome_a.kept), list(outcome_b.kept)
-    if not rows or not cols:
-        return []
-    conflict = ~separable(outcome_a.regions[rows, None], outcome_b.regions[cols])
-    width_a = np.max(outcome_a.regions.semi_axes[rows], axis=-1)
-    width_b = np.max(outcome_b.regions.semi_axes[cols], axis=-1)
-    exclusions = []
-    for r, i in enumerate(rows):
-        for c in np.flatnonzero(conflict[r]):
-            pair = [(outcome_a, i), (outcome_b, cols[c])]
-            a_loses = width_a[r] > width_b[c]
-            (loser, t), (other, o) = pair if a_loses else pair[::-1]
-            loser.kept.remove(t)
-            loser.cross_excluded.append(t)
-            exclusions.append((loser.family, float(loser.thetas[t]),
-                               other.family, float(other.thetas[o])))
-            if a_loses:
-                break
-            conflict[:, c] = False
-    return exclusions
-
-
 def mixed_stack(rng, n, d, wide=False, nonfinite=None):
     """Mixed radii over five decades, repeated centers, one wide row or
     rows with a NaN or inf center or semi-axis."""
@@ -599,7 +557,7 @@ def assert_same_exclusions(outcomes):
     want = []
     for i in range(len(outcomes)):
         for j in range(i + 1, len(outcomes)):
-            want += unpruned_exclusions(expected[i], expected[j])
+            want += ref_exclusions(expected[i], expected[j], separable)
     assert analyze_families(outcomes).exclusions == want
     for got, ref in zip(outcomes, expected):
         assert got.kept == ref.kept
@@ -619,7 +577,7 @@ def test_windowed_greedy_and_exclusions_match_unpruned_references():
             regions = mixed_stack(rng, int(rng.integers(1, 200)), d, wide, nonfinite)
             with np.errstate(all="ignore"):
                 kept = max_distinguishable_subset(regions)
-                assert kept == unpruned_greedy(regions), trial
+                assert kept == ref_greedy(regions, separable), trial
             outcomes.append(FamilyOutcome(
                 name, np.arange(len(regions.center), dtype=float), None,
                 regions, kept))
@@ -640,7 +598,7 @@ def test_window_reaches_touching_rows_and_wide_block_rows():
     center = np.append(np.arange(32.0) * 0.1, 1.0 + 31 * 0.1)[:, None]
     semi = np.append(np.full(32, 0.01), 1.0)[:, None]
     regions = EllipsoidRegion(center, semi)
-    assert max_distinguishable_subset(regions) == unpruned_greedy(regions)
+    assert max_distinguishable_subset(regions) == ref_greedy(regions, separable)
     assert max_distinguishable_subset(regions) == list(range(32))
 
 
@@ -658,11 +616,11 @@ def test_nonfinite_rows_are_tested_against_every_kept_row():
         regions = EllipsoidRegion(center, semi)
         with np.errstate(all="ignore"):
             kept = max_distinguishable_subset(regions)
-            assert kept == unpruned_greedy(regions), bad_center
+            assert kept == ref_greedy(regions, separable), bad_center
             assert 64 not in kept and len(kept) == 95
             # The same row kept first: nothing after it is admitted.
             first = regions[[64] + list(range(64))]
-            assert max_distinguishable_subset(first) == unpruned_greedy(first) == [0]
+            assert max_distinguishable_subset(first) == ref_greedy(first, separable) == [0]
             # A kept row of one family that is not finite collides with
             # every kept row of the other, near or not.
             outcomes = [FamilyOutcome(name, np.arange(65.0), None, rows,
@@ -684,7 +642,8 @@ counting: {{pair_rate: {rate}, integration_time: 1.0}}
 
 
 def dense_outcomes(families, step, runs, rate):
-    """The families of the one-projector ``dense`` config at another size."""
+    """The families of the one-projector ``dense`` config at another size,
+    scaled as ``cli.cmd_discriminate`` scales them."""
     from ghostpol import cli, configio, ghost
 
     samples = ", ".join(f"{{family: {f}, thetas: {{start: 0, stop: 180, step: {step}}}}}"
@@ -692,7 +651,7 @@ def dense_outcomes(families, step, runs, rate):
     cfg = configio.parse_config_text(DENSE.format(runs=runs, samples=samples, rate=rate))
     curves = cli._sweep_curves(cfg)
     corrected = [corr for _, corr in cli._measure(cfg, curves)]
-    scale = ghost.dataset_scale(c.mean(axis=0) for c in corrected)
+    scale = ghost.dataset_scale(discern.run_stats(c)[0] for c in corrected)
     return [analyze_family(curve.family, curve.thetas, corr / scale)
             for curve, corr in zip(curves, corrected)]
 
@@ -706,7 +665,7 @@ def test_dense_configs_at_reduced_size_match_unpruned_references(
         families, step, runs, rate, n_exclusions):
     outcomes = dense_outcomes(families, step, runs, rate)
     for o in outcomes:
-        assert o.kept == unpruned_greedy(o.regions)
+        assert o.kept == ref_greedy(o.regions, separable)
         assert len(o.kept) > 100
     assert len(assert_same_exclusions(outcomes)) == n_exclusions
 

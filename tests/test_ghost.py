@@ -19,36 +19,10 @@ from ghostpol.polcalc import (
     EFFECT_TOL, PolElement, check_passive, compose, effect, element_jones,
 )
 from ghostpol.qstate import bell_psi_plus, werner
-from helpers import (joint_probability_oracle, lp, qwp, random_density,
-                     random_element, random_passive_jones)
+from helpers import (kron_loop_heralded_idler, kron_loop_probability, lp, qwp,
+                     random_density, random_element, random_passive_jones)
 
 RNG = np.random.default_rng(31337)
-
-
-def kron_loop_probability(rho, kraus, idler_jones, conditional=False):
-    """The engine before the effect contraction, kept as the reference:
-    one 4x4 Kraus conjugation per Kraus operator, herald from the
-    explicit partial trace."""
-    j = np.asarray(idler_jones, dtype=complex)
-    p = 0.0
-    for k in kraus:
-        big = np.kron(k, j)
-        p += float(np.real(np.trace(big @ rho.matrix @ big.conj().T)))
-    p = max(p, 0.0)
-    if not conditional:
-        return p
-    _, herald = kron_loop_heralded_idler(rho, kraus)
-    return p / herald
-
-
-def kron_loop_heralded_idler(rho, kraus):
-    out = np.zeros((2, 2), dtype=complex)
-    for k in kraus:
-        big = np.kron(k, np.eye(2, dtype=complex))
-        joint = big @ rho.matrix @ big.conj().T
-        out += np.trace(joint.reshape(2, 2, 2, 2), axis1=0, axis2=2)
-    out = 0.5 * (out + out.conj().T)
-    return out, float(np.real(np.trace(out)))
 
 
 def random_chain():
@@ -250,11 +224,9 @@ def test_heralded_idler_matches_direct_oracle():
              (bell_psi_plus(), np.eye(2), (np.eye(2) / 2.0, 1.0))]
     for rho, k, known in cases:
         reduced, herald = heralded_idler(rho, check_passive(k))
-        big = np.kron(k, np.eye(2))
-        joint = big @ rho.matrix @ big.conj().T
-        expected = joint.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
+        expected, expected_herald = kron_loop_heralded_idler(rho, (k,))
         npt.assert_allclose(reduced, expected, atol=1e-12)
-        assert abs(herald - np.trace(expected).real) < 1e-12
+        assert abs(herald - expected_herald) < 1e-12
         if known is not None:
             npt.assert_allclose(reduced, known[0], atol=1e-12)
             assert abs(herald - known[1]) < 1e-12
@@ -315,7 +287,7 @@ def test_joint_probability_against_bruteforce_oracle():
         k = random_passive_jones(RNG)
         j = random_passive_jones(RNG)
         engine = coincidence_probability(rho, check_passive(k), check_passive(j))
-        oracle = joint_probability_oracle(rho.matrix, k, j)
+        oracle = kron_loop_probability(rho, (k,), j)
         assert abs(engine - oracle) < 1e-12
 
 

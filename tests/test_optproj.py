@@ -30,7 +30,7 @@ from ghostpol.polcalc import (
     oriented_jones,
 )
 from ghostpol.qstate import TwoQubitDensity, bell_psi_plus, werner
-from helpers import CONFIGS, loop_mueller, reference_jones
+from helpers import CONFIGS, kron_loop_probability, loop_mueller, reference_jones
 
 PSI_PLUS, SEED = bell_psi_plus(), 3
 RNG = np.random.default_rng(8)
@@ -89,16 +89,11 @@ def test_response_points_match_malus_law():
 
 
 def reference_response_points(rho, samples, probe, projectors):
-    """The kron-loop response_points the batched engine replaced."""
+    """response_points from matrix-product chains and the kron loop."""
     probe_jones = np.eye(2) if probe is None else reference_jones(probe.elements())
-    pts = np.empty((len(samples), len(projectors)))
-    for i, sample in enumerate(samples):
-        k = probe_jones @ reference_jones([sample])
-        for j, proj in enumerate(projectors):
-            big = np.kron(k, reference_jones(proj.elements()))
-            pts[i, j] = max(0.0, float(np.real(
-                np.trace(big @ rho.matrix @ big.conj().T))))
-    return pts
+    return np.array([[kron_loop_probability(rho, (probe_jones @ reference_jones([s]),),
+                                            reference_jones(p.elements()))
+                      for p in projectors] for s in samples])
 
 
 def random_param():
@@ -184,8 +179,9 @@ def test_response_points_equal_the_checked_path():
 @pytest.mark.parametrize("name", ["joint", "vary_extinction", "qwp_last", "fixed_probe"])
 def test_prepared_scores_equal_the_unprepared_composition(monkeypatch, name):
     # The score that optimize gives a point through the stage it prepares,
-    # against the point composed from scratch: each setting's elements by
-    # compose, one stack by np.concatenate, one effect pass and the engine.
+    # against the point composed from scratch: its settings stack by
+    # reference_settings_jones, the probe by compose, one stack by
+    # np.concatenate, one effect pass and the engine.
     # The four stage kinds: joint, sequential with a searched extinction,
     # no probe, and a fixed probe.  Each stage's score is taken while the
     # stage runs, in place of its simplex.
@@ -209,8 +205,7 @@ def test_prepared_scores_equal_the_unprepared_composition(monkeypatch, name):
             x = rng.uniform(-400.0, 400.0, size=rows.size)
             x[rng.random(rows.size) < 0.2] = -1e-14
             x = np.where(rows == 2, rng.uniform(0.2, 10.0, size=rows.size), x)
-            jones = np.stack([compose(p.elements()) for p in
-                              table_params(point_table(table, coords, x), qwp_first)])
+            jones = reference_settings_jones(point_table(table, coords, x), qwp_first)
             chain = compose((sample_stack, jones[0])) if n_probe else sample_stack
             e = polcalc.effect(np.concatenate((chain, jones[n_probe:])))
             n = len(chain)
@@ -340,12 +335,13 @@ def reference_oriented_jones(a, theta_deg):
 def reference_settings_jones(table, qwp_first):
     """settings_jones as it was before the prepared builder: separate
     waveplate and polarizer stacks, ordered by np.where, multiplied by
-    one BLAS-free einsum with no identity, as compose does."""
+    one BLAS-free einsum with no identity, as compose does.  Angles
+    reduce as an element's do, twice modulo 180."""
     qwp_deg, lp_deg, extinction = table
     qwp = np.where(np.isnan(qwp_deg)[..., None, None], np.eye(2),
                    reference_oriented_jones(np.exp(1.0j * QWP.retardance_rad),
-                                            np.asarray(qwp_deg) % 180.0))
-    lp = reference_oriented_jones(1.0 / np.sqrt(extinction), lp_deg % 180.0)
+                                            np.asarray(qwp_deg) % 180.0 % 180.0))
+    lp = reference_oriented_jones(1.0 / np.sqrt(extinction), lp_deg % 180.0 % 180.0)
     first = np.asarray(qwp_first)[..., None, None]
     return np.einsum("...ij,...jk->...ik", np.where(first, lp, qwp),
                      np.where(first, qwp, lp))
@@ -439,19 +435,6 @@ def test_settings_builder_equals_reference_bytes():
             assert jones.tobytes() == ref.tobytes(), case
 
 
-def unprepared_build(table, qwp_first, coords, x):
-    """build(x) with nothing prepared: the point table, its axis factors,
-    one oriented_jones pass and compose, all redone from the table."""
-    t = point_table(table, coords, x)
-    bare = np.isnan(t[0])
-    a = np.array([np.where(bare, 1.0, polcalc.axis_factor(QWP)),
-                  1.0 / np.sqrt(t[2])])
-    angles = np.array([np.where(bare, 0.0, t[0]), t[1]]) % 180.0
-    wave, lp = oriented_jones(a, angles)
-    first = qwp_first[:, None, None]
-    return compose([np.where(first, wave, lp), np.where(first, lp, wave)])
-
-
 STAGE_CONFIGS = {
     "joint": dict(probe=ProjectorParam(qwp_deg=62.0, lp_deg=90.0),
                   projectors=(ProjectorParam(qwp_deg=170.0, lp_deg=7.5),
@@ -493,8 +476,8 @@ def test_prepared_build_equals_the_unprepared_reference(name):
             x = rng.uniform(-400.0, 400.0, size=rows.size)
             x[rng.random(rows.size) < 0.3] = -1e-14
             x = np.where(rows == 2, rng.uniform(0.2, 10.0, size=rows.size), x)
-            assert build(x).tobytes() == \
-                unprepared_build(table, qwp_first, coords, x).tobytes()
+            assert build(x).tobytes() == reference_settings_jones(
+                point_table(table, coords, x), qwp_first).tobytes()
         table = point_table(table, coords, x)
 
 
@@ -637,6 +620,19 @@ def test_point_table_wraps_angles_and_floors_extinction():
     assert out[2, 0] == 7.25
 
 
+def test_tiny_negative_settings_reduce_to_zero():
+    # -1e-14 % 180 rounds to 180.0; the second % 180 maps it to 0.
+    table, qwp_first = settings_table((ProjectorParam(qwp_deg=5.0, lp_deg=20.0),))
+    out = point_table(table, (np.array([0, 1]), np.array([0, 0])), np.full(2, -1e-14))
+    assert out[:2, 0].tolist() == [0.0, 0.0]
+    for first in (True, False):
+        tiny = ProjectorParam(qwp_deg=-1e-14, lp_deg=-1e-14, qwp_first=first)
+        zero = replace(tiny, qwp_deg=0.0, lp_deg=0.0)
+        jones = projector_jones((tiny,)).tobytes()
+        assert jones == compose(tiny.elements()).tobytes()
+        assert jones == projector_jones((zero,)).tobytes()
+
+
 def test_objective_hand_value():
     # Points 0.5 and 0.25 normalize to 1.0 and 0.5.
     val = objective_min_separation(response_points(
@@ -722,9 +718,11 @@ def test_optimize_never_scores_below_evaluated_starts():
 
 
 def test_optimize_angles_stay_in_range():
-    result = optimize(toy_config(), PSI_PLUS, SEED)
-    for proj in result.projectors:
-        assert 0.0 <= proj.lp_deg < 180.0
+    for config in (toy_config(), toy_config(**STAGE_CONFIGS["joint"], max_evals=200)):
+        result = optimize(config, PSI_PLUS, SEED)
+        for proj in result.projectors + (() if result.probe is None else (result.probe,)):
+            assert 0.0 <= proj.lp_deg < 180.0
+            assert proj.qwp_deg is None or 0.0 <= proj.qwp_deg < 180.0
 
 
 def test_trace_rows_are_labeled():

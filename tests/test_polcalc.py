@@ -94,6 +94,18 @@ def test_element_periodicity():
         assert 0.0 <= shifted.theta_deg < 180.0
 
 
+@pytest.mark.parametrize("theta", [-1e-20, -1e-14])
+def test_tiny_negative_angles_reduce_to_zero(theta):
+    # theta % 180 rounds to 180.0; the second % 180 maps it to 0.
+    for el in (PolElement("ideal_polarizer", 0.0), qwp(0.0),
+               PolElement("partial_polarizer", 0.0, extinction=3.7)):
+        tiny = PolElement(el.kind, theta, el.extinction, el.retardance_rad)
+        assert tiny.theta_deg == 0.0
+        zero = element_jones(el).tobytes()
+        assert element_jones(tiny).tobytes() == zero
+        assert element_jones(el, np.array([30.0, theta]))[1].tobytes() == zero
+
+
 def test_closed_form_matches_matrix_products():
     for _ in range(200):
         el = random_element(RNG)
