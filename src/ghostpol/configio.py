@@ -16,7 +16,7 @@ import yaml
 from .countsim import MAX_MEAN, CountModel
 from .ghost import SAMPLE_FAMILIES, sample_element
 from .optproj import OptimizationConfig, ProjectorParam, search_stages
-from .polcalc import ELEMENT_KINDS, PolElement
+from .polcalc import ELEMENT_KINDS, PERIOD_DEG, PolElement, is_angle_grid
 from .qstate import TwoQubitDensity, bell_psi_plus, load_density_csv, werner
 
 
@@ -201,7 +201,7 @@ def _parse_thetas(node, path: str) -> np.ndarray:
     else:  # Left out or null, the range defaults give 0, 1, ..., 179.
         node = _section({} if node is None else node, path, {"start", "stop", "step"})
         start = _number(node.get("start", 0.0), f"{path}.start", finite=True)
-        stop = _number(node.get("stop", 180.0), f"{path}.stop", finite=True)
+        stop = _number(node.get("stop", PERIOD_DEG), f"{path}.stop", finite=True)
         step = _number(node.get("step", 1.0), f"{path}.step", finite=True)
         if step <= 0.0:
             raise ConfigError(f"'{path}.step' must be > 0")
@@ -211,11 +211,8 @@ def _parse_thetas(node, path: str) -> np.ndarray:
         if n_points > MAX_THETAS:
             raise ConfigError(f"'{path}' has more than {MAX_THETAS} angles")
         grid = np.arange(start, stop, step) if n_points > 0.0 else np.empty(0)
-    if grid.size == 0 or np.any(np.diff(grid) <= 0.0) or grid[0] < 0.0 \
-            or grid[-1] >= 180.0:
-        raise ConfigError(
-            f"'{path}' must be a non-empty, strictly increasing grid in [0, 180)"
-        )
+    if grid.size == 0 or not is_angle_grid(grid):
+        raise ConfigError(f"'{path}' must be a non-empty, strictly increasing grid in [0, 180)")
     return grid + 0.0  # -0.0 passes the checks; + 0.0 makes it 0.0
 
 

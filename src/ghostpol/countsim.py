@@ -51,6 +51,9 @@ class CountModel:
     drift_amplitude: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("pair_rate", "integration_time", "coincidence_window", "singles_background"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.pair_rate < 0.0 or self.integration_time <= 0.0:
             raise ValueError("pair rate must be >= 0 and integration time > 0")
         for name in ("eff_signal", "eff_idler"):

@@ -52,10 +52,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .polcalc import PERIOD_DEG
 from .textio import block
 
 SEMI_AXIS_FLOOR = 1e-12
-ANGLE_PERIOD_DEG = 180.0
 # Candidate rows the greedy sweep, and rows of one family the
 # exclusions, test per separable call.
 _BLOCK = 32
@@ -176,11 +176,11 @@ _CF975 = (
 
 
 def _t_within(t: float, df: int) -> float:
-    """P(|T| < t) for Student's t with an integer df >= 2 (A&S 26.7.3-4)."""
+    """P(|T| < t) for Student's t with an integer df >= 1 (A&S 26.7.3-4)."""
     theta = math.atan(t / math.sqrt(df))
     c2 = math.cos(theta) ** 2
     term = 1.0 if df % 2 == 0 else math.cos(theta)
-    total = term
+    total = term if df > 1 else 0.0  # at df = 1 the odd series is empty
     for k in range(2 + df % 2, df - 1, 2):
         term *= c2 * (k - 1) / k
         total += term
@@ -366,9 +366,8 @@ def step_stats(kept_thetas: np.ndarray) -> tuple[float, float, float]:
     if thetas.size == 0:
         raise ValueError("no kept orientations")
     if thetas.size == 1:
-        return ANGLE_PERIOD_DEG, ANGLE_PERIOD_DEG, ANGLE_PERIOD_DEG
-    gaps = np.sort(np.append(np.diff(thetas),
-                             ANGLE_PERIOD_DEG - thetas[-1] + thetas[0]))
+        return PERIOD_DEG, PERIOD_DEG, PERIOD_DEG
+    gaps = np.sort(np.append(np.diff(thetas), PERIOD_DEG - thetas[-1] + thetas[0]))
     # The median as np.median takes it, without loading numpy.ma.
     mid = gaps.size // 2
     median = gaps[mid] if gaps.size % 2 else (gaps[mid - 1] + gaps[mid]) / 2.0

@@ -114,10 +114,8 @@ class ResponseCurve:
         self.raw = np.asarray(self.raw, dtype=float)
         if self.raw.shape[0] != self.thetas.shape[0]:
             raise ValueError("theta grid and response rows disagree")
-        if np.any(np.diff(self.thetas) <= 0.0):
-            raise ValueError("theta grid must be strictly increasing")
-        if np.any(self.thetas < 0.0) or np.any(self.thetas >= 180.0):
-            raise ValueError("theta grid must lie in [0, 180)")
+        if not polcalc.is_angle_grid(self.thetas):
+            raise ValueError("theta grid must be strictly increasing in [0, 180)")
 
 
 # The element of each sample family; the custom family (None) rotates

@@ -250,7 +250,7 @@ def settings_builder(table: np.ndarray, qwp_first: np.ndarray,
     layout = np.arange(table.size).reshape(table.shape)
     layout[:2] = np.where(qwp_first, layout[:2], layout[1::-1])
     base = np.concatenate((np.where(bare, 0.0, table[:1]), table[1:])).take(layout)
-    base[:2] = base[:2] % 180.0 % 180.0  # as _point_values reduces a point
+    base[:2] = polcalc.reduce_angle(base[:2])  # as _point_values reduces a point
     flat = None if coords is None else \
         np.argsort(layout, None)[np.ravel_multi_index(coords, table.shape)]
     floored = None if coords is None or 2 not in coords[0] else coords[0] == 2
@@ -315,8 +315,8 @@ def objective_min_separation(points: np.ndarray) -> float:
 
 
 def _point_values(x: np.ndarray, floored: np.ndarray | None) -> np.ndarray:
-    """Angles modulo 180; extinctions, where ``floored`` (None: nowhere), floored at 1."""
-    angles = x % 180.0 % 180.0  # a tiny negative x % 180 is 180.0
+    """Angles reduced; extinctions, where ``floored`` (None: nowhere), floored at 1."""
+    angles = polcalc.reduce_angle(x)
     return angles if floored is None else np.where(floored, np.maximum(x, 1.0), angles)
 
 
@@ -340,7 +340,7 @@ def _start_points(rows: np.ndarray, n_starts: int, x0: np.ndarray,
     starts[0] = x0
     extra = n_starts - 1
     for d, row in enumerate(rows):
-        lo, hi = (1.0, 10.0) if row == 2 else (0.0, 180.0)
+        lo, hi = (1.0, 10.0) if row == 2 else (0.0, polcalc.PERIOD_DEG)
         bins = np.arange(extra) + rng.uniform(0.0, 1.0, size=extra)
         starts[1:, d] = lo + rng.permutation(bins) / extra * (hi - lo)
     return starts
@@ -466,7 +466,7 @@ def nearest_feasible(
 
         return distance
 
-    angles = np.arange(0.0, 180.0, 7.5)
+    angles = np.arange(0.0, polcalc.PERIOD_DEG, 7.5)
     grid = np.array(np.meshgrid(angles, angles, indexing="ij")).reshape(2, -1)
     seed_d = distance_of(grid.shape[1:])(grid)
     best = int(np.argmin(seed_d))
@@ -474,6 +474,6 @@ def nearest_feasible(
     distance = distance_of(())
     res = minimize(lambda x: float(distance(x)), best_x, maxfev=4000,
                    xatol=1e-9, fatol=1e-14)
-    x = (res.x if res.fun <= best_d else best_x) % 180.0 % 180.0
+    x = polcalc.reduce_angle(res.x if res.fun <= best_d else best_x)
     return (ProjectorParam(float(x[0]), float(x[1]), extinction, qwp_first),
             float(min(res.fun, best_d)))

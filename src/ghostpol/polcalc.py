@@ -16,12 +16,13 @@ sign without re-running those.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-# Tolerance of the passivity check.
-EFFECT_TOL = 1e-9
+EFFECT_TOL = 1e-9  # tolerance of the passivity check
+PERIOD_DEG = 180.0  # period of an element orientation
 
 # I, sigma_x, sigma_y and sigma_z in the (H, V) basis.
 PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
@@ -36,6 +37,18 @@ STOKES_OPS = np.array([PAULIS[0], 0 - PAULIS[3], 0 - PAULIS[1], PAULIS[2]])
 # parameter of its kind and leaves every other one None.
 ELEMENT_KINDS = {"ideal_polarizer": (), "partial_polarizer": ("extinction",),
                  "retarder": ("retardance_rad",)}
+
+
+def reduce_angle(theta_deg):
+    """An orientation, or an array of them, reduced into [0, PERIOD_DEG)."""
+    # A tiny negative angle % 180 rounds to 180.0; the second % maps it to 0.
+    return theta_deg % PERIOD_DEG % PERIOD_DEG
+
+
+def is_angle_grid(thetas: np.ndarray) -> bool:
+    """Whether 1-D ``thetas`` is empty or strictly increasing in [0, PERIOD_DEG), so finite."""
+    return thetas.size == 0 or bool(np.all(np.diff(thetas) > 0.0)
+                                    and thetas[0] >= 0.0 and thetas[-1] < PERIOD_DEG)
 
 
 @dataclass(frozen=True)
@@ -70,8 +83,11 @@ class PolElement:
                                  else f"{self.kind} needs {name}")
         if self.kind == "partial_polarizer" and not self.extinction >= 1.0:
             raise ValueError("partial_polarizer needs extinction >= 1")
-        # A tiny negative angle % 180 rounds to 180.0; the second % maps it to 0.
-        object.__setattr__(self, "theta_deg", float(self.theta_deg) % 180.0 % 180.0)
+        if self.kind == "retarder" and not math.isfinite(self.retardance_rad):
+            raise ValueError("retarder needs a finite retardance_rad")
+        if not math.isfinite(theta := float(self.theta_deg)):
+            raise ValueError("theta_deg must be finite")
+        object.__setattr__(self, "theta_deg", reduce_angle(theta))
 
 
 # The quarter-wave plate, axis vertical.
@@ -86,17 +102,13 @@ def element_jones(element: PolElement,
     diag(0, 1), a partial polarizer with extinction k is
     diag(1/sqrt(k), 1) and a retarder with retardance d is
     diag(exp(i d), 1), i.e. the fast (vertical) axis carries zero
-    extra phase (:func:`axis_factor`).  See :func:`oriented_jones` for
-    the oriented form.
-
-    With ``theta_deg`` (an array of angles in degrees, reduced modulo
-    180 like an element's own orientation) the element is taken at
-    each of those angles instead, and the result is a stack of shape
-    ``theta_deg.shape + (2, 2)``.
+    extra phase (:func:`axis_factor`); :func:`jones_filler` orients it.
+    With ``theta_deg``, an array of angles in degrees reduced as an
+    element's own, the result is a ``theta_deg.shape + (2, 2)`` stack.
     """
     theta = element.theta_deg if theta_deg is None else \
-        np.asarray(theta_deg, dtype=float) % 180.0 % 180.0
-    return oriented_jones(axis_factor(element), theta)
+        reduce_angle(np.asarray(theta_deg, dtype=float))
+    return jones_filler(axis_factor(element), np.shape(theta))(theta)
 
 
 def axis_factor(element: PolElement):
@@ -108,22 +120,13 @@ def axis_factor(element: PolElement):
     return np.exp(1.0j * element.retardance_rad)
 
 
-def oriented_jones(a, theta_deg) -> np.ndarray:
-    """R(theta) diag(a, 1) R(theta)^T, with (c, s) = (cos, sin) theta:
-    [[c^2 a + s^2, c s (a - 1)], [c s (a - 1), s^2 a + c^2]].
-
-    The axis factor ``a`` (real or complex) is one number or one per
-    angle of ``theta_deg`` (in degrees, taken as given), so one call
-    builds elements of mixed kinds; the result has shape
-    ``theta_deg.shape + (2, 2)``.  A caller that builds the same factors
-    at many angle sets prepares them once with :func:`jones_filler`.
-    """
-    return jones_filler(a, np.shape(theta_deg))(theta_deg)
-
-
 def jones_filler(a, shape: tuple):
-    """:func:`oriented_jones` of the factor(s) ``a``, prepared for angle
-    arrays of one ``shape``: ``fill(theta_deg)`` writes their stack into
+    """Oriented elements R(theta) diag(a, 1) R(theta)^T, with (c, s) = (cos,
+    sin) theta: [[c^2 a + s^2, c s (a - 1)], [c s (a - 1), s^2 a + c^2]].
+
+    The axis factor ``a`` (real or complex) is one number or one per angle
+    of ``shape``, so one fill builds elements of mixed kinds.
+    ``fill(theta_deg)`` (degrees, taken as given) writes their stack into
     one ``shape + (2, 2)`` buffer and returns it, the same array on every
     call; ``fill(theta_deg, a)`` first rewrites the factors, which keep
     their dtype.  The entry factors [[a, a - 1], [a - 1, a]], the buffers

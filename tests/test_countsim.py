@@ -74,6 +74,17 @@ def test_model_validation():
         CountModel(pair_rate=1.0, integration_time=1.0, drift_amplitude=1.0)
 
 
+@pytest.mark.parametrize("name", ["pair_rate", "integration_time",
+                                  "coincidence_window", "singles_background"])
+def test_model_refuses_non_finite_rates(name):
+    # Accepted once; the first draw then failed inside numpy.
+    model = dict(pair_rate=1e5, integration_time=1.0, coincidence_window=1e-9,
+                 singles_background=1e4)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            CountModel(**{**model, name: bad})
+
+
 def test_accidental_mean_value():
     model = CountModel(
         pair_rate=5000.0,

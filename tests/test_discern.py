@@ -235,6 +235,15 @@ def test_t975_above_the_table_needs_no_scipy():
         discern.t975(1)
 
 
+def test_t_within_equals_scipy_at_small_df():
+    # At df = 1 the odd series is empty: 2 theta / pi, 0.7048 at t = 2.
+    stats = pytest.importorskip("scipy.stats")
+    t = np.array([0.05, 0.5, 1.0, 2.0, 5.0, 40.0])
+    for df in range(1, 11):
+        ours = [discern._t_within(x, df) for x in t.tolist()]
+        npt.assert_allclose(ours, stats.t.cdf(t, df) - stats.t.sf(t, df), rtol=1e-13, err_msg=df)
+
+
 def test_analyze_family_keeps_well_separated_clouds():
     centers = [[0.0, 0.0], [0.4, 0.1], [0.8, 0.3], [0.2, 0.9]]
     outcome = cloud_family("LP", centers, sigma=0.002, seed=6)

@@ -421,6 +421,14 @@ def test_curve_grid_validation():
         ResponseCurve("LP", np.array([0.0, 10.0]), np.zeros((3, 1)))
 
 
+def test_curve_refuses_nan_angles():
+    # A NaN angle fails every comparison, so the old checks kept it.
+    message = r"^theta grid must be strictly increasing in \[0, 180\)$"
+    for grid in ([np.nan], [np.nan, 10.0], [0.0, np.nan], [0.0, np.nan, 10.0]):
+        with pytest.raises(ValueError, match=message):
+            ResponseCurve("LP", np.array(grid), np.zeros((len(grid), 1)))
+
+
 def test_normalize_dataset_shares_one_scale():
     c1 = ResponseCurve("LP", np.array([0.0, 10.0]), np.array([[0.2], [0.4]]))
     c2 = ResponseCurve("QWP", np.array([0.0, 10.0]), np.array([[0.1], [0.8]]))

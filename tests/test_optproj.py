@@ -25,10 +25,7 @@ from ghostpol.optproj import (
     table_params,
 )
 from ghostpol.ghost import coincidence_probability
-from ghostpol.polcalc import (
-    QWP, PolElement, check_passive, compose, element_jones,
-    oriented_jones,
-)
+from ghostpol.polcalc import QWP, PolElement, check_passive, compose, element_jones
 from ghostpol.qstate import TwoQubitDensity, bell_psi_plus, werner
 from helpers import CONFIGS, kron_loop_probability, loop_mueller, reference_jones
 
@@ -321,7 +318,7 @@ def test_small_run_regression(text, n_evals, objective):
 
 
 def reference_oriented_jones(a, theta_deg):
-    """oriented_jones as it was: one product per entry."""
+    """R(theta) diag(a, 1) R(theta)^T as first written: one product per entry."""
     t = np.deg2rad(theta_deg)
     c, s = np.cos(t), np.sin(t)
     cc, ss, cs = c * c, s * s, c * s
@@ -347,7 +344,7 @@ def reference_settings_jones(table, qwp_first):
                      np.where(first, qwp, lp))
 
 
-def test_oriented_jones_equals_reference_bytes():
+def test_jones_filler_equals_reference_bytes():
     rng = np.random.default_rng(20)
     theta = rng.uniform(0.0, 180.0, size=(3, 5))
     theta[0] = [0.0, 45.0, 90.0, 135.0, 180.0 - 1e-13]
@@ -356,11 +353,11 @@ def test_oriented_jones_equals_reference_bytes():
                np.exp(1.0j * rng.uniform(0.0, 6.0, size=5))]
     for a in factors:
         ref = reference_oriented_jones(a, theta)
-        assert oriented_jones(a, theta).tobytes() == ref.tobytes()
+        assert polcalc.jones_filler(a, theta.shape)(theta).tobytes() == ref.tobytes()
         if np.ndim(a) == 0:
             # A scalar angle still gives one (2, 2) matrix.
             for scalar in (theta[0, 1], float(theta[0, 1])):
-                jones = oriented_jones(a, scalar)
+                jones = polcalc.jones_filler(a, ())(scalar)
                 assert jones.shape == (2, 2)
                 assert jones.tobytes() == \
                     reference_oriented_jones(a, scalar).tobytes()

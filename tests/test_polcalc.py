@@ -14,8 +14,8 @@ from ghostpol.polcalc import (
     compose,
     effect,
     element_jones,
+    jones_filler,
     jones_to_mueller,
-    oriented_jones,
 )
 from helpers import (FOREIGN_PARAMETERS, REF_PROBE_THREE, REF_PROBE_TWO, loop_mueller,
                      qwp, random_element, reference_jones, rotation_jones)
@@ -129,18 +129,18 @@ def test_element_stack_equals_elementwise_calls():
     assert element_jones(qwp(0.0), np.zeros((3, 4))).shape == (3, 4, 2, 2)
 
 
-def test_oriented_jones_takes_a_factor_per_angle():
-    # One call over mixed kinds equals one element_jones call per element.
+def test_jones_filler_takes_a_factor_per_angle():
+    # One fill over mixed kinds equals one element_jones call per element.
     elements = [random_element(RNG) for _ in range(30)]
     factors = np.array([
         0.0 if el.kind == "ideal_polarizer" else
         1.0 / np.sqrt(el.extinction) if el.kind == "partial_polarizer" else
         np.exp(1.0j * el.retardance_rad)
         for el in elements])
-    stack = oriented_jones(factors, [el.theta_deg for el in elements])
+    stack = jones_filler(factors, factors.shape)([el.theta_deg for el in elements])
     for jones, el in zip(stack, elements):
         assert np.array_equal(jones, element_jones(el))
-    assert oriented_jones(0.5, np.zeros((3, 4))).shape == (3, 4, 2, 2)
+    assert jones_filler(0.5, (3, 4))(np.zeros((3, 4))).shape == (3, 4, 2, 2)
 
 
 def test_compose_broadcasts_stacks():
@@ -161,6 +161,19 @@ def test_element_rejects_bad_parameters():
         PolElement("retarder", 0.0)
     with pytest.raises(ValueError):
         PolElement("circular_polarizer", 0.0)
+
+
+def test_element_refuses_a_non_finite_angle_or_retardance():
+    # An infinite angle was stored as NaN, and a NaN retardance gave an
+    # all-NaN Jones matrix that only check_passive caught.
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^theta_deg must be finite$"):
+            PolElement("ideal_polarizer", bad)
+        with pytest.raises(ValueError, match="^retarder needs a finite retardance_rad$"):
+            PolElement("retarder", 0.0, retardance_rad=bad)
+    # An infinite extinction stays valid: the ideal polarizer.
+    assert np.array_equal(element_jones(PolElement("partial_polarizer", 30.0, extinction=np.inf)),
+                          element_jones(PolElement("ideal_polarizer", 30.0)))
 
 
 def test_element_kind_table():
