@@ -17,13 +17,25 @@ import sys
 
 import numpy as np
 
-from . import countsim, discern, ghost, polcalc, qstate, svgplot, tomo
+# configio loads these to parse; a command imports its other layers before ``_config``.
+from . import countsim, ghost, polcalc
 from .configio import ConfigError, ExperimentConfig, load_config, settings_fragment
 from .optproj import optimize
 from .textio import block
 
-# Frozen, the ~23,600 objects the imports made skip the exit's collections (30-40 ms).
+# Frozen, the 23,100-23,400 objects left at exit, most of them the imports',
+# skip the exit's collections.
 atexit.register(gc.freeze)
+
+
+def _config(args: argparse.Namespace) -> ExperimentConfig:
+    """The config that ``args`` names, its seed overridden by ``--seed``."""
+    cfg = load_config(args.config)
+    if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError("'--seed' must be >= 0")
+        cfg.seed = args.seed
+    return cfg
 
 
 def _out_path(out_dir: str, name: str) -> str:
@@ -69,7 +81,9 @@ def _measure(cfg: ExperimentConfig, curves: list[ghost.ResponseCurve],
     return measured
 
 
-def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
+def cmd_sweep(args: argparse.Namespace) -> int:
+    from . import discern, svgplot
+    cfg, out_dir = _config(args), args.out
     curves = _sweep_curves(cfg)
     bands = [None] * len(curves)
     if cfg.counting is not None:
@@ -94,7 +108,9 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
     return 0
 
 
-def cmd_discriminate(cfg: ExperimentConfig, out_dir: str) -> int:
+def cmd_discriminate(args: argparse.Namespace) -> int:
+    from . import discern, svgplot
+    cfg, out_dir = _config(args), args.out
     if cfg.counting is None:
         raise ConfigError("discriminate needs a counting section")
     if cfg.runs < 2:
@@ -118,7 +134,9 @@ def cmd_discriminate(cfg: ExperimentConfig, out_dir: str) -> int:
     return 0
 
 
-def cmd_tomo(cfg: ExperimentConfig, out_dir: str) -> int:
+def cmd_tomo(args: argparse.Namespace) -> int:
+    from . import qstate, tomo
+    cfg, out_dir = _config(args), args.out
     path, model = cfg.records_csv, cfg.tomography_model
     if path is not None:
         try:
@@ -146,7 +164,8 @@ def cmd_tomo(cfg: ExperimentConfig, out_dir: str) -> int:
     return 0
 
 
-def cmd_optimize(cfg: ExperimentConfig, out_dir: str) -> int:
+def cmd_optimize(args: argparse.Namespace) -> int:
+    cfg, out_dir = _config(args), args.out
     if cfg.optimize is None:
         raise ConfigError("an optimize section is required")
     if cfg.conditional:
@@ -191,12 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("'--seed' must be >= 0")
-            cfg.seed = args.seed
-        return args.handler(cfg, args.out)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -836,17 +836,20 @@ def run_fresh(jobs, prelude=""):
     """Run ``ghostpol.cli.main`` on each argv of ``jobs`` in one fresh
     interpreter.  Returns, per job, the exit code, the stdout and the
     scipy modules loaded when its config was parsed, plus the scipy
-    modules loaded after import (key ``import``) and at the end."""
+    modules loaded after import (key ``import``) and at the end.  The
+    ghostpol modules loaded when the last config was parsed and at the
+    end are under ``layers_parsed`` and ``layers_end``."""
     code = f"""
 import contextlib, io, json, sys
 {prelude}
-scipy = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+loaded = lambda top: sorted(m for m in sys.modules if m.split(".")[0] == top)
+scipy = lambda: loaded("scipy")
 from ghostpol import cli
 out = {{"import": scipy()}}
 load_config = cli.load_config
 def recording_load_config(path):
     cfg = load_config(path)
-    out["parsed"] = scipy()
+    out["parsed"], out["layers_parsed"] = scipy(), loaded("ghostpol")
     return cfg
 cli.load_config = recording_load_config
 for job, argv in {jobs!r}.items():
@@ -854,7 +857,7 @@ for job, argv in {jobs!r}.items():
     with contextlib.redirect_stdout(stdout):
         rc = cli.main(argv)
     out[job] = [rc, stdout.getvalue(), out.pop("parsed", None)]
-out["end"] = scipy()
+out["end"], out["layers_end"] = scipy(), loaded("ghostpol")
 print(json.dumps(out))
 """
     return json.loads(run_python("-c", code).stdout)
@@ -907,6 +910,28 @@ def test_tomo_loads_no_scipy(tmp_path):
         assert result["ok"][0] == 0 and "converged: True" in result["ok"][1]
         assert result["bad"][0] == 2
         assert result["import"] == result["end"] == []
+
+
+# The layers each command must not load.  The command line module loads
+# what configio parses with; a command adds what else it runs.
+NOT_LOADED = {
+    "sweep-three_projection": {"tomo"},
+    "discriminate-three_projection": {"tomo"},
+    "tomo-tomography": {"discern", "svgplot"},
+    "optimize-one-restart": {"discern", "svgplot", "tomo"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_LOADED))
+def test_command_loads_only_its_layers_before_reading_its_config(tmp_path, case):
+    # Every layer a command runs is loaded when its config has been
+    # parsed, so none loads inside the command body.
+    result = run_fresh({case: case_argv(case, tmp_path)})
+    assert result[case][0] == 0
+    assert result["layers_parsed"] == result["layers_end"]
+    layers = {m.split(".")[1] for m in result["layers_end"] if "." in m}
+    assert {"cli", "configio", "ghost", "optproj"} <= layers
+    assert not layers & NOT_LOADED[case]
 
 
 # What the console script that pip generates for an entry point runs.

@@ -33,10 +33,37 @@ def test_exports_are_the_submodule_objects():
     names = [name for names in EXPORTS.values() for name in names.split()]
     assert len(names) == 39
     assert ghostpol.__all__ == sorted(names)
+    star = {}
+    exec("from ghostpol import *", star)
+    assert sorted(star.keys() - {"__builtins__"}) == sorted(names)
     for module, names in EXPORTS.items():
         module = importlib.import_module(f"ghostpol.{module}")
         for name in names.split():
             assert getattr(ghostpol, name) is getattr(module, name)
+            assert star[name] is getattr(module, name)
+
+
+# Run in a fresh interpreter: import the package, report the modules
+# loaded, use one export and report them again.
+LAZY = """
+import json, sys
+loaded = lambda: ["numpy" in sys.modules,
+                  sorted(m for m in sys.modules if m.split(".")[0] == "ghostpol")]
+import ghostpol
+print(json.dumps(loaded()))
+ghostpol.PolElement
+print(json.dumps(loaded()))
+"""
+
+
+@pytest.mark.parametrize("preset", [{}, {"OPENBLAS_NUM_THREADS": "2"}],
+                         ids=["unset", "preset"])
+def test_package_import_loads_numpy_and_no_layer(preset):
+    # Each export loads its module on first use; numpy loads either way.
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    lines = run_python("-c", LAZY, env={**env, **preset}).stdout.splitlines()
+    assert [json.loads(line) for line in lines] == [
+        [True, ["ghostpol"]], [True, ["ghostpol", "ghostpol.polcalc"]]]
 
 
 # Run in a fresh interpreter in which every scipy import fails: the
