@@ -9,11 +9,12 @@ orientation angles of the probe-side and idler-side projectors.
 The search runs on one settings table: a ``(3, k)`` array with rows
 ``qwp_deg`` (NaN for a bare polarizer), ``lp_deg`` and ``extinction``,
 one column per setting (the probe, if any, first), plus ``(k,)``
-``qwp_first`` flags; :func:`settings_builder` builds its Jones stack.
-Every table is passive by construction (waveplates are unitary, and
-:func:`point_table` floors extinctions at 1, so no polarizer's axis
-factor 1/sqrt(extinction) exceeds 1): :func:`optimize` checks the
-samples once per run and each stage's table once, not each evaluation.
+``qwp_first`` flags; :func:`settings_builder` builds the Jones stack of
+each point a search tries.  Every table is passive by construction
+(waveplates are unitary, and :func:`point_table` floors extinctions at
+1, so no polarizer's axis factor 1/sqrt(extinction) exceeds 1):
+:func:`optimize` checks the samples once per run and each stage's table
+once, not each evaluation.
 
 The simplex search, :func:`minimize`, is a port of
 ``scipy.optimize._optimize._minimize_neldermead`` from scipy 1.17.1
@@ -55,15 +56,10 @@ class ProjectorParam:
     qwp_first: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("qwp_deg", "lp_deg"):
-            angle = getattr(self, name)
-            if angle is not None and not math.isfinite(angle):
-                raise ValueError(f"{name} must be finite")
-        if not self.extinction >= 1.0:
-            raise ValueError("extinction must be >= 1")
+        self.elements()  # PolElement checks the angles and the extinction
 
     def elements(self) -> list[PolElement]:
-        if math.isinf(self.extinction):
+        if self.extinction == math.inf:
             lp = PolElement("ideal_polarizer", self.lp_deg)
         else:
             lp = PolElement("partial_polarizer", self.lp_deg,
@@ -74,7 +70,7 @@ class ProjectorParam:
         return [qwp, lp] if self.qwp_first else [lp, qwp]
 
     def jones(self) -> np.ndarray:
-        return projector_jones((self,))[0]
+        return polcalc.compose(self.elements())
 
     def mueller(self) -> np.ndarray:
         return polcalc.jones_to_mueller(self.jones())
@@ -227,48 +223,41 @@ def table_params(table: np.ndarray,
 
 
 def settings_builder(table: np.ndarray, qwp_first: np.ndarray,
-                     coords: tuple[np.ndarray, np.ndarray] | None = None):
-    """Prepared Jones stacks of a settings table: ``build(x)`` gives the
-    stack of ``point_table(table, coords, x)`` for a ``(3, k)`` table,
-    ``build(None)`` the ``table.shape[1:] + (2, 2)`` stack of ``table``, any
-    mix of layouts; each call returns a new array.  One
-    :func:`polcalc.jones_filler` pass builds all elements; a bare
+                     coords: tuple[np.ndarray, ...]):
+    """Prepared Jones stacks of one search over a settings table:
+    ``build(x)`` gives the ``table.shape[1:] + (2, 2)`` stack of
+    ``point_table(table, coords, x)``, any mix of layouts, as a new array.
+    One :func:`polcalc.jones_filler` pass builds all elements; a bare
     polarizer's waveplate, factor 1 at angle 0, is the exact identity.
     Complex polarizer factors can give -0 imaginary parts where real ones
     give +0; the stack's bytes are the same (see tests).
 
-    What a stage fixes is prepared once: its table with each setting's
+    What a search fixes is prepared once: its table with each setting's
     angles reduced modulo 180 in crossing order (each setting's first element
-    in row 0), a copy of it that each point is written into by one ``put``
-    at the flat indices of the searched entries, and the filler with its
-    buffers and views of the two element stacks it fills; a stage that
-    searches an extinction rewrites the filler's factors each call."""
+    in row 0), which each point is written into by one ``put`` at the flat
+    indices of the searched entries, and the filler with its buffers and
+    views of the two element stacks it fills; a search over an extinction
+    rewrites the filler's factors each call."""
     bare = np.isnan(table[0])
     wave = np.where(bare, 1.0, polcalc.axis_factor(QWP))
     # Flat indices into the table: each setting's two angles in crossing
     # order, then its extinction.  Its inverse places the searched entries.
     layout = np.arange(table.size).reshape(table.shape)
     layout[:2] = np.where(qwp_first, layout[:2], layout[1::-1])
-    base = np.concatenate((np.where(bare, 0.0, table[:1]), table[1:])).take(layout)
-    base[:2] = polcalc.reduce_angle(base[:2])  # as _point_values reduces a point
-    flat = None if coords is None else \
-        np.argsort(layout, None)[np.ravel_multi_index(coords, table.shape)]
-    floored = None if coords is None or 2 not in coords[0] else coords[0] == 2
-    t = base.copy()
+    t = np.concatenate((np.where(bare, 0.0, table[:1]), table[1:])).take(layout)
+    t[:2] = polcalc.reduce_angle(t[:2])  # as _point_values reduces a point
+    flat = np.argsort(layout, None)[np.ravel_multi_index(coords, table.shape)]
+    floored = coords[0] == 2 if 2 in coords[0] else None
 
     def factors(extinction: np.ndarray) -> np.ndarray:
         return np.array([wave, 1.0 / np.sqrt(extinction)]).take(layout[:2])
 
-    fill = polcalc.jones_filler(factors(base[2]), base[:2].shape)
-    elements = tuple(fill(base[:2]))  # views of the one buffer that fill rewrites
+    fill = polcalc.jones_filler(factors(t[2]), t[:2].shape)
+    elements = tuple(fill(t[:2]))  # views of the one buffer that fill rewrites
 
-    def build(x: np.ndarray | None) -> np.ndarray:
-        if x is not None:
-            if flat is None:
-                raise IndexError("a builder made without coords takes no point")
-            t.put(flat, _point_values(x, floored))
-        s = base if x is None else t
-        fill(s[:2], None if floored is None else factors(s[2]))
+    def build(x: np.ndarray) -> np.ndarray:
+        t.put(flat, _point_values(x, floored))
+        fill(t[:2], None if floored is None else factors(t[2]))
         return polcalc.compose(elements)
 
     return build
@@ -276,7 +265,7 @@ def settings_builder(table: np.ndarray, qwp_first: np.ndarray,
 
 def projector_jones(params: tuple[ProjectorParam, ...]) -> np.ndarray:
     """(m, 2, 2) Jones stack of projector settings."""
-    return settings_builder(*settings_table(params))(None)
+    return np.stack([p.jones() for p in params])
 
 
 def sample_jones(samples: tuple[PolElement, ...]) -> np.ndarray:
@@ -396,7 +385,7 @@ def optimize(config: OptimizationConfig, rho: TwoQubitDensity,
 
     for stage_name, coords in stages:
         build = settings_builder(table, qwp_first, coords)
-        polcalc.check_passive(build(None))
+        polcalc.check_passive(build(table[coords]))
 
         def score(x: np.ndarray) -> float:
             jones = build(x)
@@ -451,6 +440,7 @@ def nearest_feasible(
     target = np.asarray(target_mueller, dtype=float)
     if target.shape != (4, 4):
         raise ValueError("target must be a 4x4 Mueller matrix")
+    ProjectorParam(0.0, 0.0, extinction, qwp_first)  # refuses a bad extinction
 
     def distance_of(shape: tuple):
         """Distance from the target of each angle pair, (2,) + shape."""

@@ -117,10 +117,7 @@ def test_projector_stack_equals_per_setting_chains():
     for params in [mixed] + [
             tuple(random_param() for _ in range(int(RNG.integers(1, 6))))
             for _ in range(20)]:
-        stack = projector_jones(params)
-        assert np.array_equal(stack, np.stack([p.jones() for p in params]))
-        for p, jones in zip(params, stack):
-            assert np.array_equal(jones, compose(p.elements()))
+        for p, jones in zip(params, projector_jones(params)):
             npt.assert_allclose(jones, reference_jones(p.elements()),
                                 rtol=0, atol=1e-15)
 
@@ -162,7 +159,7 @@ def test_response_points_equal_the_checked_path():
         coords = np.nonzero(np.isfinite(table))
         x = np.where(coords[0] == 2, RNG.uniform(0.2, 10.0, size=coords[0].size),
                      RNG.uniform(-360.0, 540.0, size=coords[0].size))
-        jones = settings_builder(point_table(table, coords, x), qwp_first)(None)
+        jones = whole_table_jones(point_table(table, coords, x), qwp_first)
         probe = jones[0] if n_probe else None
         pts = response_points(rho, samples, probe, jones[n_probe:])
         checked = coincidence_probability(
@@ -191,7 +188,7 @@ def test_prepared_scores_equal_the_unprepared_composition(monkeypatch, name):
     stages = []
     builder = optproj.settings_builder
 
-    def spy_builder(table, qwp_first, coords=None):
+    def spy_builder(table, qwp_first, coords):
         stages.append((table, qwp_first, coords))
         return builder(table, qwp_first, coords)
 
@@ -412,15 +409,22 @@ def random_table(rng, k):
     return np.vstack([angles, extinction]), rng.random(k) < 0.5
 
 
+def whole_table_jones(table, qwp_first):
+    """Jones stack of a whole settings table, from a builder that
+    searches every finite entry, given the table's own values."""
+    coords = np.nonzero(np.isfinite(table))
+    return settings_builder(table, qwp_first, coords)(table[coords])
+
+
 def test_settings_builder_equals_reference_bytes():
     rng = np.random.default_rng(18)
     for case in range(400):
         table, qwp_first = random_table(rng, int(rng.integers(1, 6)))
+        assert whole_table_jones(table, qwp_first).tobytes() == \
+            reference_settings_jones(table, qwp_first).tobytes(), case
         searched = np.isfinite(table) & (rng.random(table.shape) < 0.7)
         coords = np.nonzero(searched.T)[::-1]
         build = settings_builder(table, qwp_first, coords)
-        assert build(None).tobytes() == \
-            reference_settings_jones(table, qwp_first).tobytes(), case
         for _ in range(3):
             # Extinctions below 1 are floored; angles as in random_table.
             x = np.where(coords[0] == 2,
@@ -468,6 +472,9 @@ def test_prepared_build_equals_the_unprepared_reference(name):
     assert any(floored) == (name == "vary_extinction")
     for _, coords in stages:
         build = settings_builder(table, qwp_first, coords)
+        # The stage's own point, whose stack optimize checks once.
+        assert build(table[coords]).tobytes() == \
+            reference_settings_jones(table, qwp_first).tobytes()
         rows = coords[0]
         for _ in range(50):
             x = rng.uniform(-400.0, 400.0, size=rows.size)
@@ -492,7 +499,7 @@ def test_builds_and_responses_share_no_memory(name):
         rows = coords[0]
         x1, x2 = (np.where(rows == 2, rng.uniform(1.0, 10.0, rows.size),
                            rng.uniform(-400.0, 400.0, rows.size)) for _ in range(2))
-        jones = [build(x1), build(x2), build(None)]
+        jones = [build(x1), build(x2), build(table[coords])]
         before = [j.tobytes() for j in jones]
         points = [response_points(PSI_PLUS, samples, j[0] if n_probe else None,
                                   j[n_probe:]) for j in jones]
@@ -503,21 +510,32 @@ def test_builds_and_responses_share_no_memory(name):
         assert points[0].tobytes() == response_points(
             PSI_PLUS, samples, jones[0][0] if n_probe else None,
             jones[0][n_probe:]).tobytes()
-        # build(None) after a point gives the stack of the table itself.
-        assert before[2] == settings_builder(table, qwp_first)(None).tobytes()
+        # The stage's own point, after others, gives the table's stack.
+        assert before[2] == whole_table_jones(table, qwp_first).tobytes()
         assert before[0] == \
             settings_builder(table, qwp_first, coords)(x1).tobytes()
         table = point_table(table, coords, x2)
 
 
-def test_builder_without_coords_refuses_a_point():
-    table, qwp_first = settings_table(
-        (ProjectorParam(qwp_deg=30.0, lp_deg=10.0), bare_lp(50.0)))
-    build = settings_builder(table, qwp_first)
-    before = build(None).tobytes()
-    with pytest.raises(IndexError):
-        build(np.array([1.0, 2.0]))
-    assert build(None).tobytes() == before
+def test_projector_stack_equals_the_whole_table_build():
+    # A setting's matrix is the composition of its elements; the stack
+    # that a search builds for the same table has the same bytes, over
+    # every layout and angles outside [0, 180), -1e-14 among them.  Only
+    # the sign of an exact zero may differ: off the diagonal of a bare
+    # polarizer at 0 degrees or of extinction 1, its lone element keeps
+    # element_jones's -0 where the search's identity waveplate gives +0.
+    rng = np.random.default_rng(44)
+    for case in range(300):
+        table, qwp_first = random_table(rng, int(rng.integers(1, 6)))
+        stack = projector_jones(table_params(table, qwp_first))
+        whole = whole_table_jones(table, qwp_first)
+        signed = np.isnan(table[0]) & (
+            (polcalc.reduce_angle(table[1]) == 0.0) | (table[2] == 1.0))
+        assert stack[~signed].tobytes() == whole[~signed].tobytes(), case
+        assert np.array_equal(stack[signed], whole[signed]), case
+    table, qwp_first = settings_table(EVERY_LAYOUT)
+    assert projector_jones(EVERY_LAYOUT).tobytes() == \
+        whole_table_jones(table, qwp_first).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(), (7,)], ids=["scalar", "grid"])
@@ -533,7 +551,7 @@ def test_settings_jones_equals_reference_bytes_on_grids(shape, extinction,
         qwp_deg = np.where(rng.random(shape) < 0.3, 45.0 * 3, qwp_deg)
         table = np.array([qwp_deg, lp_deg, np.full_like(qwp_deg, extinction)])
         flags = np.full(shape, qwp_first)
-        jones = settings_builder(table, flags)(None)
+        jones = whole_table_jones(table, flags)
         assert jones.shape == shape + (2, 2)
         assert jones.tobytes() == reference_settings_jones(table, flags).tobytes()
 
@@ -546,7 +564,7 @@ def test_settings_jones_keeps_nan_outside_the_bare_waveplate(entry):
     table[entry] = math.nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        jones = settings_builder(table, qwp_first)(None)
+        jones = whole_table_jones(table, qwp_first)
     assert np.isnan(jones[entry[1]]).any()
     with pytest.raises(ValueError):
         check_passive(jones)
@@ -670,17 +688,22 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    ({"qwp_deg": None, "lp_deg": math.nan}, "lp_deg must be finite"),
-    ({"qwp_deg": 10.0, "lp_deg": math.inf}, "lp_deg must be finite"),
-    ({"qwp_deg": math.nan, "lp_deg": 10.0}, "qwp_deg must be finite"),
-    ({"qwp_deg": -math.inf, "lp_deg": 10.0}, "qwp_deg must be finite"),
-    ({"qwp_deg": None, "lp_deg": 10.0, "extinction": 0.5}, "extinction must be >= 1"),
+    ({"qwp_deg": None, "lp_deg": math.nan}, "theta_deg must be finite"),
+    ({"qwp_deg": 10.0, "lp_deg": math.inf}, "theta_deg must be finite"),
+    ({"qwp_deg": math.nan, "lp_deg": 10.0}, "theta_deg must be finite"),
+    ({"qwp_deg": -math.inf, "lp_deg": 10.0}, "theta_deg must be finite"),
+    ({"qwp_deg": None, "lp_deg": 10.0, "extinction": 0.5},
+     "partial_polarizer needs extinction >= 1"),
     ({"qwp_deg": None, "lp_deg": 10.0, "extinction": math.nan},
-     "extinction must be >= 1"),
-], ids=["nan_lp", "inf_lp", "nan_qwp", "inf_qwp", "low_extinction", "nan_extinction"])
+     "partial_polarizer needs extinction >= 1"),
+    ({"qwp_deg": None, "lp_deg": 10.0, "extinction": -math.inf},
+     "partial_polarizer needs extinction >= 1"),
+], ids=["nan_lp", "inf_lp", "nan_qwp", "inf_qwp", "low_extinction", "nan_extinction",
+        "minus_inf_extinction"])
 def test_projector_param_validates_itself(kwargs, message):
     # A NaN qwp_deg would read as "no waveplate" in the settings table,
-    # and the others would fail only at the first evaluation.
+    # and the others would fail only at the first evaluation.  The
+    # setting's elements check it, so PolElement gives every message.
     with pytest.raises(ValueError, match=message):
         ProjectorParam(**kwargs)
     ProjectorParam(qwp_deg=None, lp_deg=10.0, extinction=1.0)
@@ -784,6 +807,17 @@ def test_nearest_feasible_passes_through_extinction():
 def test_nearest_feasible_validates_shape():
     with pytest.raises(ValueError):
         nearest_feasible(np.eye(3))
+
+
+@pytest.mark.parametrize("extinction", [math.nan, 0.5])
+def test_nearest_feasible_refuses_a_bad_extinction_before_searching(
+        monkeypatch, extinction):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched with a bad extinction")
+
+    monkeypatch.setattr(optproj, "minimize", no_search)
+    with pytest.raises(ValueError, match="partial_polarizer needs extinction >= 1"):
+        nearest_feasible(np.eye(4), extinction=extinction)
 
 
 def loop_nearest_feasible(target, extinction, qwp_first, grid_step_deg=7.5):

@@ -13,8 +13,16 @@ With one projector alone it keeps 32-38 (the first) and 36-43 (the
 second); with a maximally mixed source, ``werner`` at p = 0, it keeps
 13-19.  At p = 0 every QWP orientation has the same response, so the QWP
 family alone should keep exactly 1; it keeps 2 on 10 of seeds 0-39.
+
+The paper sets two measurements against at least 8.  At equal time, with
+``two_projection_partial.yaml``'s two projectors followed by QWP plus
+ideal-polarizer pairs drawn once (``EXTRA_ANGLES``) and 2/k s per
+projector, k = 2, 4, 8 and 16 keep 108-113, 122-131, 129-139 and 160-171
+on seeds 0-4; at p = 0 the QWP family alone keeps 1-4 with 4 projectors
+and 3-7 with 8 on seeds 0-19.
 """
 
+import math
 import os
 import re
 
@@ -87,20 +95,14 @@ def two_projection_partial(**changes):
 MIXED = {"kind": "werner", "p": 0.0}
 
 
-@pytest.fixture(scope="module")
-def controls(tmp_path_factory):
-    """Objects kept on every seed by each control, keyed by its name."""
-    shipped = two_projection_partial()
-    qwp = [spec for spec in shipped["samples"] if spec["family"] == "QWP"]
-    configs = {
-        "first projector": (two_projection_partial(projectors=shipped["projectors"][:1]),
-                            SEEDS),
-        "second projector": (two_projection_partial(projectors=shipped["projectors"][1:]),
-                             SEEDS),
-        "p = 0": (two_projection_partial(state=MIXED), SEEDS),
-        "QWP at p = 0": (two_projection_partial(state=MIXED, samples=qwp), range(40)),
-    }
-    where = tmp_path_factory.mktemp("controls")
+def qwp_family():
+    """The QWP sample family of ``two_projection_partial.yaml``."""
+    return [spec for spec in two_projection_partial()["samples"]
+            if spec["family"] == "QWP"]
+
+
+def kept_by(configs, where):
+    """Objects kept on every seed of each ``name: (config, seeds)``."""
     kept = {}
     for name, (cfg, seeds) in configs.items():
         path = where / f"{name}.yaml"
@@ -108,6 +110,22 @@ def controls(tmp_path_factory):
         kept[name] = [discriminate(str(path), seed, where / f"{name}-{seed}")[0]
                       for seed in seeds]
     return kept
+
+
+@pytest.fixture(scope="module")
+def controls(tmp_path_factory):
+    """Objects kept on every seed by each control, keyed by its name."""
+    shipped = two_projection_partial()
+    configs = {
+        "first projector": (two_projection_partial(projectors=shipped["projectors"][:1]),
+                            SEEDS),
+        "second projector": (two_projection_partial(projectors=shipped["projectors"][1:]),
+                             SEEDS),
+        "p = 0": (two_projection_partial(state=MIXED), SEEDS),
+        "QWP at p = 0": (two_projection_partial(state=MIXED, samples=qwp_family()),
+                         range(40)),
+    }
+    return kept_by(configs, tmp_path_factory.mktemp("controls"))
 
 
 @pytest.mark.parametrize("projector", ["first projector", "second projector"])
@@ -142,3 +160,53 @@ def test_mixed_source_gives_every_qwp_orientation_the_same_response():
     assert curves["QWP"].shape == (90, 2)
     assert np.ptp(curves["QWP"], axis=0).max() <= ghost.ROUNDOFF
     assert np.ptp(curves["LP"], axis=0).min() > 1e-3
+
+
+# Angles (QWP, polarizer) of the projectors after the shipped two, drawn
+# once; they are not tuned.
+EXTRA_ANGLES = np.random.default_rng(123).uniform(0.0, 180.0, (14, 2))
+
+
+def k_projections(k, **changes):
+    """``two_projection_partial`` with k projectors, the shipped two first,
+    at 2/k s each: every k spends the shipped 2 s per orientation and run."""
+    shipped = two_projection_partial()
+    extra = [{"elements": [{"kind": "retarder", "angle_deg": float(qwp),
+                            "retardance_rad": math.pi / 2},
+                           {"kind": "ideal_polarizer", "angle_deg": float(lp)}]}
+             for qwp, lp in EXTRA_ANGLES[:k - 2]]
+    return two_projection_partial(
+        projectors=shipped["projectors"] + extra,
+        counting={**shipped["counting"], "integration_time": 2.0 / k}, **changes)
+
+
+@pytest.fixture(scope="module")
+def axes(tmp_path_factory):
+    """Objects kept at equal time: with k projectors on seeds 0-4, and by
+    the QWP family alone at p = 0 with d projectors on seeds 0-19."""
+    configs = {f"k = {k}": (k_projections(k), range(5)) for k in (2, 4, 8, 16)}
+    configs.update({
+        f"QWP at p = 0, d = {d}": (k_projections(d, state=MIXED, samples=qwp_family()),
+                                   SEEDS) for d in (4, 8)})
+    return kept_by(configs, tmp_path_factory.mktemp("axes"))
+
+
+@pytest.mark.parametrize("k", [
+    pytest.param(k, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        f"at equal time the per-axis 95% region rule keeps {measured} objects "
+        f"with {k} projectors and 108-113 with two on seeds 0-4; ROADMAP item "
+        "19 changes the rule, and removes this mark with it")))
+    for k, measured in ((4, "122-131"), (8, "129-139"), (16, "160-171"))])
+def test_two_measurements_keep_at_least_as_many_as_more(axes, k):
+    assert [seed for seed, (two, many) in enumerate(zip(axes["k = 2"], axes[f"k = {k}"]))
+            if two < many] == []
+
+
+@pytest.mark.parametrize("d", [
+    pytest.param(d, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        f"at d = {d} the per-axis 95% region rule keeps {kept} of 90 identical "
+        f"QWP orientations on seeds 0-19, more than 1 on {over} of them; ROADMAP "
+        "item 19 changes the rule, and removes this mark with it")))
+    for d, kept, over in ((4, "1-4", 15), (8, "3-7", 20))])
+def test_identical_objects_keep_exactly_one_on_more_axes(axes, d):
+    assert [seed for seed, n in enumerate(axes[f"QWP at p = 0, d = {d}"]) if n != 1] == []
