@@ -17,15 +17,25 @@ import sys
 
 import numpy as np
 
-# configio loads these to parse; a command imports its other layers before ``_config``.
-from . import countsim, ghost, polcalc
+# configio loads these to parse.  A command imports its other layers before
+# ``_config``; a command that can draw counts loads countsim and numpy.random.
+from . import ghost, polcalc
 from .configio import ConfigError, ExperimentConfig, load_config, settings_fragment
-from .optproj import optimize
 from .textio import block
 
-# Frozen, the 23,100-23,400 objects left at exit, most of them the imports',
-# skip the exit's collections.
+# Frozen, the objects left at exit, most of them the imports', skip the exit's
+# collections: about 22,300 for a one-start optimize, 23,000 for sweep,
+# discriminate and tomo, and 23,200 for a multi-start optimize.
 atexit.register(gc.freeze)
+
+
+def __getattr__(name: str):
+    # ``optimize`` loads optproj on first use; ``cmd_optimize`` looks it up
+    # here, so a wrapper set on this module's ``optimize`` is what it calls.
+    if name != "optimize":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .optproj import optimize
+    return optimize
 
 
 def _config(args: argparse.Namespace) -> ExperimentConfig:
@@ -70,6 +80,7 @@ def _sweep_curves(cfg: ExperimentConfig) -> list[ghost.ResponseCurve]:
 def _measure(cfg: ExperimentConfig, curves: list[ghost.ResponseCurve],
              ) -> list[tuple[countsim.RunSet, np.ndarray]]:
     """Simulated runs and their corrected counts, one pair per family."""
+    from . import countsim
     measured = []
     for tag, curve in enumerate(curves):
         try:
@@ -82,7 +93,8 @@ def _measure(cfg: ExperimentConfig, curves: list[ghost.ResponseCurve],
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from . import discern, svgplot
+    from . import countsim, discern, svgplot  # noqa: F401
+    import numpy.random  # noqa: F401
     cfg, out_dir = _config(args), args.out
     curves = _sweep_curves(cfg)
     bands = [None] * len(curves)
@@ -109,7 +121,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_discriminate(args: argparse.Namespace) -> int:
-    from . import discern, svgplot
+    from . import countsim, discern, svgplot
+    import numpy.random  # noqa: F401
     cfg, out_dir = _config(args), args.out
     if cfg.counting is None:
         raise ConfigError("discriminate needs a counting section")
@@ -136,6 +149,7 @@ def cmd_discriminate(args: argparse.Namespace) -> int:
 
 def cmd_tomo(args: argparse.Namespace) -> int:
     from . import qstate, tomo
+    import numpy.random  # noqa: F401
     cfg, out_dir = _config(args), args.out
     path, model = cfg.records_csv, cfg.tomography_model
     if path is not None:
@@ -165,6 +179,7 @@ def cmd_tomo(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
+    optimize = sys.modules[__name__].optimize  # loads optproj before the config
     cfg, out_dir = _config(args), args.out
     if cfg.optimize is None:
         raise ConfigError("an optimize section is required")

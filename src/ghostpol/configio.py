@@ -13,9 +13,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import yaml
 
-from .countsim import MAX_MEAN, CountModel
+# countsim's and optproj's types, named in annotations, load where a section needs them.
 from .ghost import SAMPLE_FAMILIES, sample_element
-from .optproj import OptimizationConfig, ProjectorParam, search_stages
 from .polcalc import ELEMENT_KINDS, PERIOD_DEG, PolElement, is_angle_grid
 from .qstate import TwoQubitDensity, bell_psi_plus, load_density_csv, werner
 
@@ -237,6 +236,7 @@ def _parse_sample(node, path: str) -> SampleSpec:
 
 
 def _parse_counting(node, path: str) -> CountModel:
+    from .countsim import CountModel
     node = _section(node, path, {
         "pair_rate", "integration_time", "eff_signal", "eff_idler",
         "coincidence_window", "singles_background", "drift_amplitude",
@@ -254,6 +254,7 @@ def _check_means(model: CountModel, key: str | None = None) -> None:
     accidental_mean(), is checked on its own and reported under ``key``,
     or else under the counting key that sets it; no singles are drawn.
     """
+    from .countsim import MAX_MEAN
     terms = (
         ("pair_rate", model.signal_mean(1.0, 1.0 + model.drift_amplitude)),
         ("coincidence_window", model.accidental_mean()),
@@ -288,6 +289,7 @@ def _parse_tomography(node, path: str, base_dir: str, counting: CountModel | Non
 
 
 def _parse_projector_param(node, path: str) -> ProjectorParam:
+    from .optproj import ProjectorParam
     node = _section(node, path, {"qwp_deg", "lp_deg", "extinction", "qwp_first"},
                     ("lp_deg",))
     qwp = node.get("qwp_deg")
@@ -311,6 +313,7 @@ def _parse_setting_sample(node, path: str) -> PolElement:
 
 
 def _parse_optimize(node, path: str) -> OptimizationConfig:
+    from .optproj import OptimizationConfig, search_stages
     node = _section(node, path, {
         "samples", "projectors", "probe", "mode", "restarts", "max_evals",
         "vary_probe", "vary_projectors", "vary_extinction",

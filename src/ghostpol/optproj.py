@@ -34,7 +34,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import polcalc
-from .countsim import TAG_START, stream
 from .ghost import coincidence_probability
 from .polcalc import QWP, PolElement
 from .qstate import TwoQubitDensity
@@ -324,10 +323,13 @@ def _start_points(rows: np.ndarray, n_starts: int, x0: np.ndarray,
     """Deterministic spread of starts: x0 first, then a stratified
     scramble of the search box (angle torus, extinction in [1, 10]).
     ``rows`` gives the table row of each coordinate."""
-    rng = stream(seed, (TAG_START,))
     starts = np.empty((n_starts, len(rows)))
     starts[0] = x0
     extra = n_starts - 1
+    if not extra:  # size-0 draws change nothing, so one start draws no stream
+        return starts
+    from .countsim import TAG_START, stream
+    rng = stream(seed, (TAG_START,))
     for d, row in enumerate(rows):
         lo, hi = (1.0, 10.0) if row == 2 else (0.0, polcalc.PERIOD_DEG)
         bins = np.arange(extra) + rng.uniform(0.0, 1.0, size=extra)

@@ -838,7 +838,8 @@ def run_fresh(jobs, prelude=""):
     scipy modules loaded when its config was parsed, plus the scipy
     modules loaded after import (key ``import``) and at the end.  The
     ghostpol modules loaded when the last config was parsed and at the
-    end are under ``layers_parsed`` and ``layers_end``."""
+    end are under ``layers_parsed`` and ``layers_end``, and whether
+    numpy.random was loaded then under ``random_parsed`` and ``random_end``."""
     code = f"""
 import contextlib, io, json, sys
 {prelude}
@@ -850,6 +851,7 @@ load_config = cli.load_config
 def recording_load_config(path):
     cfg = load_config(path)
     out["parsed"], out["layers_parsed"] = scipy(), loaded("ghostpol")
+    out["random_parsed"] = "numpy.random" in sys.modules
     return cfg
 cli.load_config = recording_load_config
 for job, argv in {jobs!r}.items():
@@ -858,6 +860,7 @@ for job, argv in {jobs!r}.items():
         rc = cli.main(argv)
     out[job] = [rc, stdout.getvalue(), out.pop("parsed", None)]
 out["end"], out["layers_end"] = scipy(), loaded("ghostpol")
+out["random_end"] = "numpy.random" in sys.modules
 print(json.dumps(out))
 """
     return json.loads(run_python("-c", code).stdout)
@@ -912,26 +915,108 @@ def test_tomo_loads_no_scipy(tmp_path):
         assert result["import"] == result["end"] == []
 
 
-# The layers each command must not load.  The command line module loads
-# what configio parses with; a command adds what else it runs.
+# The layers each command loads and the layers it must not load.  The
+# command line module loads what configio always parses with; a command
+# adds what else it runs, countsim and numpy.random only where it draws.
+LOADED = {
+    "sweep-three_projection": {"cli", "configio", "ghost", "countsim", "discern",
+                               "svgplot"},
+    "discriminate-three_projection": {"cli", "configio", "ghost", "countsim",
+                                      "discern", "svgplot"},
+    "tomo-tomography": {"cli", "configio", "ghost", "countsim", "qstate", "tomo"},
+    "optimize-one-restart": {"cli", "configio", "ghost", "optproj"},
+}
 NOT_LOADED = {
-    "sweep-three_projection": {"tomo"},
-    "discriminate-three_projection": {"tomo"},
-    "tomo-tomography": {"discern", "svgplot"},
-    "optimize-one-restart": {"discern", "svgplot", "tomo"},
+    "sweep-three_projection": {"optproj", "tomo"},
+    "discriminate-three_projection": {"optproj", "tomo"},
+    "tomo-tomography": {"discern", "optproj", "svgplot"},
+    "optimize-one-restart": {"countsim", "discern", "svgplot", "tomo"},
 }
 
 
 @pytest.mark.parametrize("case", sorted(NOT_LOADED))
 def test_command_loads_only_its_layers_before_reading_its_config(tmp_path, case):
     # Every layer a command runs is loaded when its config has been
-    # parsed, so none loads inside the command body.
+    # parsed, so none loads inside the command body; a command that draws
+    # has numpy.random by then, and a one-start optimize never loads it.
     result = run_fresh({case: case_argv(case, tmp_path)})
     assert result[case][0] == 0
     assert result["layers_parsed"] == result["layers_end"]
     layers = {m.split(".")[1] for m in result["layers_end"] if "." in m}
-    assert {"cli", "configio", "ghost", "optproj"} <= layers
+    assert LOADED[case] <= layers
     assert not layers & NOT_LOADED[case]
+    draws = case != "optimize-one-restart"
+    assert result["random_parsed"] == result["random_end"] == draws
+
+
+def test_multi_start_optimize_loads_countsim_at_its_first_draw(tmp_path):
+    # The one exception to loading before the config: a multi-start
+    # optimize scrambles its starts from a countsim stream, and loads
+    # countsim and numpy.random there, inside the command.
+    result = run_fresh({"optimize": [
+        "optimize", "--config", write_config(tmp_path, OPTIMIZE_CONFIG),
+        "--out", str(tmp_path / "out")]})
+    assert result["optimize"][0] == 0
+    assert "ghostpol.countsim" not in result["layers_parsed"]
+    assert not result["random_parsed"]
+    assert "ghostpol.countsim" in result["layers_end"] and result["random_end"]
+
+
+def test_cli_optimize_resolves_to_the_optimizer():
+    # perfbench's tracer wraps ``cli.optimize``: the name resolves to
+    # the optimizer, loading optproj only then, and any other missing
+    # name is still an AttributeError.
+    code = """
+import sys
+from ghostpol import cli
+assert "ghostpol.optproj" not in sys.modules
+from ghostpol import optproj
+assert cli.optimize is optproj.optimize
+try:
+    cli.no_such_name
+except AttributeError as exc:
+    assert str(exc) == "module 'ghostpol.cli' has no attribute 'no_such_name'"
+else:
+    raise AssertionError("cli.no_such_name resolved")
+"""
+    run_python("-c", code)
+
+
+def test_optimize_command_calls_cli_optimize_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    real = cli.optimize
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "optimize", spy)
+    cfg = write_config(tmp_path, OPTIMIZE_CONFIG)
+    assert run(["optimize", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+    assert calls[0][2] == 2  # the config's seed
+    assert capsys.readouterr().out.startswith("best objective ")
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("sweep", "counting: {pair_rate: 1.0e+20, integration_time: 1.0}\n",
+     "'counting.pair_rate': mean count 1e+20 per integration exceeds 1e+15"),
+    ("discriminate", "counting: {pair_rate: -1.0, integration_time: 1.0}\n",
+     "'counting': pair rate must be >= 0 and integration time > 0"),
+    ("optimize", OPTIMIZE_CONFIG.replace("  max_evals: 300\n", "")
+     .replace("restarts: 4", "restarts: 20000"),
+     "'optimize.restarts' must be <= max_evals (4000)"),
+    ("optimize", OPTIMIZE_CONFIG.replace("lp_deg: 20.0", "lp_deg: 20.0, extinction: 0.5"),
+     "'optimize.projectors[0].extinction' must be >= 1"),
+], ids=["counting-means", "counting-model", "optimize-restarts", "optimize-projector"])
+def test_deferred_section_parsers_keep_their_errors(tmp_path, command, text, message):
+    # configio imports countsim and optproj inside the parsers of their
+    # sections; in a fresh interpreter, their errors are still config errors.
+    cfg = write_config(tmp_path, text)
+    proc = run_python("-m", "ghostpol.cli", command, "--config", cfg,
+                      "--out", str(tmp_path / "out"), returncode=2)
+    assert proc.stderr == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 # What the console script that pip generates for an entry point runs.

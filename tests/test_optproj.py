@@ -27,7 +27,9 @@ from ghostpol.optproj import (
 from ghostpol.ghost import coincidence_probability
 from ghostpol.polcalc import QWP, PolElement, check_passive, compose, element_jones
 from ghostpol.qstate import TwoQubitDensity, bell_psi_plus, werner
-from helpers import CONFIGS, kron_loop_probability, loop_mueller, reference_jones
+from helpers import (
+    CONFIGS, kron_loop_probability, loop_mueller, reference_jones, run_python,
+)
 
 PSI_PLUS, SEED = bell_psi_plus(), 3
 RNG = np.random.default_rng(8)
@@ -312,6 +314,29 @@ def test_small_run_regression(text, n_evals, objective):
         [(p.qwp_deg is None, p.qwp_first, math.isinf(p.extinction))
          for p in cfg.optimize.projectors]
     assert (result.probe is None) == (cfg.optimize.probe is None)
+
+
+def test_multi_start_run_loads_countsim_only_to_draw_its_starts():
+    # configio and optproj leave countsim unloaded until the first start is
+    # drawn; a run that loads it there equals one with it loaded before,
+    # bit for bit (repr round-trips every float).
+    code = f"""
+import sys
+from ghostpol.configio import parse_config_text
+from ghostpol.optproj import optimize
+cfg = parse_config_text({SEQUENTIAL_PARTIAL!r})
+assert "ghostpol.countsim" not in sys.modules
+assert "numpy.random" not in sys.modules
+r = optimize(cfg.optimize, cfg.state, cfg.seed)
+assert "ghostpol.countsim" in sys.modules
+print(repr((r.trace, r.probe, r.projectors, r.objective, r.n_evals)))
+"""
+    import ghostpol.countsim  # noqa: F401
+    cfg = parse_config_text(SEQUENTIAL_PARTIAL)
+    assert cfg.optimize.restarts == 3
+    r = optimize(cfg.optimize, cfg.state, cfg.seed)
+    assert run_python("-c", code).stdout == \
+        repr((r.trace, r.probe, r.projectors, r.objective, r.n_evals)) + "\n"
 
 
 def reference_oriented_jones(a, theta_deg):

@@ -20,7 +20,25 @@ count that a true rate of 5% exceeds with probability at most ALPHA:
 semi-axes are the per-axis 95% half-widths whatever d is, so the rate
 grows with d and with the runs (ROADMAP Baseline).  The cells that today's
 rule fails are strict xfails naming ROADMAP item 19, with their counts.
-Families of 90 and 900 orientations are not covered here.
+
+A family cell draws a whole family of identical orientations, 8 runs
+each, from ``default_rng([SEED, d, 8, n])``.  The greedy keeps row 0 first,
+so "kept more than 1" is "some row is separable from row 0", one
+``separable`` call per trial, checked against ``analyze_family`` in the
+same way.  Today's rule keeps more than 1 in these shares of trials:
+
+    orientations   d    trials   kept more than 1
+    90             1    200      27   (13.5%)
+    90             2    200      69   (34.5%)
+    90             3    200      110  (55.0%)
+    90             4    200      138  (69.0%)
+    90             8    200      200  (100%)
+    90             16   200      200  (100%)
+    900            3    40       35   (87.5%)
+
+No bound is asserted on them: ROADMAP item 19 has not decided one.  The
+counts are pinned, so that this table stays true until a rule change
+records it again.
 """
 
 import functools
@@ -37,6 +55,11 @@ AXES, RUNS = (1, 2, 3, 4, 8, 16), (3, 8, 64)
 # Separated pairs of TRIALS in the cells that today's rule fails, by (d, runs).
 # The other cells count 2-38.
 FAILING = {(8, 8): 238, (16, 8): 784, (4, 64): 90, (8, 64): 447, (16, 64): 937}
+# Family cells, by (orientations, d): trials, and those that keep more than 1.
+FAMILIES = {(90, 1): (200, 27), (90, 2): (200, 69), (90, 3): (200, 110),
+            (90, 4): (200, 138), (90, 8): (200, 200), (90, 16): (200, 200),
+            (900, 3): (40, 35)}
+FAMILY_RUNS = 8
 
 
 def binomial_bound(n, p, alpha):
@@ -52,13 +75,24 @@ BOUND = binomial_bound(TRIALS, LEVEL, ALPHA)
 
 
 @functools.cache
-def identical_pairs(d, runs):
-    """The run points of the first CHECKED trials, (runs, CHECKED, 2, d),
-    and the (TRIALS,) separated flags of all of them."""
-    points = np.random.default_rng([SEED, d, runs]).normal(1.0, 0.01, (runs, TRIALS, 2, d))
+def identical_rows(key, shape):
+    """The run points of the first CHECKED trials of ``shape``, (runs,
+    trials, rows, d), drawn from ``default_rng(key)``, and the (trials,)
+    flags "some row is separable from row 0" of all of them."""
+    points = np.random.default_rng(key).normal(1.0, 0.01, shape)
     mean, _, ci95 = run_stats(points)
-    return points[:, :CHECKED].copy(), separable(EllipsoidRegion(mean[:, 0], ci95[:, 0]),
-                                                 EllipsoidRegion(mean[:, 1], ci95[:, 1]))
+    return points[:, :CHECKED].copy(), separable(
+        EllipsoidRegion(mean[:, :1], ci95[:, :1]),
+        EllipsoidRegion(mean[:, 1:], ci95[:, 1:])).any(-1)
+
+
+def identical_pairs(d, runs):
+    return identical_rows((SEED, d, runs), (runs, TRIALS, 2, d))
+
+
+def identical_family(n, d):
+    return identical_rows((SEED, d, FAMILY_RUNS, n),
+                          (FAMILY_RUNS, FAMILIES[n, d][0], n, d))
 
 
 def test_one_separable_call_is_the_greedy_on_a_pair():
@@ -83,3 +117,14 @@ def cell(d, runs):
 def test_identical_pair_separates_at_most_at_the_region_level(d, runs):
     _, separated = identical_pairs(d, runs)
     assert int(separated.sum()) <= BOUND
+
+
+@pytest.mark.parametrize("n, d", sorted(FAMILIES),
+                         ids=[f"n{n}-d{d}" for n, d in sorted(FAMILIES)])
+def test_family_keeps_more_than_one_where_a_row_separates_from_row_0(n, d):
+    points, separated = identical_family(n, d)
+    thetas = np.arange(n) * (180.0 / n)
+    kept = [len(analyze_family("family", thetas, points[:, t]).kept) > 1
+            for t in range(CHECKED)]
+    assert kept == separated[:CHECKED].tolist()
+    assert int(separated.sum()) == FAMILIES[n, d][1]
