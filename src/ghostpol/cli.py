@@ -18,24 +18,21 @@ import sys
 import numpy as np
 
 # configio loads these to parse.  A command imports its other layers before
-# ``_config``; a command that can draw counts loads countsim and numpy.random.
+# ``_config``; a command that can draw counts loads countsim.
 from . import ghost, polcalc
 from .configio import ConfigError, ExperimentConfig, load_config, settings_fragment
 from .textio import block
 
 # Frozen, the objects left at exit, most of them the imports', skip the exit's
-# collections: about 22,300 for a one-start optimize, 23,000 for sweep,
+# collections: about 22,300 for a one-start optimize, 23,100 for sweep,
 # discriminate and tomo, and 23,200 for a multi-start optimize.
 atexit.register(gc.freeze)
 
 
-def __getattr__(name: str):
-    # ``optimize`` loads optproj on first use; ``cmd_optimize`` looks it up
-    # here, so a wrapper set on this module's ``optimize`` is what it calls.
-    if name != "optimize":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def optimize(*args):
+    # ``cmd_optimize`` calls the optimizer by this name: a wrapper set here runs.
     from .optproj import optimize
-    return optimize
+    return optimize(*args)
 
 
 def _config(args: argparse.Namespace) -> ExperimentConfig:
@@ -94,7 +91,6 @@ def _measure(cfg: ExperimentConfig, curves: list[ghost.ResponseCurve],
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     from . import countsim, discern, svgplot  # noqa: F401
-    import numpy.random  # noqa: F401
     cfg, out_dir = _config(args), args.out
     curves = _sweep_curves(cfg)
     bands = [None] * len(curves)
@@ -122,7 +118,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_discriminate(args: argparse.Namespace) -> int:
     from . import countsim, discern, svgplot
-    import numpy.random  # noqa: F401
     cfg, out_dir = _config(args), args.out
     if cfg.counting is None:
         raise ConfigError("discriminate needs a counting section")
@@ -149,7 +144,6 @@ def cmd_discriminate(args: argparse.Namespace) -> int:
 
 def cmd_tomo(args: argparse.Namespace) -> int:
     from . import qstate, tomo
-    import numpy.random  # noqa: F401
     cfg, out_dir = _config(args), args.out
     path, model = cfg.records_csv, cfg.tomography_model
     if path is not None:
@@ -179,7 +173,7 @@ def cmd_tomo(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    optimize = sys.modules[__name__].optimize  # loads optproj before the config
+    from . import optproj  # noqa: F401
     cfg, out_dir = _config(args), args.out
     if cfg.optimize is None:
         raise ConfigError("an optimize section is required")
